@@ -4,7 +4,7 @@
 //! run on each engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use netcon_core::{EventSim, Simulation};
+use netcon_core::{EventSim, ExactEngine, Simulation};
 use netcon_graph::properties::is_spanning_star;
 use netcon_protocols::{global_star, simple_global_line};
 use std::hint::black_box;

@@ -9,7 +9,7 @@
 //! exactly (the skipped draws are ineffective, so the census at the mark
 //! is the census the naive loop would print).
 
-use netcon_core::{EventSim, EventStep, StepResult};
+use netcon_core::{EventSim, EventStep, ExactEngine, StepResult};
 use netcon_protocols::global_star::{self, C, P};
 
 fn main() {

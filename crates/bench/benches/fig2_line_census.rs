@@ -10,7 +10,7 @@
 //! at a mark that falls inside a skip run is the state before the next
 //! candidate, since skipped draws change nothing.
 
-use netcon_core::{EventSim, EventStep};
+use netcon_core::{EventSim, EventStep, ExactEngine};
 use netcon_protocols::simple_global_line::{self, census, Census};
 
 fn main() {

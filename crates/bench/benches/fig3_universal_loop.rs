@@ -10,7 +10,7 @@
 //! token-walk phases — where only a handful of the Θ(n²) pairs are ever
 //! effective — stop paying for the idle draws.
 
-use netcon_core::EventSim;
+use netcon_core::{EventSim, ExactEngine};
 use netcon_graph::gnp::gnp_half;
 use netcon_graph::matrix::AdjMatrix;
 use netcon_tm::decider::{Connected, GraphLanguage, MinEdges, TriangleFree};

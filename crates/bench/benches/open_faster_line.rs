@@ -7,7 +7,7 @@
 use netcon_analysis::sweep::{sweep, sweep_converged_at, SweepConfig};
 use netcon_analysis::table::TextTable;
 use netcon_bench::harness::{fits, fmt_fit, scale};
-use netcon_core::{EventSim, Population, RuleProtocol, StateId};
+use netcon_core::{EventSim, ExactEngine, Population, RuleProtocol, StateId};
 use netcon_protocols::{fast_global_line, faster_global_line, simple_global_line};
 
 fn sweep_protocol(

@@ -33,8 +33,8 @@ use netcon_analysis::table::TextTable;
 use netcon_bench::harness::{fits, fmt_fit, scale, sweep_rows};
 use netcon_core::seeds::derive2;
 use netcon_core::{
-    CompiledTable, Engine, EnumerableMachine, Link, ProtocolBuilder, RoundSim, SchedulerKind,
-    ShuffledRounds, Simulation,
+    CompiledTable, Engine, EnumerableMachine, ExactEngine, Link, ProtocolBuilder, RoundSim,
+    SchedulerKind, ShuffledRounds, Simulation,
 };
 use netcon_protocols::{cycle_cover, simple_global_line};
 

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use netcon_bench::harness::scale;
-use netcon_core::{BucketSim, CompiledTable, Engine, EventSim, SparsePop};
+use netcon_core::{BucketSim, CompiledTable, Engine, EventSim, ExactEngine, SparsePop};
 use netcon_protocols::{cycle_cover, simple_global_line};
 
 fn drive(

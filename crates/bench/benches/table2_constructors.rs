@@ -16,7 +16,7 @@
 use netcon_analysis::sweep::{sweep, sweep_converged_at, SweepConfig};
 use netcon_analysis::table::TextTable;
 use netcon_bench::harness::{fits, fmt_fit, scale};
-use netcon_core::{EventSim, Population, RuleProtocol, StateId};
+use netcon_core::{EventSim, ExactEngine, Population, RuleProtocol, StateId};
 use netcon_protocols::{
     catalog, cycle_cover, fast_global_line, global_ring, global_star, krc, replication,
     simple_global_line, spanning_net,

@@ -59,8 +59,8 @@ use netcon_bench::speedup::{
     bucket_stats, compare_engines, compare_round_engines, Comparison,
 };
 use netcon_core::{
-    AdversaryPolicy, BucketSim, ChurnPlan, CompiledTable, EventSim, Link, ProtocolBuilder,
-    RoundSim, Simulation, SparsePop,
+    AdversaryPolicy, BucketSim, ChurnPlan, CompiledTable, EventSim, ExactEngine, Link,
+    ProtocolBuilder, RoundSim, Simulation, SparsePop,
 };
 use netcon_protocols::{
     cycle_cover, fast_global_line, ft_line, ft_star, global_star, simple_global_line,

@@ -5,8 +5,8 @@ use std::time::Instant;
 
 use netcon_core::seeds::derive2;
 use netcon_core::{
-    BucketSim, EventSim, Population, RoundSim, RuleProtocol, ShuffledRounds, Simulation,
-    SparsePop, StateId,
+    BucketSim, EventSim, ExactEngine, Population, RoundSim, RuleProtocol, ShuffledRounds,
+    Simulation, SparsePop, StateId,
 };
 
 /// Per-engine aggregates over a trial set.

@@ -52,16 +52,18 @@
 //! alone would need ~40 GB.
 
 use std::cmp::Reverse;
+use std::ops::ControlFlow;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::engine::{geometric_skip, unit_open01, GeoCacheSlot};
+use crate::engine::{geometric_skip, unit_open01, Bookkeeping, GeoCacheSlot};
+use crate::driver::{next_probe, run_until_with, ExactEngine, Primitives};
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
 use crate::sim::{RunOutcome, StepResult};
 use crate::walk::{
     bridge_weights_with_future, h_step, sample_absorption, sample_binomial, sample_gamma,
@@ -194,6 +196,18 @@ impl SparsePop {
             }
         }
         es
+    }
+
+    /// Normalizes the configuration for an adversary decision: dense
+    /// state indices plus the active-edge set read off the adjacency
+    /// (the snapshot sorts, so iteration order is moot).
+    pub(crate) fn config_snapshot(&self) -> ConfigSnapshot {
+        let states = (0..self.n()).map(|u| self.state_index(u)).collect();
+        let mut edges = Vec::with_capacity(self.active);
+        for u in 0..self.n() {
+            edges.extend(self.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
+        }
+        ConfigSnapshot::new(states, edges)
     }
 
     /// Moves node `u` to state `new`; returns whether the state changed.
@@ -333,11 +347,13 @@ impl WideBook {
         self.last_effective = self.steps;
     }
 
-    /// The [`RunOutcome`] for a stable predicate observed right now.
-    fn stabilized_now(&self) -> RunOutcome {
-        RunOutcome::Stabilized {
-            detected_at: sat64(self.steps),
-            converged_at: sat64(self.last_output_change),
+    /// The counters in the `u64` the cross-engine API speaks.
+    fn saturated(&self) -> Bookkeeping {
+        Bookkeeping {
+            steps: sat64(self.steps),
+            effective_steps: sat64(self.effective_steps),
+            edge_events: self.edge_events,
+            last_output_change: sat64(self.last_output_change),
             last_effective: sat64(self.last_effective),
         }
     }
@@ -468,18 +484,19 @@ const ENDGAME_RETRY: u128 = 64;
 /// The sparse state-bucketed event-driven engine (see the
 /// [module docs](self) for the exactness argument).
 ///
-/// Mirrors the [`EventSim`](crate::EventSim) API — [`advance`] returns
-/// the same [`EventStep`], `run_until`/`run_until_edges`/`run_to` have
-/// the same semantics — except that stability predicates receive a
-/// [`SparsePop`] view instead of a dense
-/// [`Population`]: no Θ(n²) structure is ever built.
+/// Mirrors [`EventSim`](crate::EventSim) — [`advance`] returns the same
+/// [`EventStep`], and the shared [`ExactEngine`] driver runs it — except
+/// that stability predicates receive a [`SparsePop`] view instead of a
+/// dense [`Population`]: no Θ(n²) structure is ever built. Its
+/// `run_until_edges` also batches the walker endgame of the
+/// line-building constructors (see the [module docs](self)).
 ///
 /// [`advance`]: Self::advance
 ///
 /// # Example
 ///
 /// ```
-/// use netcon_core::{BucketSim, Link, ProtocolBuilder};
+/// use netcon_core::{BucketSim, ExactEngine, Link, ProtocolBuilder};
 ///
 /// let mut b = ProtocolBuilder::new("matching");
 /// let a = b.state("a");
@@ -600,12 +617,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
         sim
     }
 
-    /// The fault state, if this engine was built with a [`FaultPlan`].
-    #[must_use]
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
     /// Creates a sparse simulation from an explicit dense configuration
     /// (one scan of its active edges; the dense edge set is dropped).
     ///
@@ -688,14 +699,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
         &self.machine
     }
 
-    /// Steps taken so far (including skipped ineffective draws),
-    /// saturating at `u64::MAX`; [`steps_wide`](Self::steps_wide) has
-    /// the exact count.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        sat64(self.book.steps)
-    }
-
     /// The exact step count: the batched endgame advances the clock by
     /// negative-binomial totals that pass `u64` at the million-node
     /// frontier.
@@ -704,42 +707,16 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.book.steps
     }
 
-    /// Effective interactions so far (saturating at `u64::MAX`).
-    #[must_use]
-    pub fn effective_steps(&self) -> u64 {
-        sat64(self.book.effective_steps)
-    }
-
     /// The exact effective-interaction count.
     #[must_use]
     pub fn effective_steps_wide(&self) -> u128 {
         self.book.effective_steps
     }
 
-    /// Edge activations/deactivations so far.
-    #[must_use]
-    pub fn edge_events(&self) -> u64 {
-        self.book.edge_events
-    }
-
-    /// The step of the most recent edge change (0 if none yet),
-    /// saturating at `u64::MAX`.
-    #[must_use]
-    pub fn last_output_change(&self) -> u64 {
-        sat64(self.book.last_output_change)
-    }
-
     /// The exact step of the most recent edge change (0 if none yet).
     #[must_use]
     pub fn last_output_change_wide(&self) -> u128 {
         self.book.last_output_change
-    }
-
-    /// The step of the most recent effective interaction (0 if none
-    /// yet), saturating at `u64::MAX`.
-    #[must_use]
-    pub fn last_effective(&self) -> u64 {
-        sat64(self.book.last_effective)
     }
 
     /// The current number of *ordered* candidate pairs `K = |E'|` — the
@@ -1037,123 +1014,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             self.rebuild_weights();
         }
         self.off_total + 2 * self.on_list.len() as u64 == 0 || self.is_quiescent_scan()
-    }
-
-    /// Runs until `stable` holds or `max_steps` total steps have elapsed —
-    /// same predicate-evaluation points (initially and after every
-    /// effective interaction) and outcome distribution as
-    /// [`EventSim::run_until`](crate::EventSim::run_until), with the
-    /// predicate reading the sparse view.
-    pub fn run_until(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(u128::from(max_steps));
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective() && stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Like [`run_until`](Self::run_until) but only re-evaluates the
-    /// predicate when an edge changes. Correct (and faster) for
-    /// predicates that depend only on the output graph.
-    ///
-    /// This is also where the **batched endgame** engages: when every
-    /// on-candidate is an edge of a lone-walker path (the merging-lines
-    /// endgame of Simple Global Line and its kin), the engine opens a
-    /// continuous-time session that absorbs whole walks from their exact
-    /// first-passage laws instead of draw by draw, racing them against
-    /// the remaining off-candidates through independent Poisson clocks.
-    /// Batching is sound precisely here — walk moves never change edges,
-    /// so no predicate evaluation point is skipped — and is gated to
-    /// unbounded budgets (a session cannot stop at an interior step
-    /// count) and to fault plans with no pending events (a session
-    /// cannot be interrupted).
-    pub fn run_until_edges(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
-        }
-        let batching = max_steps == u64::MAX
-            && self.faults.as_ref().is_none_or(|fs| fs.next_at().is_none());
-        loop {
-            if batching {
-                match self.endgame_step() {
-                    EndgameEvent::Applied { edge_changed } => {
-                        if edge_changed && stable(&self.sp) {
-                            self.endgame_finish();
-                            return self.book.stabilized_now();
-                        }
-                        continue;
-                    }
-                    EndgameEvent::Idle => {}
-                }
-            }
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(u128::from(max_steps));
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    }
-                }
-                EventStep::Candidate {
-                    result:
-                        StepResult::Effective {
-                            edge_changed: true, ..
-                        },
-                    ..
-                } => {
-                    if stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-                EventStep::Candidate { .. } => {}
-            }
-        }
-    }
-
-    /// Advances until the step counter reaches exactly `target` —
-    /// geometric memorylessness makes stopping and resuming mid-skip
-    /// exact (see [`EventSim::run_to`](crate::EventSim::run_to)).
-    pub fn run_to(&mut self, target: u64) {
-        while self.book.steps < u128::from(target) {
-            match self.advance(target) {
-                EventStep::Quiescent => {
-                    self.book.steps = u128::from(target);
-                    return;
-                }
-                EventStep::BudgetExhausted => return,
-                EventStep::Candidate { .. } => {}
-            }
-        }
     }
 
     // -----------------------------------------------------------------
@@ -1845,6 +1705,46 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.probe_at = QUIESCENCE_PROBE;
     }
 
+    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
+    /// drops it from the on list if it rode there.
+    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+        if !self.sp.is_active(u, v) {
+            return;
+        }
+        let on_pos = self.sp.set_edge(u, v, false);
+        if on_pos != NOT_ON {
+            self.on_list_remove(on_pos as usize);
+        }
+        self.book.edge_events += 1;
+        self.book.last_output_change = self.book.steps;
+    }
+}
+
+impl<M: EnumerableMachine> Primitives for BucketSim<M> {
+    fn advance(&mut self, max_steps: u64) -> EventStep {
+        BucketSim::advance(self, max_steps)
+    }
+
+    fn book(&self) -> Bookkeeping {
+        self.book.saturated()
+    }
+
+    fn idle_to(&mut self, target: u64) {
+        self.book.steps = self.book.steps.max(u128::from(target));
+    }
+
+    fn faults(&self) -> Option<&FaultState> {
+        self.faults.as_ref()
+    }
+
+    fn faults_mut(&mut self) -> Option<&mut FaultState> {
+        self.faults.as_mut()
+    }
+
+    fn config_snapshot(&self) -> ConfigSnapshot {
+        self.sp.config_snapshot()
+    }
+
     /// Applies one resolved fault event by pure bucket/on-list
     /// reclassification: crashed nodes leave their bucket and shed their
     /// active edges; arrivals re-enter their retained bucket; deleted
@@ -1914,171 +1814,59 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.probe_at = QUIESCENCE_PROBE;
     }
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// drops it from the on list if it rode there.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.sp.is_active(u, v) {
-            return;
-        }
-        let on_pos = self.sp.set_edge(u, v, false);
-        if on_pos != NOT_ON {
-            self.on_list_remove(on_pos as usize);
-        }
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-    }
-
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set read off the sparse
-    /// adjacency (the snapshot sorts, so iteration order is moot).
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.sp.n()).map(|u| self.sp.state_index(u)).collect();
-        let mut edges = Vec::with_capacity(self.sp.active_count());
-        for u in 0..self.sp.n() {
-            edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-        }
-        ConfigSnapshot::new(states, edges)
-    }
-
-    /// Applies everything due at the current step counter: scheduled
-    /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
-    fn apply_due_faults(&mut self) {
-        let now = u64::try_from(self.book.steps).unwrap_or(u64::MAX);
-        loop {
-            let due = self.faults.as_ref().and_then(|fs| fs.due_fault(now));
-            match due {
-                Some(DueFault::Event) => {
-                    let resolved = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_next()
-                        .expect("due_fault implies a pending event");
-                    self.apply_resolved(resolved);
-                }
-                Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
-                    let damage = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
-                    for resolved in damage {
-                        self.apply_resolved(resolved);
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Applies every remaining plan event *now*, regardless of its
-    /// scheduled time (see
-    /// [`Simulation::apply_faults_now`](crate::Simulation::apply_faults_now)).
-    /// Adversary decisions are *not* drained: they are tied to their
-    /// decision draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn apply_faults_now(&mut self) {
-        assert!(self.faults.is_some(), "apply_faults_now needs a fault plan");
-        loop {
-            let Some(resolved) = self.faults.as_mut().and_then(FaultState::resolve_next) else {
-                return;
-            };
-            self.apply_resolved(resolved);
-        }
-    }
-
-    /// Advances to exactly `target` total steps, applying plan events at
-    /// their scheduled times on the way (same stop/resume exactness as
-    /// [`EventSim::run_faulted_to`](crate::EventSim::run_faulted_to)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_to(&mut self, target: u64) {
-        assert!(self.faults.is_some(), "run_faulted_to needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= target => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                _ => {
-                    self.run_to(target);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a faulted execution to stability, with the predicate reading
-    /// the sparse view plus the fault state — same semantics as
-    /// [`EventSim::run_faulted_until`](crate::EventSim::run_faulted_until):
-    /// the predicate is not consulted while plan events are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_until(
+    /// The batched endgame engages here: when every on-candidate is an
+    /// edge of a lone-walker path (the merging-lines endgame of Simple
+    /// Global Line and its kin), the engine opens a continuous-time
+    /// session that absorbs whole walks from their exact first-passage
+    /// laws instead of draw by draw, racing them against the remaining
+    /// off-candidates through independent Poisson clocks. Batching is
+    /// sound precisely here — walk moves never change edges, so no
+    /// predicate evaluation point is skipped — and is gated to unbounded
+    /// budgets (a session cannot stop at an interior step count) and to
+    /// fault plans with no pending events (a session cannot be
+    /// interrupted).
+    fn run_until_edges_with(
         &mut self,
-        mut stable: impl FnMut(&SparsePop, &FaultState) -> bool,
+        mut stable: impl FnMut(&Self) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= max_steps => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                Some(_) => {
-                    self.run_to(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
-                }
-                None => break,
-            }
+        let batching = max_steps == u64::MAX
+            && self.faults.as_ref().is_none_or(|fs| fs.next_at().is_none());
+        if !batching {
+            return run_until_with(self, stable, true, max_steps);
         }
-        if stable(&self.sp, self.faults.as_ref().expect("asserted above")) {
-            return self.book.stabilized_now();
+        if stable(self) {
+            return self.book().stabilized_now();
         }
         loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(u128::from(max_steps));
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    };
+            if let EndgameEvent::Applied { edge_changed } = self.endgame_step() {
+                if edge_changed && stable(self) {
+                    self.endgame_finish();
+                    return self.book().stabilized_now();
                 }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: sat64(self.book.steps),
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective()
-                        && stable(&self.sp, self.faults.as_ref().expect("asserted above"))
-                    {
-                        return self.book.stabilized_now();
-                    }
-                }
+                continue;
+            }
+            match next_probe(self, true, max_steps) {
+                ControlFlow::Break(out) => return out,
+                ControlFlow::Continue(true) if stable(self) => return self.book().stabilized_now(),
+                ControlFlow::Continue(_) => {}
             }
         }
+    }
+}
+
+impl<M: EnumerableMachine> ExactEngine for BucketSim<M> {
+    type Config = SparsePop;
+
+    fn config(&self) -> &SparsePop {
+        &self.sp
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::contract::{self, Arm};
     use crate::{CompiledTable, EventSim, ProtocolBuilder, RuleProtocol};
 
     const OFF: Link = Link::Off;
@@ -2127,24 +1915,16 @@ mod tests {
         assert!(run(9).0.stabilized());
     }
 
+    // This engine's rows of the shared driver-contract table; the
+    // whole table, naive reference included, runs in `driver::tests`.
     #[test]
     fn budget_is_respected_exactly() {
-        let mut sim = BucketSim::new(matching_protocol(), 50, 3);
-        let out = sim.run_until(|_| false, 1_000);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: 1_000 });
-        assert_eq!(sim.steps(), 1_000);
+        contract::budget_is_respected_exactly(Arm::Bucket);
     }
 
     #[test]
     fn run_to_lands_exactly_and_quiescence_jumps() {
-        let mut sim = BucketSim::new(matching_protocol(), 10, 5);
-        sim.run_to(123);
-        assert_eq!(sim.steps(), 123);
-        sim.run_until_edges(|p| p.active_count() == 5, u64::MAX);
-        let done = sim.steps();
-        sim.run_to(done + 1_000_000);
-        assert_eq!(sim.steps(), done + 1_000_000);
-        assert_eq!(sim.effective_steps(), 5);
+        contract::run_to_lands_exactly_and_quiescence_jumps(Arm::Bucket);
     }
 
     #[test]
@@ -2165,12 +1945,7 @@ mod tests {
 
     #[test]
     fn quiescent_unstable_returns_budget_immediately() {
-        let mut b = ProtocolBuilder::new("inert");
-        let _ = b.state("a");
-        let p = b.build().expect("valid");
-        let mut sim = BucketSim::new(p.compile(), 8, 0);
-        let out = sim.run_until(|_| false, u64::MAX);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: u64::MAX });
+        contract::quiescent_unstable_returns_budget(Arm::Bucket);
     }
 
     #[test]

@@ -294,7 +294,7 @@ enum Slot {
 /// # Example
 ///
 /// ```
-/// use netcon_core::{EventSim, Link, ProtocolBuilder};
+/// use netcon_core::{EventSim, ExactEngine, Link, ProtocolBuilder};
 ///
 /// let mut b = ProtocolBuilder::new("matching");
 /// let a = b.state("a");

@@ -1,15 +1,14 @@
 //! Shared engine internals: convergence bookkeeping and the incremental
-//! effective-pair index used by both [`Simulation`](crate::Simulation) and
-//! [`EventSim`](crate::EventSim).
+//! effective-pair index of the dense event engines.
 //!
-//! Both engines agree on what they record per interaction — total steps,
+//! The engines agree on what they record per interaction — total steps,
 //! effective interactions, edge events, and the steps of the last output
-//! change / last effective interaction — so the two loops share one
+//! change / last effective interaction — so their loops share one
 //! [`Bookkeeping`] value and one way of turning it into a
 //! [`RunOutcome`](crate::RunOutcome). Likewise, the O(n)-per-interaction
 //! maintenance of "which pairs currently have an applicable transition"
-//! is one algorithm ([`EffectIndex`]), reused by `EventSim`'s sampler and
-//! by `Simulation`'s optional quiescence tracker.
+//! is one algorithm ([`EffectIndex`]), reused by the samplers of
+//! [`EventSim`](crate::EventSim) and [`RoundSim`](crate::RoundSim).
 
 use crate::compiled::EffectTable;
 use crate::sim::RunOutcome;
@@ -594,7 +593,7 @@ pub(crate) fn apply_desired_row(pairs: &mut PairSet, u: usize, desired: &[u64]) 
 
 /// Dense-index view of a machine's effectiveness relation plus the current
 /// per-node state indices — the incremental core shared by `EventSim` and
-/// `Simulation::track_effective`.
+/// `RoundSim`.
 ///
 /// The `index_of` function pointer is captured where the
 /// `EnumerableMachine` bound is available, so the generic engine loops can

@@ -60,9 +60,10 @@ use crate::engine::{
     apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot,
     PairSet, ScanIndex,
 };
+use crate::driver::{ExactEngine, Primitives};
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
-use crate::sim::{RunOutcome, StepResult};
+use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::sim::StepResult;
 use crate::{Link, Machine, Population};
 
 /// Monomorphic indexed-interaction entry point captured from
@@ -108,9 +109,10 @@ pub enum EventStep {
 /// An event-driven execution of a machine on a population under the
 /// uniform random scheduler.
 ///
-/// Mirrors the [`Simulation`](crate::Simulation) API (`run_until`,
-/// `run_until_edges`, accessors) with identical output distribution; see
-/// the [module docs](self) for the exactness argument. There is no
+/// Runs through the shared [`ExactEngine`] driver (`run_until`,
+/// `run_until_edges`, `run_to`, the faulted runs) with output distribution
+/// identical to [`Simulation`](crate::Simulation); see the
+/// [module docs](self) for the exactness argument. There is no
 /// scheduler parameter: the geometric skip law is specific to the uniform
 /// scheduler, which is also the one all running-time claims in the paper
 /// are stated for.
@@ -118,7 +120,7 @@ pub enum EventStep {
 /// # Example
 ///
 /// ```
-/// use netcon_core::{EventSim, Link, ProtocolBuilder};
+/// use netcon_core::{EventSim, ExactEngine, Link, ProtocolBuilder};
 /// use netcon_graph::properties::is_maximum_matching;
 ///
 /// let mut b = ProtocolBuilder::new("matching");
@@ -157,7 +159,7 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// # Example
     ///
     /// ```
-    /// use netcon_core::{EventSim, Link, ProtocolBuilder};
+    /// use netcon_core::{EventSim, ExactEngine, Link, ProtocolBuilder};
     /// let mut b = ProtocolBuilder::new("pairing");
     /// let a = b.state("a");
     /// let p = b.state("b");
@@ -212,9 +214,9 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// initially-present nodes: the draw space is pre-sized to
     /// `n + plan.arrival_count()` (arrival slots start as inert ghosts)
     /// and `plan`'s events are applied by
-    /// [`run_faulted_until`](Self::run_faulted_until) /
-    /// [`run_faulted_to`](Self::run_faulted_to) /
-    /// [`apply_faults_now`](Self::apply_faults_now). Always uses the
+    /// [`run_faulted_until`](ExactEngine::run_faulted_until) /
+    /// [`run_faulted_to`](ExactEngine::run_faulted_to) /
+    /// [`apply_faults_now`](ExactEngine::apply_faults_now). Always uses the
     /// indexed effectiveness backend; see [`fault`](crate::fault) for
     /// the ghost-node model.
     ///
@@ -284,13 +286,6 @@ impl<M: Machine> EventSim<M> {
         }
     }
 
-    /// The fault bookkeeping, if this engine was constructed with a
-    /// [`FaultPlan`].
-    #[must_use]
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
     /// The current configuration.
     #[must_use]
     pub fn population(&self) -> &Population<M::State> {
@@ -301,36 +296,6 @@ impl<M: Machine> EventSim<M> {
     #[must_use]
     pub fn machine(&self) -> &M {
         &self.machine
-    }
-
-    /// Steps taken so far (including skipped ineffective draws).
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.book.steps
-    }
-
-    /// Effective interactions so far.
-    #[must_use]
-    pub fn effective_steps(&self) -> u64 {
-        self.book.effective_steps
-    }
-
-    /// Edge activations/deactivations so far.
-    #[must_use]
-    pub fn edge_events(&self) -> u64 {
-        self.book.edge_events
-    }
-
-    /// The step of the most recent edge change (0 if none yet).
-    #[must_use]
-    pub fn last_output_change(&self) -> u64 {
-        self.book.last_output_change
-    }
-
-    /// The step of the most recent effective interaction (0 if none yet).
-    #[must_use]
-    pub fn last_effective(&self) -> u64 {
-        self.book.last_effective
     }
 
     /// The number of currently possibly-effective pairs.
@@ -489,105 +454,6 @@ impl<M: Machine> EventSim<M> {
         }
     }
 
-    /// Runs until `stable` holds or `max_steps` total steps have elapsed —
-    /// the event-driven counterpart of
-    /// [`Simulation::run_until`](crate::Simulation::run_until), with the
-    /// same predicate-evaluation points (initially and after every
-    /// effective interaction) and the same outcome distribution.
-    ///
-    /// If the configuration quiesces while `stable` is false, the naive
-    /// engine would idle through the rest of the budget; this engine
-    /// reports the exhausted budget immediately.
-    pub fn run_until(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.pop) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    // The naive engine would idle out the rest of the
-                    // budget; jump straight to it.
-                    self.book.steps = self.book.steps.max(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective() && stable(&self.pop) {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Like [`run_until`](Self::run_until) but only re-evaluates the
-    /// predicate when an edge changes. Correct (and faster) for predicates
-    /// that depend only on the output graph.
-    pub fn run_until_edges(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.pop) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate {
-                    result:
-                        StepResult::Effective {
-                            edge_changed: true, ..
-                        },
-                    ..
-                } => {
-                    if stable(&self.pop) {
-                        return self.book.stabilized_now();
-                    }
-                }
-                EventStep::Candidate { .. } => {}
-            }
-        }
-    }
-
-    /// Advances until the step counter reaches exactly `target` (the
-    /// event-driven counterpart of
-    /// [`Simulation::run_for`](crate::Simulation::run_for) with an
-    /// absolute target) — geometric memorylessness makes stopping and
-    /// resuming mid-skip exact.
-    pub fn run_to(&mut self, target: u64) {
-        while self.book.steps < target {
-            match self.advance(target) {
-                EventStep::Quiescent => {
-                    self.book.steps = target;
-                    return;
-                }
-                EventStep::BudgetExhausted => return,
-                EventStep::Candidate { .. } => {}
-            }
-        }
-    }
-
     /// Retires node `x` from the candidate structures: deactivates its
     /// incident active edges, clears its pair row, and marks it absent
     /// in the index. Returns the former neighbors, in ascending order.
@@ -605,6 +471,97 @@ impl<M: Machine> EventSim<M> {
         let zeros = vec![0u64; self.pairs.row_bits(x).len()];
         apply_desired_row(&mut self.pairs, x, &zeros);
         neighbors
+    }
+
+    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
+    /// reclassifies the single affected pair.
+    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+        if !self.pop.edges().is_active(u, v) {
+            return;
+        }
+        self.pop.edges_mut().set(u, v, false);
+        self.book.edge_events += 1;
+        self.book.last_output_change = self.book.steps;
+        let Effects::Indexed { index, .. } = &self.effects else {
+            unreachable!("faulted EventSim always uses the indexed backend")
+        };
+        // A dead endpoint implies an inactive edge, so both ends are
+        // alive here; only the link of this one pair changed.
+        let (a, b) = (u.min(v), u.max(v));
+        let eff = index
+            .table()
+            .can_affect(index.state_index(a), index.state_index(b), Link::Off);
+        self.pairs.set(a, b, eff);
+    }
+
+    /// Whether no pair of nodes has any effective interaction — O(1): the
+    /// incrementally-maintained possibly-effective set is empty. (Compare
+    /// [`Simulation::is_quiescent`](crate::Simulation::is_quiescent)'s
+    /// O(n²) fallback scan.)
+    #[must_use]
+    pub fn is_quiescent(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// Whether no pair of nodes has an interaction that could change an
+    /// edge in the current configuration — O(k) over the
+    /// possibly-effective set rather than O(n²) over all pairs.
+    #[must_use]
+    pub fn is_edge_quiescent(&self) -> bool {
+        self.pairs.iter().all(|(u, v)| {
+            let link = Link::from(self.pop.edges().is_active(u, v));
+            match &self.effects {
+                Effects::Scan(_) => {
+                    !self
+                        .machine
+                        .can_affect_edge(self.pop.state(u), self.pop.state(v), link)
+                }
+                Effects::Indexed { index, .. } => !index.table().can_affect_edge(
+                    index.state_index(u),
+                    index.state_index(v),
+                    link,
+                ),
+            }
+        })
+    }
+
+    /// The output graph: active edges restricted to nodes in output
+    /// states.
+    #[must_use]
+    pub fn output_graph(&self) -> netcon_graph::EdgeSet {
+        crate::engine::output_graph(&self.machine, &self.pop)
+    }
+}
+
+impl<M: Machine> Primitives for EventSim<M> {
+    fn advance(&mut self, max_steps: u64) -> EventStep {
+        EventSim::advance(self, max_steps)
+    }
+
+    fn book(&self) -> Bookkeeping {
+        self.book
+    }
+
+    fn idle_to(&mut self, target: u64) {
+        self.book.steps = self.book.steps.max(target);
+    }
+
+    fn faults(&self) -> Option<&FaultState> {
+        self.faults.as_ref()
+    }
+
+    fn faults_mut(&mut self) -> Option<&mut FaultState> {
+        self.faults.as_mut()
+    }
+
+    /// Normalizes the configuration for an adversary decision: dense
+    /// state indices plus the active-edge set.
+    fn config_snapshot(&self) -> ConfigSnapshot {
+        let Effects::Indexed { index, .. } = &self.effects else {
+            unreachable!("faulted EventSim always uses the indexed backend")
+        };
+        let states = (0..self.pop.n()).map(|u| index.state_index(u)).collect();
+        ConfigSnapshot::new(states, self.pop.edges().active_edges())
     }
 
     /// Applies one resolved fault event (alive flags already flipped by
@@ -652,221 +609,21 @@ impl<M: Machine> EventSim<M> {
             }
         }
     }
+}
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.pop.edges().is_active(u, v) {
-            return;
-        }
-        self.pop.edges_mut().set(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        let Effects::Indexed { index, .. } = &self.effects else {
-            unreachable!("faulted EventSim always uses the indexed backend")
-        };
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let eff = index
-            .table()
-            .can_affect(index.state_index(a), index.state_index(b), Link::Off);
-        self.pairs.set(a, b, eff);
-    }
+impl<M: Machine> ExactEngine for EventSim<M> {
+    type Config = Population<M::State>;
 
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set.
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let Effects::Indexed { index, .. } = &self.effects else {
-            unreachable!("faulted EventSim always uses the indexed backend")
-        };
-        let states = (0..self.pop.n()).map(|u| index.state_index(u)).collect();
-        ConfigSnapshot::new(states, self.pop.edges().active_edges())
-    }
-
-    /// Applies everything due at the current step counter: scheduled
-    /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
-    fn apply_due_faults(&mut self) {
-        loop {
-            let due = self
-                .faults
-                .as_ref()
-                .and_then(|fs| fs.due_fault(self.book.steps));
-            match due {
-                Some(DueFault::Event) => {
-                    let resolved = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_next()
-                        .expect("due_fault implies a pending event");
-                    self.apply_resolved(resolved);
-                }
-                Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
-                    let damage = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
-                    for resolved in damage {
-                        self.apply_resolved(resolved);
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Applies every remaining plan event *now*, regardless of its
-    /// scheduled time (see
-    /// [`Simulation::apply_faults_now`](crate::Simulation::apply_faults_now)).
-    /// Adversary decisions are *not* drained: they are tied to their
-    /// decision draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn apply_faults_now(&mut self) {
-        assert!(self.faults.is_some(), "apply_faults_now needs a fault plan");
-        loop {
-            let Some(resolved) = self.faults.as_mut().and_then(FaultState::resolve_next) else {
-                return;
-            };
-            self.apply_resolved(resolved);
-        }
-    }
-
-    /// Advances to exactly `target` total steps, applying plan events
-    /// at their scheduled times on the way. Stopping at a fault
-    /// boundary (or any event time) and resuming is coin-for-coin
-    /// identical to running through: `run_to` decomposes the run at
-    /// event times either way, and event randomness never touches the
-    /// engine RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_to(&mut self, target: u64) {
-        assert!(self.faults.is_some(), "run_faulted_to needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= target => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                _ => {
-                    self.run_to(target);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a faulted execution to stability: plan events at their
-    /// scheduled times, then `stable` over (configuration, fault
-    /// state) once the plan is exhausted. The predicate is not
-    /// consulted while events are pending — a network that looks
-    /// stable before its last fault is not stable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_until(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>, &FaultState) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= max_steps => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                Some(_) => {
-                    self.run_to(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                None => break,
-            }
-        }
-        if stable(&self.pop, self.faults.as_ref().expect("asserted above")) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    self.book.steps = self.book.steps.max(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective()
-                        && stable(&self.pop, self.faults.as_ref().expect("asserted above"))
-                    {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Whether no pair of nodes has any effective interaction — O(1): the
-    /// incrementally-maintained possibly-effective set is empty. (Compare
-    /// [`Simulation::is_quiescent`](crate::Simulation::is_quiescent)'s
-    /// O(n²) fallback scan.)
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Whether no pair of nodes has an interaction that could change an
-    /// edge in the current configuration — O(k) over the
-    /// possibly-effective set rather than O(n²) over all pairs.
-    #[must_use]
-    pub fn is_edge_quiescent(&self) -> bool {
-        self.pairs.iter().all(|(u, v)| {
-            let link = Link::from(self.pop.edges().is_active(u, v));
-            match &self.effects {
-                Effects::Scan(_) => {
-                    !self
-                        .machine
-                        .can_affect_edge(self.pop.state(u), self.pop.state(v), link)
-                }
-                Effects::Indexed { index, .. } => !index.table().can_affect_edge(
-                    index.state_index(u),
-                    index.state_index(v),
-                    link,
-                ),
-            }
-        })
-    }
-
-    /// The output graph: active edges restricted to nodes in output
-    /// states.
-    #[must_use]
-    pub fn output_graph(&self) -> netcon_graph::EdgeSet {
-        crate::engine::output_graph(&self.machine, &self.pop)
+    fn config(&self) -> &Population<M::State> {
+        &self.pop
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::contract::{self, Arm};
+    use crate::RunOutcome;
     use crate::{ProtocolBuilder, RuleProtocol, Simulation};
     use netcon_graph::properties::is_maximum_matching;
 
@@ -975,49 +732,26 @@ mod tests {
         assert_eq!(a.steps(), b.steps());
     }
 
+    // This engine's rows of the shared driver-contract table; the
+    // whole table, naive reference included, runs in `driver::tests`.
     #[test]
     fn budget_is_respected_exactly() {
-        let mut sim = EventSim::new(matching_protocol(), 50, 3);
-        let out = sim.run_until(|_| false, 1_000);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: 1_000 });
-        assert_eq!(sim.steps(), 1_000);
+        contract::budget_is_respected_exactly(Arm::Event);
     }
 
     #[test]
     fn run_to_lands_exactly_and_quiescence_jumps() {
-        let mut sim = EventSim::new(matching_protocol(), 10, 5);
-        sim.run_to(123);
-        assert_eq!(sim.steps(), 123);
-        // Exhaust the matching, then ask for more steps: the quiescent
-        // configuration idles to the target instantly.
-        sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
-        let done = sim.steps();
-        sim.run_to(done + 1_000_000);
-        assert_eq!(sim.steps(), done + 1_000_000);
-        assert_eq!(sim.effective_steps(), 5);
+        contract::run_to_lands_exactly_and_quiescence_jumps(Arm::Event);
     }
 
     #[test]
     fn quiescent_unstable_returns_budget_immediately() {
-        // One state, no rules: quiescent from the start, never "stable".
-        let mut b = ProtocolBuilder::new("inert");
-        let _ = b.state("a");
-        let p = b.build().expect("valid");
-        let mut sim = EventSim::new(p, 8, 0);
-        let out = sim.run_until(|_| false, u64::MAX);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: u64::MAX });
+        contract::quiescent_unstable_returns_budget(Arm::Event);
     }
 
     #[test]
     fn quiescence_with_spent_budget_never_rewinds_steps() {
-        let mut sim = EventSim::new(matching_protocol(), 10, 5);
-        sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
-        let done = sim.steps();
-        // A later run with a budget below the current counter must be a
-        // no-op, not a rewind.
-        let out = sim.run_until(|_| false, done / 2);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: done });
-        assert_eq!(sim.steps(), done);
+        contract::spent_budget_never_rewinds_steps(Arm::Event);
     }
 
     #[test]

@@ -107,6 +107,7 @@ mod state;
 
 pub mod bucket;
 pub mod compiled;
+pub mod driver;
 pub mod event;
 pub mod fault;
 pub mod round;
@@ -121,6 +122,7 @@ pub mod walk;
 
 pub use bucket::{BucketSim, SparsePop};
 pub use compiled::{CompiledTable, EffectTable, EnumerableMachine};
+pub use driver::ExactEngine;
 pub use engine::{
     geometric_skip, hypergeometric_count, hypergeometric_count_large, hypergeometric_skip,
     unit_open01, GeoSkipCache, PairSet,

@@ -85,10 +85,11 @@ use crate::engine::{
     apply_desired_row, hypergeometric_count, hypergeometric_skip, unit_open01, Bookkeeping,
     EffectIndex, PairSet,
 };
+use crate::driver::{ExactEngine, Primitives};
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
-use crate::sim::{RunOutcome, StepResult};
+use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::sim::StepResult;
 use crate::{Link, Population};
 
 /// Monomorphic indexed-interaction entry point captured from
@@ -143,9 +144,9 @@ impl SchedSet {
 /// An event-driven execution of a machine on a population under the
 /// [`ShuffledRounds`](crate::ShuffledRounds) scheduler.
 ///
-/// Mirrors the [`EventSim`](crate::EventSim) API — [`advance`] returns
-/// the same [`EventStep`], `run_until` / `run_until_edges` / `run_to`
-/// have the same semantics — with identical output distribution to
+/// Mirrors [`EventSim`](crate::EventSim) — [`advance`] returns the same
+/// [`EventStep`], and the shared [`ExactEngine`] driver runs it — with
+/// identical output distribution to
 /// [`Simulation`](crate::Simulation) under `ShuffledRounds` (see the
 /// [module docs](self) for the exactness argument), plus round-level
 /// bookkeeping: [`rounds_completed`](Self::rounds_completed),
@@ -158,7 +159,7 @@ impl SchedSet {
 /// # Example
 ///
 /// ```
-/// use netcon_core::{Link, ProtocolBuilder, RoundSim};
+/// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundSim};
 /// use netcon_graph::properties::is_maximum_matching;
 ///
 /// let mut b = ProtocolBuilder::new("matching");
@@ -223,7 +224,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// # Example
     ///
     /// ```
-    /// use netcon_core::{Link, ProtocolBuilder, RoundSim};
+    /// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundSim};
     /// let mut b = ProtocolBuilder::new("pairing");
     /// let a = b.state("a");
     /// let p = b.state("b");
@@ -313,12 +314,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
         sim
     }
 
-    /// The fault state, if this engine was built with a [`FaultPlan`].
-    #[must_use]
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
     /// The current configuration.
     #[must_use]
     pub fn population(&self) -> &Population<M::State> {
@@ -329,36 +324,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
     #[must_use]
     pub fn machine(&self) -> &M {
         &self.machine
-    }
-
-    /// Steps taken so far (including skipped ineffective draws).
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.book.steps
-    }
-
-    /// Effective interactions so far.
-    #[must_use]
-    pub fn effective_steps(&self) -> u64 {
-        self.book.effective_steps
-    }
-
-    /// Edge activations/deactivations so far.
-    #[must_use]
-    pub fn edge_events(&self) -> u64 {
-        self.book.edge_events
-    }
-
-    /// The step of the most recent edge change (0 if none yet).
-    #[must_use]
-    pub fn last_output_change(&self) -> u64 {
-        self.book.last_output_change
-    }
-
-    /// The step of the most recent effective interaction (0 if none yet).
-    #[must_use]
-    pub fn last_effective(&self) -> u64 {
-        self.book.last_effective
     }
 
     /// The number of scheduler draws in one round: every unordered pair
@@ -698,104 +663,58 @@ impl<M: EnumerableMachine> RoundSim<M> {
         }
     }
 
-    /// Runs until `stable` holds or `max_steps` total steps have elapsed —
-    /// the ShuffledRounds counterpart of
-    /// [`EventSim::run_until`](crate::EventSim::run_until), with the same
-    /// predicate-evaluation points (initially and after every effective
-    /// interaction) and the same outcome distribution as the naive loop.
-    ///
-    /// If the configuration quiesces while `stable` is false, the naive
-    /// engine would idle through the rest of the budget; this engine
-    /// reports the exhausted budget immediately.
-    pub fn run_until(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.pop) {
-            return self.book.stabilized_now();
+    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
+    /// reclassifies the single affected pair.
+    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+        if !self.pop.edges().is_active(u, v) {
+            return;
         }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective() && stable(&self.pop) {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
+        self.pop.edges_mut().set(u, v, false);
+        self.book.edge_events += 1;
+        self.book.last_output_change = self.book.steps;
+        // A dead endpoint implies an inactive edge, so both ends are
+        // alive here; only the link of this one pair changed.
+        let (a, b) = (u.min(v), u.max(v));
+        let now_eff = self.index.table().can_affect(
+            self.index.state_index(a),
+            self.index.state_index(b),
+            Link::Off,
+        );
+        if self.pairs.contains(a, b) != now_eff {
+            self.pairs.set(a, b, now_eff);
+            self.reclass_pair(a, b, now_eff);
+        }
+    }
+}
+
+impl<M: EnumerableMachine> Primitives for RoundSim<M> {
+    fn advance(&mut self, max_steps: u64) -> EventStep {
+        RoundSim::advance(self, max_steps)
+    }
+
+    fn book(&self) -> Bookkeeping {
+        self.book
+    }
+
+    fn idle_to(&mut self, target: u64) {
+        if target > self.book.steps {
+            self.jump_quiescent_to(target);
         }
     }
 
-    /// Like [`run_until`](Self::run_until) but only re-evaluates the
-    /// predicate when an edge changes. Correct (and faster) for
-    /// predicates that depend only on the output graph.
-    pub fn run_until_edges(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.pop) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate {
-                    result:
-                        StepResult::Effective {
-                            edge_changed: true, ..
-                        },
-                    ..
-                } => {
-                    if stable(&self.pop) {
-                        return self.book.stabilized_now();
-                    }
-                }
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults(&self) -> Option<&FaultState> {
+        self.faults.as_ref()
     }
 
-    /// Advances until the step counter reaches exactly `target` — the
-    /// negative hypergeometric law is self-similar under truncation
-    /// (see [`hypergeometric_skip`]), so
-    /// stopping and resuming mid-skip is exact.
-    pub fn run_to(&mut self, target: u64) {
-        while self.book.steps < target {
-            match self.advance(target) {
-                EventStep::Quiescent => {
-                    self.jump_quiescent_to(target);
-                    return;
-                }
-                EventStep::BudgetExhausted => return,
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults_mut(&mut self) -> Option<&mut FaultState> {
+        self.faults.as_mut()
+    }
+
+    /// Normalizes the configuration for an adversary decision: dense
+    /// state indices plus the active-edge set.
+    fn config_snapshot(&self) -> ConfigSnapshot {
+        let states = (0..self.pop.n()).map(|u| self.index.state_index(u)).collect();
+        ConfigSnapshot::new(states, self.pop.edges().active_edges())
     }
 
     /// Applies one resolved fault event, reclassifying exactly the pairs
@@ -862,179 +781,21 @@ impl<M: EnumerableMachine> RoundSim<M> {
             }
         }
     }
+}
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.pop.edges().is_active(u, v) {
-            return;
-        }
-        self.pop.edges_mut().set(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let now_eff = self.index.table().can_affect(
-            self.index.state_index(a),
-            self.index.state_index(b),
-            Link::Off,
-        );
-        if self.pairs.contains(a, b) != now_eff {
-            self.pairs.set(a, b, now_eff);
-            self.reclass_pair(a, b, now_eff);
-        }
-    }
+impl<M: EnumerableMachine> ExactEngine for RoundSim<M> {
+    type Config = Population<M::State>;
 
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set.
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.pop.n()).map(|u| self.index.state_index(u)).collect();
-        ConfigSnapshot::new(states, self.pop.edges().active_edges())
-    }
-
-    /// Applies everything due at the current step counter: scheduled
-    /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
-    fn apply_due_faults(&mut self) {
-        loop {
-            let due = self
-                .faults
-                .as_ref()
-                .and_then(|fs| fs.due_fault(self.book.steps));
-            match due {
-                Some(DueFault::Event) => {
-                    let resolved = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_next()
-                        .expect("due_fault implies a pending event");
-                    self.apply_resolved(resolved);
-                }
-                Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
-                    let damage = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
-                    for resolved in damage {
-                        self.apply_resolved(resolved);
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Applies every remaining plan event *now*, regardless of its
-    /// scheduled time (see
-    /// [`Simulation::apply_faults_now`](crate::Simulation::apply_faults_now)).
-    /// Adversary decisions are *not* drained: they are tied to their
-    /// decision draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn apply_faults_now(&mut self) {
-        assert!(self.faults.is_some(), "apply_faults_now needs a fault plan");
-        loop {
-            let Some(resolved) = self.faults.as_mut().and_then(FaultState::resolve_next) else {
-                return;
-            };
-            self.apply_resolved(resolved);
-        }
-    }
-
-    /// Advances to exactly `target` total steps, applying plan events at
-    /// their scheduled times on the way (same stop/resume exactness as
-    /// [`EventSim::run_faulted_to`](crate::EventSim::run_faulted_to)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_to(&mut self, target: u64) {
-        assert!(self.faults.is_some(), "run_faulted_to needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= target => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                _ => {
-                    self.run_to(target);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a faulted execution to stability — same semantics as
-    /// [`EventSim::run_faulted_until`](crate::EventSim::run_faulted_until):
-    /// the predicate is not consulted while plan events are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_until(
-        &mut self,
-        mut stable: impl FnMut(&Population<M::State>, &FaultState) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= max_steps => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                Some(_) => {
-                    self.run_to(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                None => break,
-            }
-        }
-        if stable(&self.pop, self.faults.as_ref().expect("asserted above")) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective()
-                        && stable(&self.pop, self.faults.as_ref().expect("asserted above"))
-                    {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
+    fn config(&self) -> &Population<M::State> {
+        &self.pop
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::contract::{self, Arm};
+    use crate::RunOutcome;
     use crate::{ProtocolBuilder, RuleProtocol, ShuffledRounds, Simulation};
     use netcon_graph::properties::is_maximum_matching;
 
@@ -1126,35 +887,30 @@ mod tests {
 
     #[test]
     fn budget_is_respected_exactly_and_resumes() {
+        // Budget exactness is the shared driver contract; here a stop
+        // mid-round (a round is 1225 draws) resumes into a completing run.
         let mut sim = RoundSim::new(matching_protocol(), 50, 3);
-        let out = sim.run_until(|_| false, 1_000);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: 1_000 });
-        assert_eq!(sim.steps(), 1_000);
-        // Resume mid-round: the skip law is self-similar, the run goes on.
-        sim.run_to(2_000);
-        assert_eq!(sim.steps(), 2_000);
+        sim.run_to(1_000);
+        assert!(sim.pool_invariant_holds());
         let out = sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
         assert!(out.stabilized());
     }
 
+    // This engine's row of the shared driver-contract table; the
+    // whole table, naive reference included, runs in `driver::tests`.
     #[test]
     fn quiescent_unstable_returns_budget_immediately() {
-        let mut b = ProtocolBuilder::new("inert");
-        let _ = b.state("a");
-        let p = b.build().expect("valid");
-        let mut sim = RoundSim::new(p, 8, 0);
-        let out = sim.run_until(|_| false, u64::MAX);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: u64::MAX });
+        contract::quiescent_unstable_returns_budget(Arm::Round);
     }
 
     #[test]
     fn quiescence_after_convergence_jumps_to_target() {
+        // The jump is the shared driver contract; the round partition must
+        // survive it, landing mid-round.
         let mut sim = RoundSim::new(matching_protocol(), 10, 5);
         sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
-        let done = sim.steps();
-        sim.run_to(done + 1_000_000);
-        assert_eq!(sim.steps(), done + 1_000_000);
-        assert_eq!(sim.effective_steps(), 5);
+        sim.run_to(sim.steps() + 1_000_007);
+        assert!(sim.pool_invariant_holds());
     }
 
     #[test]

@@ -93,10 +93,11 @@ use rand::{Rng, RngExt, SeedableRng};
 use crate::bucket::SparsePop;
 use crate::compiled::{EffectTable, EnumerableMachine};
 use crate::engine::{hypergeometric_count_large, hypergeometric_skip, unit_open01, Bookkeeping};
+use crate::driver::{ExactEngine, Primitives};
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
-use crate::sim::{RunOutcome, StepResult};
+use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::sim::StepResult;
 use crate::{Link, Population};
 
 /// Monomorphic indexed-interaction entry point captured from
@@ -167,8 +168,8 @@ struct LogEntry {
 /// An event-driven execution of a machine on a population under the
 /// [`ShuffledRounds`](crate::ShuffledRounds) scheduler in sparse memory.
 ///
-/// Mirrors the [`RoundSim`](crate::RoundSim) API — same [`advance`]
-/// contract, same run loops, same round-denominated accessors — but
+/// Mirrors [`RoundSim`](crate::RoundSim) — same [`advance`] contract,
+/// same [`ExactEngine`] run loops, same round-denominated accessors — but
 /// predicates read a [`SparsePop`] view like
 /// [`BucketSim`](crate::BucketSim)'s, and nothing Θ(n²) is ever
 /// allocated. See the [module docs](self) for the exactness argument.
@@ -178,7 +179,7 @@ struct LogEntry {
 /// # Example
 ///
 /// ```
-/// use netcon_core::{Link, ProtocolBuilder, RoundBucketSim};
+/// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundBucketSim};
 ///
 /// let mut b = ProtocolBuilder::new("matching");
 /// let a = b.state("a");
@@ -417,42 +418,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     #[must_use]
     pub fn machine(&self) -> &M {
         &self.machine
-    }
-
-    /// The fault state, if this engine was built with a [`FaultPlan`].
-    #[must_use]
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
-    /// Steps taken so far (including skipped ineffective draws).
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.book.steps
-    }
-
-    /// Effective interactions so far.
-    #[must_use]
-    pub fn effective_steps(&self) -> u64 {
-        self.book.effective_steps
-    }
-
-    /// Edge activations/deactivations so far.
-    #[must_use]
-    pub fn edge_events(&self) -> u64 {
-        self.book.edge_events
-    }
-
-    /// The step of the most recent edge change (0 if none yet).
-    #[must_use]
-    pub fn last_output_change(&self) -> u64 {
-        self.book.last_output_change
-    }
-
-    /// The step of the most recent effective interaction (0 if none yet).
-    #[must_use]
-    pub fn last_effective(&self) -> u64 {
-        self.book.last_effective
     }
 
     /// The number of scheduler draws in one round: every unordered pair
@@ -1392,105 +1357,45 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
 // Run loops (predicates over the sparse view) and the fault layer.
 // ---------------------------------------------------------------------
 impl<M: EnumerableMachine> RoundBucketSim<M> {
-    /// Runs until `stable` holds or `max_steps` total steps have elapsed —
-    /// the sparse counterpart of
-    /// [`RoundSim::run_until`](crate::RoundSim::run_until), with the same
-    /// predicate-evaluation points (initially and after every effective
-    /// interaction). The predicate reads the [`SparsePop`] view, like
-    /// [`BucketSim::run_until`](crate::BucketSim::run_until).
-    ///
-    /// If the configuration quiesces while `stable` is false, the clock
-    /// jumps to the budget and the exhausted budget is reported
-    /// immediately.
-    pub fn run_until(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
+    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
+    /// reclassifies the single affected pair — explicit by the
+    /// active-edge invariant.
+    fn delete_edge_fault(&mut self, u: usize, v: usize) {
+        if !self.sp.is_active(u, v) {
+            return;
         }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective() && stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
+        self.sp.set_edge(u, v, false);
+        self.book.edge_events += 1;
+        self.book.last_output_change = self.book.steps;
+        self.recompute_x(u, v);
+    }
+}
+
+impl<M: EnumerableMachine> Primitives for RoundBucketSim<M> {
+    fn advance(&mut self, max_steps: u64) -> EventStep {
+        RoundBucketSim::advance(self, max_steps)
+    }
+
+    fn book(&self) -> Bookkeeping {
+        self.book
+    }
+
+    fn idle_to(&mut self, target: u64) {
+        if target > self.book.steps {
+            self.jump_quiescent_to(target);
         }
     }
 
-    /// Like [`run_until`](Self::run_until) but only re-evaluates the
-    /// predicate when an edge changes. Correct (and faster) for
-    /// predicates that depend only on the output graph.
-    pub fn run_until_edges(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        if stable(&self.sp) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate {
-                    result:
-                        StepResult::Effective {
-                            edge_changed: true, ..
-                        },
-                    ..
-                } => {
-                    if stable(&self.sp) {
-                        return self.book.stabilized_now();
-                    }
-                }
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults(&self) -> Option<&FaultState> {
+        self.faults.as_ref()
     }
 
-    /// Advances until the step counter reaches exactly `target` — the
-    /// negative hypergeometric law is self-similar under truncation (see
-    /// [`hypergeometric_skip`]), so stopping and resuming mid-skip is
-    /// exact.
-    pub fn run_to(&mut self, target: u64) {
-        while self.book.steps < target {
-            match self.advance(target) {
-                EventStep::Quiescent => {
-                    self.jump_quiescent_to(target);
-                    return;
-                }
-                EventStep::BudgetExhausted => return,
-                EventStep::Candidate { .. } => {}
-            }
-        }
+    fn faults_mut(&mut self) -> Option<&mut FaultState> {
+        self.faults.as_mut()
+    }
+
+    fn config_snapshot(&self) -> ConfigSnapshot {
+        self.sp.config_snapshot()
     }
 
     /// Applies one resolved fault event, reclassifying exactly the
@@ -1580,174 +1485,21 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         }
         debug_assert!(self.pool_invariant_holds());
     }
+}
 
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair — explicit by the
-    /// active-edge invariant.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.sp.is_active(u, v) {
-            return;
-        }
-        self.sp.set_edge(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        self.recompute_x(u, v);
-    }
+impl<M: EnumerableMachine> ExactEngine for RoundBucketSim<M> {
+    type Config = SparsePop;
 
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set read off the sparse
-    /// adjacency (the snapshot sorts, so iteration order is moot).
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.sp.n()).map(|u| self.sp.state_index(u)).collect();
-        let mut edges = Vec::with_capacity(self.sp.active_count());
-        for u in 0..self.sp.n() {
-            edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-        }
-        ConfigSnapshot::new(states, edges)
-    }
-
-    /// Applies everything due at the current step counter: scheduled
-    /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
-    fn apply_due_faults(&mut self) {
-        loop {
-            let due = self
-                .faults
-                .as_ref()
-                .and_then(|fs| fs.due_fault(self.book.steps));
-            match due {
-                Some(DueFault::Event) => {
-                    let resolved = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_next()
-                        .expect("due_fault implies a pending event");
-                    self.apply_resolved(resolved);
-                }
-                Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
-                    let damage = self
-                        .faults
-                        .as_mut()
-                        .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
-                    for resolved in damage {
-                        self.apply_resolved(resolved);
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Applies every remaining plan event *now*, regardless of its
-    /// scheduled time (see
-    /// [`Simulation::apply_faults_now`](crate::Simulation::apply_faults_now)).
-    /// Adversary decisions are *not* drained: they are tied to their
-    /// decision draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn apply_faults_now(&mut self) {
-        assert!(self.faults.is_some(), "apply_faults_now needs a fault plan");
-        loop {
-            let Some(resolved) = self.faults.as_mut().and_then(FaultState::resolve_next) else {
-                return;
-            };
-            self.apply_resolved(resolved);
-        }
-    }
-
-    /// Advances to exactly `target` total steps, applying plan events at
-    /// their scheduled times on the way (same stop/resume exactness as
-    /// [`RoundSim::run_faulted_to`](crate::RoundSim::run_faulted_to)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_to(&mut self, target: u64) {
-        assert!(self.faults.is_some(), "run_faulted_to needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= target => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                _ => {
-                    self.run_to(target);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs a faulted execution to stability — same semantics as
-    /// [`RoundSim::run_faulted_until`](crate::RoundSim::run_faulted_until):
-    /// the predicate is not consulted while plan events are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine has no fault plan.
-    pub fn run_faulted_until(
-        &mut self,
-        mut stable: impl FnMut(&SparsePop, &FaultState) -> bool,
-        max_steps: u64,
-    ) -> RunOutcome {
-        assert!(self.faults.is_some(), "run_faulted_until needs a fault plan");
-        self.apply_due_faults();
-        loop {
-            let next = self.faults.as_ref().and_then(FaultState::next_at);
-            match next {
-                Some(at) if at <= max_steps => {
-                    self.run_to(at);
-                    self.apply_due_faults();
-                }
-                Some(_) => {
-                    self.run_to(max_steps);
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                None => break,
-            }
-        }
-        if stable(&self.sp, self.faults.as_ref().expect("asserted above")) {
-            return self.book.stabilized_now();
-        }
-        loop {
-            match self.advance(max_steps) {
-                EventStep::Quiescent => {
-                    if max_steps > self.book.steps {
-                        self.jump_quiescent_to(max_steps);
-                    }
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    };
-                }
-                EventStep::BudgetExhausted => {
-                    return RunOutcome::MaxSteps {
-                        steps: self.book.steps,
-                    }
-                }
-                EventStep::Candidate { result, .. } => {
-                    if result.is_effective()
-                        && stable(&self.sp, self.faults.as_ref().expect("asserted above"))
-                    {
-                        return self.book.stabilized_now();
-                    }
-                }
-            }
-        }
+    fn config(&self) -> &SparsePop {
+        &self.sp
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::contract::{self, Arm};
+    use crate::RunOutcome;
     use crate::{ProtocolBuilder, RuleProtocol, RoundSim};
 
     const OFF: Link = Link::Off;
@@ -1839,35 +1591,29 @@ mod tests {
 
     #[test]
     fn budget_is_respected_exactly_and_resumes() {
+        // Budget exactness is the shared driver contract; here a stop
+        // mid-round (a round is 1225 draws) resumes into a completing run.
         let mut sim = RoundBucketSim::new(matching_protocol(), 50, 3);
-        let out = sim.run_until(|_| false, 1_000);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: 1_000 });
-        assert_eq!(sim.steps(), 1_000);
-        // Resume mid-round: the skip law is self-similar, the run goes on.
-        sim.run_to(2_000);
-        assert_eq!(sim.steps(), 2_000);
+        sim.run_to(1_000);
+        assert!(sim.pool_invariant_holds());
         let out = sim.run_until_edges(|sp| sp.active_count() == 25, u64::MAX);
         assert!(out.stabilized());
     }
 
+    // This engine's row of the shared driver-contract table; the
+    // whole table, naive reference included, runs in `driver::tests`.
     #[test]
     fn quiescent_unstable_returns_budget_immediately() {
-        let mut b = ProtocolBuilder::new("inert");
-        let _ = b.state("a");
-        let p = b.build().expect("valid");
-        let mut sim = RoundBucketSim::new(p, 8, 0);
-        let out = sim.run_until(|_| false, u64::MAX);
-        assert_eq!(out, RunOutcome::MaxSteps { steps: u64::MAX });
+        contract::quiescent_unstable_returns_budget(Arm::RoundBucket);
     }
 
     #[test]
     fn quiescence_after_convergence_jumps_to_target() {
+        // The jump is the shared driver contract; the round partition must
+        // survive it, landing mid-round.
         let mut sim = RoundBucketSim::new(matching_protocol(), 10, 5);
         sim.run_until_edges(|sp| sp.active_count() == 5, u64::MAX);
-        let done = sim.steps();
-        sim.run_to(done + 1_000_000);
-        assert_eq!(sim.steps(), done + 1_000_000);
-        assert_eq!(sim.effective_steps(), 5);
+        sim.run_to(sim.steps() + 1_000_007);
         assert!(sim.pool_invariant_holds());
     }
 

@@ -23,6 +23,7 @@
 
 use crate::bucket::{BucketSim, SparsePop};
 use crate::compiled::EnumerableMachine;
+use crate::driver::{run_faulted_until_with, run_until_with, ExactEngine, Primitives};
 use crate::event::EventSim;
 use crate::fault::{FaultPlan, FaultState};
 use crate::round::RoundSim;
@@ -50,7 +51,7 @@ pub enum SchedulerKind {
     Uniform,
     /// The [`ShuffledRounds`](crate::ShuffledRounds) box scheduler —
     /// every pair once per round, rounds as parallel time. Routed to
-    /// [`RoundSim`] or the naive loop.
+    /// [`RoundSim`] or [`RoundBucketSim`].
     ShuffledRounds,
 }
 
@@ -204,39 +205,73 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
 /// # Ok::<(), netcon_core::ProtocolError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub enum Engine<M: EnumerableMachine + Clone> {
+pub enum Engine<M: EnumerableMachine> {
     /// The dense event engine (uniform scheduler).
     Dense {
         /// The engine.
         sim: Box<EventSim<M>>,
-        /// A machine copy the view borrows during runs.
-        machine: M,
     },
     /// The sparse bucket engine (uniform scheduler).
     Sparse {
         /// The engine.
         sim: Box<BucketSim<M>>,
-        /// A machine copy the view borrows during runs.
-        machine: M,
     },
     /// The event-driven round engine (ShuffledRounds scheduler).
     Round {
         /// The engine.
         sim: Box<RoundSim<M>>,
-        /// A machine copy the view borrows during runs.
-        machine: M,
     },
     /// The sparse round engine (ShuffledRounds beyond the budget):
     /// the same round law in O(n + |Q|²) memory.
     RoundSparse {
         /// The engine.
         sim: Box<RoundBucketSim<M>>,
-        /// A machine copy the view borrows during runs.
-        machine: M,
     },
 }
 
-impl<M: EnumerableMachine + Clone> Engine<M> {
+/// Runs `$body` with `$sim` bound to the selected engine, whichever arm
+/// it is: every arm answers the same calls.
+macro_rules! each_arm {
+    ($engine:expr, $sim:ident => $body:expr) => {
+        match $engine {
+            Engine::Dense { $sim } => $body,
+            Engine::Sparse { $sim } => $body,
+            Engine::Round { $sim } => $body,
+            Engine::RoundSparse { $sim } => $body,
+        }
+    };
+}
+
+/// How each arm's engine presents its configuration to predicates.
+trait Viewed<M: EnumerableMachine> {
+    fn engine_view(&self) -> EngineView<'_, M>;
+}
+
+impl<M: EnumerableMachine> Viewed<M> for EventSim<M> {
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Dense { pop: self.population(), machine: self.machine() }
+    }
+}
+
+impl<M: EnumerableMachine> Viewed<M> for RoundSim<M> {
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Dense { pop: self.population(), machine: self.machine() }
+    }
+}
+
+impl<M: EnumerableMachine> Viewed<M> for BucketSim<M> {
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Sparse { sp: BucketSim::view(self), machine: self.machine() }
+    }
+}
+
+impl<M: EnumerableMachine> Viewed<M> for RoundBucketSim<M> {
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Sparse { sp: RoundBucketSim::view(self), machine: self.machine() }
+    }
+}
+
+impl<M: EnumerableMachine> Engine<M> {
     /// Selects a uniform-scheduler engine for `n` nodes under the default
     /// memory budget (`NETCON_ENGINE_MEM_BUDGET` bytes if set, else
     /// 512 MiB) and constructs it in the initial configuration.
@@ -267,8 +302,8 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     /// Selects by an explicit budget within the given scheduler family:
     /// the event-driven engine whose a-priori memory estimate fits
     /// `budget_bytes` (and whose pair ids fit `n ≤ 65535`), else the
-    /// family's fallback — [`BucketSim`] for uniform, the naive loop for
-    /// ShuffledRounds.
+    /// family's sparse engine — [`BucketSim`] for uniform,
+    /// [`RoundBucketSim`] for ShuffledRounds.
     #[must_use]
     pub fn with_budget_for(
         machine: M,
@@ -281,20 +316,20 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         match scheduler {
             SchedulerKind::Uniform => {
                 if dense_ok(EventSim::<M>::dense_mem_estimate(n)) {
-                    let sim = Box::new(EventSim::new(machine.clone(), n, seed));
-                    Engine::Dense { sim, machine }
+                    let sim = Box::new(EventSim::new(machine, n, seed));
+                    Engine::Dense { sim }
                 } else {
-                    let sim = Box::new(BucketSim::new(machine.clone(), n, seed));
-                    Engine::Sparse { sim, machine }
+                    let sim = Box::new(BucketSim::new(machine, n, seed));
+                    Engine::Sparse { sim }
                 }
             }
             SchedulerKind::ShuffledRounds => {
                 if dense_ok(RoundSim::<M>::dense_mem_estimate(n)) {
-                    let sim = Box::new(RoundSim::new(machine.clone(), n, seed));
-                    Engine::Round { sim, machine }
+                    let sim = Box::new(RoundSim::new(machine, n, seed));
+                    Engine::Round { sim }
                 } else {
-                    let sim = Box::new(RoundBucketSim::new(machine.clone(), n, seed));
-                    Engine::RoundSparse { sim, machine }
+                    let sim = Box::new(RoundBucketSim::new(machine, n, seed));
+                    Engine::RoundSparse { sim }
                 }
             }
         }
@@ -348,21 +383,21 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         match scheduler {
             SchedulerKind::Uniform => {
                 if dense_ok(EventSim::<M>::dense_mem_estimate(capacity)) {
-                    let sim = Box::new(EventSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::Dense { sim, machine }
+                    let sim = Box::new(EventSim::new_faulted(machine, n, seed, plan));
+                    Engine::Dense { sim }
                 } else {
-                    let sim = Box::new(BucketSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::Sparse { sim, machine }
+                    let sim = Box::new(BucketSim::new_faulted(machine, n, seed, plan));
+                    Engine::Sparse { sim }
                 }
             }
             SchedulerKind::ShuffledRounds => {
                 if dense_ok(RoundSim::<M>::dense_mem_estimate(capacity)) {
-                    let sim = Box::new(RoundSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::Round { sim, machine }
+                    let sim = Box::new(RoundSim::new_faulted(machine, n, seed, plan));
+                    Engine::Round { sim }
                 } else {
                     let sim =
-                        Box::new(RoundBucketSim::new_faulted(machine.clone(), n, seed, plan));
-                    Engine::RoundSparse { sim, machine }
+                        Box::new(RoundBucketSim::new_faulted(machine, n, seed, plan));
+                    Engine::RoundSparse { sim }
                 }
             }
         }
@@ -408,81 +443,43 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     /// Steps taken so far (including skipped ineffective draws).
     #[must_use]
     pub fn steps(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.steps(),
-            Engine::Sparse { sim, .. } => sim.steps(),
-            Engine::Round { sim, .. } => sim.steps(),
-            Engine::RoundSparse { sim, .. } => sim.steps(),
-        }
+        each_arm!(self, sim => sim.steps())
     }
 
     /// Effective interactions so far.
     #[must_use]
     pub fn effective_steps(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.effective_steps(),
-            Engine::Sparse { sim, .. } => sim.effective_steps(),
-            Engine::Round { sim, .. } => sim.effective_steps(),
-            Engine::RoundSparse { sim, .. } => sim.effective_steps(),
-        }
+        each_arm!(self, sim => sim.effective_steps())
     }
 
     /// The step of the last output-graph (active edge set) change —
     /// what availability estimators use to attribute stable draws.
     #[must_use]
     pub fn last_output_change(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.last_output_change(),
-            Engine::Sparse { sim, .. } => sim.last_output_change(),
-            Engine::Round { sim, .. } => sim.last_output_change(),
-            Engine::RoundSparse { sim, .. } => sim.last_output_change(),
-        }
+        each_arm!(self, sim => sim.last_output_change())
     }
 
     /// Edge activations/deactivations so far.
     #[must_use]
     pub fn edge_events(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.edge_events(),
-            Engine::Sparse { sim, .. } => sim.edge_events(),
-            Engine::Round { sim, .. } => sim.edge_events(),
-            Engine::RoundSparse { sim, .. } => sim.edge_events(),
-        }
+        each_arm!(self, sim => sim.edge_events())
     }
 
     /// Bytes of heap memory held by the selected engine.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
-        match self {
-            Engine::Dense { sim, .. } => sim.approx_mem_bytes(),
-            Engine::Sparse { sim, .. } => sim.approx_mem_bytes(),
-            Engine::Round { sim, .. } => sim.approx_mem_bytes(),
-            Engine::RoundSparse { sim, .. } => sim.approx_mem_bytes(),
-        }
+        each_arm!(self, sim => sim.approx_mem_bytes())
     }
 
     /// Runs until `stable` holds over the engine's view or `max_steps`
-    /// total steps have elapsed — the selected engine's `run_until`, with
+    /// total steps have elapsed — [`ExactEngine::run_until`], with
     /// identical semantics on every arm.
     pub fn run_until(
         &mut self,
         mut stable: impl FnMut(&EngineView<'_, M>) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        match self {
-            Engine::Dense { sim, machine } => {
-                sim.run_until(|pop| stable(&EngineView::Dense { pop, machine }), max_steps)
-            }
-            Engine::Sparse { sim, machine } => {
-                sim.run_until(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps)
-            }
-            Engine::Round { sim, machine } => {
-                sim.run_until(|pop| stable(&EngineView::Dense { pop, machine }), max_steps)
-            }
-            Engine::RoundSparse { sim, machine } => {
-                sim.run_until(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps)
-            }
-        }
+        each_arm!(self, sim => run_until_with(&mut **sim, |e| stable(&e.engine_view()), false, max_steps))
     }
 
     /// Like [`run_until`](Self::run_until) but only re-evaluates the
@@ -492,57 +489,32 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         mut stable: impl FnMut(&EngineView<'_, M>) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        match self {
-            Engine::Dense { sim, machine } => sim
-                .run_until_edges(|pop| stable(&EngineView::Dense { pop, machine }), max_steps),
-            Engine::Sparse { sim, machine } => {
-                sim.run_until_edges(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps)
-            }
-            Engine::Round { sim, machine } => sim
-                .run_until_edges(|pop| stable(&EngineView::Dense { pop, machine }), max_steps),
-            Engine::RoundSparse { sim, machine } => sim
-                .run_until_edges(|sp| stable(&EngineView::Sparse { sp, machine }), max_steps),
-        }
+        each_arm!(self, sim => sim.run_until_edges_with(|e| stable(&e.engine_view()), max_steps))
     }
 
     /// Advances until the step counter reaches exactly `target`.
     pub fn run_to(&mut self, target: u64) {
-        match self {
-            Engine::Dense { sim, .. } => sim.run_to(target),
-            Engine::Sparse { sim, .. } => sim.run_to(target),
-            Engine::Round { sim, .. } => sim.run_to(target),
-            Engine::RoundSparse { sim, .. } => sim.run_to(target),
-        }
+        each_arm!(self, sim => sim.run_to(target));
     }
 
     /// Materializes the dense configuration (Θ(n²) on the sparse arm).
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
-        match self {
-            Engine::Dense { sim, .. } => sim.population().clone(),
-            Engine::Sparse { sim, .. } => sim.to_population(),
-            Engine::Round { sim, .. } => sim.population().clone(),
-            Engine::RoundSparse { sim, .. } => sim.to_population(),
-        }
+        each_arm!(self, sim => sim.engine_view().to_population())
     }
 
     /// The fault state, if the engine was built with a [`FaultPlan`]
     /// (via [`auto_faulted`](Self::auto_faulted) and friends).
     #[must_use]
     pub fn fault_state(&self) -> Option<&FaultState> {
-        match self {
-            Engine::Dense { sim, .. } => sim.fault_state(),
-            Engine::Sparse { sim, .. } => sim.fault_state(),
-            Engine::Round { sim, .. } => sim.fault_state(),
-            Engine::RoundSparse { sim, .. } => sim.fault_state(),
-        }
+        each_arm!(self, sim => sim.fault_state())
     }
 
-    /// Runs a faulted execution to stability: the selected engine's
-    /// `run_faulted_until`, with the predicate reading the engine view
-    /// plus the fault state. Identical semantics on every arm; the
-    /// predicate is not consulted while plan events or adversary
-    /// decisions are pending.
+    /// Runs a faulted execution to stability —
+    /// [`ExactEngine::run_faulted_until`] with the predicate reading the
+    /// engine view plus the fault state. Identical semantics on every
+    /// arm; the predicate is not consulted while plan events or
+    /// adversary decisions are pending.
     ///
     /// # Panics
     ///
@@ -552,24 +524,11 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
         mut stable: impl FnMut(&EngineView<'_, M>, &FaultState) -> bool,
         max_steps: u64,
     ) -> RunOutcome {
-        match self {
-            Engine::Dense { sim, machine } => sim.run_faulted_until(
-                |pop, fs| stable(&EngineView::Dense { pop, machine }, fs),
-                max_steps,
-            ),
-            Engine::Sparse { sim, machine } => sim.run_faulted_until(
-                |sp, fs| stable(&EngineView::Sparse { sp, machine }, fs),
-                max_steps,
-            ),
-            Engine::Round { sim, machine } => sim.run_faulted_until(
-                |pop, fs| stable(&EngineView::Dense { pop, machine }, fs),
-                max_steps,
-            ),
-            Engine::RoundSparse { sim, machine } => sim.run_faulted_until(
-                |sp, fs| stable(&EngineView::Sparse { sp, machine }, fs),
-                max_steps,
-            ),
-        }
+        each_arm!(self, sim => run_faulted_until_with(
+            &mut **sim,
+            |e| stable(&e.engine_view(), e.fault_state().expect("faulted run")),
+            max_steps,
+        ))
     }
 
     /// Advances to exactly `target` total steps, applying plan events
@@ -579,12 +538,7 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     ///
     /// Panics if the engine has no fault plan.
     pub fn run_faulted_to(&mut self, target: u64) {
-        match self {
-            Engine::Dense { sim, .. } => sim.run_faulted_to(target),
-            Engine::Sparse { sim, .. } => sim.run_faulted_to(target),
-            Engine::Round { sim, .. } => sim.run_faulted_to(target),
-            Engine::RoundSparse { sim, .. } => sim.run_faulted_to(target),
-        }
+        each_arm!(self, sim => sim.run_faulted_to(target));
     }
 
     /// Applies every remaining plan event *now*, regardless of its
@@ -595,12 +549,7 @@ impl<M: EnumerableMachine + Clone> Engine<M> {
     ///
     /// Panics if the engine has no fault plan.
     pub fn apply_faults_now(&mut self) {
-        match self {
-            Engine::Dense { sim, .. } => sim.apply_faults_now(),
-            Engine::Sparse { sim, .. } => sim.apply_faults_now(),
-            Engine::Round { sim, .. } => sim.apply_faults_now(),
-            Engine::RoundSparse { sim, .. } => sim.apply_faults_now(),
-        }
+        each_arm!(self, sim => sim.apply_faults_now());
     }
 }
 

@@ -6,7 +6,8 @@
 //! that asserts the output really stayed fixed.
 
 use crate::{
-    EnumerableMachine, EventSim, Machine, Population, RunOutcome, Scheduler, Simulation, Uniform,
+    EnumerableMachine, EventSim, ExactEngine, Machine, Population, RunOutcome, Scheduler,
+    Simulation, Uniform,
 };
 
 /// A generous-but-finite step budget for convergence tests at population

@@ -134,7 +134,7 @@ pub fn is_stable_faulted_sparse(sp: &SparsePop, fs: &FaultState) -> bool {
 mod tests {
     use super::*;
     use netcon_core::testing::assert_stabilizes;
-    use netcon_core::{BucketSim, Engine, EventSim, FaultEvent, FaultPlan, Machine};
+    use netcon_core::{BucketSim, Engine, EventSim, ExactEngine, FaultEvent, FaultPlan, Machine};
     use netcon_graph::properties::is_spanning_star;
 
     #[test]

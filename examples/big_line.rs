@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use netcon::core::EventSim;
+use netcon::core::{EventSim, ExactEngine};
 use netcon::graph::properties::is_spanning_line;
 use netcon::protocols::fast_global_line;
 

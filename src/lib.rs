@@ -35,7 +35,7 @@
 //! four engines and their exactness arguments):
 //!
 //! ```
-//! use netcon::core::EventSim;
+//! use netcon::core::{EventSim, ExactEngine};
 //! use netcon::protocols::global_star;
 //!
 //! let mut sim = EventSim::new(global_star::protocol().compile(), 128, 7);

@@ -35,8 +35,8 @@
 use netcon::core::seeds::derive2;
 use netcon::core::{
     geometric_skip, hypergeometric_count, hypergeometric_skip, unit_open01, BucketSim, EventSim,
-    GeoSkipCache, Link, Population, ProtocolBuilder, RoundBucketSim, RoundSim, RuleProtocol,
-    ShuffledRounds, Simulation, SparsePop, StateId,
+    ExactEngine, GeoSkipCache, Link, Population, ProtocolBuilder, RoundBucketSim, RoundSim,
+    RuleProtocol, ShuffledRounds, Simulation, SparsePop, StateId,
 };
 use netcon::graph::properties::is_maximum_matching;
 use netcon::protocols::{cycle_cover, simple_global_line};

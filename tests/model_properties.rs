@@ -1,7 +1,7 @@
 //! Property-based tests on the model layer: rule-table symmetry, edge-set
 //! invariants, scheduler coverage, and configuration conservation.
 
-use netcon::core::{Link, Machine, ProtocolBuilder, Scheduler, Simulation, Uniform};
+use netcon::core::{ExactEngine, Link, Machine, ProtocolBuilder, Scheduler, Simulation, Uniform};
 use netcon::graph::EdgeSet;
 use netcon::protocols::catalog;
 use proptest::prelude::*;
