@@ -4,13 +4,11 @@
 //! (estimated by direct G(m,½) sampling).
 //!
 //! The universal machine's composite states are not dense-enumerable, so
-//! this bench uses the event-driven engine's *scanning* mode
-//! ([`EventSim::from_population_scanning`]): pair effectiveness is decided
-//! by `can_affect` on the live states (exact for this machine), and the
-//! token-walk phases — where only a handful of the Θ(n²) pairs are ever
-//! effective — stop paying for the idle draws.
+//! this bench runs on the naive [`Simulation`] under the uniform
+//! scheduler: at 2m ≤ 12 nodes every run is at most a few tens of
+//! thousands of draws.
 
-use netcon_core::{EventSim, ExactEngine};
+use netcon_core::Simulation;
 use netcon_graph::gnp::gnp_half;
 use netcon_graph::matrix::AdjMatrix;
 use netcon_tm::decider::{Connected, GraphLanguage, MinEdges, TriangleFree};
@@ -37,8 +35,7 @@ fn mean_rejections(make: &dyn Fn() -> Box<dyn GraphLanguage + Send + Sync>, m: u
     let mut steps = 0u64;
     for seed in 0..trials {
         let pop = UniversalConstructor::initial_population(m);
-        let mut sim =
-            EventSim::from_population_scanning(UniversalConstructor::new(make()), pop, seed);
+        let mut sim = Simulation::from_population(UniversalConstructor::new(make()), pop, seed);
         let out = sim.run_until(is_stable, u64::MAX);
         steps += out.converged_at().expect("constructor stabilizes");
         rej += leader_of(sim.population()).expect("leader").rejections;

@@ -71,10 +71,6 @@ use crate::walk::{
 };
 use crate::{Link, Population};
 
-/// Monomorphic indexed-interaction entry point captured from
-/// [`EnumerableMachine::interact_indexed`] at construction.
-type InteractFn<M> = fn(&M, usize, usize, Link, &mut SmallRng) -> Option<(usize, usize, Link)>;
-
 /// Sentinel for "this active edge is not on the on list".
 const NOT_ON: u32 = u32::MAX;
 
@@ -534,8 +530,6 @@ pub struct BucketSim<M: EnumerableMachine> {
     /// grinding through a dead configuration.
     rejection_run: u64,
     probe_at: u64,
-    interact: InteractFn<M>,
-    state_at: fn(&M, usize) -> M::State,
     faults: Option<FaultState>,
     /// Lazy inversion table for the hot `geometric_skip` parameter.
     geo: GeoCacheSlot,
@@ -672,8 +666,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             on_list: Vec::new(),
             rejection_run: 0,
             probe_at: QUIESCENCE_PROBE,
-            interact: |m: &M, a, b, link, rng: &mut SmallRng| m.interact_indexed(a, b, link, rng),
-            state_at: |m: &M, i: usize| m.state_at(i),
             faults: None,
             geo: GeoCacheSlot::default(),
             commits: Vec::new(),
@@ -736,7 +728,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
         let states = (0..self.sp.n())
-            .map(|u| (self.state_at)(&self.machine, self.sp.state_index(u)))
+            .map(|u| self.machine.state_at(self.sp.state_index(u)))
             .collect();
         Population::from_parts(states, self.sp.to_edgeset())
     }
@@ -919,7 +911,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
                 result: StepResult::Ineffective { pair },
             };
         }
-        let outcome = (self.interact)(&self.machine, su, sv, link, &mut self.rng);
+        let outcome = self.machine.interact_indexed(su, sv, link, &mut self.rng);
         let Some((a2, b2, l2)) = outcome else {
             // A randomized rule sampled the identity.
             self.rejection_run += 1;
@@ -1148,7 +1140,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
         let link = Link::from(self.sp.is_active(u, v));
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
         let outcome = if self.table.can_affect(su, sv, link) {
-            (self.interact)(&self.machine, su, sv, link, &mut self.rng)
+            self.machine.interact_indexed(su, sv, link, &mut self.rng)
         } else {
             None
         };
@@ -1270,7 +1262,9 @@ impl<M: EnumerableMachine> BucketSim<M> {
             (end, adj)
         };
         let (sx, sy) = (self.sp.state_index(x), self.sp.state_index(y));
-        let (a2, b2, l2) = (self.interact)(&self.machine, sx, sy, Link::On, &mut self.rng)
+        let (a2, b2, l2) = self
+            .machine
+            .interact_indexed(sx, sy, Link::On, &mut self.rng)
             .expect("is_certain certified an effective contact");
         let edge_changed = l2 != Link::On;
         if edge_changed {

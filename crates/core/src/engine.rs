@@ -10,7 +10,7 @@
 //! is one algorithm ([`EffectIndex`]), reused by the samplers of
 //! [`EventSim`](crate::EventSim) and [`RoundSim`](crate::RoundSim).
 
-use crate::compiled::EffectTable;
+use crate::compiled::{EffectTable, EnumerableMachine};
 use crate::sim::RunOutcome;
 use crate::{Link, Machine, Population};
 
@@ -573,8 +573,8 @@ impl PairSet {
 
 /// Applies a desired-membership bitset row for node `u` to `pairs`: only
 /// the XOR diff against the current row touches the set, in increasing-`v`
-/// order — the word-parallel tail shared by [`EffectIndex::rescan`] and
-/// the scanning-mode registry in [`event`](crate::event).
+/// order — the word-parallel tail of [`EffectIndex::rescan`], also used
+/// by the event engine to clear a departed node's row.
 ///
 /// The increasing-`v` application order is part of the engines'
 /// reproducibility contract: it determines the member order inside
@@ -594,12 +594,8 @@ pub(crate) fn apply_desired_row(pairs: &mut PairSet, u: usize, desired: &[u64]) 
 /// Dense-index view of a machine's effectiveness relation plus the current
 /// per-node state indices — the incremental core shared by `EventSim` and
 /// `RoundSim`.
-///
-/// The `index_of` function pointer is captured where the
-/// `EnumerableMachine` bound is available, so the generic engine loops can
-/// maintain the index without carrying the bound themselves.
 #[derive(Debug, Clone)]
-pub(crate) struct EffectIndex<M: Machine> {
+pub(crate) struct EffectIndex {
     table: EffectTable,
     /// Dense state index of every node.
     idx: Vec<u16>,
@@ -615,21 +611,19 @@ pub(crate) struct EffectIndex<M: Machine> {
     /// Scratch row for the desired-membership mask.
     scratch: Vec<u64>,
     row_words: usize,
-    index_of: fn(&M, &M::State) -> usize,
 }
 
-impl<M: Machine> EffectIndex<M> {
+impl EffectIndex {
     /// Builds the index and the initial possibly-effective pair set with a
     /// full O(n²) scan of `pop`.
-    pub fn build(
+    pub fn build<M: EnumerableMachine>(
         machine: &M,
         pop: &Population<M::State>,
         table: EffectTable,
-        index_of: fn(&M, &M::State) -> usize,
     ) -> (Self, PairSet) {
         let n = pop.n();
         let idx: Vec<u16> = (0..n)
-            .map(|u| u16::try_from(index_of(machine, pop.state(u))).expect("≤ 65536 states"))
+            .map(|u| u16::try_from(machine.state_index(pop.state(u))).expect("≤ 65536 states"))
             .collect();
         let row_words = n.div_ceil(64);
         let mut state_nodes = vec![0u64; table.size() * row_words];
@@ -653,7 +647,6 @@ impl<M: Machine> EffectIndex<M> {
                 absent: vec![0u64; row_words],
                 scratch: vec![0u64; row_words],
                 row_words,
-                index_of,
             },
             pairs,
         )
@@ -686,7 +679,7 @@ impl<M: Machine> EffectIndex<M> {
     /// Recomputes the membership of every pair incident to `u` — the
     /// public entry the fault layer uses after an arrival flips `u`
     /// back to present.
-    pub fn rescan_node(&mut self, pop: &Population<M::State>, pairs: &mut PairSet, u: usize) {
+    pub fn rescan_node<S: Clone>(&mut self, pop: &Population<S>, pairs: &mut PairSet, u: usize) {
         debug_assert!(!self.is_absent(u), "rescan of an absent node");
         self.rescan(pop, pairs, u);
     }
@@ -714,7 +707,7 @@ impl<M: Machine> EffectIndex<M> {
     /// crash notification): re-derives `u`'s state index and rescans its
     /// incident pair row. The single-node analogue of
     /// [`on_interaction`](EffectIndex::on_interaction).
-    pub fn on_state_change(
+    pub fn on_state_change<M: EnumerableMachine>(
         &mut self,
         machine: &M,
         pop: &Population<M::State>,
@@ -728,7 +721,7 @@ impl<M: Machine> EffectIndex<M> {
     /// Updates the index after an effective interaction between `u` and
     /// `v`: re-derives both state indices and rescans the two incident
     /// pair rows (O(n), word-parallel for small machines).
-    pub fn on_interaction(
+    pub fn on_interaction<M: EnumerableMachine>(
         &mut self,
         machine: &M,
         pop: &Population<M::State>,
@@ -743,8 +736,8 @@ impl<M: Machine> EffectIndex<M> {
     }
 
     /// Re-derives `idx[u]` and keeps the per-state node bitsets in sync.
-    fn reindex(&mut self, machine: &M, pop: &Population<M::State>, u: usize) {
-        let new = u16::try_from((self.index_of)(machine, pop.state(u))).expect("≤ 65536 states");
+    fn reindex<M: EnumerableMachine>(&mut self, machine: &M, pop: &Population<M::State>, u: usize) {
+        let new = u16::try_from(machine.state_index(pop.state(u))).expect("≤ 65536 states");
         let old = self.idx[u];
         if old != new {
             let (word, bit) = (u / 64, 1u64 << (u % 64));
@@ -764,7 +757,7 @@ impl<M: Machine> EffectIndex<M> {
     /// membership row so only genuinely changed pairs touch the set —
     /// `O(n·|Q|/64 + degree + changes)` rather than `O(n)` element
     /// operations.
-    fn rescan(&mut self, pop: &Population<M::State>, pairs: &mut PairSet, u: usize) {
+    fn rescan<S: Clone>(&mut self, pop: &Population<S>, pairs: &mut PairSet, u: usize) {
         let iu = self.idx[u] as usize;
         if let Some(row_mask) = self.table.affect_row(iu) {
             let wpr = self.row_words;
@@ -806,237 +799,49 @@ impl<M: Machine> EffectIndex<M> {
     }
 }
 
-/// Capacity of the scanning-mode observed-state registry: affect masks
-/// are single `u64` rows, so at most 64 distinct states can be live at
-/// once before [`ScanIndex`] falls back to plain scanning.
-const MAX_SCAN_SLOTS: usize = 64;
+/// Brute-force checks of the candidate set shared by the dense engines'
+/// unit tests.
+#[cfg(test)]
+pub(crate) mod index_check {
+    use super::PairSet;
+    use crate::{Link, Machine, Population, ProtocolBuilder, RuleProtocol, StateId};
 
-/// Populations below this size skip the registry entirely: maintaining
-/// it costs up to `4 · MAX_SCAN_SLOTS` `can_affect` queries per *novel*
-/// state, which only beats the plain `2n`-query rescan once `n` is
-/// comfortably past the registry size.
-const SCAN_INDEX_MIN_N: usize = 256;
-
-/// Dynamic observed-state index for machines *without* dense state ids —
-/// the scanning-mode counterpart of [`EffectIndex`].
-///
-/// `EventSim::new_scanning` used to re-query `can_affect` against all
-/// `n − 1` partners of a touched node after every effective interaction,
-/// even when the machine rules almost every state pair out. This index
-/// discovers the distinct states actually present at runtime (linear
-/// `PartialEq` dedup over ≤ [`MAX_SCAN_SLOTS`] live slots, refcounted so
-/// departed states free their slot), memoizes the pairwise `can_affect`
-/// bits between live slots, and keeps the same per-state node bitsets as
-/// `EffectIndex` — so the rescan becomes the identical word-parallel
-/// desired-row diff ([`apply_desired_row`]), pruning every ruled-out
-/// state in one OR per 64 nodes instead of 64 machine queries.
-///
-/// Machines whose live state diversity exceeds the registry (or tiny
-/// populations where the registry cannot pay for itself) overflow into
-/// the original plain scan, permanently and exactly: membership is the
-/// same `can_affect` truth either way, applied in the same increasing-
-/// neighbour order, so executions are bit-identical across the modes.
-#[derive(Debug, Clone)]
-pub(crate) struct ScanIndex<M: Machine> {
-    /// Live registered states (`None` = free slot).
-    slots: Vec<Option<M::State>>,
-    /// Nodes currently in each slot's state.
-    refcount: Vec<u32>,
-    /// Slot of every node.
-    node_slot: Vec<u32>,
-    /// One node bitset per slot, `row_words` words each.
-    state_nodes: Vec<u64>,
-    scratch: Vec<u64>,
-    /// Memoized `can_affect(slot s, slot t, link)` bits: bit `t` of
-    /// `affect_off[s]` / `affect_on[s]`.
-    affect_off: Vec<u64>,
-    affect_on: Vec<u64>,
-    row_words: usize,
-    /// Set when the registry gave up; the engine plain-scans from then on.
-    overflow: bool,
-}
-
-impl<M: Machine> ScanIndex<M> {
-    /// Builds the registry from the initial configuration. Returns an
-    /// overflowed (inert) index when the population is too small to pay
-    /// for it or the distinct-state count exceeds the registry.
-    pub fn build(machine: &M, pop: &Population<M::State>) -> Self {
-        let n = pop.n();
-        let row_words = n.div_ceil(64);
-        let mut sx = Self {
-            slots: Vec::new(),
-            refcount: Vec::new(),
-            node_slot: vec![0; n],
-            state_nodes: Vec::new(),
-            scratch: vec![0; row_words],
-            affect_off: Vec::new(),
-            affect_on: Vec::new(),
-            row_words,
-            overflow: n < SCAN_INDEX_MIN_N,
-        };
-        if sx.overflow {
-            return sx;
+    /// A 100-state ring table on 300 nodes, three per state: past the
+    /// 32 states of a packed affect row, so [`EffectIndex`](super::EffectIndex)
+    /// maintains it with the per-pair fallback rescan.
+    pub(crate) fn many_states() -> (RuleProtocol, Population<StateId>) {
+        let mut b = ProtocolBuilder::new("many-states");
+        let ids: Vec<_> = (0..100).map(|i| b.state(format!("s{i}"))).collect();
+        for i in 0..100 {
+            b.rule(
+                (ids[i], ids[(i + 1) % 100], Link::Off),
+                (ids[(i + 2) % 100], ids[(i + 3) % 100], Link::On),
+            );
         }
-        for u in 0..n {
-            let Some(k) = sx.find_or_register(machine, pop.state(u)) else {
-                sx.overflow = true;
-                return sx;
-            };
-            sx.refcount[k] += 1;
-            sx.node_slot[u] = k as u32;
-            sx.state_nodes[k * row_words + u / 64] |= 1u64 << (u % 64);
+        let mut pop = Population::new(300, ids[0]);
+        for u in 0..300 {
+            pop.set_state(u, ids[u % 100]);
         }
-        sx
+        (b.build().expect("valid"), pop)
     }
 
-    /// Bytes of heap memory held by the registry (state payloads of the
-    /// registered states excluded).
-    pub fn approx_mem_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Option<M::State>>()
-            + self.refcount.capacity() * 4
-            + self.node_slot.capacity() * 4
-            + (self.state_nodes.capacity()
-                + self.scratch.capacity()
-                + self.affect_off.capacity()
-                + self.affect_on.capacity())
-                * 8) as u64
-    }
-
-    /// Finds the slot holding `state`, registering it in a free slot (and
-    /// memoizing its `can_affect` bits against every live slot) if novel.
-    /// `None` when the registry is full.
-    fn find_or_register(&mut self, machine: &M, state: &M::State) -> Option<usize> {
-        if let Some(k) = self
-            .slots
-            .iter()
-            .position(|s| s.as_ref() == Some(state))
-        {
-            return Some(k);
-        }
-        let k = match self.slots.iter().position(Option::is_none) {
-            Some(free) => free,
-            None if self.slots.len() < MAX_SCAN_SLOTS => {
-                self.slots.push(None);
-                self.refcount.push(0);
-                self.affect_off.push(0);
-                self.affect_on.push(0);
-                self.state_nodes
-                    .resize(self.state_nodes.len() + self.row_words, 0);
-                self.slots.len() - 1
-            }
-            None => return None,
-        };
-        debug_assert!(self.state_nodes[k * self.row_words..(k + 1) * self.row_words]
-            .iter()
-            .all(|&w| w == 0));
-        // Memoize both directions against every live slot (the rescan of
-        // a node in slot s reads row s with s as the first argument, so
-        // symmetry of the machine is not assumed). The self-pair is
-        // covered once `slots[k]` is set.
-        self.slots[k] = Some(state.clone());
-        self.affect_off[k] = 0;
-        self.affect_on[k] = 0;
-        for t in 0..self.slots.len() {
-            let (tb, kb) = (1u64 << t, 1u64 << k);
-            // Bits aimed at free slots stay stale — harmless, since free
-            // slots have empty node bitsets until re-registration rewrites
-            // them right here.
-            let Some(other) = &self.slots[t] else { continue };
-            let me = self.slots[k].as_ref().expect("just set");
-            if machine.can_affect(me, other, Link::Off) {
-                self.affect_off[k] |= tb;
-            }
-            if machine.can_affect(me, other, Link::On) {
-                self.affect_on[k] |= tb;
-            }
-            if t != k {
-                self.affect_off[t] &= !kb;
-                self.affect_on[t] &= !kb;
-                if machine.can_affect(other, me, Link::Off) {
-                    self.affect_off[t] |= kb;
-                }
-                if machine.can_affect(other, me, Link::On) {
-                    self.affect_on[t] |= kb;
-                }
-            }
-        }
-        Some(k)
-    }
-
-    /// Re-derives the slot of node `u` after its state may have changed.
-    /// Returns `false` when the registry overflowed.
-    fn reassign(&mut self, machine: &M, pop: &Population<M::State>, u: usize) -> bool {
-        let old = self.node_slot[u] as usize;
-        if self.slots[old].as_ref() == Some(pop.state(u)) {
-            return true;
-        }
-        // Leave the old slot first so a refcount-0 slot is reusable for
-        // the new state.
-        let (word, bit) = (u / 64, 1u64 << (u % 64));
-        self.state_nodes[old * self.row_words + word] &= !bit;
-        self.refcount[old] -= 1;
-        if self.refcount[old] == 0 {
-            self.slots[old] = None;
-        }
-        let Some(k) = self.find_or_register(machine, pop.state(u)) else {
-            return false;
-        };
-        self.refcount[k] += 1;
-        self.node_slot[u] = k as u32;
-        self.state_nodes[k * self.row_words + word] |= bit;
-        true
-    }
-
-    /// Updates the index after an effective interaction and rescans the
-    /// two incident pair rows word-parallel. Returns `false` when the
-    /// registry is overflowed — the caller must fall back to plain
-    /// rescans for this (and every later) interaction.
-    pub fn on_interaction(
-        &mut self,
+    /// Asserts that `pairs` holds exactly the pairs `machine.can_affect`
+    /// accepts in `pop`, recomputed over all `n(n−1)/2` pairs.
+    pub(crate) fn assert_exact<M: Machine>(
         machine: &M,
         pop: &Population<M::State>,
-        pairs: &mut PairSet,
-        u: usize,
-        v: usize,
-    ) -> bool {
-        if self.overflow {
-            return false;
-        }
-        if !self.reassign(machine, pop, u) || !self.reassign(machine, pop, v) {
-            self.overflow = true;
-            return false;
-        }
-        self.rescan(pop, pairs, u);
-        self.rescan(pop, pairs, v);
-        true
-    }
-
-    /// The word-parallel desired-membership rescan of node `u` — the same
-    /// algorithm as [`EffectIndex::rescan`], over the observed-state
-    /// registry.
-    fn rescan(&mut self, pop: &Population<M::State>, pairs: &mut PairSet, u: usize) {
-        let su = self.node_slot[u] as usize;
-        let wpr = self.row_words;
-        self.scratch.fill(0);
-        let mut mask = self.affect_off[su];
-        while mask != 0 {
-            let t = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let row = &self.state_nodes[t * wpr..(t + 1) * wpr];
-            for (d, &w) in self.scratch.iter_mut().zip(row) {
-                *d |= w;
+        pairs: &PairSet,
+    ) {
+        let mut expected = 0;
+        for u in 0..pop.n() {
+            for v in u + 1..pop.n() {
+                let link = Link::from(pop.edges().is_active(u, v));
+                let eff = machine.can_affect(pop.state(u), pop.state(v), link);
+                assert_eq!(pairs.contains(u, v), eff, "pair ({u}, {v})");
+                expected += usize::from(eff);
             }
         }
-        for w in pop.edges().neighbors(u) {
-            let on = self.affect_on[su] >> self.node_slot[w] & 1 == 1;
-            if on {
-                self.scratch[w / 64] |= 1u64 << (w % 64);
-            } else {
-                self.scratch[w / 64] &= !(1u64 << (w % 64));
-            }
-        }
-        self.scratch[u / 64] &= !(1u64 << (u % 64));
-        apply_desired_row(pairs, u, &self.scratch);
+        assert_eq!(pairs.len(), expected);
     }
 }
 

@@ -37,10 +37,7 @@
 //! immediately.
 //!
 //! Construction requires an [`EnumerableMachine`] (dense state indices →
-//! precomputed effect table); [`EventSim::new_scanning`] accepts any
-//! [`Machine`] and queries `can_affect` per pair instead,
-//! trading constant factors for generality — it relies only on the
-//! documented contract that `can_affect` never under-approximates.
+//! precomputed effect table).
 //!
 //! Memory: the pair-position map is a full `n × n` matrix (4n² bytes —
 //! its contiguous rows are what the maintenance loop streams over), plus
@@ -57,35 +54,13 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
 use crate::engine::{
-    apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot,
-    PairSet, ScanIndex,
+    apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot, PairSet,
 };
 use crate::driver::{ExactEngine, Primitives};
 use crate::fault::adversary::ConfigSnapshot;
 use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
 use crate::sim::StepResult;
-use crate::{Link, Machine, Population};
-
-/// Monomorphic indexed-interaction entry point captured from
-/// [`EnumerableMachine::interact_indexed`] at construction.
-type InteractFn<M> = fn(&M, usize, usize, Link, &mut SmallRng) -> Option<(usize, usize, Link)>;
-
-/// How the engine decides pair effectiveness.
-#[derive(Debug, Clone)]
-enum Effects<M: Machine> {
-    /// Query `Machine::can_affect` with the live states (any machine),
-    /// pruned through the dynamic observed-state registry where it pays
-    /// off (see [`ScanIndex`]).
-    Scan(ScanIndex<M>),
-    /// Dense index table plus monomorphic interaction (enumerable
-    /// machines). The function pointers are captured where the
-    /// `EnumerableMachine` bound is known.
-    Indexed {
-        index: EffectIndex<M>,
-        state_at: fn(&M, usize) -> M::State,
-        interact: InteractFn<M>,
-    },
-}
+use crate::{Link, Population};
 
 /// The result of one [`EventSim::advance`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,13 +111,13 @@ pub enum EventStep {
 /// # Ok::<(), netcon_core::ProtocolError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct EventSim<M: Machine> {
+pub struct EventSim<M: EnumerableMachine> {
     machine: M,
     pop: Population<M::State>,
     rng: SmallRng,
     book: Bookkeeping,
     pairs: PairSet,
-    effects: Effects<M>,
+    index: EffectIndex,
     faults: Option<FaultState>,
     /// Lazy inversion table for the hot `geometric_skip` parameter.
     geo: GeoCacheSlot,
@@ -190,21 +165,14 @@ impl<M: EnumerableMachine> EventSim<M> {
             "EventSim's dense index is u16: more than 65536 states"
         );
         let table = machine.effect_table();
-        let (index, pairs) =
-            EffectIndex::build(&machine, &pop, table, |m: &M, s: &M::State| m.state_index(s));
+        let (index, pairs) = EffectIndex::build(&machine, &pop, table);
         Self {
             machine,
             pop,
             rng: SmallRng::seed_from_u64(seed),
             book: Bookkeeping::default(),
             pairs,
-            effects: Effects::Indexed {
-                index,
-                state_at: |m: &M, i: usize| m.state_at(i),
-                interact: |m: &M, a, b, link, rng: &mut SmallRng| {
-                    m.interact_indexed(a, b, link, rng)
-                },
-            },
+            index,
             faults: None,
             geo: GeoCacheSlot::default(),
         }
@@ -216,9 +184,8 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// and `plan`'s events are applied by
     /// [`run_faulted_until`](ExactEngine::run_faulted_until) /
     /// [`run_faulted_to`](ExactEngine::run_faulted_to) /
-    /// [`apply_faults_now`](ExactEngine::apply_faults_now). Always uses the
-    /// indexed effectiveness backend; see [`fault`](crate::fault) for
-    /// the ghost-node model.
+    /// [`apply_faults_now`](ExactEngine::apply_faults_now); see
+    /// [`fault`](crate::fault) for the ghost-node model.
     ///
     /// # Panics
     ///
@@ -233,57 +200,6 @@ impl<M: EnumerableMachine> EventSim<M> {
         }
         sim.faults = Some(fs);
         sim
-    }
-}
-
-impl<M: Machine> EventSim<M> {
-    /// Creates an event-driven simulation for a machine *without* dense
-    /// state indices: pair effectiveness is decided by calling
-    /// [`Machine::can_affect`] on the live states (O(n) calls per applied
-    /// interaction, against bit lookups on the indexed path).
-    ///
-    /// Exactness requires only the documented `can_affect` contract: it
-    /// may over-approximate (false positives are simulated and resolve
-    /// ineffective) but must never return `false` for a pair `interact`
-    /// could change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    #[must_use]
-    pub fn new_scanning(machine: M, n: usize, seed: u64) -> Self {
-        let pop = Population::new(n, machine.initial_state());
-        Self::from_population_scanning(machine, pop, seed)
-    }
-
-    /// [`new_scanning`](Self::new_scanning) from an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population has fewer than 2 nodes.
-    #[must_use]
-    pub fn from_population_scanning(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        assert!(pop.n() >= 2, "pairwise interactions need at least 2 processes");
-        let n = pop.n();
-        let mut pairs = PairSet::new(n);
-        for u in 0..n {
-            for (v, active) in pop.edges().row(u) {
-                if v > u && machine.can_affect(pop.state(u), pop.state(v), Link::from(active)) {
-                    pairs.set(u, v, true);
-                }
-            }
-        }
-        let scan = ScanIndex::build(&machine, &pop);
-        Self {
-            machine,
-            pop,
-            rng: SmallRng::seed_from_u64(seed),
-            book: Bookkeeping::default(),
-            pairs,
-            effects: Effects::Scan(scan),
-            faults: None,
-            geo: GeoCacheSlot::default(),
-        }
     }
 
     /// The current configuration.
@@ -314,10 +230,7 @@ impl<M: Machine> EventSim<M> {
         self.pairs.approx_mem_bytes()
             + self.pop.edges().approx_mem_bytes()
             + states
-            + match &self.effects {
-                Effects::Scan(sx) => sx.approx_mem_bytes(),
-                Effects::Indexed { index, .. } => index.approx_mem_bytes(),
-            }
+            + self.index.approx_mem_bytes()
     }
 
     /// A priori estimate of [`approx_mem_bytes`](Self::approx_mem_bytes)
@@ -384,30 +297,12 @@ impl<M: Machine> EventSim<M> {
         let pair = (u_n, v_n);
         let link = Link::from(self.pop.edges().is_active(u_n, v_n));
 
-        let outcome = match &self.effects {
-            Effects::Scan(_) => {
-                self.machine
-                    .interact(self.pop.state(u_n), self.pop.state(v_n), link, &mut self.rng)
-            }
-            Effects::Indexed {
-                index,
-                state_at,
-                interact,
-            } => interact(
-                &self.machine,
-                index.state_index(u_n),
-                index.state_index(v_n),
-                link,
-                &mut self.rng,
-            )
-            .map(|(a2, b2, l2)| {
-                (
-                    state_at(&self.machine, a2),
-                    state_at(&self.machine, b2),
-                    l2,
-                )
-            }),
-        };
+        let outcome = self.machine.interact_indexed(
+            self.index.state_index(u_n),
+            self.index.state_index(v_n),
+            link,
+            &mut self.rng,
+        );
         let Some((a2, b2, l2)) = outcome else {
             // A randomized rule sampled the identity: one real step, no
             // change (exactly what the naive engine would record).
@@ -420,37 +315,14 @@ impl<M: Machine> EventSim<M> {
         if edge_changed {
             self.pop.edges_mut().set(u_n, v_n, l2.is_on());
         }
-        self.pop.set_state(u_n, a2);
-        self.pop.set_state(v_n, b2);
+        self.pop.set_state(u_n, self.machine.state_at(a2));
+        self.pop.set_state(v_n, self.machine.state_at(b2));
         self.book.record_effective(edge_changed);
-        match &mut self.effects {
-            Effects::Scan(sx) => {
-                if !sx.on_interaction(&self.machine, &self.pop, &mut self.pairs, u_n, v_n) {
-                    // Registry overflowed (or never applied): plain
-                    // machine-query rescans, identical membership.
-                    Self::rescan(&self.machine, &self.pop, &mut self.pairs, u_n);
-                    Self::rescan(&self.machine, &self.pop, &mut self.pairs, v_n);
-                }
-            }
-            Effects::Indexed { index, .. } => {
-                index.on_interaction(&self.machine, &self.pop, &mut self.pairs, u_n, v_n);
-            }
-        }
+        self.index
+            .on_interaction(&self.machine, &self.pop, &mut self.pairs, u_n, v_n);
         EventStep::Candidate {
             skipped,
             result: StepResult::Effective { pair, edge_changed },
-        }
-    }
-
-    /// Recomputes (by machine query) the membership of every pair incident
-    /// to `u` — the scanning-mode half of the incremental maintenance.
-    fn rescan(machine: &M, pop: &Population<M::State>, pairs: &mut PairSet, u: usize) {
-        for (w, active) in pop.edges().row(u) {
-            pairs.set(
-                u,
-                w,
-                machine.can_affect(pop.state(u), pop.state(w), Link::from(active)),
-            );
         }
     }
 
@@ -462,12 +334,7 @@ impl<M: Machine> EventSim<M> {
         for &w in &neighbors {
             self.pop.edges_mut().set(x, w, false);
         }
-        match &mut self.effects {
-            Effects::Indexed { index, .. } => index.set_absent(x),
-            Effects::Scan(_) => {
-                unreachable!("faulted EventSim always uses the indexed backend")
-            }
-        }
+        self.index.set_absent(x);
         let zeros = vec![0u64; self.pairs.row_bits(x).len()];
         apply_desired_row(&mut self.pairs, x, &zeros);
         neighbors
@@ -482,15 +349,14 @@ impl<M: Machine> EventSim<M> {
         self.pop.edges_mut().set(u, v, false);
         self.book.edge_events += 1;
         self.book.last_output_change = self.book.steps;
-        let Effects::Indexed { index, .. } = &self.effects else {
-            unreachable!("faulted EventSim always uses the indexed backend")
-        };
         // A dead endpoint implies an inactive edge, so both ends are
         // alive here; only the link of this one pair changed.
         let (a, b) = (u.min(v), u.max(v));
-        let eff = index
-            .table()
-            .can_affect(index.state_index(a), index.state_index(b), Link::Off);
+        let eff = self.index.table().can_affect(
+            self.index.state_index(a),
+            self.index.state_index(b),
+            Link::Off,
+        );
         self.pairs.set(a, b, eff);
     }
 
@@ -510,18 +376,11 @@ impl<M: Machine> EventSim<M> {
     pub fn is_edge_quiescent(&self) -> bool {
         self.pairs.iter().all(|(u, v)| {
             let link = Link::from(self.pop.edges().is_active(u, v));
-            match &self.effects {
-                Effects::Scan(_) => {
-                    !self
-                        .machine
-                        .can_affect_edge(self.pop.state(u), self.pop.state(v), link)
-                }
-                Effects::Indexed { index, .. } => !index.table().can_affect_edge(
-                    index.state_index(u),
-                    index.state_index(v),
-                    link,
-                ),
-            }
+            !self.index.table().can_affect_edge(
+                self.index.state_index(u),
+                self.index.state_index(v),
+                link,
+            )
         })
     }
 
@@ -533,7 +392,7 @@ impl<M: Machine> EventSim<M> {
     }
 }
 
-impl<M: Machine> Primitives for EventSim<M> {
+impl<M: EnumerableMachine> Primitives for EventSim<M> {
     fn advance(&mut self, max_steps: u64) -> EventStep {
         EventSim::advance(self, max_steps)
     }
@@ -557,10 +416,9 @@ impl<M: Machine> Primitives for EventSim<M> {
     /// Normalizes the configuration for an adversary decision: dense
     /// state indices plus the active-edge set.
     fn config_snapshot(&self) -> ConfigSnapshot {
-        let Effects::Indexed { index, .. } = &self.effects else {
-            unreachable!("faulted EventSim always uses the indexed backend")
-        };
-        let states = (0..self.pop.n()).map(|u| index.state_index(u)).collect();
+        let states = (0..self.pop.n())
+            .map(|u| self.index.state_index(u))
+            .collect();
         ConfigSnapshot::new(states, self.pop.edges().active_edges())
     }
 
@@ -583,20 +441,19 @@ impl<M: Machine> Primitives for EventSim<M> {
                     if let Some(s2) = self.machine.on_crash_notify(self.pop.state(w)) {
                         if *self.pop.state(w) != s2 {
                             self.pop.set_state(w, s2);
-                            let Effects::Indexed { index, .. } = &mut self.effects else {
-                                unreachable!("faulted EventSim always uses the indexed backend")
-                            };
-                            index.on_state_change(&self.machine, &self.pop, &mut self.pairs, w);
+                            self.index.on_state_change(
+                                &self.machine,
+                                &self.pop,
+                                &mut self.pairs,
+                                w,
+                            );
                         }
                     }
                 }
             }
             ResolvedFault::Arrive(x) => {
-                let Effects::Indexed { index, .. } = &mut self.effects else {
-                    unreachable!("faulted EventSim always uses the indexed backend")
-                };
-                index.set_present(x);
-                index.rescan_node(&self.pop, &mut self.pairs, x);
+                self.index.set_present(x);
+                self.index.rescan_node(&self.pop, &mut self.pairs, x);
             }
             ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
             ResolvedFault::DeleteRandomEdges { count, mut rng } => {
@@ -611,7 +468,7 @@ impl<M: Machine> Primitives for EventSim<M> {
     }
 }
 
-impl<M: Machine> ExactEngine for EventSim<M> {
+impl<M: EnumerableMachine> ExactEngine for EventSim<M> {
     type Config = Population<M::State>;
 
     fn config(&self) -> &Population<M::State> {
@@ -623,6 +480,7 @@ impl<M: Machine> ExactEngine for EventSim<M> {
 mod tests {
     use super::*;
     use crate::driver::contract::{self, Arm};
+    use crate::engine::index_check;
     use crate::RunOutcome;
     use crate::{ProtocolBuilder, RuleProtocol, Simulation};
     use netcon_graph::properties::is_maximum_matching;
@@ -662,58 +520,20 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_scanning_modes_agree_step_for_step() {
-        // Same machine, same seed: the two effectiveness backends must
-        // produce bit-identical executions (they share the maintenance
-        // order and the sampling stream). n = 15 keeps the scanning side
-        // on the plain per-pair scan; n = 300 activates the observed-
-        // state registry, whose word-parallel rescan must preserve the
-        // exact same membership order.
-        for n in [15, 300] {
-            let mut a = EventSim::new(matching_protocol(), n, 77);
-            let mut b = EventSim::new_scanning(matching_protocol(), n, 77);
-            loop {
-                let (ra, rb) = (a.advance(u64::MAX), b.advance(u64::MAX));
-                assert_eq!(ra, rb, "n={n}");
-                assert_eq!(a.steps(), b.steps(), "n={n}");
-                if ra == EventStep::Quiescent {
-                    break;
-                }
-            }
-            assert_eq!(a.population(), b.population(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn scanning_registry_overflow_falls_back_exactly() {
-        // 100 distinct live states out of the gate: the 64-slot observed-
-        // state registry overflows and the scanning engine must keep the
-        // plain-scan behaviour, bit-identical to the indexed mode (which
-        // itself exercises the >32-state non-word-parallel rescan here).
-        let mut b = ProtocolBuilder::new("many-states");
-        let ids: Vec<_> = (0..100).map(|i| b.state(format!("s{i}"))).collect();
-        for i in 0..100 {
-            b.rule(
-                (ids[i], ids[(i + 1) % 100], OFF),
-                (ids[(i + 2) % 100], ids[(i + 3) % 100], ON),
-            );
-        }
-        let p = b.build().expect("valid");
-        let mut pop = Population::new(300, ids[0]);
-        for u in 0..300 {
-            pop.set_state(u, ids[u % 100]);
-        }
-        let mut a = EventSim::from_population(p.clone(), pop.clone(), 42);
-        let mut s = EventSim::from_population_scanning(p, pop, 42);
+    fn many_state_candidates_match_brute_force_recomputation() {
+        // 100 states take the index's per-pair fallback rescan; after
+        // every candidate the maintained set must equal a from-scratch
+        // `can_affect` pass over all pairs.
+        let (p, pop) = index_check::many_states();
+        let mut sim = EventSim::from_population(p, pop, 42);
+        index_check::assert_exact(&sim.machine, &sim.pop, &sim.pairs);
         for _ in 0..200 {
-            let (ra, rs) = (a.advance(u64::MAX), s.advance(u64::MAX));
-            assert_eq!(ra, rs);
-            if ra == EventStep::Quiescent {
+            if sim.advance(u64::MAX) == EventStep::Quiescent {
                 break;
             }
+            index_check::assert_exact(&sim.machine, &sim.pop, &sim.pairs);
         }
-        assert_eq!(a.population(), s.population());
-        assert_eq!(a.steps(), s.steps());
+        assert!(sim.effective_steps() > 0);
     }
 
     #[test]

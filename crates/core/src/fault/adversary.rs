@@ -244,12 +244,6 @@ impl AdversaryPlan {
         self.budget
     }
 
-    /// The adversary's own crash floor, if set.
-    #[must_use]
-    pub fn min_alive_floor(&self) -> Option<usize> {
-        self.min_alive
-    }
-
     /// Every scheduled decision time, in order — what availability
     /// analyses merge into their window boundaries.
     #[must_use]

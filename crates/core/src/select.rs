@@ -349,20 +349,6 @@ impl<M: EnumerableMachine> Engine<M> {
         )
     }
 
-    /// Selects an engine reproducing `scheduler` for a faulted run under
-    /// the default memory budget — [`auto_for`](Self::auto_for) with a
-    /// [`FaultPlan`].
-    #[must_use]
-    pub fn auto_for_faulted(
-        machine: M,
-        n: usize,
-        seed: u64,
-        scheduler: SchedulerKind,
-        plan: FaultPlan,
-    ) -> Self {
-        Self::with_budget_for_faulted(machine, n, seed, Self::default_budget(), scheduler, plan)
-    }
-
     /// Selects by an explicit budget within a scheduler family and
     /// constructs the chosen engine with a [`FaultPlan`]. The dense
     /// estimates are sized on the *capacity* (`n` plus planned

@@ -77,25 +77,8 @@ pub fn assert_stabilizes_event<M: EnumerableMachine>(
     max_steps: u64,
     extra: u64,
 ) -> EventSim<M> {
-    let sim = EventSim::new(machine, n, seed);
-    assert_stabilizes_event_sim(sim, stable, max_steps, extra)
-}
-
-/// Like [`assert_stabilizes_event`] but starting from a prepared
-/// event-driven simulation (custom initial configuration).
-///
-/// # Panics
-///
-/// Panics (with context) if the run exhausts `max_steps` before `stable`
-/// holds, or if the output graph changes during the follow-up phase.
-pub fn assert_stabilizes_event_sim<M: Machine>(
-    mut sim: EventSim<M>,
-    stable: impl FnMut(&Population<M::State>) -> bool,
-    max_steps: u64,
-    extra: u64,
-) -> EventSim<M> {
+    let mut sim = EventSim::new(machine, n, seed);
     let name = sim.machine().name().to_owned();
-    let n = sim.population().n();
     let outcome = sim.run_until(stable, max_steps);
     assert!(
         matches!(outcome, RunOutcome::Stabilized { .. }),
