@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks of the simulation engines' hot paths:
 //! naive interaction throughput (interpreted vs compiled rule tables),
-//! event-driven candidate throughput, predicate-check cost, and a full
-//! run on each engine.
+//! event-driven candidate throughput, predicate-check cost, a full run
+//! on each engine, and the round engines' skip sampler on both of its
+//! paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use netcon_core::{EventSim, ExactEngine, Simulation};
+use netcon_core::{hypergeometric_skip, unit_open01, EventSim, ExactEngine, Simulation};
 use netcon_graph::properties::is_spanning_star;
 use netcon_protocols::{global_star, simple_global_line};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn engine_throughput(c: &mut Criterion) {
@@ -79,5 +82,22 @@ fn engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engine_throughput);
+/// `hypergeometric_skip` at the parameters of the sparse round engine on
+/// matching at n = 100 000 (≈ 5·10⁹ pairs per round): a dense candidate
+/// set takes the draw-by-draw walk, a sparse one the bracketed search.
+fn skip_sampler(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sampler");
+    for (name, remaining, hits) in [
+        ("hypergeometric_skip_walk_r5e9", 4_900_000_000u64, 5_000_000u64),
+        ("hypergeometric_skip_bracket_r5e9_k5000", 4_900_000_000, 5000),
+    ] {
+        group.bench_function(name, |b| {
+            let mut rng = SmallRng::seed_from_u64(1);
+            b.iter(|| black_box(hypergeometric_skip(unit_open01(rng.next_u64()), remaining, hits)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, engine_throughput, skip_sampler);
 criterion_main!(benches);

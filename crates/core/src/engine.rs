@@ -48,37 +48,90 @@ pub fn geometric_skip(u01: f64, p: f64) -> f64 {
     (u01.ln() / (-p).ln_1p()).floor()
 }
 
-/// Survival function of the negative hypergeometric skip law: the
-/// probability that the first `t` draws of a uniform random permutation of
-/// `remaining` items, `hits` of them marked, are all unmarked.
+/// Below this bound every integer is an exact `f64`, and so is every
+/// `x ± 1.0` with `x` such an integer: the samplers step their factors
+/// in `f64` there instead of converting fresh `u64`s each iteration —
+/// the same values, bit for bit, at a fraction of the cost. From it on
+/// they convert each factor afresh.
+const EXACT_F64: u64 = 1 << 53;
+
+/// Whether the negative hypergeometric survival function at `t`,
+/// `S(t) = ∏_{j=0}^{hits−1} (remaining − t − j)/(remaining − j)`, is
+/// below `u01`: the probability that the first `t` draws of a uniform
+/// random permutation of `remaining` items, `hits` of them marked, are
+/// all unmarked.
 ///
-/// `S(t) = ∏_{j=0}^{hits−1} (remaining − t − j)/(remaining − j)` — the
-/// `hits`-factor form (each of the `hits` marked items independently-ish
-/// avoids the length-`t` prefix), equal to the draw-by-draw product
-/// `∏_{i=0}^{t−1} (misses − i)/(remaining − i)` that the naive engine
-/// realizes one scheduler draw at a time.
-fn nh_survival(remaining: u64, hits: u64, t: u64) -> f64 {
+/// This is the `hits`-factor form (each of the `hits` marked items
+/// independently-ish avoids the length-`t` prefix), equal to the
+/// draw-by-draw product `∏_{i=0}^{t−1} (misses − i)/(remaining − i)` that
+/// the naive engine realizes one scheduler draw at a time. Every factor
+/// is at most 1 and IEEE rounding is monotone, so the running product
+/// never rises: the answer is settled as soon as it drops below `u01`.
+/// For the same reason the rounded `S` is non-increasing in `t`, which
+/// makes this predicate monotone in `t`.
+fn nh_survival_below(u01: f64, remaining: u64, hits: u64, t: u64) -> bool {
     if t > remaining - hits {
-        return 0.0;
+        return true;
     }
     let mut s = 1.0f64;
+    let (mut num, mut den) = ((remaining - t) as f64, remaining as f64);
     for j in 0..hits {
-        s *= (remaining - t - j) as f64 / (remaining - j) as f64;
-        if s == 0.0 {
-            break;
+        if remaining >= EXACT_F64 {
+            (num, den) = ((remaining - t - j) as f64, (remaining - j) as f64);
         }
+        s *= num / den;
+        if s < u01 {
+            return true;
+        }
+        num -= 1.0;
+        den -= 1.0;
     }
-    s
+    false
 }
 
-/// Smallest `t` in `[lo, hi]` with `nh_survival(t + 1) < u01` (the
-/// survival function is non-increasing in `t`, so the predicate is
-/// monotone). The caller guarantees the answer lies in the window.
+/// Smallest `t` in `[lo, hi]` with `S(t + 1) < u01`, or `hi` if there is
+/// none below it. The caller guarantees the answer lies in the window.
+///
+/// The search starts from the closed-form guess
+/// `g = ⌈R̄·(1 − u^{1/hits})⌉ − 1` with `R̄ = remaining − (hits−1)/2`
+/// (the inversion of `S(t) ≈ (1 − t/R̄)^hits`), gallops out from it with
+/// doubling steps until the answer is bracketed, then bisects inside the
+/// bracket. The predicate is monotone, so any bracket yields the same
+/// smallest `t` as a bisection over the whole window — typically after
+/// 2–4 survival evaluations instead of `log₂(hi − lo)`.
 fn nh_bisect(u01: f64, remaining: u64, hits: u64, lo: u64, hi: u64) -> u64 {
+    let below = |t: u64| t >= hi || nh_survival_below(u01, remaining, hits, t + 1);
+    let rbar = remaining as f64 - (hits - 1) as f64 / 2.0;
+    let guess = (rbar * -(u01.ln() / hits as f64).exp_m1()).ceil() - 1.0;
+    let g = (guess.max(0.0) as u64).clamp(lo, hi);
     let (mut lo, mut hi) = (lo, hi);
+    let mut step = 1u64;
+    if below(g) {
+        hi = g;
+        while lo < hi {
+            let x = hi.saturating_sub(step).max(lo);
+            if !below(x) {
+                lo = x + 1;
+                break;
+            }
+            hi = x;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        lo = g + 1;
+        while lo < hi {
+            let x = g.saturating_add(step).min(hi);
+            if below(x) {
+                hi = x;
+                break;
+            }
+            lo = x + 1;
+            step = step.saturating_mul(2);
+        }
+    }
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if nh_survival(remaining, hits, mid + 1) < u01 {
+        if below(mid) {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -104,9 +157,11 @@ fn nh_bisect(u01: f64, remaining: u64, hits: u64, lo: u64, hi: u64) -> u64 {
 ///
 /// The returned skip count never exceeds `remaining − hits` (a round
 /// cannot run out of candidates before its last candidate is drawn).
-/// Cost: `O(min(skips, hits·log remaining))` — a short sequential walk of
-/// the draw-by-draw product when the candidate set is dense, a bisection
-/// on the `hits`-factor survival form when it is sparse.
+/// Cost: `O(min(skips, hits·log|g − t|))` — a short sequential walk of
+/// the draw-by-draw product when the candidate set is dense, and when it
+/// is sparse a search on the `hits`-factor survival form that brackets
+/// the answer `t` outward from its closed-form guess `g`, adding a few
+/// survival evaluations past the guess.
 ///
 /// # Panics
 ///
@@ -128,11 +183,17 @@ pub fn hypergeometric_skip(u01: f64, remaining: u64, hits: u64) -> u64 {
         // (probability ≲ e⁻³²) which falls through to the bisection.
         let cap = expect.saturating_mul(32).min(misses);
         let mut surv = 1.0f64;
+        let (mut num, mut den) = (misses as f64, remaining as f64);
         for t in 0..cap {
-            surv *= (misses - t) as f64 / (remaining - t) as f64;
+            if remaining >= EXACT_F64 {
+                (num, den) = ((misses - t) as f64, (remaining - t) as f64);
+            }
+            surv *= num / den;
             if surv < u01 {
                 return t;
             }
+            num -= 1.0;
+            den -= 1.0;
         }
         if cap == misses {
             // S(misses + 1) = 0 < u: the permutation is out of misses.
@@ -142,6 +203,80 @@ pub fn hypergeometric_skip(u01: f64, remaining: u64, hits: u64) -> u64 {
     } else {
         nh_bisect(u01, remaining, hits, 0, misses)
     }
+}
+
+/// Probability tables up to this length live on the stack: the sparse
+/// round engine's ledger replays draw mostly from ranges below it.
+const STACK_PMF: usize = 64;
+
+/// Builds the unnormalized hypergeometric pmf on `[wlo, whi]` by ratio
+/// recurrences outward from `mode` (whose mass is pinned at 1, so
+/// nothing near the bulk under- or overflows) and returns the smallest
+/// `x` in the window with `CDF(x) ≥ u01` over the window's mass.
+fn invert_pmf_window(
+    u01: f64,
+    marked: u64,
+    total: u64,
+    draws: u64,
+    wlo: u64,
+    whi: u64,
+    mode: u64,
+) -> u64 {
+    let len = (whi - wlo + 1) as usize;
+    let mut stack = [0.0f64; STACK_PMF];
+    let mut heap = Vec::new();
+    let pmf = if len <= STACK_PMF {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0.0);
+        &mut heap[..]
+    };
+    // q(x+1)/q(x) = (a·b)/(c·d) for the pmf q(x) = C(marked, x)·C(unmarked,
+    // draws−x), with a = marked − x, b = draws − x, c = x + 1 and
+    // d = unmarked + x + 1 − draws.
+    let unmarked = total - marked;
+    let factors = |x: u64| {
+        let (a, b) = ((marked - x) as f64, (draws - x) as f64);
+        (a, b, (x + 1) as f64, (unmarked + x + 1 - draws) as f64)
+    };
+    pmf[(mode - wlo) as usize] = 1.0;
+    let (mut a, mut b, mut c, mut d) = factors(mode);
+    let mut q = 1.0f64;
+    for x in mode..whi {
+        if total >= EXACT_F64 {
+            (a, b, c, d) = factors(x);
+        }
+        q *= (a * b) / (c * d);
+        pmf[(x + 1 - wlo) as usize] = q;
+        (a, b, c, d) = (a - 1.0, b - 1.0, c + 1.0, d + 1.0);
+    }
+    let (mut a, mut b, mut c, mut d) = factors(mode);
+    q = 1.0;
+    for x in (wlo..mode).rev() {
+        (a, b, c, d) = (a + 1.0, b + 1.0, c - 1.0, d - 1.0);
+        if total >= EXACT_F64 {
+            (a, b, c, d) = factors(x);
+        }
+        q /= (a * b) / (c * d);
+        pmf[(x - wlo) as usize] = q;
+    }
+    let z: f64 = pmf.iter().sum();
+    let target = u01 * z;
+    let mut cum = 0.0f64;
+    for (i, &p) in pmf.iter().enumerate() {
+        cum += p;
+        if cum >= target {
+            return wlo + i as u64;
+        }
+    }
+    whi
+}
+
+/// The mode `⌊(draws+1)(marked+1)/(total+2)⌋` of the hypergeometric
+/// count law, clamped into its support `[lo, hi]`.
+fn hypergeometric_mode(marked: u64, total: u64, draws: u64, lo: u64, hi: u64) -> u64 {
+    let mode = (u128::from(draws + 1) * u128::from(marked + 1)) / u128::from(total + 2);
+    (mode as u64).clamp(lo, hi)
 }
 
 /// Inversion of the hypergeometric *count* law: drawing `draws` items
@@ -157,8 +292,9 @@ pub fn hypergeometric_skip(u01: f64, remaining: u64, hits: u64) -> u64 {
 /// The probability table is built by ratio recurrences outward from the
 /// mode (whose unnormalized mass is pinned at 1, so nothing near the
 /// bulk under- or overflows), then inverted as the smallest `x` with
-/// `CDF(x) ≥ u`. Cost and transient memory are O(range) where
-/// `range = min(marked, draws, total − marked, total − draws)`.
+/// `CDF(x) ≥ u`. Cost is O(range) where
+/// `range = min(marked, draws, total − marked, total − draws)`, with no
+/// heap allocation while the table fits 64 entries (range ≤ 63).
 ///
 /// # Panics
 ///
@@ -167,41 +303,13 @@ pub fn hypergeometric_skip(u01: f64, remaining: u64, hits: u64) -> u64 {
 pub fn hypergeometric_count(u01: f64, marked: u64, total: u64, draws: u64) -> u64 {
     debug_assert!(marked <= total && draws <= total);
     debug_assert!(u01 > 0.0 && u01 <= 1.0);
-    let unmarked = total - marked;
-    let lo = draws.saturating_sub(unmarked);
+    let lo = draws.saturating_sub(total - marked);
     let hi = marked.min(draws);
     if lo == hi {
         return lo;
     }
-    // q(x+1)/q(x) for the pmf q(x) = C(marked, x)·C(unmarked, draws−x).
-    let ratio = |x: u64| -> f64 {
-        ((marked - x) as f64 * (draws - x) as f64)
-            / ((x + 1) as f64 * (unmarked + x + 1 - draws) as f64)
-    };
-    let mode = ((u128::from(draws + 1) * u128::from(marked + 1)) / u128::from(total + 2)) as u64;
-    let mode = mode.clamp(lo, hi);
-    let mut pmf = vec![0.0f64; (hi - lo + 1) as usize];
-    pmf[(mode - lo) as usize] = 1.0;
-    let mut q = 1.0f64;
-    for x in mode..hi {
-        q *= ratio(x);
-        pmf[(x + 1 - lo) as usize] = q;
-    }
-    q = 1.0;
-    for x in (lo..mode).rev() {
-        q /= ratio(x);
-        pmf[(x - lo) as usize] = q;
-    }
-    let z: f64 = pmf.iter().sum();
-    let target = u01 * z;
-    let mut cum = 0.0f64;
-    for (i, &p) in pmf.iter().enumerate() {
-        cum += p;
-        if cum >= target {
-            return lo + i as u64;
-        }
-    }
-    hi
+    let mode = hypergeometric_mode(marked, total, draws, lo, hi);
+    invert_pmf_window(u01, marked, total, draws, lo, hi, mode)
 }
 
 /// Windowed variant of [`hypergeometric_count`] for huge parameters:
@@ -224,8 +332,7 @@ pub fn hypergeometric_count(u01: f64, marked: u64, total: u64, draws: u64) -> u6
 pub fn hypergeometric_count_large(u01: f64, marked: u64, total: u64, draws: u64) -> u64 {
     debug_assert!(marked <= total && draws <= total);
     debug_assert!(u01 > 0.0 && u01 <= 1.0);
-    let unmarked = total - marked;
-    let lo = draws.saturating_sub(unmarked);
+    let lo = draws.saturating_sub(total - marked);
     let hi = marked.min(draws);
     if hi - lo <= 4096 {
         return hypergeometric_count(u01, marked, total, draws);
@@ -234,36 +341,10 @@ pub fn hypergeometric_count_large(u01: f64, marked: u64, total: u64, draws: u64)
     let p = mf / nf;
     let sigma = (kf * p * (1.0 - p) * ((nf - kf) / (nf - 1.0))).sqrt();
     let half = (12.0 * sigma) as u64 + 32;
-    let mode = ((u128::from(draws + 1) * u128::from(marked + 1)) / u128::from(total + 2)) as u64;
-    let mode = mode.clamp(lo, hi);
+    let mode = hypergeometric_mode(marked, total, draws, lo, hi);
     let wlo = mode.saturating_sub(half).max(lo);
     let whi = mode.saturating_add(half).min(hi);
-    let ratio = |x: u64| -> f64 {
-        ((marked - x) as f64 * (draws - x) as f64)
-            / ((x + 1) as f64 * (unmarked + x + 1 - draws) as f64)
-    };
-    let mut pmf = vec![0.0f64; (whi - wlo + 1) as usize];
-    pmf[(mode - wlo) as usize] = 1.0;
-    let mut q = 1.0f64;
-    for x in mode..whi {
-        q *= ratio(x);
-        pmf[(x + 1 - wlo) as usize] = q;
-    }
-    q = 1.0;
-    for x in (wlo..mode).rev() {
-        q /= ratio(x);
-        pmf[(x - wlo) as usize] = q;
-    }
-    let z: f64 = pmf.iter().sum();
-    let target = u01 * z;
-    let mut cum = 0.0f64;
-    for (i, &p) in pmf.iter().enumerate() {
-        cum += p;
-        if cum >= target {
-            return wlo + i as u64;
-        }
-    }
-    whi
+    invert_pmf_window(u01, marked, total, draws, wlo, whi, mode)
 }
 
 /// A cached inversion table for [`geometric_skip`] at one fixed hit

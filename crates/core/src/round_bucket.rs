@@ -86,6 +86,7 @@
 //! exceeds the budget; `docs/engines.md` has the five-engine table.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -117,6 +118,36 @@ fn punpack(key: u64) -> (usize, usize) {
 fn ukey(t: usize, q: usize) -> u64 {
     ((t as u64) << 16) | q as u64
 }
+
+/// Hasher of the engine's `u64`-keyed maps: one folded 128-bit multiply
+/// by a fixed odd key. Folding the high half of the product back onto the
+/// low half lets every key bit reach the bucket index — [`ukey`]'s low 16
+/// bits are only the class. The maps are never iterated in an order that
+/// matters, so a fixed key changes no trajectory.
+#[derive(Debug, Clone, Copy, Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(key ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by [`pkey`] or [`ukey`].
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<FoldHasher>>;
 
 /// An explicit (individually resolved) pair.
 #[derive(Debug, Clone, Copy)]
@@ -232,7 +263,7 @@ pub struct RoundBucketSim<M: EnumerableMachine> {
     /// never urn members).
     touch_log: Vec<Vec<u32>>,
     /// Explicit pairs by canonical key.
-    x: HashMap<u64, XPair>,
+    x: KeyMap<XPair>,
     /// Unscheduled explicit candidates (keys; positions mirrored).
     x_c_u: Vec<u64>,
     /// Unscheduled explicit non-candidates.
@@ -242,7 +273,7 @@ pub struct RoundBucketSim<M: EnumerableMachine> {
     /// Scheduled explicit pairs that are currently candidates.
     x_sched_cand: u64,
     /// Urns by [`ukey`].
-    urns: HashMap<u64, Urn>,
+    urns: KeyMap<Urn>,
     /// Candidate urns grouped by member class (walked to draw).
     cand_urns_by_class: Vec<Vec<u64>>,
     /// Σ `unc` over candidate urns.
@@ -380,12 +411,12 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             tbuckets: vec![Vec::new(); nq],
             tpos: vec![0; n],
             touch_log: vec![Vec::new(); nq],
-            x: HashMap::new(),
+            x: KeyMap::default(),
             x_c_u: Vec::new(),
             x_nc_u: Vec::new(),
             x_by_node: vec![Vec::new(); n],
             x_sched_cand: 0,
-            urns: HashMap::new(),
+            urns: KeyMap::default(),
             cand_urns_by_class: vec![Vec::new(); nq],
             rows_avail: 0,
             cand_sched_urns: 0,

@@ -28,6 +28,8 @@
 //! (bracketing the brute-force CDFs, including the within-round
 //! exhaustion edge cases), and the batched-endgame absorption laws of
 //! `netcon_core::walk` against brute-force per-draw walks.
+//! `sampler_identity` pins the hypergeometric samplers' answers bit for
+//! bit against a frozen copy of their plain implementation.
 //! `round_counts` adds the exact regression: on protocols whose round
 //! count is schedule-independent, every round-family engine must report
 //! the identical round count on every seed.
@@ -1558,6 +1560,332 @@ mod skip_schedule {
         // And the empirical mean sits near the geometric mean (1−p)/p.
         let mean = a.iter().sum::<f64>() / a.len() as f64;
         assert!((mean - (1.0 - p) / p).abs() < 4.0, "mean skip {mean}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bit identity of the round samplers against a frozen reference.
+// ---------------------------------------------------------------------
+
+mod sampler_identity {
+    use netcon::core::{
+        hypergeometric_count, hypergeometric_count_large, hypergeometric_skip, unit_open01,
+    };
+    use proptest::prelude::*;
+
+    /// The three hypergeometric inversions in their plain form — a fresh
+    /// `u64 → f64` conversion per factor, bisection over the whole window,
+    /// heap-allocated tables — kept verbatim (doc comments aside) so that
+    /// any change to the samplers' answers fails here instead of silently
+    /// reshuffling every round engine's coin stream.
+    mod frozen {
+        pub(super) fn nh_survival(remaining: u64, hits: u64, t: u64) -> f64 {
+            if t > remaining - hits {
+                return 0.0;
+            }
+            let mut s = 1.0f64;
+            for j in 0..hits {
+                s *= (remaining - t - j) as f64 / (remaining - j) as f64;
+                if s == 0.0 {
+                    break;
+                }
+            }
+            s
+        }
+
+        fn nh_bisect(u01: f64, remaining: u64, hits: u64, lo: u64, hi: u64) -> u64 {
+            let (mut lo, mut hi) = (lo, hi);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if nh_survival(remaining, hits, mid + 1) < u01 {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            lo
+        }
+
+        pub(super) fn hypergeometric_skip(u01: f64, remaining: u64, hits: u64) -> u64 {
+            debug_assert!(hits >= 1 && hits <= remaining);
+            debug_assert!(u01 > 0.0 && u01 <= 1.0);
+            let misses = remaining - hits;
+            if misses == 0 {
+                return 0;
+            }
+            // The result is the smallest t with S(t+1) < u (the same bracketing
+            // convention as geometric_skip: S(t) ≥ u > S(t+1) ⇔ skips = t).
+            let expect = misses / (hits + 1) + 1;
+            if hits.saturating_mul(34) > expect.saturating_mul(4) {
+                // Dense candidate set: the expected skip count is tiny, so walk
+                // the draw-by-draw product. The cap bounds a pathological tail
+                // (probability ≲ e⁻³²) which falls through to the bisection.
+                let cap = expect.saturating_mul(32).min(misses);
+                let mut surv = 1.0f64;
+                for t in 0..cap {
+                    surv *= (misses - t) as f64 / (remaining - t) as f64;
+                    if surv < u01 {
+                        return t;
+                    }
+                }
+                if cap == misses {
+                    // S(misses + 1) = 0 < u: the permutation is out of misses.
+                    return misses;
+                }
+                nh_bisect(u01, remaining, hits, cap, misses)
+            } else {
+                nh_bisect(u01, remaining, hits, 0, misses)
+            }
+        }
+
+        pub(super) fn hypergeometric_count(u01: f64, marked: u64, total: u64, draws: u64) -> u64 {
+            debug_assert!(marked <= total && draws <= total);
+            debug_assert!(u01 > 0.0 && u01 <= 1.0);
+            let unmarked = total - marked;
+            let lo = draws.saturating_sub(unmarked);
+            let hi = marked.min(draws);
+            if lo == hi {
+                return lo;
+            }
+            // q(x+1)/q(x) for the pmf q(x) = C(marked, x)·C(unmarked, draws−x).
+            let ratio = |x: u64| -> f64 {
+                ((marked - x) as f64 * (draws - x) as f64)
+                    / ((x + 1) as f64 * (unmarked + x + 1 - draws) as f64)
+            };
+            let mode =
+                ((u128::from(draws + 1) * u128::from(marked + 1)) / u128::from(total + 2)) as u64;
+            let mode = mode.clamp(lo, hi);
+            let mut pmf = vec![0.0f64; (hi - lo + 1) as usize];
+            pmf[(mode - lo) as usize] = 1.0;
+            let mut q = 1.0f64;
+            for x in mode..hi {
+                q *= ratio(x);
+                pmf[(x + 1 - lo) as usize] = q;
+            }
+            q = 1.0;
+            for x in (lo..mode).rev() {
+                q /= ratio(x);
+                pmf[(x - lo) as usize] = q;
+            }
+            let z: f64 = pmf.iter().sum();
+            let target = u01 * z;
+            let mut cum = 0.0f64;
+            for (i, &p) in pmf.iter().enumerate() {
+                cum += p;
+                if cum >= target {
+                    return lo + i as u64;
+                }
+            }
+            hi
+        }
+
+        pub(super) fn hypergeometric_count_large(
+            u01: f64,
+            marked: u64,
+            total: u64,
+            draws: u64,
+        ) -> u64 {
+            debug_assert!(marked <= total && draws <= total);
+            debug_assert!(u01 > 0.0 && u01 <= 1.0);
+            let unmarked = total - marked;
+            let lo = draws.saturating_sub(unmarked);
+            let hi = marked.min(draws);
+            if hi - lo <= 4096 {
+                return hypergeometric_count(u01, marked, total, draws);
+            }
+            let (nf, kf, mf) = (total as f64, draws as f64, marked as f64);
+            let p = mf / nf;
+            let sigma = (kf * p * (1.0 - p) * ((nf - kf) / (nf - 1.0))).sqrt();
+            let half = (12.0 * sigma) as u64 + 32;
+            let mode =
+                ((u128::from(draws + 1) * u128::from(marked + 1)) / u128::from(total + 2)) as u64;
+            let mode = mode.clamp(lo, hi);
+            let wlo = mode.saturating_sub(half).max(lo);
+            let whi = mode.saturating_add(half).min(hi);
+            let ratio = |x: u64| -> f64 {
+                ((marked - x) as f64 * (draws - x) as f64)
+                    / ((x + 1) as f64 * (unmarked + x + 1 - draws) as f64)
+            };
+            let mut pmf = vec![0.0f64; (whi - wlo + 1) as usize];
+            pmf[(mode - wlo) as usize] = 1.0;
+            let mut q = 1.0f64;
+            for x in mode..whi {
+                q *= ratio(x);
+                pmf[(x + 1 - wlo) as usize] = q;
+            }
+            q = 1.0;
+            for x in (wlo..mode).rev() {
+                q /= ratio(x);
+                pmf[(x - wlo) as usize] = q;
+            }
+            let z: f64 = pmf.iter().sum();
+            let target = u01 * z;
+            let mut cum = 0.0f64;
+            for (i, &p) in pmf.iter().enumerate() {
+                cum += p;
+                if cum >= target {
+                    return wlo + i as u64;
+                }
+            }
+            whi
+        }
+
+        /// The dense walk's running product after `t` factors (a test
+        /// helper, not part of the frozen code).
+        pub(super) fn walk_survival(remaining: u64, hits: u64, t: u64) -> f64 {
+            let misses = remaining - hits;
+            (0..t.min(misses + 1)).fold(1.0, |s, i| {
+                s * ((misses - i) as f64 / (remaining - i) as f64)
+            })
+        }
+    }
+
+    /// `2⁵³`: from here on the samplers convert each factor from `u64`
+    /// instead of stepping exact `f64` values.
+    const EXACT: u64 = 1 << 53;
+
+    /// Draws on both sides of the reference's decision threshold past its
+    /// answer `t`: the rounded survival value `S(t + 1)` in the walk and
+    /// the `hits`-factor forms, where affordable. A sampler whose
+    /// rounding differs by one ulp answers differently on one of them.
+    fn skip_boundary_draws(remaining: u64, hits: u64, t: u64) -> Vec<f64> {
+        let mut s = Vec::new();
+        if t < 100_000 {
+            s.push(frozen::walk_survival(remaining, hits, t + 1));
+        }
+        if hits <= 100_000 {
+            s.push(frozen::nh_survival(remaining, hits, t + 1));
+        }
+        s.into_iter()
+            .filter(|&s| s > 0.0)
+            .flat_map(|s| [s, s.next_up().min(1.0)])
+            .collect()
+    }
+
+    /// The smallest draw at which the reference's count answer is the one
+    /// it gives at `u`, and the draw one ulp below it: the exact jump of
+    /// the inversion, found by bisecting the bit patterns of `(0, u]`.
+    fn count_boundary_draws(f: impl Fn(f64) -> u64, u: f64) -> [f64; 2] {
+        let x = f(u);
+        let (mut lo, mut hi) = (1u64, u.to_bits());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if f(f64::from_bits(mid)) == x {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let jump = f64::from_bits(lo);
+        [jump, jump.next_down().max(f64::MIN_POSITIVE)]
+    }
+
+    proptest! {
+        /// Every regime of the skip sampler answers exactly what the
+        /// frozen reference answers — on a random draw and on the
+        /// reference's own threshold next to its answer: the dense walk
+        /// at `remaining` up to 5·10⁹; the walk-cap fallback (a draw of at
+        /// most 64·2⁻⁵³, where the walk runs out at 32× the expected
+        /// skip and the search takes over); the bracketed sparse
+        /// search at `remaining` up to 5·10⁹ with up to 40 000 hits; and
+        /// the conversion branch at and above `remaining = 2⁵³`, for both
+        /// the walk and the search.
+        #[test]
+        fn hypergeometric_skip_matches_frozen_reference(
+            raw in any::<u64>(),
+            rs in any::<u64>(),
+            ks in any::<u64>(),
+        ) {
+            let u = unit_open01(raw);
+            let tiny = unit_open01(raw % (64 << 11));
+            // (draw, remaining, hits, probe the thresholds too)
+            let mut cases = Vec::new();
+            // Dense walk with about `e` expected skips.
+            let r = 2 + rs % 5_000_000_000;
+            let e = 1 + ks % 2000;
+            cases.push((u, r, (r / e).max(1), true));
+            // Walk-cap fallback: misses ≤ 7k(k+1) keeps the walk path.
+            let k = 1 + ks % 2000;
+            cases.push((tiny, k + 1 + rs % (7 * k * (k + 1)), k, false));
+            // Bracketed sparse search.
+            let k = 1 + ks % 40_000;
+            cases.push((u, k + rs % 5_000_000_000, k, true));
+            cases.push((tiny, k + rs % 5_000_000_000, k, false));
+            // Conversion branch: straddling 2⁵³, then far above it.
+            let k = 1 + ks % 2000;
+            for r in [EXACT - 512 + rs % 1024, EXACT + rs % (1 << 62)] {
+                cases.push((u, r, k, true));
+                cases.push((u, r, r / (2 + ks % 8), true));
+            }
+            for (u, r, k, probe) in cases {
+                let t = frozen::hypergeometric_skip(u, r, k);
+                prop_assert_eq!(hypergeometric_skip(u, r, k), t, "u={u:e} remaining={r} hits={k}");
+                let thresholds = if probe { skip_boundary_draws(r, k, t) } else { Vec::new() };
+                for u in thresholds {
+                    prop_assert_eq!(
+                        hypergeometric_skip(u, r, k),
+                        frozen::hypergeometric_skip(u, r, k),
+                        "u={u:e} remaining={r} hits={k}"
+                    );
+                }
+            }
+        }
+
+        /// The count samplers answer exactly what the frozen reference
+        /// answers — on a random draw and at the reference's exact jump
+        /// next to it: tables of 63 to 66 entries on both sides of the
+        /// 64-entry stack table, with the support anchored at 0 by either
+        /// `marked` or `draws` or lifted off it by a small unmarked side;
+        /// random small ranges; `hypergeometric_count_large`'s windowed
+        /// table on ranges above 4096; and the conversion branch at
+        /// totals of 2⁵³ and beyond, for both tables.
+        #[test]
+        fn hypergeometric_count_matches_frozen_reference(
+            raw in any::<u64>(),
+            ms in any::<u64>(),
+            ds in any::<u64>(),
+        ) {
+            let u = unit_open01(raw);
+            let big = 1 + ds % 1_000_000;
+            let mut cases = Vec::new();
+            for span in [62, 63, 64, 65, ms % 200] {
+                // Support [0, span] via marked, via draws, and
+                // [draws − span, draws] via a span-sized unmarked side;
+                // the last two at totals from just below 2⁵³ upward.
+                cases.push((span, span + big + ms % 1000, span + ds % 1000));
+                cases.push((span + big, 2 * span + big + ms % 1000, span));
+                let marked = span + big + ms % 1000;
+                cases.push((marked, marked + span, span + 1 + ds % big));
+                let huge = EXACT - 512 + ms % (1 << 62);
+                cases.push((span, huge, span + ds % 1000));
+                cases.push((huge - span, huge, span + 1 + ds % big));
+            }
+            for (m, t, d) in cases {
+                let d = d.min(t);
+                let reference = |u| frozen::hypergeometric_count(u, m, t, d);
+                let [jump, below] = count_boundary_draws(reference, u);
+                for u in [u, jump, below] {
+                    let x = reference(u);
+                    let at = format!("u={u:e} marked={m} total={t} draws={d}");
+                    prop_assert_eq!(hypergeometric_count(u, m, t, d), x, "{at}");
+                    prop_assert_eq!(hypergeometric_count_large(u, m, t, d), x, "{at}");
+                }
+            }
+            // The windowed table: ranges above 4096 at totals up to 5·10⁹,
+            // and at totals past 2⁵³.
+            let t = 10_000 + ms % 5_000_000_000;
+            let m = 4200 + ds % (t - 8400);
+            let d = 4200 + (ms ^ ds) % (t - 8400);
+            let huge = EXACT + ms % (1 << 62);
+            let (hm, hd) = (4200 + ds % 1_000_000_000, 4200 + (ms ^ ds) % 1_000_000_000);
+            for (m, t, d) in [(m, t, d), (hm, huge, hd), (huge - hm, huge, hd)] {
+                prop_assert_eq!(
+                    hypergeometric_count_large(u, m, t, d),
+                    frozen::hypergeometric_count_large(u, m, t, d),
+                    "u={u:e} marked={m} total={t} draws={d}"
+                );
+            }
+        }
     }
 }
 
