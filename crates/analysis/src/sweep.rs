@@ -1,8 +1,6 @@
 //! Parallel trial sweeps over a ladder of population sizes.
 
-use netcon_core::{
-    CompiledTable, Engine, EngineView, Machine, Population, RuleProtocol, SchedulerKind, StateId,
-};
+use netcon_core::{CompiledTable, Engine, EngineView, Machine, RuleProtocol, SchedulerKind};
 
 use crate::stats::Summary;
 
@@ -97,44 +95,19 @@ where
 /// both arms' step counts are identical in distribution to the naive
 /// loop at a fraction of the cost.
 ///
-/// `stable` must certify output stability (as the per-protocol predicates
-/// in `netcon-protocols` do). Trials that exhaust `max_steps` panic —
-/// sweeps are measurements, and a censored sample would silently bias the
-/// fit.
-///
-/// The dense predicate keeps this entry point source-compatible; when a
-/// sweep size is large enough that the selector goes sparse, each
-/// evaluation materializes a dense [`Population`] (Θ(n²)). Frontier-scale
-/// sweeps should use [`sweep_converged_at_view`] with a sparse-clean
-/// predicate instead.
+/// `stable` must certify output stability over the engine view, as the
+/// per-protocol `is_stable_view` predicates in `netcon-protocols` do; a
+/// sparse-clean predicate (e.g. `simple_global_line::is_stable_view`)
+/// runs at frontier sizes without any Θ(n²) structure ever existing. A
+/// predicate over [`Population`](netcon_core::Population) runs through
+/// [`EngineView::with_population`], which materializes on the sparse
+/// arm. Trials that exhaust `max_steps` panic — sweeps are
+/// measurements, and a censored sample would silently bias the fit.
 ///
 /// # Panics
 ///
 /// Panics if any trial fails to stabilize within `max_steps`.
 pub fn sweep_converged_at<P>(
-    cfg: &SweepConfig,
-    protocol: &RuleProtocol,
-    stable: P,
-    max_steps: u64,
-) -> SweepTable
-where
-    P: Fn(&Population<StateId>) -> bool + Sync,
-{
-    sweep_converged_at_view(cfg, protocol, |view| match view {
-        EngineView::Dense { pop, .. } => stable(pop),
-        sparse @ EngineView::Sparse { .. } => stable(&sparse.to_population()),
-    }, max_steps)
-}
-
-/// [`sweep_converged_at`] with the predicate over the engine-selection
-/// view, so sparse-clean predicates (e.g.
-/// `simple_global_line::is_stable_view`) run at frontier sizes without
-/// any Θ(n²) structure ever existing.
-///
-/// # Panics
-///
-/// Panics if any trial fails to stabilize within `max_steps`.
-pub fn sweep_converged_at_view<P>(
     cfg: &SweepConfig,
     protocol: &RuleProtocol,
     stable: P,
@@ -163,11 +136,9 @@ where
 /// sparse [`netcon_core::RoundBucketSim`] beyond it — identical
 /// distribution either way).
 ///
-/// `stable` must certify output stability, as the per-protocol
-/// predicates in `netcon-protocols` do. When the selector goes sparse,
-/// each evaluation of this dense predicate materializes a Θ(n²)
-/// [`Population`]; frontier-scale round sweeps should use
-/// [`rounds_to_converge_view`] with a sparse-clean predicate instead.
+/// `stable` must certify output stability over the engine view, as for
+/// [`sweep_converged_at`]; with a sparse-clean predicate the sparse
+/// round engine holds O(n + |Q|²) and nothing Θ(n²) ever exists.
 ///
 /// # Panics
 ///
@@ -177,57 +148,16 @@ pub fn rounds_to_converge(
     protocol: &RuleProtocol,
     n: usize,
     seed: u64,
-    stable: impl Fn(&Population<StateId>) -> bool,
-    max_steps: u64,
-) -> u64 {
-    rounds_of_run(protocol.compile(), protocol.name(), n, seed, &stable, max_steps)
-}
-
-/// [`rounds_to_converge`] with the predicate over the engine-selection
-/// view, so sparse-clean predicates run at frontier sizes (the sparse
-/// round engine holds O(n + |Q|²); nothing Θ(n²) ever exists).
-///
-/// # Panics
-///
-/// Panics if the run fails to stabilize within `max_steps`.
-#[must_use]
-pub fn rounds_to_converge_view(
-    protocol: &RuleProtocol,
-    n: usize,
-    seed: u64,
     stable: impl Fn(&EngineView<'_, CompiledTable>) -> bool,
     max_steps: u64,
 ) -> u64 {
-    rounds_of_run_view(protocol.compile(), protocol.name(), n, seed, &stable, max_steps)
+    round_trial(protocol.compile(), protocol.name(), n, seed, &stable, max_steps)
 }
 
-/// [`rounds_to_converge`] on an already-compiled table (so sweeps
-/// compile once, not per trial), lowering the dense predicate onto the
-/// view (Θ(n²) materialization per evaluation on the sparse arm).
-fn rounds_of_run(
-    compiled: CompiledTable,
-    name: &str,
-    n: usize,
-    seed: u64,
-    stable: &impl Fn(&Population<StateId>) -> bool,
-    max_steps: u64,
-) -> u64 {
-    rounds_of_run_view(
-        compiled,
-        name,
-        n,
-        seed,
-        &|view: &EngineView<'_, CompiledTable>| match view {
-            EngineView::Dense { pop, .. } => stable(pop),
-            sparse @ EngineView::Sparse { .. } => stable(&sparse.to_population()),
-        },
-        max_steps,
-    )
-}
-
-/// The shared round-counting trial body: run the auto-selected round
+/// The shared round-counting trial body on an already-compiled table
+/// (so sweeps compile once, not per trial): run the auto-selected round
 /// engine to stability, convert `converged_at` to rounds.
-fn rounds_of_run_view(
+fn round_trial(
     compiled: CompiledTable,
     name: &str,
     n: usize,
@@ -247,7 +177,11 @@ fn rounds_of_run_view(
 /// Sweeps a flat protocol's ShuffledRounds convergence time **in
 /// rounds** over the configured sizes — the round-based fast path:
 /// each trial runs [`rounds_to_converge`] on the auto-selected round
-/// engine, at event-driven cost instead of Θ(n²) work per round.
+/// engine, at event-driven cost instead of Θ(n²) work per round. At
+/// sizes where the selector picks the sparse round engine (n ≳ 6 000
+/// under the default budget), a sparse-clean predicate keeps every
+/// trial O(n + |Q|²), so round-denominated sweeps run at n = 100 000
+/// and beyond.
 ///
 /// # Panics
 ///
@@ -259,38 +193,12 @@ pub fn sweep_rounds_to_converge<P>(
     max_steps: u64,
 ) -> SweepTable
 where
-    P: Fn(&Population<StateId>) -> bool + Sync,
-{
-    let compiled = protocol.compile();
-    let name = protocol.name().to_owned();
-    sweep(cfg, |n, seed| {
-        rounds_of_run(compiled.clone(), &name, n, seed, &stable, max_steps) as f64
-    })
-}
-
-/// [`sweep_rounds_to_converge`] with the predicate over the
-/// engine-selection view — the frontier round-sweep path: at sizes where
-/// the selector picks the sparse round engine (n ≳ 6 000 under the
-/// default budget), a sparse-clean predicate keeps every trial
-/// O(n + |Q|²), so round-denominated sweeps run at n = 100 000 and
-/// beyond.
-///
-/// # Panics
-///
-/// Panics if any trial fails to stabilize within `max_steps`.
-pub fn sweep_rounds_to_converge_view<P>(
-    cfg: &SweepConfig,
-    protocol: &RuleProtocol,
-    stable: P,
-    max_steps: u64,
-) -> SweepTable
-where
     P: Fn(&EngineView<'_, CompiledTable>) -> bool + Sync,
 {
     let compiled = protocol.compile();
     let name = protocol.name().to_owned();
     sweep(cfg, |n, seed| {
-        rounds_of_run_view(compiled.clone(), &name, n, seed, &stable, max_steps) as f64
+        round_trial(compiled.clone(), &name, n, seed, &stable, max_steps) as f64
     })
 }
 
@@ -380,14 +288,18 @@ mod tests {
             trials: 4,
             base_seed: 5,
         };
-        let t = sweep_converged_at(&cfg, &p, |pop| pop.count_where(|s| *s == a) <= 1, u64::MAX);
+        // A dense predicate, lowered onto the engine view.
+        let stable = |v: &EngineView<'_, CompiledTable>| {
+            v.with_population(|pop| pop.count_where(|s| *s == a) <= 1)
+        };
+        let t = sweep_converged_at(&cfg, &p, stable, u64::MAX);
         assert_eq!(t.rows.len(), 3);
         for r in &t.rows {
             assert!(r.summary.mean > 0.0, "n={} measured no steps", r.n);
             assert_eq!(r.samples.len(), 4);
         }
         // Reproducible: same config, same table.
-        let t2 = sweep_converged_at(&cfg, &p, |pop| pop.count_where(|s| *s == a) <= 1, u64::MAX);
+        let t2 = sweep_converged_at(&cfg, &p, stable, u64::MAX);
         assert_eq!(t.rows[1].samples, t2.rows[1].samples);
     }
 
@@ -402,7 +314,9 @@ mod tests {
         let m = b.state("b");
         b.rule((a, a, Link::Off), (m, m, Link::On));
         let p = b.build().expect("valid");
-        let stable = move |pop: &Population<StateId>| pop.count_where(|s| *s == a) <= 1;
+        let stable = move |v: &EngineView<'_, CompiledTable>| {
+            v.with_population(|pop| pop.count_where(|s| *s == a) <= 1)
+        };
         let cfg = SweepConfig {
             sizes: vec![8, 16],
             trials: 3,
@@ -439,18 +353,18 @@ mod tests {
             trials: 1,
             base_seed: 23,
         };
-        let t = sweep_rounds_to_converge_view(&cfg, &p, |v| v.count_index(ai) <= 1, u64::MAX);
+        let t = sweep_rounds_to_converge(&cfg, &p, |v| v.count_index(ai) <= 1, u64::MAX);
         assert_eq!(t.rows[0].samples, vec![1.0], "matching finishes in round 1");
-        // And the single-run view helper agrees at a small size with the
-        // dense-predicate helper on the same seed.
+        // And the single-run helper agrees at a small size with a dense
+        // predicate lowered onto the view, on the same seed.
         let dense = rounds_to_converge(
             &p,
             64,
             9,
-            move |pop: &Population<StateId>| pop.count_where(|s| *s == a) <= 1,
+            |v| v.with_population(|pop| pop.count_where(|s| *s == a) <= 1),
             u64::MAX,
         );
-        let view = rounds_to_converge_view(&p, 64, 9, |v| v.count_index(ai) <= 1, u64::MAX);
+        let view = rounds_to_converge(&p, 64, 9, |v| v.count_index(ai) <= 1, u64::MAX);
         assert_eq!(dense, view);
     }
 

@@ -23,7 +23,7 @@ fn sweep_protocol(
     };
     // Event-driven path: the open-question comparison needs large-n
     // points, which the naive loop cannot reach in bounded time.
-    sweep_converged_at(&cfg, &protocol, stable, u64::MAX)
+    sweep_converged_at(&cfg, &protocol, |v| v.with_population(stable), u64::MAX)
 }
 
 fn main() {

@@ -26,9 +26,7 @@
 
 use std::time::Instant;
 
-use netcon_analysis::sweep::{
-    sweep_rounds_to_converge, sweep_rounds_to_converge_view, SweepConfig,
-};
+use netcon_analysis::sweep::{sweep_rounds_to_converge, SweepConfig};
 use netcon_analysis::table::TextTable;
 use netcon_bench::harness::{fits, fmt_fit, scale, sweep_rows};
 use netcon_core::seeds::derive2;
@@ -167,7 +165,8 @@ fn main() {
             trials: scale(30).max(3),
             base_seed: 2007,
         };
-        let table = sweep_rounds_to_converge(&cfg, &protocol, stable, u64::MAX);
+        let table =
+            sweep_rounds_to_converge(&cfg, &protocol, |v| v.with_population(stable), u64::MAX);
         let (fit, fit_log) = fits(&table);
         let mut t = TextTable::new(&["n", "mean rounds", "95% CI", "rounds/n²"]);
         for row in sweep_rows(&table) {
@@ -201,8 +200,7 @@ fn main() {
         base_seed: 606,
     };
     let t0 = Instant::now();
-    let table =
-        sweep_rounds_to_converge_view(&cfg, &matching, |v| v.count_index(ai) <= 1, u64::MAX);
+    let table = sweep_rounds_to_converge(&cfg, &matching, |v| v.count_index(ai) <= 1, u64::MAX);
     let wall = t0.elapsed().as_secs_f64();
     assert!(
         table.rows[0].samples.iter().all(|&x| x == 1.0),

@@ -17,13 +17,13 @@
 use std::time::Instant;
 
 use netcon_bench::harness::scale;
-use netcon_core::{BucketSim, CompiledTable, Engine, EventSim, ExactEngine, SparsePop};
+use netcon_core::{BucketSim, CompiledTable, Engine, EngineView, EventSim, ExactEngine};
 use netcon_protocols::{cycle_cover, simple_global_line};
 
 fn drive(
     name: &str,
     protocol: &CompiledTable,
-    sparse_stable: fn(&SparsePop) -> bool,
+    stable: fn(&EngineView<'_, CompiledTable>) -> bool,
     sizes: &[usize],
 ) {
     println!("--- {name} ---");
@@ -34,7 +34,10 @@ fn drive(
     for &n in sizes {
         let t0 = Instant::now();
         let mut sim = BucketSim::new(protocol.clone(), n, 2014 + n as u64);
-        let out = sim.run_until(sparse_stable, u64::MAX);
+        let out = sim.run_until(
+            |sp| stable(&EngineView::Sparse { sp, machine: protocol }),
+            u64::MAX,
+        );
         let wall = t0.elapsed();
         let converged = out
             .converged_at()
@@ -76,13 +79,13 @@ fn main() {
     drive(
         "Simple-Global-Line (Protocol 1)",
         &simple_global_line::protocol().compile(),
-        simple_global_line::is_stable_sparse,
+        simple_global_line::is_stable_view,
         &sizes,
     );
     drive(
         "Cycle-Cover (Protocol 3)",
         &cycle_cover::protocol().compile(),
-        cycle_cover::is_stable_sparse,
+        cycle_cover::is_stable_view,
         &sizes,
     );
 

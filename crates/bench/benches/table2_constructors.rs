@@ -38,7 +38,7 @@ fn row(
     };
     // Event-driven path: identical step-count distribution, cost
     // proportional to effective interactions only.
-    let t = sweep_converged_at(&cfg, &protocol, &stable, u64::MAX);
+    let t = sweep_converged_at(&cfg, &protocol, |v| v.with_population(&stable), u64::MAX);
     let (raw, corrected) = fits(&t);
     let last = t.rows.last().expect("sizes non-empty");
     table.row(&[

@@ -59,8 +59,8 @@ use netcon_bench::speedup::{
     bucket_stats, compare_engines, compare_round_engines, Comparison,
 };
 use netcon_core::{
-    AdversaryPolicy, BucketSim, ChurnPlan, CompiledTable, EventSim, ExactEngine, Link,
-    ProtocolBuilder, RoundSim, Simulation, SparsePop,
+    AdversaryPolicy, BucketSim, ChurnPlan, CompiledTable, EngineView, EventSim, ExactEngine,
+    Link, ProtocolBuilder, RoundSim, Simulation,
 };
 use netcon_protocols::{
     cycle_cover, fast_global_line, ft_line, ft_star, global_star, simple_global_line,
@@ -243,19 +243,19 @@ fn engine_memory_section() -> String {
 fn bucket_engine_section(scale_trials: usize) -> String {
     let mut s = String::from("  \"bucket_engine\": {\n");
     let mut first = true;
-    for (key, protocol, sparse) in [
+    for (key, protocol, stable) in [
         (
             "simple_global_line_n256",
             simple_global_line::protocol(),
-            simple_global_line::is_stable_sparse as fn(&SparsePop) -> bool,
+            simple_global_line::is_stable_view as fn(&EngineView<'_, CompiledTable>) -> bool,
         ),
         (
             "cycle_cover_n256",
             cycle_cover::protocol(),
-            cycle_cover::is_stable_sparse as fn(&SparsePop) -> bool,
+            cycle_cover::is_stable_view,
         ),
     ] {
-        let (stats, mem) = bucket_stats(&protocol, sparse, 256, scale_trials, 9);
+        let (stats, mem) = bucket_stats(&protocol, stable, 256, scale_trials, 9);
         if !first {
             s.push_str(",\n");
         }
@@ -628,16 +628,16 @@ fn scaling_frontier_section() -> String {
         "    \"note\": \"regenerate with NETCON_FRONTIER=1 cargo run --release -p netcon-bench --bin perf_smoke (~15 min); runs without that variable carry this section forward\","
     );
     let mut first = true;
-    for (key, protocol, sparse) in [
+    for (key, protocol, stable) in [
         (
             "simple_global_line",
             simple_global_line::protocol(),
-            simple_global_line::is_stable_sparse as fn(&SparsePop) -> bool,
+            simple_global_line::is_stable_view as fn(&EngineView<'_, CompiledTable>) -> bool,
         ),
         (
             "cycle_cover",
             cycle_cover::protocol(),
-            cycle_cover::is_stable_sparse as fn(&SparsePop) -> bool,
+            cycle_cover::is_stable_view,
         ),
     ] {
         if !first {
@@ -650,7 +650,10 @@ fn scaling_frontier_section() -> String {
             println!("==> frontier: {key} n = {n} (bucket engine)");
             let t0 = Instant::now();
             let mut sim = BucketSim::new(compiled.clone(), n, 2014 + n as u64);
-            let out = sim.run_until(sparse, u64::MAX);
+            let out = sim.run_until(
+                |sp| stable(&EngineView::Sparse { sp, machine: &compiled }),
+                u64::MAX,
+            );
             let wall = t0.elapsed().as_secs_f64();
             let converged = out
                 .converged_at()
@@ -687,14 +690,17 @@ fn mega_frontier_section() -> String {
     let _ = writeln!(s, "    \"gate\": \"wall_s <= 60 on one core\",");
     println!("==> mega frontier: simple_global_line n = {n} (bucket engine, batched endgame)");
     let t0 = Instant::now();
-    let mut sim = BucketSim::new(compiled, n, 2014 + n as u64);
+    let mut sim = BucketSim::new(compiled.clone(), n, 2014 + n as u64);
     // `run_until_edges`, not `run_until`: the edge-count predicate only
     // changes when an edge does, and that is the entry point where the
     // batched endgame engages (per-effective-step predicates cannot
     // batch — whole walker excursions would skip their evaluation
     // points, turning the last few walkers back into ~10¹¹ drawn
     // events and the 20 s record into minutes).
-    let out = sim.run_until_edges(simple_global_line::is_stable_sparse, u64::MAX);
+    let out = sim.run_until_edges(
+        |sp| simple_global_line::is_stable_view(&EngineView::Sparse { sp, machine: &compiled }),
+        u64::MAX,
+    );
     let wall = t0.elapsed().as_secs_f64();
     assert!(
         out.stabilized(),

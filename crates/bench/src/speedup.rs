@@ -5,8 +5,8 @@ use std::time::Instant;
 
 use netcon_core::seeds::derive2;
 use netcon_core::{
-    BucketSim, EventSim, ExactEngine, Population, RoundSim, RuleProtocol, ShuffledRounds,
-    Simulation, SparsePop, StateId,
+    BucketSim, CompiledTable, EngineView, EventSim, ExactEngine, Population, RoundSim,
+    RuleProtocol, ShuffledRounds, Simulation, StateId,
 };
 
 /// Per-engine aggregates over a trial set.
@@ -223,7 +223,7 @@ pub fn compare_round_engines(
 #[must_use]
 pub fn bucket_stats(
     protocol: &RuleProtocol,
-    sparse_stable: fn(&SparsePop) -> bool,
+    stable: fn(&EngineView<'_, CompiledTable>) -> bool,
     n: usize,
     trials: usize,
     base_seed: u64,
@@ -234,7 +234,10 @@ pub fn bucket_stats(
     let t0 = Instant::now();
     for t in 0..trials {
         let mut sim = BucketSim::new(compiled.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(sparse_stable, u64::MAX);
+        let out = sim.run_until(
+            |sp| stable(&EngineView::Sparse { sp, machine: &compiled }),
+            u64::MAX,
+        );
         samples.push((
             out.converged_at().expect("stabilizes") as f64,
             sim.steps() as f64,

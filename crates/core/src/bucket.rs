@@ -69,7 +69,7 @@ use crate::walk::{
     bridge_weights_with_future, h_step, sample_absorption, sample_binomial, sample_gamma,
     sample_poisson, sample_weighted,
 };
-use crate::{Link, Population};
+use crate::{EngineView, Link, Population};
 
 /// Sentinel for "this active edge is not on the on list".
 const NOT_ON: u32 = u32::MAX;
@@ -727,10 +727,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// set; for inspection and small-n testing only.
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
-        let states = (0..self.sp.n())
-            .map(|u| self.machine.state_at(self.sp.state_index(u)))
-            .collect();
-        Population::from_parts(states, self.sp.to_edgeset())
+        EngineView::Sparse { sp: &self.sp, machine: &self.machine }.to_population()
     }
 
     /// Bytes of heap memory held by the engine: the sparse configuration,

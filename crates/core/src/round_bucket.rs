@@ -99,7 +99,7 @@ use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
 use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
 use crate::sim::StepResult;
-use crate::{Link, Population};
+use crate::{EngineView, Link, Population};
 
 /// Canonical key of an unordered node pair (min in the high half).
 #[inline]
@@ -511,10 +511,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// set; for inspection and small-n testing only.
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
-        let states = (0..self.sp.n())
-            .map(|u| self.machine.state_at(self.sp.state_index(u)))
-            .collect();
-        Population::from_parts(states, self.sp.to_edgeset())
+        EngineView::Sparse { sp: &self.sp, machine: &self.machine }.to_population()
     }
 
     /// Bytes of heap memory held by the engine: the sparse configuration,

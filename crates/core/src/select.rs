@@ -59,8 +59,11 @@ pub enum SchedulerKind {
 /// predicates: whatever the engine's representation, the same queries
 /// answer — population size, active edges, degrees, dense state indices.
 ///
-/// Dense-only extras (the full [`Population`]) are reachable on the
-/// `Dense` arm; predicates that use them give up sparse-engine support.
+/// Every query answers identically on both arms, faulted engines
+/// included: crashed and not-yet-arrived nodes keep degree 0 and are
+/// left out of the state counts. Dense-only extras (the full
+/// [`Population`]) are reachable on the `Dense` arm or through
+/// [`with_population`](Self::with_population).
 #[derive(Debug)]
 pub enum EngineView<'a, M: EnumerableMachine> {
     /// The dense engine's configuration.
@@ -69,6 +72,9 @@ pub enum EngineView<'a, M: EnumerableMachine> {
         pop: &'a Population<M::State>,
         /// The machine (for state-index queries).
         machine: &'a M,
+        /// The fault state of a faulted engine, whose dead and ghost
+        /// slots the state counts skip.
+        faults: Option<&'a FaultState>,
     },
     /// The sparse engine's configuration.
     Sparse {
@@ -80,7 +86,7 @@ pub enum EngineView<'a, M: EnumerableMachine> {
 }
 
 impl<M: EnumerableMachine> EngineView<'_, M> {
-    /// The population size `n`.
+    /// The population size `n` (the draw-space capacity when faulted).
     #[must_use]
     pub fn n(&self) -> usize {
         match self {
@@ -120,40 +126,53 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
     #[must_use]
     pub fn state_index(&self, u: usize) -> usize {
         match self {
-            Self::Dense { pop, machine } => machine.state_index(pop.state(u)),
+            Self::Dense { pop, machine, .. } => machine.state_index(pop.state(u)),
             Self::Sparse { sp, .. } => sp.state_index(u),
         }
     }
 
-    /// The number of nodes in state index `s` — O(1) on the sparse view,
-    /// an O(n) scan on the dense one.
+    /// The number of alive nodes in state index `s` — O(1) on the sparse
+    /// view, an O(n) scan on the dense one.
     #[must_use]
     pub fn count_index(&self, s: usize) -> usize {
         match self {
-            Self::Dense { pop, machine } => {
+            Self::Dense { pop, machine, faults: None } => {
                 pop.count_where(|st| machine.state_index(st) == s)
             }
+            Self::Dense { faults: Some(_), .. } => self.nodes_index(s).len(),
             Self::Sparse { sp, .. } => sp.count_index(s),
         }
     }
 
-    /// The nodes in state index `s` (arbitrary order) — bucket read on
-    /// the sparse view, O(n) scan on the dense one.
+    /// The alive nodes in state index `s` (arbitrary order) — bucket
+    /// read on the sparse view, O(n) scan on the dense one.
     #[must_use]
     pub fn nodes_index(&self, s: usize) -> Vec<usize> {
         match self {
-            Self::Dense { pop, machine } => {
+            Self::Dense { pop, machine, faults: None } => {
                 pop.nodes_where(|st| machine.state_index(st) == s)
             }
+            Self::Dense { pop, machine, faults: Some(fs) } => (0..pop.n())
+                .filter(|&u| fs.is_alive(u) && machine.state_index(pop.state(u)) == s)
+                .collect(),
             Self::Sparse { sp, .. } => sp.nodes_index(s).iter().map(|&u| u as usize).collect(),
         }
     }
 
+    /// Evaluates a dense predicate on this configuration — borrowing the
+    /// [`Population`] on the dense arm, materializing it (Θ(n²)) on the
+    /// sparse one. How predicates written against [`Population`] run on
+    /// any engine.
+    #[must_use]
+    pub fn with_population(&self, stable: impl FnOnce(&Population<M::State>) -> bool) -> bool {
+        match self {
+            Self::Dense { pop, .. } => stable(pop),
+            Self::Sparse { .. } => stable(&self.to_population()),
+        }
+    }
+
     /// Materializes the full dense configuration — a clone on the dense
-    /// arm, an O(n²) edge-set build on the sparse arm. Escape hatch for
-    /// legacy dense predicates at sizes where the sparse engine was
-    /// chosen anyway; sparse-clean predicates should use the queries
-    /// above instead.
+    /// arm, an O(n²) edge-set build on the sparse arm.
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
         match self {
@@ -249,13 +268,21 @@ trait Viewed<M: EnumerableMachine> {
 
 impl<M: EnumerableMachine> Viewed<M> for EventSim<M> {
     fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Dense { pop: self.population(), machine: self.machine() }
+        EngineView::Dense {
+            pop: self.population(),
+            machine: self.machine(),
+            faults: self.fault_state(),
+        }
     }
 }
 
 impl<M: EnumerableMachine> Viewed<M> for RoundSim<M> {
     fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Dense { pop: self.population(), machine: self.machine() }
+        EngineView::Dense {
+            pop: self.population(),
+            machine: self.machine(),
+            faults: self.fault_state(),
+        }
     }
 }
 
@@ -312,27 +339,7 @@ impl<M: EnumerableMachine> Engine<M> {
         budget_bytes: u64,
         scheduler: SchedulerKind,
     ) -> Self {
-        let dense_ok = |estimate: u64| n <= usize::from(u16::MAX) && estimate <= budget_bytes;
-        match scheduler {
-            SchedulerKind::Uniform => {
-                if dense_ok(EventSim::<M>::dense_mem_estimate(n)) {
-                    let sim = Box::new(EventSim::new(machine, n, seed));
-                    Engine::Dense { sim }
-                } else {
-                    let sim = Box::new(BucketSim::new(machine, n, seed));
-                    Engine::Sparse { sim }
-                }
-            }
-            SchedulerKind::ShuffledRounds => {
-                if dense_ok(RoundSim::<M>::dense_mem_estimate(n)) {
-                    let sim = Box::new(RoundSim::new(machine, n, seed));
-                    Engine::Round { sim }
-                } else {
-                    let sim = Box::new(RoundBucketSim::new(machine, n, seed));
-                    Engine::RoundSparse { sim }
-                }
-            }
-        }
+        Self::select(machine, n, seed, budget_bytes, scheduler, None)
     }
 
     /// Selects a uniform-scheduler engine for a faulted run under the
@@ -363,28 +370,41 @@ impl<M: EnumerableMachine> Engine<M> {
         scheduler: SchedulerKind,
         plan: FaultPlan,
     ) -> Self {
-        let capacity = n + plan.arrival_count();
-        let dense_ok =
-            |estimate: u64| capacity <= usize::from(u16::MAX) && estimate <= budget_bytes;
-        match scheduler {
-            SchedulerKind::Uniform => {
-                if dense_ok(EventSim::<M>::dense_mem_estimate(capacity)) {
-                    let sim = Box::new(EventSim::new_faulted(machine, n, seed, plan));
-                    Engine::Dense { sim }
-                } else {
-                    let sim = Box::new(BucketSim::new_faulted(machine, n, seed, plan));
-                    Engine::Sparse { sim }
-                }
-            }
-            SchedulerKind::ShuffledRounds => {
-                if dense_ok(RoundSim::<M>::dense_mem_estimate(capacity)) {
-                    let sim = Box::new(RoundSim::new_faulted(machine, n, seed, plan));
-                    Engine::Round { sim }
-                } else {
-                    let sim =
-                        Box::new(RoundBucketSim::new_faulted(machine, n, seed, plan));
-                    Engine::RoundSparse { sim }
-                }
+        Self::select(machine, n, seed, budget_bytes, scheduler, Some(plan))
+    }
+
+    /// The selection rule: the family's dense engine iff its estimate at
+    /// the capacity (`n` plus planned arrivals) fits `budget_bytes` and
+    /// the capacity fits the dense pair set's `u16` ids, else the
+    /// family's sparse engine — built faulted when a plan is given.
+    fn select(
+        machine: M,
+        n: usize,
+        seed: u64,
+        budget_bytes: u64,
+        scheduler: SchedulerKind,
+        plan: Option<FaultPlan>,
+    ) -> Self {
+        let capacity = n + plan.as_ref().map_or(0, FaultPlan::arrival_count);
+        let estimate = match scheduler {
+            SchedulerKind::Uniform => EventSim::<M>::dense_mem_estimate(capacity),
+            SchedulerKind::ShuffledRounds => RoundSim::<M>::dense_mem_estimate(capacity),
+        };
+        let dense = capacity <= usize::from(u16::MAX) && estimate <= budget_bytes;
+        macro_rules! build {
+            ($sim:ident) => {
+                Box::new(match plan {
+                    Some(plan) => $sim::new_faulted(machine, n, seed, plan),
+                    None => $sim::new(machine, n, seed),
+                })
+            };
+        }
+        match (scheduler, dense) {
+            (SchedulerKind::Uniform, true) => Engine::Dense { sim: build!(EventSim) },
+            (SchedulerKind::Uniform, false) => Engine::Sparse { sim: build!(BucketSim) },
+            (SchedulerKind::ShuffledRounds, true) => Engine::Round { sim: build!(RoundSim) },
+            (SchedulerKind::ShuffledRounds, false) => {
+                Engine::RoundSparse { sim: build!(RoundBucketSim) }
             }
         }
     }
@@ -651,6 +671,32 @@ mod tests {
             assert!(out.stabilized(), "{kind}: {out:?}");
             let fs = eng.fault_state().expect("faulted");
             assert_eq!(fs.alive_count(), 8, "{kind}");
+
+            // State counts cover alive nodes only, on every arm: planned
+            // arrivals are ghost slots until they land, and a crashed
+            // node drops out.
+            let plan = FaultPlan::new(5)
+                .at(0, FaultEvent::Arrive)
+                .at(0, FaultEvent::Arrive)
+                .at(500, FaultEvent::CrashRandom);
+            let mut eng = Engine::with_budget_for_faulted(matching(), 8, 5, budget, family, plan);
+            let census = |eng: &mut Engine<CompiledTable>| {
+                let mut counted = (0, 0);
+                eng.run_until(
+                    |v| {
+                        counted = (
+                            v.count_index(0) + v.count_index(1),
+                            v.nodes_index(0).len() + v.nodes_index(1).len(),
+                        );
+                        true
+                    },
+                    0,
+                );
+                counted
+            };
+            assert_eq!(census(&mut eng), (8, 8), "{kind}: before any fault");
+            eng.run_faulted_to(600);
+            assert_eq!(census(&mut eng), (9, 9), "{kind}: two arrivals, one crash");
         }
     }
 
@@ -661,6 +707,9 @@ mod tests {
         eng.run_until(
             |v| {
                 let pop = v.to_population();
+                let dense = EngineView::Dense { pop: &pop, machine: &matching(), faults: None };
+                let perfect = |p: &Population<crate::StateId>| p.edges().active_count() == 8;
+                assert!(v.with_population(perfect) && dense.with_population(perfect));
                 for u in 0..16 {
                     assert_eq!(v.degree(u), pop.edges().degree(u) as usize);
                     assert_eq!(v.state_index(u), 1);

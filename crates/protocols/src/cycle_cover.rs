@@ -16,8 +16,7 @@
 //! matched pair, never both — see [`is_stable`].
 
 use netcon_core::{
-    EngineView, EnumerableMachine, Link, Population, ProtocolBuilder, RuleProtocol, SparsePop,
-    StateId,
+    EngineView, EnumerableMachine, Link, Population, ProtocolBuilder, RuleProtocol, StateId,
 };
 use netcon_graph::properties::is_cycle_cover_with_waste;
 
@@ -60,27 +59,13 @@ pub fn is_stable(pop: &Population<StateId>) -> bool {
     residue_ok && is_cycle_cover_with_waste(pop.edges(), 2)
 }
 
-/// [`is_stable`] for the sparse engine, in O(1): the protocol's state
-/// encodes the node's active degree exactly (the
+/// [`is_stable`] over an engine-selection view
+/// ([`Engine`](netcon_core::Engine)-driven sweeps), reading only the
+/// residue: the state encodes the node's active degree exactly (the
 /// `state_tracks_degree_invariant` test), so when the residue condition
-/// holds every remaining node is `q2` with degree 2 — the active graph
-/// decomposes into disjoint cycles with the residue as waste ≤ 2. Fires
-/// at exactly the same step as the dense predicate.
-#[must_use]
-pub fn is_stable_sparse(sp: &SparsePop) -> bool {
-    match (sp.count_index(Q0.index()), sp.count_index(Q1.index())) {
-        (0, 0) | (1, 0) => true,
-        (0, 2) => {
-            let q1 = sp.nodes_index(Q1.index());
-            sp.is_active(q1[0] as usize, q1[1] as usize)
-        }
-        _ => false,
-    }
-}
-
-/// [`is_stable_sparse`] over an engine-selection view
-/// ([`Engine`](netcon_core::Engine)-driven sweeps); the state-count
-/// queries are O(1) on the sparse arm and O(n) scans on the dense one.
+/// holds every other node is `q2` with degree 2 — disjoint cycles with
+/// the residue as waste ≤ 2. Fires at exactly the same step as the dense
+/// predicate; the state counts are O(1) on the sparse arm.
 #[must_use]
 pub fn is_stable_view<M: EnumerableMachine>(v: &EngineView<'_, M>) -> bool {
     match (v.count_index(Q0.index()), v.count_index(Q1.index())) {

@@ -42,7 +42,7 @@
 
 use netcon_core::{
     EngineView, EnumerableMachine, FaultState, Link, Population, ProtocolBuilder, RuleProtocol,
-    SparsePop, StateId,
+    StateId,
 };
 
 /// `q0` — initial, isolated.
@@ -97,35 +97,24 @@ pub fn is_stable(pop: &Population<StateId>) -> bool {
 /// [`is_stable`] over an engine-selection view in O(1): reachable
 /// configurations stay forests (restart waves only *remove* edges, and
 /// the base rules only join distinct components), so spanning-line ⇔
-/// `n − 1` active edges, exactly as for the baseline protocol.
+/// `n − 1` active edges — the baseline protocol's test,
+/// [`simple_global_line::is_stable_view`](crate::simple_global_line::is_stable_view).
 #[must_use]
 pub fn is_stable_view<M: EnumerableMachine>(v: &EngineView<'_, M>) -> bool {
-    v.active_count() + 1 == v.n()
+    crate::simple_global_line::is_stable_view(v)
 }
 
 /// The fault-mode stability predicate, O(1): the active graph spans the
 /// alive nodes as a single line iff it has `alive − 1` active edges
 /// (crashed and not-yet-arrived nodes keep degree 0, and the forest
-/// invariant holds through restarts). Where plain Simple-Global-Line's
-/// faulted predicate becomes unreachable after any crash, the restart
-/// wave makes this one re-entered after every burst.
+/// invariant holds through restarts) — the same test as
+/// [`simple_global_line::is_stable_faulted`](crate::simple_global_line::is_stable_faulted).
+/// Where plain Simple-Global-Line's faulted predicate becomes
+/// unreachable after any crash, the restart wave makes this one
+/// re-entered after every burst.
 #[must_use]
 pub fn is_stable_faulted<M: EnumerableMachine>(v: &EngineView<'_, M>, fs: &FaultState) -> bool {
-    v.active_count() + 1 == fs.alive_count()
-}
-
-/// [`is_stable_faulted`] over a dense population snapshot — the form
-/// the naive and event engines' `run_faulted_until` consume.
-#[must_use]
-pub fn is_stable_faulted_pop(pop: &Population<StateId>, fs: &FaultState) -> bool {
-    pop.edges().active_count() + 1 == fs.alive_count()
-}
-
-/// [`is_stable_faulted`] over the sparse view — the form
-/// [`BucketSim::run_faulted_until`](netcon_core::BucketSim) consumes.
-#[must_use]
-pub fn is_stable_faulted_sparse(sp: &SparsePop, fs: &FaultState) -> bool {
-    sp.active_count() + 1 == fs.alive_count()
+    crate::simple_global_line::is_stable_faulted(v, fs)
 }
 
 /// The state-determined active degree of Simple-Global-Line's invariant,

@@ -34,7 +34,7 @@
 
 use netcon_core::{
     EngineView, EnumerableMachine, FaultState, Link, Population, ProtocolBuilder, RuleProtocol,
-    SparsePop, StateId,
+    StateId,
 };
 
 /// `c` — centre (the initial state of every node).
@@ -70,71 +70,31 @@ pub fn is_stable(pop: &Population<StateId>) -> bool {
 }
 
 /// [`is_stable`] over an engine-selection view
-/// ([`Engine`](netcon_core::Engine)-driven sweeps). State indices
-/// follow the declaration order of [`C`] and [`P`].
+/// ([`Engine`](netcon_core::Engine)-driven sweeps) —
+/// [`global_star::is_stable_view`](crate::global_star::is_stable_view),
+/// whose state indices [`C`] and [`P`] share.
 #[must_use]
 pub fn is_stable_view<M: EnumerableMachine>(v: &EngineView<'_, M>) -> bool {
-    let centres = v.nodes_index(0);
-    centres.len() == 1 && v.active_count() == v.n() - 1 && v.degree(centres[0]) == v.n() - 1
+    crate::global_star::is_stable_view(v)
 }
 
 /// The fault-mode stability predicate: a unique *alive* centre whose
-/// spokes reach every other alive node. Unlike plain Global-Star —
-/// whose faulted predicate becomes unreachable after a centre crash —
-/// FT-Global-Star re-enters this predicate after any crash burst, which
-/// is what the paired regression against PR 6's freeze test checks.
+/// spokes reach every other alive node — the same test as
+/// [`global_star::is_stable_faulted`](crate::global_star::is_stable_faulted).
+/// Unlike plain Global-Star — whose faulted predicate becomes
+/// unreachable after a centre crash — FT-Global-Star re-enters this
+/// predicate after any crash burst, which is what the paired regression
+/// against Global-Star's `centre_crash_is_not_repaired` checks.
 #[must_use]
 pub fn is_stable_faulted<M: EnumerableMachine>(v: &EngineView<'_, M>, fs: &FaultState) -> bool {
-    let alive = fs.alive_count();
-    let centres: Vec<usize> = v
-        .nodes_index(0)
-        .into_iter()
-        .filter(|&u| fs.is_alive(u))
-        .collect();
-    centres.len() == 1
-        && alive >= 1
-        && v.active_count() == alive - 1
-        && v.degree(centres[0]) == alive - 1
-}
-
-/// [`is_stable_faulted`] over a dense population snapshot — the form
-/// the naive and event engines' `run_faulted_until` consume.
-#[must_use]
-pub fn is_stable_faulted_pop(pop: &Population<StateId>, fs: &FaultState) -> bool {
-    let alive = fs.alive_count();
-    let centres: Vec<usize> = pop
-        .nodes_where(|s| *s == C)
-        .into_iter()
-        .filter(|&u| fs.is_alive(u))
-        .collect();
-    centres.len() == 1
-        && alive >= 1
-        && pop.edges().active_count() == alive - 1
-        && pop.edges().degree(centres[0]) as usize == alive - 1
-}
-
-/// [`is_stable_faulted`] over the sparse view — the form
-/// [`BucketSim::run_faulted_until`](netcon_core::BucketSim) consumes.
-#[must_use]
-pub fn is_stable_faulted_sparse(sp: &SparsePop, fs: &FaultState) -> bool {
-    let alive = fs.alive_count();
-    let centres: Vec<usize> = sp
-        .nodes_index(0)
-        .iter()
-        .map(|&u| u as usize)
-        .filter(|&u| fs.is_alive(u))
-        .collect();
-    centres.len() == 1
-        && alive >= 1
-        && sp.active_count() == alive - 1
-        && sp.degree(centres[0]) == alive - 1
+    crate::global_star::is_stable_faulted(v, fs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netcon_core::testing::assert_stabilizes;
-    use netcon_core::{BucketSim, Engine, EventSim, ExactEngine, FaultEvent, FaultPlan, Machine};
+    use netcon_core::{Engine, FaultEvent, FaultPlan, Machine, SchedulerKind};
     use netcon_graph::properties::is_spanning_star;
 
     #[test]
@@ -176,7 +136,7 @@ mod tests {
         // phase 1 elects the *same* node (the extra rule and the
         // notify map are unreachable fault-free), the same plan kills
         // it — and the star re-stabilizes. Verified independently on
-        // two engines sharing the plan.
+        // the dense and the sparse engine sharing the plan.
         let (n, seed) = (10, 4);
         let centre = stabilized_centre(n, seed);
         {
@@ -189,39 +149,37 @@ mod tests {
             assert_eq!(centre, plain, "FT-Star's fault-free run is Global-Star's");
         }
         let plan = FaultPlan::new(8).at(u64::MAX, FaultEvent::Crash(centre as u32));
-
-        // Engine 1: the event-driven engine.
-        let mut ev = EventSim::new_faulted(protocol().compile(), n, seed, plan.clone());
-        let fs0 = ev.fault_state().expect("faulted").clone();
-        ev.run_until(|p| is_stable_faulted_pop(p, &fs0), 1_000_000_000)
-            .converged_at()
-            .expect("phase 1 stabilizes");
-        ev.apply_faults_now();
-        let fs1 = ev.fault_state().expect("faulted").clone();
-        assert_eq!(fs1.alive_count(), n - 1);
-        // Every survivor lost its spoke, was notified, and is a centre.
-        let pop = ev.population();
-        for u in (0..n).filter(|&u| u != centre) {
-            assert_eq!(*pop.state(u), C, "survivor {u} was re-minted a centre");
+        for budget in [u64::MAX, 1] {
+            let mut eng = Engine::with_budget_for_faulted(
+                protocol().compile(),
+                n,
+                seed,
+                budget,
+                SchedulerKind::Uniform,
+                plan.clone(),
+            );
+            let kind = eng.kind();
+            let fs0 = eng.fault_state().expect("faulted").clone();
+            eng.run_until(|v| is_stable_faulted(v, &fs0), 1_000_000_000)
+                .converged_at()
+                .expect("phase 1 stabilizes");
+            eng.apply_faults_now();
+            assert_eq!(eng.fault_state().expect("faulted").alive_count(), n - 1);
+            if !eng.is_sparse() {
+                // The dense run elected `centre` (the sparse one draws
+                // its own trajectory): every survivor lost its spoke,
+                // was notified, and is a centre.
+                let pop = eng.to_population();
+                for u in (0..n).filter(|&u| u != centre) {
+                    assert_eq!(*pop.state(u), C, "survivor {u} was re-minted a centre");
+                }
+            }
+            eng.run_faulted_until(is_stable_faulted, u64::MAX)
+                .converged_at()
+                .unwrap_or_else(|| panic!("{kind}: FT-Star re-stabilizes after the centre crash"));
+            let pop = eng.to_population();
+            assert_eq!(pop.edges().active_count(), n - 2, "{kind}: star over n − 1 alive");
         }
-        ev.run_faulted_until(|p, _| is_stable_faulted_pop(p, &fs1), u64::MAX)
-            .converged_at()
-            .expect("FT-Star re-stabilizes after the centre crash");
-        let pop = ev.population();
-        assert_eq!(pop.edges().active_count(), n - 2, "star over n − 1 alive");
-
-        // Engine 2: the state-bucketed engine, same shared plan.
-        let mut bk = BucketSim::new_faulted(protocol().compile(), n, seed, plan);
-        let fs0 = bk.fault_state().expect("faulted").clone();
-        bk.run_until(|sp| is_stable_faulted_sparse(sp, &fs0), 1_000_000_000)
-            .converged_at()
-            .expect("phase 1 stabilizes");
-        bk.apply_faults_now();
-        let fs1 = bk.fault_state().expect("faulted").clone();
-        bk.run_faulted_until(|sp, _| is_stable_faulted_sparse(sp, &fs1), u64::MAX)
-            .converged_at()
-            .expect("FT-Star re-stabilizes on the bucket engine too");
-        assert_eq!(bk.view().active_count(), n - 2);
     }
 
     #[test]

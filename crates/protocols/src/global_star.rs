@@ -49,32 +49,27 @@ pub fn is_stable(pop: &Population<StateId>) -> bool {
 /// [`P`] (centre is index 0).
 #[must_use]
 pub fn is_stable_view<M: EnumerableMachine>(v: &EngineView<'_, M>) -> bool {
-    let centres = v.nodes_index(0);
-    centres.len() == 1
-        && v.active_count() == v.n() - 1
-        && v.degree(centres[0]) == v.n() - 1
+    is_star_over(v, v.n())
 }
 
 /// [`is_stable_view`] relative to the alive population of a faulted run:
 /// a unique *alive* centre whose spokes reach every other alive node.
-/// Crashed and not-yet-arrived nodes keep degree 0, so the edge counts
-/// are over the alive subgraph automatically. The star self-repairs
-/// spoke deletions and arrivals (`(c, p, 0) → (c, p, 1)` re-fires) and
-/// survives leaf crashes unharmed; a *centre* crash leaves only
-/// peripherals, for which no rule exists, so this predicate becomes
-/// unreachable — the honest "does not self-repair" reading.
+/// The view counts alive nodes only, and crashed and not-yet-arrived
+/// nodes keep degree 0, so the edge counts are over the alive subgraph
+/// automatically. The star self-repairs spoke deletions and arrivals
+/// (`(c, p, 0) → (c, p, 1)` re-fires) and survives leaf crashes
+/// unharmed; a *centre* crash leaves only peripherals, for which no rule
+/// exists, so this predicate becomes unreachable — the honest "does not
+/// self-repair" reading.
 #[must_use]
 pub fn is_stable_faulted<M: EnumerableMachine>(v: &EngineView<'_, M>, fs: &FaultState) -> bool {
-    let alive = fs.alive_count();
-    let centres: Vec<usize> = v
-        .nodes_index(0)
-        .into_iter()
-        .filter(|&u| fs.is_alive(u))
-        .collect();
-    centres.len() == 1
-        && alive >= 1
-        && v.active_count() == alive - 1
-        && v.degree(centres[0]) == alive - 1
+    is_star_over(v, fs.alive_count())
+}
+
+/// A unique centre whose spokes reach the other `alive − 1` nodes.
+fn is_star_over<M: EnumerableMachine>(v: &EngineView<'_, M>, alive: usize) -> bool {
+    let centres = v.nodes_index(0);
+    centres.len() == 1 && v.active_count() == alive - 1 && v.degree(centres[0]) == alive - 1
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use netcon_core::{
     EngineView, EnumerableMachine, FaultState, Link, Population, ProtocolBuilder, RuleProtocol,
-    SparsePop, StateId,
+    StateId,
 };
 use netcon_graph::components::connected_components;
 use netcon_graph::properties::is_spanning_line;
@@ -61,18 +61,13 @@ pub fn is_stable(pop: &Population<StateId>) -> bool {
     is_spanning_line(pop.edges())
 }
 
-/// [`is_stable`] for the sparse engine, in O(1): every reachable
-/// configuration is a disjoint union of lines plus isolated `q0`s (the
-/// [`census`] invariant), i.e. a forest — so the active graph is a
-/// spanning line **iff** it has `n − 1` active edges. Fires at exactly
-/// the same step as the dense predicate, with no Θ(n²) structure.
-#[must_use]
-pub fn is_stable_sparse(sp: &SparsePop) -> bool {
-    sp.active_count() + 1 == sp.n()
-}
-
-/// [`is_stable_sparse`] over an engine-selection view
-/// ([`Engine`](netcon_core::Engine)-driven sweeps), same O(1) argument.
+/// [`is_stable`] over an engine-selection view
+/// ([`Engine`](netcon_core::Engine)-driven sweeps), in O(1) on every
+/// arm: every reachable configuration is a disjoint union of lines plus
+/// isolated `q0`s (the [`census`] invariant), i.e. a forest — so the
+/// active graph is a spanning line **iff** it has `n − 1` active edges.
+/// Fires at exactly the same step as the dense predicate, with no Θ(n²)
+/// structure.
 #[must_use]
 pub fn is_stable_view<M: EnumerableMachine>(v: &EngineView<'_, M>) -> bool {
     v.active_count() + 1 == v.n()

@@ -36,9 +36,9 @@
 
 use netcon::core::seeds::derive2;
 use netcon::core::{
-    geometric_skip, hypergeometric_count, hypergeometric_skip, unit_open01, BucketSim, EventSim,
-    ExactEngine, GeoSkipCache, Link, Population, ProtocolBuilder, RoundBucketSim, RoundSim,
-    RuleProtocol, ShuffledRounds, Simulation, SparsePop, StateId,
+    geometric_skip, hypergeometric_count, hypergeometric_skip, unit_open01, BucketSim,
+    CompiledTable, EngineView, EventSim, ExactEngine, GeoSkipCache, Link, Population,
+    ProtocolBuilder, RoundBucketSim, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
 };
 use netcon::graph::properties::is_maximum_matching;
 use netcon::protocols::{cycle_cover, simple_global_line};
@@ -54,37 +54,40 @@ enum EngineKind {
 }
 use EngineKind::{Bucket, Event, Naive, NaiveShuffled, Round, RoundBucket};
 
+/// The view every equivalence predicate reads: all six engines, the
+/// naive loops included, present their configuration as
+/// `EngineView::Dense` or `EngineView::Sparse`, so one predicate serves
+/// every arm.
+type View<'a> = EngineView<'a, CompiledTable>;
+
 /// Mean and sample variance of `converged_at` over `trials` runs.
 fn sample(
     protocol: &RuleProtocol,
-    stable: impl Fn(&Population<StateId>) -> bool,
-    sparse_stable: impl Fn(&SparsePop) -> bool,
+    stable: impl Fn(&View<'_>) -> bool,
     n: usize,
     trials: u64,
     base_seed: u64,
     kind: EngineKind,
 ) -> (f64, f64) {
     let compiled = protocol.compile();
+    let machine = &compiled;
+    let dense =
+        |pop: &Population<StateId>| stable(&EngineView::Dense { pop, machine, faults: None });
+    let sparse = |sp: &_| stable(&EngineView::Sparse { sp, machine });
     let samples: Vec<f64> = (0..trials)
         .map(|t| {
             let seed = derive2(base_seed, n as u64, t);
             let out = match kind {
-                Event => {
-                    EventSim::new(compiled.clone(), n, seed).run_until(|p| stable(p), u64::MAX)
+                Event => EventSim::new(compiled.clone(), n, seed).run_until(dense, u64::MAX),
+                Bucket => BucketSim::new(compiled.clone(), n, seed).run_until(sparse, u64::MAX),
+                Naive => Simulation::new(protocol.clone(), n, seed).run_until(dense, u64::MAX),
+                Round => RoundSim::new(compiled.clone(), n, seed).run_until(dense, u64::MAX),
+                RoundBucket => {
+                    RoundBucketSim::new(compiled.clone(), n, seed).run_until(sparse, u64::MAX)
                 }
-                Bucket => BucketSim::new(compiled.clone(), n, seed)
-                    .run_until(|sp| sparse_stable(sp), u64::MAX),
-                Naive => {
-                    Simulation::new(protocol.clone(), n, seed).run_until(|p| stable(p), u64::MAX)
-                }
-                Round => {
-                    RoundSim::new(compiled.clone(), n, seed).run_until(|p| stable(p), u64::MAX)
-                }
-                RoundBucket => RoundBucketSim::new(compiled.clone(), n, seed)
-                    .run_until(|sp| sparse_stable(sp), u64::MAX),
                 NaiveShuffled => {
                     Simulation::with_scheduler(protocol.clone(), n, seed, ShuffledRounds::new())
-                        .run_until(|p| stable(p), u64::MAX)
+                        .run_until(dense, u64::MAX)
                 }
             };
             out.converged_at().expect("stabilizes") as f64
@@ -132,20 +135,19 @@ fn assert_pair(name: &str, a: (&str, f64, f64), b: (&str, f64, f64), n: usize, t
 fn assert_equivalent_5way(
     name: &str,
     protocol: &RuleProtocol,
-    stable: impl Fn(&Population<StateId>) -> bool + Copy,
-    sparse_stable: impl Fn(&SparsePop) -> bool + Copy,
+    stable: impl Fn(&View<'_>) -> bool + Copy,
     n: usize,
     trials: u64,
 ) {
-    let (me, ve) = sample(protocol, stable, sparse_stable, n, trials, 101, Event);
-    let (mn, vn) = sample(protocol, stable, sparse_stable, n, trials, 202, Naive);
-    let (mb, vb) = sample(protocol, stable, sparse_stable, n, trials, 303, Bucket);
+    let (me, ve) = sample(protocol, stable, n, trials, 101, Event);
+    let (mn, vn) = sample(protocol, stable, n, trials, 202, Naive);
+    let (mb, vb) = sample(protocol, stable, n, trials, 303, Bucket);
     assert_pair(name, ("event", me, ve), ("naive", mn, vn), n, trials);
     assert_pair(name, ("bucket", mb, vb), ("naive", mn, vn), n, trials);
     assert_pair(name, ("bucket", mb, vb), ("event", me, ve), n, trials);
-    let (mr, vr) = sample(protocol, stable, sparse_stable, n, trials, 404, Round);
-    let (ms, vs) = sample(protocol, stable, sparse_stable, n, trials, 505, NaiveShuffled);
-    let (mq, vq) = sample(protocol, stable, sparse_stable, n, trials, 606, RoundBucket);
+    let (mr, vr) = sample(protocol, stable, n, trials, 404, Round);
+    let (ms, vs) = sample(protocol, stable, n, trials, 505, NaiveShuffled);
+    let (mq, vq) = sample(protocol, stable, n, trials, 606, RoundBucket);
     assert_pair(name, ("round", mr, vr), ("naive-shuffled", ms, vs), n, trials);
     assert_pair(name, ("round-sparse", mq, vq), ("naive-shuffled", ms, vs), n, trials);
     assert_pair(name, ("round-sparse", mq, vq), ("round", mr, vr), n, trials);
@@ -167,8 +169,7 @@ fn simple_global_line_matches_across_engines() {
     assert_equivalent_5way(
         "Simple-Global-Line",
         &simple_global_line::protocol(),
-        simple_global_line::is_stable,
-        simple_global_line::is_stable_sparse,
+        simple_global_line::is_stable_view,
         16,
         3_000,
     );
@@ -179,8 +180,7 @@ fn cycle_cover_matches_across_engines() {
     assert_equivalent_5way(
         "Cycle-Cover",
         &cycle_cover::protocol(),
-        cycle_cover::is_stable,
-        cycle_cover::is_stable_sparse,
+        cycle_cover::is_stable_view,
         32,
         5_000,
     );
@@ -191,8 +191,7 @@ fn matching_process_matches_across_engines() {
     assert_equivalent_5way(
         "Maximum-Matching",
         &matching_protocol(),
-        |p| is_maximum_matching(p.edges()),
-        |sp| sp.count_index(0) <= 1,
+        |v| v.count_index(0) <= 1,
         32,
         5_000,
     );
@@ -472,8 +471,7 @@ mod faults {
     #[allow(clippy::too_many_arguments)]
     fn sample_faulted(
         protocol: &RuleProtocol,
-        stable: impl Fn(&Population<StateId>, &FaultState) -> bool,
-        sparse_stable: impl Fn(&SparsePop, &FaultState) -> bool,
+        stable: impl Fn(&View<'_>, &FaultState) -> bool,
         plan_of: impl Fn(u64) -> FaultPlan,
         n: usize,
         trials: u64,
@@ -481,6 +479,11 @@ mod faults {
         kind: EngineKind,
     ) -> (f64, f64) {
         let compiled = protocol.compile();
+        let machine = &compiled;
+        let dense = |pop: &Population<StateId>, fs: &FaultState| {
+            stable(&EngineView::Dense { pop, machine, faults: Some(fs) }, fs)
+        };
+        let sparse = |sp: &_, fs: &FaultState| stable(&EngineView::Sparse { sp, machine }, fs);
         let max = step_budget(n);
         let samples: Vec<f64> = (0..trials)
             .map(|t| {
@@ -488,15 +491,15 @@ mod faults {
                 let plan = plan_of(derive2(777, n as u64, t));
                 let out = match kind {
                     Event => EventSim::new_faulted(compiled.clone(), n, seed, plan)
-                        .run_faulted_until(|q, fs| stable(q, fs), max),
+                        .run_faulted_until(dense, max),
                     Bucket => BucketSim::new_faulted(compiled.clone(), n, seed, plan)
-                        .run_faulted_until(|sp, fs| sparse_stable(sp, fs), max),
+                        .run_faulted_until(sparse, max),
                     Naive => Simulation::new_faulted(protocol.clone(), n, seed, plan)
-                        .run_faulted_until(|q, fs| stable(q, fs), max),
+                        .run_faulted_until(dense, max),
                     Round => RoundSim::new_faulted(compiled.clone(), n, seed, plan)
-                        .run_faulted_until(|q, fs| stable(q, fs), max),
+                        .run_faulted_until(dense, max),
                     RoundBucket => RoundBucketSim::new_faulted(compiled.clone(), n, seed, plan)
-                        .run_faulted_until(|sp, fs| sparse_stable(sp, fs), max),
+                        .run_faulted_until(sparse, max),
                     NaiveShuffled => Simulation::with_scheduler_faulted(
                         protocol.clone(),
                         n,
@@ -504,7 +507,7 @@ mod faults {
                         ShuffledRounds::new(),
                         plan,
                     )
-                    .run_faulted_until(|q, fs| stable(q, fs), max),
+                    .run_faulted_until(dense, max),
                 };
                 out.converged_at().expect("stabilizes under faults") as f64
             })
@@ -521,15 +524,12 @@ mod faults {
     pub(super) fn assert_equivalent_5way_faulted(
         name: &str,
         protocol: &RuleProtocol,
-        stable: impl Fn(&Population<StateId>, &FaultState) -> bool + Copy,
-        sparse_stable: impl Fn(&SparsePop, &FaultState) -> bool + Copy,
+        stable: impl Fn(&View<'_>, &FaultState) -> bool + Copy,
         plan_of: impl Fn(u64) -> FaultPlan + Copy,
         n: usize,
         trials: u64,
     ) {
-        let run = |base, kind| {
-            sample_faulted(protocol, stable, sparse_stable, plan_of, n, trials, base, kind)
-        };
+        let run = |base, kind| sample_faulted(protocol, stable, plan_of, n, trials, base, kind);
         let (me, ve) = run(101, Event);
         let (mn, vn) = run(202, Naive);
         let (mb, vb) = run(303, Bucket);
@@ -557,22 +557,10 @@ mod faults {
                 .at(300, FaultEvent::Arrive)
                 .at(450, FaultEvent::DeleteRandomActiveEdges(2))
         };
-        let a = StateId::new(0);
         assert_equivalent_5way_faulted(
             "Maximum-Matching/faulted",
             &matching_protocol(),
-            move |q, fs| {
-                (0..q.n())
-                    .filter(|&u| fs.is_alive(u) && *q.state(u) == a)
-                    .count()
-                    <= 1
-            },
-            |sp, fs| {
-                (0..sp.n())
-                    .filter(|&u| fs.is_alive(u) && sp.state_index(u) == 0)
-                    .count()
-                    <= 1
-            },
+            |v, _| v.count_index(0) <= 1,
             plan,
             32,
             3_000,
@@ -593,8 +581,7 @@ mod faults {
         assert_equivalent_5way_faulted(
             "Simple-Global-Line/arrivals",
             &simple_global_line::protocol(),
-            |q, fs| q.edges().active_count() + 1 == fs.alive_count(),
-            |sp, fs| sp.active_count() + 1 == fs.alive_count(),
+            simple_global_line::is_stable_faulted,
             plan,
             10,
             1_500,
@@ -803,8 +790,7 @@ mod faults {
         assert_equivalent_5way_faulted(
             "FT-Global-Star/churn",
             &ft_star::protocol(),
-            ft_star::is_stable_faulted_pop,
-            ft_star::is_stable_faulted_sparse,
+            ft_star::is_stable_faulted,
             plan,
             n,
             1_500,
@@ -958,22 +944,10 @@ mod adversary {
                     .min_alive(24),
                 )
         };
-        let a = StateId::new(0);
         super::faults::assert_equivalent_5way_faulted(
             "Maximum-Matching/adversary",
             &matching_protocol(),
-            move |q, fs| {
-                (0..q.n())
-                    .filter(|&u| fs.is_alive(u) && *q.state(u) == a)
-                    .count()
-                    <= 1
-            },
-            |sp, fs| {
-                (0..sp.n())
-                    .filter(|&u| fs.is_alive(u) && sp.state_index(u) == 0)
-                    .count()
-                    <= 1
-            },
+            |v, _| v.count_index(0) <= 1,
             plan,
             32,
             3_000,
