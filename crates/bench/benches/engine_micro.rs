@@ -1,13 +1,17 @@
 //! Criterion micro-benchmarks of the simulation engines' hot paths:
-//! naive interaction throughput (interpreted vs compiled rule tables),
-//! event-driven candidate throughput, predicate-check cost, a full run
-//! on each engine, and the round engines' skip sampler on both of its
-//! paths.
+//! naive interaction throughput (interpreted vs compiled rule tables,
+//! uniform vs shuffled-rounds scheduling), event-driven candidate
+//! throughput, predicate-check cost (including the dense shape oracles
+//! over recorded trajectories), a full run on each engine, and the round
+//! engines' skip sampler on both of its paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use netcon_core::{hypergeometric_skip, unit_open01, EventSim, ExactEngine, Simulation};
+use netcon_core::{
+    hypergeometric_skip, unit_open01, EventSim, ExactEngine, Population, RuleProtocol,
+    ShuffledRounds, Simulation, StateId,
+};
 use netcon_graph::properties::is_spanning_star;
-use netcon_protocols::{global_star, simple_global_line};
+use netcon_protocols::{c_cliques, cycle_cover, global_star, simple_global_line};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -27,6 +31,12 @@ fn engine_throughput(c: &mut Criterion) {
 
     group.bench_function("step_flat_line_n256", |b| {
         let mut sim = Simulation::new(simple_global_line::protocol(), 256, 1);
+        b.iter(|| black_box(sim.step()));
+    });
+
+    group.bench_function("step_shuffled_line_n64", |b| {
+        let mut sim =
+            Simulation::with_scheduler(simple_global_line::protocol(), 64, 1, ShuffledRounds::new());
         b.iter(|| black_box(sim.step()));
     });
 
@@ -65,6 +75,27 @@ fn engine_throughput(c: &mut Criterion) {
         b.iter(|| black_box(is_spanning_star(sim.population().edges())));
     });
 
+    // The dense oracles over every configuration a naive run shows them
+    // (the initial one and one per effective step, up to stability), in
+    // trajectory order — the call mix the `uniform` workload's cells pay.
+    for (name, trajectory, stable) in [
+        (
+            "c_cliques_oracle_n9",
+            recorded_trajectory(c_cliques::protocol(3), 9, |p| c_cliques::is_stable(p, 3)),
+            (|p| c_cliques::is_stable(p, 3)) as fn(&Population<StateId>) -> bool,
+        ),
+        (
+            "cycle_cover_oracle_n128",
+            recorded_trajectory(cycle_cover::protocol(), 128, cycle_cover::is_stable),
+            cycle_cover::is_stable,
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            let mut configs = trajectory.iter().cycle();
+            b.iter(|| black_box(stable(configs.next().expect("non-empty trajectory"))));
+        });
+    }
+
     group.bench_function("full_star_run_n64", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(global_star::protocol(), 64, 7);
@@ -80,6 +111,26 @@ fn engine_throughput(c: &mut Criterion) {
     });
 
     group.finish();
+}
+
+/// Every configuration a seed-1 naive run of `protocol` on `n` nodes
+/// passes to `stable` before it first holds.
+fn recorded_trajectory(
+    protocol: RuleProtocol,
+    n: usize,
+    stable: impl Fn(&Population<StateId>) -> bool,
+) -> Vec<Population<StateId>> {
+    let mut configs = Vec::new();
+    let mut sim = Simulation::new(protocol, n, 1);
+    let out = sim.run_until(
+        |p| {
+            configs.push(p.clone());
+            stable(p)
+        },
+        u64::MAX,
+    );
+    assert!(out.stabilized());
+    configs
 }
 
 /// `hypergeometric_skip` at the parameters of the sparse round engine on

@@ -945,8 +945,14 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// rejected candidates change nothing, a quiescent configuration can
     /// never leave quiescence, so certifying it once is sound forever.
     ///
-    /// O(Σ bucket × degree) worst case; the doubling `probe_at` schedule
-    /// keeps its amortized cost below the rejections that trigger it.
+    /// O(Σ bucket × degree) worst case. Within one rejection streak the
+    /// doubling `probe_at` schedule scans at run lengths 128, 256, 512, …,
+    /// so a streak of `R ≥ 128` rejections pays at most `1 + log₂(R/128)`
+    /// scans. Nothing amortizes across streaks: [`advance`](Self::advance)
+    /// resets `probe_at` after every effective step, so once fewer than 1
+    /// in 128 candidates is accepted, each effective step pays at least
+    /// one scan on top of its rejections — the edge-cover process is the
+    /// measured case where the scans dominate.
     fn probe_quiescence(&mut self) -> bool {
         if self.is_quiescent_scan() {
             true

@@ -238,12 +238,12 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// [`Engine::auto`](crate::Engine::auto) weighs against its memory
     /// budget *before* allocating anything. Dominated by the pair-position
     /// matrix (`4n²`), the pair membership bitsets (`n²/8`), and the edge
-    /// set (`3n²/16`); the member vector is excluded (it grows with the
+    /// set (`n²/8`); the member vector is excluded (it grows with the
     /// live effective set).
     #[must_use]
     pub fn dense_mem_estimate(n: usize) -> u64 {
         let n = n as u64;
-        4 * n * n + n * n / 8 + 3 * n * n / 16 + 16 * n
+        4 * n * n + n * n / 8 + n * n / 8 + 16 * n
     }
 
     /// Skips the geometric number of ineffective draws and simulates the

@@ -390,11 +390,11 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// [`Engine::auto_for`](crate::Engine::auto_for) weighs against its
     /// memory budget. Three dense pair sets (`4n²` position matrix plus
     /// `n²/8` bitset each), the scheduled bitset (`n²/8`), and the edge
-    /// set (`3n²/16`): ≈ 3× the [`EventSim`](crate::EventSim) estimate.
+    /// set (`n²/8`): ≈ 3× the [`EventSim`](crate::EventSim) estimate.
     #[must_use]
     pub fn dense_mem_estimate(n: usize) -> u64 {
         let n = n as u64;
-        3 * (4 * n * n + n * n / 8) + n * n / 8 + 3 * n * n / 16 + 32 * n
+        3 * (4 * n * n + n * n / 8) + n * n / 8 + n * n / 8 + 32 * n
     }
 
     /// Whether no pair of nodes has any effective interaction — O(1):

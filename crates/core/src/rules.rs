@@ -424,6 +424,7 @@ impl RuleProtocol {
     ///
     /// Both orders of any defined unordered triple are present (the
     /// builder mirrors them), so this is a complete description of δ.
+    #[inline]
     #[must_use]
     pub fn lookup(&self, a: StateId, b: StateId, link: Link) -> Option<&RuleRhs> {
         let size = self.size();
@@ -435,6 +436,29 @@ impl RuleProtocol {
     #[must_use]
     pub fn crash_notify_target(&self, s: StateId) -> Option<StateId> {
         self.crash_notify[s.index()]
+    }
+
+    /// δ's outcome for the defined slot `rhs` of `(a, b, link)`: samples a
+    /// randomized right-hand side, then flips the §3.1 symmetry coin —
+    /// equal input states with distinct outputs are the only case where
+    /// symmetry must be broken by a coin. `None` for an identity outcome.
+    #[inline(never)]
+    fn apply(
+        rhs: &RuleRhs,
+        a: StateId,
+        b: StateId,
+        link: Link,
+        rng: &mut dyn Rng,
+    ) -> Option<(StateId, StateId, Link)> {
+        let (mut a2, mut b2, l2) = rhs.sample(rng);
+        if a == b && a2 != b2 && rng.random_bool(0.5) {
+            std::mem::swap(&mut a2, &mut b2);
+        }
+        if (a2, b2, l2) == (a, b, link) {
+            None
+        } else {
+            Some((a2, b2, l2))
+        }
     }
 }
 
@@ -453,6 +477,10 @@ impl Machine for RuleProtocol {
         self.output[state.index()]
     }
 
+    /// The lookup is inlined into the caller's draw loop, where most
+    /// draws of a converging protocol end at an empty slot; applying a
+    /// defined rule stays out of line.
+    #[inline]
     fn interact(
         &self,
         a: &StateId,
@@ -461,19 +489,7 @@ impl Machine for RuleProtocol {
         rng: &mut dyn Rng,
     ) -> Option<(StateId, StateId, Link)> {
         let rhs = self.lookup(*a, *b, link)?;
-        let (mut a2, mut b2, l2) = rhs.sample(rng);
-        if a == b && a2 != b2 {
-            // §3.1: equal input states with distinct outputs — the only
-            // case where symmetry must be broken by a coin.
-            if rng.random_bool(0.5) {
-                std::mem::swap(&mut a2, &mut b2);
-            }
-        }
-        if (a2, b2, l2) == (*a, *b, link) {
-            None
-        } else {
-            Some((a2, b2, l2))
-        }
+        Self::apply(rhs, *a, *b, link, rng)
     }
 
     fn can_affect(&self, a: &StateId, b: &StateId, link: Link) -> bool {

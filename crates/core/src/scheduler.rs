@@ -11,12 +11,18 @@
 use rand::{Rng, RngExt};
 
 /// A source of pairwise interactions.
+///
+/// [`next_pair`](Scheduler::next_pair) is generic over the generator, so
+/// the naive loop's per-draw pair choice is monomorphized against its
+/// concrete `SmallRng` and inlined — no virtual call per draw. The price
+/// is that the trait is not object-safe: schedulers are chosen by type
+/// parameter (`Simulation<M, S>`), never as `dyn Scheduler`.
 pub trait Scheduler {
     /// Returns the next interacting pair `(u, v)`, `u != v`, both `< n`.
     ///
     /// `rng` is the simulation's generator; deterministic schedulers
     /// ignore it.
-    fn next_pair(&mut self, n: usize, rng: &mut dyn Rng) -> (usize, usize);
+    fn next_pair<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> (usize, usize);
 
     /// A display name for reports.
     fn name(&self) -> &'static str;
@@ -39,7 +45,8 @@ pub trait Scheduler {
 pub struct Uniform;
 
 impl Scheduler for Uniform {
-    fn next_pair(&mut self, n: usize, rng: &mut dyn Rng) -> (usize, usize) {
+    #[inline]
+    fn next_pair<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> (usize, usize) {
         debug_assert!(n >= 2, "interactions need at least two processes");
         let u = rng.random_range(0..n);
         let mut v = rng.random_range(0..n - 1);
@@ -76,7 +83,7 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
-    fn next_pair(&mut self, n: usize, _rng: &mut dyn Rng) -> (usize, usize) {
+    fn next_pair<R: Rng + ?Sized>(&mut self, n: usize, _rng: &mut R) -> (usize, usize) {
         debug_assert!(n >= 2, "interactions need at least two processes");
         let (u, v) = match self.next {
             Some(p) if p.1 < n => p,
@@ -123,11 +130,12 @@ impl ShuffledRounds {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Scheduler for ShuffledRounds {
-    fn next_pair(&mut self, n: usize, rng: &mut dyn Rng) -> (usize, usize) {
-        debug_assert!(n >= 2, "interactions need at least two processes");
+    /// Begins a round: (re)builds the pair list if `n` changed, then
+    /// shuffles it — once per `n(n−1)/2` draws, so kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn start_round<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) {
         let m = n * (n - 1) / 2;
         if self.order.len() != m {
             self.order.clear();
@@ -138,15 +146,27 @@ impl Scheduler for ShuffledRounds {
             }
             self.pos = 0;
         }
-        if self.pos == 0 {
-            // Fisher–Yates over the whole round.
-            for i in (1..m).rev() {
-                let j = rng.random_range(0..=i);
-                self.order.swap(i, j);
-            }
+        // Fisher–Yates over the whole round.
+        for i in (1..m).rev() {
+            let j = rng.random_range(0..=i);
+            self.order.swap(i, j);
+        }
+    }
+}
+
+impl Scheduler for ShuffledRounds {
+    #[inline]
+    fn next_pair<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> (usize, usize) {
+        debug_assert!(n >= 2, "interactions need at least two processes");
+        let m = n * (n - 1) / 2;
+        if self.pos == 0 || self.order.len() != m {
+            self.start_round(n, rng);
         }
         let (u, v) = self.order[self.pos];
-        self.pos = (self.pos + 1) % m;
+        self.pos += 1;
+        if self.pos == m {
+            self.pos = 0;
+        }
         (u as usize, v as usize)
     }
 

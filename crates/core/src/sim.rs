@@ -294,6 +294,7 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
     /// Performs exactly one δ lookup and, for flat (`StateId`) protocols,
     /// no heap allocation: the states are passed to the machine by
     /// reference and only the (two-word) outcome states are written back.
+    #[inline]
     pub fn step(&mut self) -> StepResult {
         let (u, v) = self.scheduler.next_pair(self.pop.n(), &mut self.rng);
         self.book.steps += 1;
@@ -504,7 +505,7 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
     }
 
     /// Bytes of heap memory held by the engine: node states and the
-    /// dense edge set (`3n²/16` bytes — the naive loop's Θ(n²) floor).
+    /// dense edge set (`n²/8` bytes — the naive loop's Θ(n²) floor).
     /// Heap payloads *inside* composite states are not counted.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {

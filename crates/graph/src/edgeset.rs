@@ -1,4 +1,5 @@
-//! Dense bitset over the undirected edges of a complete graph.
+//! Dense bitset over the undirected edges of a complete graph: one
+//! square adjacency bitset, a contiguous row of words per node.
 
 use std::fmt;
 
@@ -11,14 +12,16 @@ use std::fmt;
 /// total number of active edges, so the shape predicates in
 /// [`properties`](crate::properties) can run degree checks in `O(n)`.
 ///
-/// Internally edges are stored twice: in a `u64` bitset indexed by the
-/// standard triangular pair index (the canonical form behind
-/// [`pair_index`](Self::pair_index) / [`active_edges`](Self::active_edges)),
-/// and in a redundant square adjacency bitset whose *contiguous* per-node
-/// rows make [`row`](Self::row) and [`neighbors`](Self::neighbors)
-/// sequential word scans — the access pattern the simulation engines'
-/// per-node rescans are bound on. Together they cost `3·n²/16` bytes plus
-/// the degree vector.
+/// Internally edges live in one square adjacency bitset: node `u` owns a
+/// *contiguous* row of `⌈n/64⌉` words whose bit `v` is the state of
+/// `{u, v}`, and every edge is stored in both of its endpoints' rows.
+/// [`is_active`](Self::is_active) and [`set`](Self::set) are one and two
+/// word accesses; [`row`](Self::row) and [`neighbors`](Self::neighbors)
+/// are sequential word scans — the access pattern the simulation
+/// engines' per-node rescans are bound on; and
+/// [`active_edges`](Self::active_edges) walks the rows' upper halves in
+/// the canonical triangular order of [`pair_index`](Self::pair_index).
+/// The rows cost `n²/8` bytes plus the degree vector.
 ///
 /// # Example
 ///
@@ -36,12 +39,11 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct EdgeSet {
     n: usize,
-    words: Vec<u64>,
-    /// Square adjacency mirror: bit `v` of words
+    /// Square adjacency bitset: bit `v` of words
     /// `rows[u * row_words .. (u + 1) * row_words]` is the state of
     /// `{u, v}`.
     rows: Vec<u64>,
-    /// Words per row of the square mirror.
+    /// Words per row.
     row_words: usize,
     degrees: Vec<u32>,
     active: usize,
@@ -51,11 +53,9 @@ impl EdgeSet {
     /// Creates an edge set over `n` nodes with every edge inactive.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        let bits = n * n.saturating_sub(1) / 2;
         let row_words = n.div_ceil(64);
         Self {
             n,
-            words: vec![0u64; bits.div_ceil(64)],
             rows: vec![0u64; n * row_words],
             row_words,
             degrees: vec![0; n],
@@ -90,15 +90,16 @@ impl EdgeSet {
         self.n * self.n.saturating_sub(1) / 2
     }
 
-    /// The triangular index of the unordered pair `{u, v}`.
+    /// The triangular index of the unordered pair `{u, v}`: the pairs
+    /// numbered `0..pair_count()` in `u < v` lexicographic order, the
+    /// order of [`active_edges`](Self::active_edges).
     ///
     /// # Panics
     ///
     /// Panics if `u == v` or either endpoint is out of range.
     #[must_use]
     pub fn pair_index(&self, u: usize, v: usize) -> usize {
-        assert!(u != v, "self-loops are not part of the model");
-        assert!(u < self.n && v < self.n, "node index out of range");
+        self.check_pair(u, v);
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         // Row a starts after rows 0..a, row a has entries for b in a+1..n.
         a * (2 * self.n - a - 1) / 2 + (b - a - 1)
@@ -134,21 +135,26 @@ impl EdgeSet {
     /// # Panics
     ///
     /// Panics if `u == v` or either endpoint is out of range.
+    #[inline]
     #[must_use]
     pub fn is_active(&self, u: usize, v: usize) -> bool {
-        let i = self.pair_index(u, v);
-        self.words[i / 64] >> (i % 64) & 1 == 1
+        self.check_pair(u, v);
+        self.rows[u * self.row_words + v / 64] >> (v % 64) & 1 == 1
     }
 
     /// Sets the state of edge `{u, v}`, returning the previous state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u == v` or either endpoint is out of range.
+    #[inline]
     pub fn set(&mut self, u: usize, v: usize, active: bool) -> bool {
-        let i = self.pair_index(u, v);
-        let word = &mut self.words[i / 64];
-        let mask = 1u64 << (i % 64);
+        self.check_pair(u, v);
+        let word = &mut self.rows[u * self.row_words + v / 64];
+        let mask = 1u64 << (v % 64);
         let was = *word & mask != 0;
         if was != active {
             *word ^= mask;
-            self.rows[u * self.row_words + v / 64] ^= 1u64 << (v % 64);
             self.rows[v * self.row_words + u / 64] ^= 1u64 << (u % 64);
             if active {
                 self.degrees[u] += 1;
@@ -161,6 +167,13 @@ impl EdgeSet {
             }
         }
         was
+    }
+
+    /// The model's pair contract: two distinct in-range nodes.
+    #[inline]
+    fn check_pair(&self, u: usize, v: usize) {
+        assert!(u != v, "self-loops are not part of the model");
+        assert!(u < self.n && v < self.n, "node index out of range");
     }
 
     /// Activates edge `{u, v}` (no-op if already active).
@@ -187,7 +200,6 @@ impl EdgeSet {
 
     /// Deactivates every edge.
     pub fn clear(&mut self) {
-        self.words.fill(0);
         self.rows.fill(0);
         self.degrees.fill(0);
         self.active = 0;
@@ -231,10 +243,19 @@ impl EdgeSet {
         }
     }
 
-    /// Iterator over all active edges as `(u, v)` pairs with `u < v`.
+    /// Iterator over all active edges as `(u, v)` pairs with `u < v`, in
+    /// increasing [`pair_index`](Self::pair_index) order — a word scan of
+    /// each row's `v > u` half: O(n²/128 + |E|).
     #[must_use]
     pub fn active_edges(&self) -> ActiveEdges<'_> {
-        ActiveEdges { es: self, idx: 0 }
+        let mut it = ActiveEdges {
+            es: self,
+            u: 0,
+            word_idx: 0,
+            word: 0,
+        };
+        it.seek_row(0);
+        it
     }
 
     /// The active subgraph induced by `nodes`, relabelled to `0..nodes.len()`
@@ -264,12 +285,12 @@ impl EdgeSet {
         d
     }
 
-    /// Bytes of heap memory held by the set: the triangular bitset, the
-    /// square adjacency mirror, and the degree vector — `3n²/16 + 4n`
-    /// bytes, the Θ(n²) term the sparse engine exists to avoid.
+    /// Bytes of heap memory held by the set: the square adjacency
+    /// bitset and the degree vector — `n²/8 + 4n` bytes, the Θ(n²) term
+    /// the sparse engine exists to avoid.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
-        ((self.words.capacity() + self.rows.capacity()) * 8 + self.degrees.capacity() * 4) as u64
+        (self.rows.capacity() * 8 + self.degrees.capacity() * 4) as u64
     }
 }
 
@@ -349,28 +370,50 @@ impl Iterator for Neighbors<'_> {
 #[derive(Debug)]
 pub struct ActiveEdges<'a> {
     es: &'a EdgeSet,
-    idx: usize,
+    /// The row being scanned.
+    u: usize,
+    /// The word of row `u` held in `word`.
+    word_idx: usize,
+    /// The not-yet-yielded `v > u` bits of that word.
+    word: u64,
+}
+
+impl ActiveEdges<'_> {
+    /// Positions the scan at the first `v > u` bit of row `u`.
+    fn seek_row(&mut self, u: usize) {
+        let first = u + 1;
+        self.u = u;
+        self.word_idx = first / 64;
+        self.word = if self.word_idx < self.es.row_words && self.es.degrees[u] > 0 {
+            self.es.rows[u * self.es.row_words + self.word_idx] & (!0u64 << (first % 64))
+        } else {
+            // Nothing to yield here: an isolated node's row, or the last
+            // row when `n` is a multiple of 64.
+            0
+        };
+    }
 }
 
 impl Iterator for ActiveEdges<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<(usize, usize)> {
-        let total = self.es.pair_count();
-        while self.idx < total {
-            let word = self.es.words[self.idx / 64];
-            if word == 0 {
-                // Skip the rest of an empty word.
-                self.idx = (self.idx / 64 + 1) * 64;
-                continue;
+        let es = self.es;
+        loop {
+            if self.word != 0 {
+                let bit = self.word.trailing_zeros() as usize;
+                self.word &= self.word - 1;
+                return Some((self.u, self.word_idx * 64 + bit));
             }
-            let i = self.idx;
-            self.idx += 1;
-            if word >> (i % 64) & 1 == 1 {
-                return Some(self.es.pair_at(i));
+            self.word_idx += 1;
+            if self.word_idx < es.row_words && es.degrees[self.u] > 0 {
+                self.word = es.rows[self.u * es.row_words + self.word_idx];
+            } else if self.u + 1 < es.n {
+                self.seek_row(self.u + 1);
+            } else {
+                return None;
             }
         }
-        None
     }
 }
 
@@ -419,25 +462,25 @@ mod tests {
 
     #[test]
     fn row_matches_is_active_everywhere() {
-        // Pseudo-random edge pattern, then every row must agree with the
-        // reference per-pair lookup (this pins the incremental triangular
-        // index arithmetic).
-        for n in [1usize, 2, 3, 7, 12, 30] {
+        // Pseudo-random edge pattern, activated from the lower endpoint
+        // only; every row scan and every per-pair lookup from either end
+        // must see it, so `set` wrote both mirrored bits of each edge.
+        let pattern = |u: usize, v: usize| (u.min(v) * 31 + u.max(v) * 17).is_multiple_of(3);
+        for n in [1usize, 2, 3, 7, 12, 30, 64, 65, 130] {
             let mut es = EdgeSet::new(n);
             for u in 0..n {
                 for v in (u + 1)..n {
-                    if (u * 31 + v * 17) % 3 == 0 {
+                    if pattern(u, v) {
                         es.activate(u, v);
                     }
                 }
             }
             for u in 0..n {
                 let row: Vec<(usize, bool)> = es.row(u).collect();
-                let expect: Vec<(usize, bool)> = (0..n)
-                    .filter(|&v| v != u)
-                    .map(|v| (v, es.is_active(u, v)))
-                    .collect();
+                let expect: Vec<(usize, bool)> =
+                    (0..n).filter(|&v| v != u).map(|v| (v, pattern(u, v))).collect();
                 assert_eq!(row, expect, "row({u}) of n={n}");
+                assert!(expect.iter().all(|&(v, on)| es.is_active(v, u) == on));
             }
         }
     }

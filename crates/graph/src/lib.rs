@@ -6,8 +6,9 @@
 //! provides the data structures and graph algorithms every other crate in
 //! the workspace builds on:
 //!
-//! * [`EdgeSet`] — a dense, pair-indexed bitset over the `n(n−1)/2`
-//!   undirected edges with maintained degrees and active-edge count;
+//! * [`EdgeSet`] — a dense adjacency bitset (one contiguous row per
+//!   node) over the `n(n−1)/2` undirected edges, with maintained degrees
+//!   and active-edge count;
 //! * [`properties`] — predicates for every target shape in the paper
 //!   (spanning line/ring/star, cycle cover, k-regular connected, clique
 //!   partitions, matchings);

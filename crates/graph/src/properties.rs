@@ -3,8 +3,13 @@
 //! Each predicate inspects only the active subgraph (the *output* of a
 //! network constructor whose output states cover all of `Q`). Protocol
 //! crates combine these with node-state conditions to certify stability.
+//!
+//! The predicates run once per effective step in the dense engines, so
+//! each rejects on O(1) edge-count and O(n) degree facts before any
+//! structural check, and none allocates except through
+//! [`is_connected`].
 
-use crate::components::{connected_components, is_connected};
+use crate::components::is_connected;
 use crate::EdgeSet;
 
 /// Whether the active graph is a *spanning line*: connected, with exactly 2
@@ -59,29 +64,32 @@ pub fn is_spanning_star(es: &EdgeSet) -> bool {
 /// every component is a simple cycle, except non-cycle components totalling
 /// at most `waste` nodes, each of which is an isolated node or a single
 /// active edge (§3.2 "Cycle cover" + Theorem 5, which proves waste 2).
+///
+/// Decided from degrees alone: a component all of whose nodes have degree
+/// 2 is a cycle, so the shape holds iff no degree exceeds 2, every
+/// degree-1 node's neighbour also has degree 1 (a lone edge), and at most
+/// `waste` nodes have degree below 2. Hence `n − waste ≤ |E| ≤ n` is an
+/// O(1) pre-test.
 #[must_use]
 pub fn is_cycle_cover_with_waste(es: &EdgeSet, waste: usize) -> bool {
+    let n = es.n();
+    let m = es.active_count();
+    if m > n || m + waste < n {
+        return false;
+    }
     let mut waste_nodes = 0usize;
-    for comp in connected_components(es) {
-        if is_cycle_component(es, &comp) {
-            continue;
+    for u in 0..n {
+        match es.degree(u) {
+            2 => {}
+            0 | 1 => waste_nodes += 1,
+            _ => return false,
         }
-        let ok_residue = match comp.len() {
-            1 => true,
-            2 => es.is_active(comp[0], comp[1]),
-            _ => false,
-        };
-        if !ok_residue {
-            return false;
-        }
-        waste_nodes += comp.len();
     }
     waste_nodes <= waste
-}
-
-/// Whether `comp` (a connected component of `es`) is a simple cycle.
-fn is_cycle_component(es: &EdgeSet, comp: &[usize]) -> bool {
-    comp.len() >= 3 && comp.iter().all(|&u| es.degree(u) == 2)
+        && (0..n).filter(|&u| es.degree(u) == 1).all(|u| {
+            let w = es.neighbors(u).next().expect("degree 1");
+            es.degree(w) == 1
+        })
 }
 
 /// Whether the active graph is a *perfect cycle cover*: every node has
@@ -102,48 +110,74 @@ pub fn is_k_regular_connected(es: &EdgeSet, k: u32) -> bool {
 /// is connected and spanning, at least `n − k + 1` nodes have degree `k`,
 /// and each of the remaining `l ≤ k − 1` nodes has degree at least `l − 1`
 /// and at most `k − 1`.
+///
+/// The degree conditions bound `2|E|` between `(n − k + 1)·k` and `n·k`
+/// (an O(1) pre-test) and are checked in one O(n) pass; connectivity, the
+/// only traversal, runs last.
 #[must_use]
 pub fn is_krc_relaxed(es: &EdgeSet, k: u32) -> bool {
     let n = es.n();
-    if n < k as usize + 1 || !is_connected(es) {
+    let ku = k as usize;
+    if n < ku + 1 {
         return false;
     }
-    let low: Vec<u32> = (0..n).map(|u| es.degree(u)).filter(|&d| d != k).collect();
-    if low.iter().any(|&d| d > k) {
+    let twice_m = 2 * es.active_count();
+    if twice_m > n * ku || twice_m < (n - ku + 1) * ku {
         return false;
     }
-    let l = low.len();
-    l <= (k as usize).saturating_sub(1)
-        && low
-            .iter()
-            .all(|&d| d + 1 >= l as u32 && d < k)
+    // `l` nodes below degree `k`, the lowest at `min_low` (`k` if none).
+    let (mut l, mut min_low) = (0usize, k);
+    for u in 0..n {
+        let d = es.degree(u);
+        if d > k {
+            return false;
+        }
+        if d < k {
+            l += 1;
+            min_low = min_low.min(d);
+        }
+    }
+    l <= ku.saturating_sub(1) && min_low as usize + 1 >= l && is_connected(es)
 }
 
 /// Whether the active graph partitions the population into `⌊n/c⌋` cliques
 /// of order `c`, with the remaining `n mod c` nodes in arbitrary residue
 /// components that do not touch the cliques (§3.2, "c-cliques" /
 /// Theorem 12).
+///
+/// A component is a `c`-clique iff its smallest node `u` has degree
+/// `c − 1`, every neighbour of `u` is larger than `u` and also has degree
+/// `c − 1`, and the neighbours are pairwise adjacent. So the shape holds
+/// iff exactly `⌊n/c⌋` nodes pass that test — checked after O(1)
+/// edge-count and O(n) degree-count pre-tests, with no component lists.
+///
+/// # Panics
+///
+/// Panics if `c == 0`.
 #[must_use]
 pub fn is_clique_partition(es: &EdgeSet, c: usize) -> bool {
     assert!(c >= 1, "clique order must be positive");
     let n = es.n();
-    let mut cliques = 0usize;
-    let mut residue = 0usize;
-    for comp in connected_components(es) {
-        if comp.len() == c && is_clique_component(es, &comp) {
-            cliques += 1;
-        } else {
-            residue += comp.len();
-        }
+    let (cliques, residue) = (n / c, n % c);
+    let clique_edges = cliques * c * (c - 1) / 2;
+    let m = es.active_count();
+    if m < clique_edges || m > clique_edges + residue * residue.saturating_sub(1) / 2 {
+        return false;
     }
-    cliques == n / c && residue == n % c
-}
-
-/// Whether `comp` (a connected component of `es`) is a clique.
-fn is_clique_component(es: &EdgeSet, comp: &[usize]) -> bool {
-    comp.iter().enumerate().all(|(i, &u)| {
-        comp[i + 1..].iter().all(|&v| es.is_active(u, v))
-    })
+    // Degrees are below `n`; an order beyond `u32` matches no node.
+    let full = u32::try_from(c - 1).unwrap_or(u32::MAX);
+    if (0..n).filter(|&u| es.degree(u) == full).count() < cliques * c {
+        return false;
+    }
+    let clique_min = |u: usize| {
+        es.degree(u) == full
+            && es.neighbors(u).all(|w| {
+                w > u
+                    && es.degree(w) == full
+                    && es.neighbors(u).all(|x| x <= w || es.is_active(w, x))
+            })
+    };
+    (0..n).filter(|&u| clique_min(u)).count() == cliques
 }
 
 /// Whether the active graph is a *maximum matching*: `⌊n/2⌋` disjoint

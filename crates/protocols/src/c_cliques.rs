@@ -190,10 +190,13 @@ pub fn protocol(c: u16) -> RuleProtocol {
 /// Certifies output stability: the active graph is a `c`-clique partition
 /// and no captured leader (`f_i`) remains, so no release (edge
 /// deactivation) is pending in the residue.
+///
+/// The graph test runs first: its O(1) edge count turns away most of a
+/// run's configurations before any state is read.
 #[must_use]
 pub fn is_stable(pop: &Population<StateId>, c: u16) -> bool {
     let st = States { c };
-    pop.count_where(|s| st.is_captured(*s)) == 0 && is_clique_partition(pop.edges(), c as usize)
+    is_clique_partition(pop.edges(), c as usize) && !pop.states().iter().any(|&s| st.is_captured(s))
 }
 
 #[cfg(test)]

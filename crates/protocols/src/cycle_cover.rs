@@ -46,17 +46,21 @@ pub fn protocol() -> RuleProtocol {
 ///
 /// (Two non-adjacent low-degree nodes would still have an applicable
 /// activation rule, so the configuration would not be stable.)
+///
+/// The graph test runs first: its O(1) edge count (`n − 2 ≤ |E| ≤ n`)
+/// turns away most of a run's configurations before any state is read.
 #[must_use]
 pub fn is_stable(pop: &Population<StateId>) -> bool {
-    let q0s = pop.nodes_where(|s| *s == Q0);
-    let q1s = pop.nodes_where(|s| *s == Q1);
-    let residue_ok = match (q0s.len(), q1s.len()) {
-        (0, 0) => true,
-        (1, 0) => true,
-        (0, 2) => pop.edges().is_active(q1s[0], q1s[1]),
+    if !is_cycle_cover_with_waste(pop.edges(), 2) {
+        return false;
+    }
+    let q0s = pop.count_where(|&s| s == Q0);
+    let mut q1s = (0..pop.n()).filter(|&u| *pop.state(u) == Q1);
+    match (q0s, q1s.next(), q1s.next(), q1s.next()) {
+        (0 | 1, None, _, _) => true,
+        (0, Some(a), Some(b), None) => pop.edges().is_active(a, b),
         _ => false,
-    };
-    residue_ok && is_cycle_cover_with_waste(pop.edges(), 2)
+    }
 }
 
 /// [`is_stable`] over an engine-selection view

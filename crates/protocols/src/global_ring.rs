@@ -111,15 +111,26 @@ pub fn protocol() -> RuleProtocol {
 ///
 /// In such a configuration no unprimed/evidence state exists anywhere, so
 /// the detection rules can never fire and the ring can never reopen.
+///
+/// A spanning ring has exactly `n` edges, an O(1) test that runs first;
+/// the state scan then stops at the first state outside `{l', q2', q2}`.
 #[must_use]
 pub fn is_stable(pop: &Population<StateId>) -> bool {
-    let lps = pop.nodes_where(|s| *s == LP);
-    let q2ps = pop.nodes_where(|s| *s == Q2P);
-    lps.len() == 1
-        && q2ps.len() == 1
-        && pop.count_where(|s| *s == Q2) == pop.n() - 2
-        && pop.edges().is_active(lps[0], q2ps[0])
-        && is_spanning_ring(pop.edges())
+    let es = pop.edges();
+    if es.active_count() != pop.n() {
+        return false;
+    }
+    // (how many, the last one) of `l'` and of `q2'`.
+    let (mut lp, mut q2p) = ((0usize, 0usize), (0usize, 0usize));
+    for (u, &s) in pop.states().iter().enumerate() {
+        match s {
+            Q2 => {}
+            LP => lp = (lp.0 + 1, u),
+            Q2P => q2p = (q2p.0 + 1, u),
+            _ => return false,
+        }
+    }
+    lp.0 == 1 && q2p.0 == 1 && es.is_active(lp.1, q2p.1) && is_spanning_ring(es)
 }
 
 #[cfg(test)]

@@ -35,12 +35,22 @@ pub fn protocol() -> RuleProtocol {
 /// Certifies output stability: a unique centre `c` of full degree, every
 /// peripheral of degree 1 (so no `(c,p,0)` or `(p,p,1)` rule applies, and
 /// `(c,c,0)` is impossible with one centre).
+///
+/// Ordered cheapest first: the O(1) edge count, then a scan for the
+/// unique centre that stops at a second one.
 #[must_use]
 pub fn is_stable(pop: &Population<StateId>) -> bool {
-    let centers = pop.nodes_where(|s| *s == C);
-    centers.len() == 1
-        && is_spanning_star(pop.edges())
-        && pop.edges().degree(centers[0]) as usize == pop.n() - 1
+    let es = pop.edges();
+    if es.active_count() + 1 != pop.n() {
+        return false;
+    }
+    let mut centres = pop.states().iter().enumerate().filter(|&(_, &s)| s == C);
+    match (centres.next(), centres.next()) {
+        (Some((centre, _)), None) => {
+            es.degree(centre) as usize == pop.n() - 1 && is_spanning_star(es)
+        }
+        _ => false,
+    }
 }
 
 /// [`is_stable`] over an engine-selection view

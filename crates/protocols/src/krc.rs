@@ -169,14 +169,23 @@ pub fn two_rc() -> RuleProtocol {
 /// * all *deficient* nodes (recorded degree `< k`) pairwise adjacent, so
 ///   no connect rule applies anywhere the walking leadership could reach,
 /// * connected and spanning.
+///
+/// A connected spanning graph has at least `n − 1` edges, an O(1) test
+/// that runs first. Deficient nodes are pairwise adjacent iff each has
+/// all the others among its active neighbours, which is counted without
+/// collecting them.
 #[must_use]
 pub fn is_stable(pop: &Population<StateId>, k: u32) -> bool {
     let st = States { k };
+    let es = pop.edges();
+    if es.active_count() + 1 < pop.n() {
+        return false;
+    }
     let mut leaders = 0usize;
-    let mut deficient: Vec<usize> = Vec::new();
-    for (u, s) in pop.states().iter().enumerate() {
-        let d = st.degree_of(*s);
-        if st.is_leader(*s) {
+    let mut deficient = 0usize;
+    for &s in pop.states() {
+        let d = st.degree_of(s);
+        if st.is_leader(s) {
             leaders += 1;
             if d == k + 1 {
                 return false; // over-saturated leader mid-rewire
@@ -186,20 +195,15 @@ pub fn is_stable(pop: &Population<StateId>, k: u32) -> bool {
             return false; // q0 present
         }
         if d < k {
-            deficient.push(u);
+            deficient += 1;
         }
     }
-    if leaders != 1 {
-        return false;
-    }
-    for (a, &u) in deficient.iter().enumerate() {
-        for &v in &deficient[a + 1..] {
-            if !pop.edges().is_active(u, v) {
-                return false;
-            }
-        }
-    }
-    is_connected(pop.edges())
+    let is_deficient = |u: usize| st.degree_of(*pop.state(u)) < k;
+    leaders == 1
+        && (0..pop.n()).filter(|&u| is_deficient(u)).all(|u| {
+            es.neighbors(u).filter(|&v| is_deficient(v)).count() + 1 == deficient
+        })
+        && is_connected(es)
 }
 
 #[cfg(test)]
