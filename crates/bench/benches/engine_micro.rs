@@ -2,15 +2,18 @@
 //! naive interaction throughput (interpreted vs compiled rule tables,
 //! uniform vs shuffled-rounds scheduling), event-driven candidate
 //! throughput, predicate-check cost (including the dense shape oracles
-//! over recorded trajectories), a full run on each engine, and the round
-//! engines' skip sampler on both of its paths.
+//! over recorded trajectories), a full run on each engine, edge cover on
+//! the event engine (no interaction changes a state), the dense engines'
+//! construction, and the round engines' skip sampler on both of its
+//! paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netcon_core::{
-    hypergeometric_skip, unit_open01, EventSim, ExactEngine, Population, RuleProtocol,
+    hypergeometric_skip, unit_open01, EventSim, ExactEngine, Population, RoundSim, RuleProtocol,
     ShuffledRounds, Simulation, StateId,
 };
 use netcon_graph::properties::is_spanning_star;
+use netcon_processes::Process;
 use netcon_protocols::{c_cliques, cycle_cover, global_star, simple_global_line};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -110,6 +113,32 @@ fn engine_throughput(c: &mut Criterion) {
         });
     });
 
+    // Every effective step of edge cover only switches a link on, so the
+    // candidate index's maintenance is one pair-set update per step.
+    group.bench_function("event_edge_cover_n200", |b| {
+        let p = Process::EdgeCover;
+        b.iter(|| {
+            let mut sim = EventSim::new(p.protocol().compile(), 200, 7);
+            black_box(sim.run_until_edges(|q| p.is_done(q), u64::MAX))
+        });
+    });
+
+    group.finish();
+}
+
+/// Building a dense engine: the initial effective-pair set (and, for the
+/// round engine, its first round's candidate set) at sizes where it is
+/// most of a `uniform` or `rounds` trial.
+fn construction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("construction");
+    group.bench_function("event_new_cycle_cover_n128", |b| {
+        let table = cycle_cover::protocol().compile();
+        b.iter(|| black_box(EventSim::new(table.clone(), 128, 1)));
+    });
+    group.bench_function("round_new_sgl_n64", |b| {
+        let table = simple_global_line::protocol().compile();
+        b.iter(|| black_box(RoundSim::new(table.clone(), 64, 1)));
+    });
     group.finish();
 }
 
@@ -150,5 +179,5 @@ fn skip_sampler(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engine_throughput, skip_sampler);
+criterion_group!(benches, engine_throughput, construction, skip_sampler);
 criterion_main!(benches);

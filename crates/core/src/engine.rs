@@ -5,9 +5,10 @@
 //! effective interactions, edge events, and the steps of the last output
 //! change / last effective interaction — so their loops share one
 //! [`Bookkeeping`] value and one way of turning it into a
-//! [`RunOutcome`](crate::RunOutcome). Likewise, the O(n)-per-interaction
+//! [`RunOutcome`](crate::RunOutcome). Likewise, the incremental
 //! maintenance of "which pairs currently have an applicable transition"
-//! is one algorithm ([`EffectIndex`]), reused by the samplers of
+//! — a row rescan per endpoint whose state changed, else one pair — is
+//! one algorithm ([`EffectIndex`]), reused by the samplers of
 //! [`EventSim`](crate::EventSim) and [`RoundSim`](crate::RoundSim).
 
 use crate::compiled::{EffectTable, EnumerableMachine};
@@ -515,9 +516,8 @@ impl Bookkeeping {
 ///
 /// The members live in a dense vector (swap-remove keeps it compact); the
 /// position map is a full `n × n` matrix — twice the memory of a
-/// triangular map (`4n²` bytes), but the event engine's per-interaction
-/// rescan then reads one *contiguous* row per touched node, which is
-/// what the O(n)-maintenance hot loop is bound on.
+/// triangular map (`4n²` bytes), but a row rescan then reads one
+/// *contiguous* row of the touched node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairSet {
     n: usize,
@@ -551,6 +551,43 @@ impl PairSet {
             pos: vec![0; n * n],
             rows: vec![0; n * row_words],
         }
+    }
+
+    /// Builds the set over `n` nodes from each node's desired membership
+    /// row, which `fill(u, row)` writes. The rows must describe a
+    /// symmetric relation (bit `v` of row `u` ⇔ bit `u` of row `v`), as
+    /// they do for a machine whose `can_affect` is symmetric. The member
+    /// vector is reserved to its exact size up front and filled in
+    /// `(u, v)` lexicographic order — the order ascending
+    /// [`set`](Self::set) calls over every `u < v` would produce, in
+    /// O(n²/64 + members) instead of O(n²).
+    pub(crate) fn from_rows(n: usize, mut fill: impl FnMut(usize, &mut [u64])) -> Self {
+        let mut s = Self::new(n);
+        let wpr = s.row_words;
+        for u in 0..n {
+            fill(u, &mut s.rows[u * wpr..(u + 1) * wpr]);
+        }
+        let total: u32 = s.rows.iter().map(|w| w.count_ones()).sum();
+        s.members.reserve_exact(total as usize / 2);
+        for u in 0..n {
+            for k in u / 64..wpr {
+                let mut bits = s.rows[u * wpr + k];
+                if k == u / 64 {
+                    bits &= (!0u64 << (u % 64)) << 1;
+                }
+                while bits != 0 {
+                    let v = k * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    debug_assert!(s.rows[v * wpr + u / 64] >> (u % 64) & 1 == 1, "asymmetric rows");
+                    s.members.push((u as u32) << 16 | v as u32);
+                    let at = s.members.len() as u32;
+                    s.pos[u * n + v] = at;
+                    s.pos[v * n + u] = at;
+                }
+            }
+        }
+        debug_assert_eq!(2 * s.members.len(), total as usize, "asymmetric rows");
+        s
     }
 
     /// The membership bitset row of node `u` (bit `v` ⇔ `{u, v}` is a
@@ -695,8 +732,10 @@ pub(crate) struct EffectIndex {
 }
 
 impl EffectIndex {
-    /// Builds the index and the initial possibly-effective pair set with a
-    /// full O(n²) scan of `pop`.
+    /// Builds the index and the initial possibly-effective pair set from
+    /// one desired-membership row per node — the rows
+    /// [`rescan`](Self::rescan) diffs against, so
+    /// `O(n²·|Q|/64 + |E| + members)` for machines with ≤ 32 states.
     pub fn build<M: EnumerableMachine>(
         machine: &M,
         pop: &Population<M::State>,
@@ -711,26 +750,16 @@ impl EffectIndex {
         for (u, &s) in idx.iter().enumerate() {
             state_nodes[s as usize * row_words + u / 64] |= 1u64 << (u % 64);
         }
-        let mut pairs = PairSet::new(n);
-        for u in 0..n {
-            for (v, active) in pop.edges().row(u) {
-                if v > u && table.can_affect(idx[u] as usize, idx[v] as usize, Link::from(active))
-                {
-                    pairs.set(u, v, true);
-                }
-            }
-        }
-        (
-            Self {
-                table,
-                idx,
-                state_nodes,
-                absent: vec![0u64; row_words],
-                scratch: vec![0u64; row_words],
-                row_words,
-            },
-            pairs,
-        )
+        let index = Self {
+            table,
+            idx,
+            state_nodes,
+            absent: vec![0u64; row_words],
+            scratch: vec![0u64; row_words],
+            row_words,
+        };
+        let pairs = PairSet::from_rows(n, |u, row| index.desired_row(pop, u, row));
+        (index, pairs)
     }
 
     /// Marks node `x` absent (a ghost): it leaves its per-state node
@@ -800,8 +829,19 @@ impl EffectIndex {
     }
 
     /// Updates the index after an effective interaction between `u` and
-    /// `v`: re-derives both state indices and rescans the two incident
-    /// pair rows (O(n), word-parallel for small machines).
+    /// `v`: re-derives both state indices and rescans the pair row of
+    /// each endpoint whose state index changed.
+    ///
+    /// Only the link of `{u, v}` and the two endpoints' states can have
+    /// changed, so a pair `{u, w}` with `w ≠ v` changes membership only if
+    /// `u`'s state did. When it did not, the one pair `{u, v}` is
+    /// reclassified in place of `u`'s rescan — exactly the set operation
+    /// that rescan would have made, in the same order before `v`'s row,
+    /// so the member order (which the samplers index by position) is
+    /// that of rescanning both rows. A link-only step, the bulk of
+    /// Global-Star's, costs one [`PairSet::set`]. Relies on `can_affect`
+    /// being symmetric in its node arguments, which both dense engines
+    /// assert at construction.
     pub fn on_interaction<M: EnumerableMachine>(
         &mut self,
         machine: &M,
@@ -810,14 +850,28 @@ impl EffectIndex {
         u: usize,
         v: usize,
     ) {
-        self.reindex(machine, pop, u);
-        self.reindex(machine, pop, v);
-        self.rescan(pop, pairs, u);
-        self.rescan(pop, pairs, v);
+        let u_changed = self.reindex(machine, pop, u);
+        let v_changed = self.reindex(machine, pop, v);
+        if u_changed {
+            self.rescan(pop, pairs, u);
+        } else {
+            let link = Link::from(pop.edges().is_active(u, v));
+            let eff = self.table.can_affect(self.state_index(u), self.state_index(v), link);
+            pairs.set(u, v, eff);
+        }
+        if v_changed {
+            self.rescan(pop, pairs, v);
+        }
     }
 
-    /// Re-derives `idx[u]` and keeps the per-state node bitsets in sync.
-    fn reindex<M: EnumerableMachine>(&mut self, machine: &M, pop: &Population<M::State>, u: usize) {
+    /// Re-derives `idx[u]` and keeps the per-state node bitsets in sync;
+    /// returns whether the index changed.
+    fn reindex<M: EnumerableMachine>(
+        &mut self,
+        machine: &M,
+        pop: &Population<M::State>,
+        u: usize,
+    ) -> bool {
         let new = u16::try_from(machine.state_index(pop.state(u))).expect("≤ 65536 states");
         let old = self.idx[u];
         if old != new {
@@ -826,57 +880,61 @@ impl EffectIndex {
             self.state_nodes[new as usize * self.row_words + word] |= bit;
             self.idx[u] = new;
         }
+        old != new
     }
 
-    /// Recomputes the membership of every pair incident to `u`.
-    ///
-    /// This is the engine's hot loop (O(n) per effective interaction),
-    /// and for machines with ≤ 32 states it is *word-parallel*: the
-    /// desired membership row is the OR of the node bitsets of the states
-    /// `u`'s state is effective against (edge-blind), patched for the
-    /// O(degree) active neighbours, then XOR-diffed against the current
-    /// membership row so only genuinely changed pairs touch the set —
-    /// `O(n·|Q|/64 + degree + changes)` rather than `O(n)` element
-    /// operations.
+    /// Recomputes the membership of every pair incident to `u`: only the
+    /// XOR diff of its desired row against its current row touches the
+    /// set (`O(n·|Q|/64 + degree + changes)` for machines with ≤ 32
+    /// states).
     fn rescan<S: Clone>(&mut self, pop: &Population<S>, pairs: &mut PairSet, u: usize) {
+        let mut desired = std::mem::take(&mut self.scratch);
+        self.desired_row(pop, u, &mut desired);
+        apply_desired_row(pairs, u, &desired);
+        self.scratch = desired;
+    }
+
+    /// Writes into `out` the membership row node `u` should have: bit `w`
+    /// set ⇔ `{u, w}` can be effective and `w` is present.
+    ///
+    /// For machines with ≤ 32 states it is *word-parallel*: the OR of the
+    /// node bitsets of the states `u`'s state is effective against
+    /// (edge-blind — absent nodes are in none of them), patched for the
+    /// O(degree) active neighbours with the edge-on relation. Larger
+    /// machines take one `can_affect` lookup per node.
+    fn desired_row<S: Clone>(&self, pop: &Population<S>, u: usize, out: &mut [u64]) {
         let iu = self.idx[u] as usize;
+        out.fill(0);
         if let Some(row_mask) = self.table.affect_row(iu) {
             let wpr = self.row_words;
-            // Desired membership, assuming every incident edge is off.
-            self.scratch.fill(0);
             for s in 0..self.table.size() {
                 if row_mask >> (s << 1) & 1 == 1 {
                     let row = &self.state_nodes[s * wpr..(s + 1) * wpr];
-                    for (d, &w) in self.scratch.iter_mut().zip(row) {
+                    for (d, &w) in out.iter_mut().zip(row) {
                         *d |= w;
                     }
                 }
             }
-            // Patch the active neighbours with the edge-on relation, and
-            // drop the self-pair.
             for w in pop.edges().neighbors(u) {
                 let on = row_mask >> ((usize::from(self.idx[w]) << 1) | 1) & 1 == 1;
                 if on {
-                    self.scratch[w / 64] |= 1u64 << (w % 64);
+                    out[w / 64] |= 1u64 << (w % 64);
                 } else {
-                    self.scratch[w / 64] &= !(1u64 << (w % 64));
+                    out[w / 64] &= !(1u64 << (w % 64));
                 }
             }
-            self.scratch[u / 64] &= !(1u64 << (u % 64));
-            // Apply exactly the diff.
-            apply_desired_row(pairs, u, &self.scratch);
         } else {
             for (w, active) in pop.edges().row(u) {
-                pairs.set(
-                    u,
-                    w,
-                    self.absent[w / 64] >> (w % 64) & 1 == 0
-                        && self
-                            .table
-                            .can_affect(iu, self.idx[w] as usize, Link::from(active)),
-                );
+                if !self.is_absent(w)
+                    && self
+                        .table
+                        .can_affect(iu, self.idx[w] as usize, Link::from(active))
+                {
+                    out[w / 64] |= 1u64 << (w % 64);
+                }
             }
         }
+        out[u / 64] &= !(1u64 << (u % 64));
     }
 }
 

@@ -10,8 +10,10 @@
 //! 1. It maintains the set `E` of **possibly-effective** pairs — pairs
 //!    `{u, v}` with `can_affect(state(u), state(v), link(u, v))` —
 //!    incrementally: only the ≤ `2(n−1)` pairs incident to an applied
-//!    interaction can change membership, so each applied interaction costs
-//!    O(n) ([`PairSet`] + [`EffectTable`](crate::EffectTable)).
+//!    interaction can change membership, and only `{u, v}` itself unless
+//!    an endpoint's state changed — so an applied interaction costs one
+//!    pair update plus a word-parallel O(n·|Q|/64) row rescan per endpoint
+//!    whose state changed ([`PairSet`] + [`EffectTable`](crate::EffectTable)).
 //! 2. With `k = |E|` and `m = n(n−1)/2`, the number of consecutive draws
 //!    that miss `E` is geometric with success probability `p = k/m`
 //!    (states are frozen during misses, so draws are i.i.d.). `EventSim`
@@ -129,7 +131,7 @@ impl<M: EnumerableMachine> EventSim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` or the machine has more than 65536 states.
+    /// As [`from_population`](Self::from_population).
     ///
     /// # Example
     ///
@@ -151,12 +153,17 @@ impl<M: EnumerableMachine> EventSim<M> {
     }
 
     /// Creates an event-driven simulation from an explicit configuration
-    /// (one O(n²) effectiveness scan).
+    /// (one word-parallel effectiveness pass, `O(n²·|Q|/64)` for machines
+    /// with ≤ 32 states).
     ///
     /// # Panics
     ///
-    /// Panics if the population has fewer than 2 nodes or the machine has
-    /// more than 65536 states.
+    /// Panics if the population has fewer than 2 nodes, the machine has
+    /// more than 65536 states, or the machine's `can_affect` is not
+    /// symmetric in its node arguments (a [`Machine`](crate::Machine)
+    /// contract violation; the candidate index keeps one membership bit
+    /// per unordered pair and skips the rescan of an endpoint whose state
+    /// did not change).
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
         assert!(pop.n() >= 2, "pairwise interactions need at least 2 processes");
@@ -165,6 +172,10 @@ impl<M: EnumerableMachine> EventSim<M> {
             "EventSim's dense index is u16: more than 65536 states"
         );
         let table = machine.effect_table();
+        assert!(
+            table.is_symmetric(),
+            "EventSim requires can_affect to be symmetric in its node arguments"
+        );
         let (index, pairs) = EffectIndex::build(&machine, &pop, table);
         Self {
             machine,
@@ -189,7 +200,8 @@ impl<M: EnumerableMachine> EventSim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` or the machine has more than 65536 states.
+    /// Panics if `n < 2`, the machine has more than 65536 states, or its
+    /// `can_affect` is not symmetric (see [`from_population`](Self::from_population)).
     #[must_use]
     pub fn new_faulted(machine: M, n: usize, seed: u64, plan: FaultPlan) -> Self {
         assert!(n >= 2, "pairwise interactions need at least 2 processes");
@@ -218,6 +230,13 @@ impl<M: EnumerableMachine> EventSim<M> {
     #[must_use]
     pub fn effective_pairs(&self) -> usize {
         self.pairs.len()
+    }
+
+    /// The incrementally maintained possibly-effective pair set — what
+    /// the candidate draw samples from.
+    #[must_use]
+    pub fn effective_set(&self) -> &PairSet {
+        &self.pairs
     }
 
     /// Bytes of heap memory held by the engine: the pair set (its Θ(n²)

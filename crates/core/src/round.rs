@@ -7,8 +7,10 @@
 //! rather than draws. The naive [`Simulation`](crate::Simulation)
 //! realizes each round draw by draw (Θ(n²) per round, almost all of it
 //! ineffective); [`RoundSim`] reproduces the same distribution while
-//! paying only for the effective interactions plus O(n) maintenance each,
-//! like [`EventSim`](crate::EventSim) does for the uniform scheduler.
+//! paying only for the effective interactions plus their candidate
+//! maintenance (O(n/64) row diffs, and an O(n·|Q|/64) rescan per endpoint
+//! whose state changed), like [`EventSim`](crate::EventSim) does for the
+//! uniform scheduler.
 //!
 //! # Exactness
 //!
@@ -33,9 +35,9 @@
 //!    pairs are partitioned into the candidate set `A` (exact
 //!    [`PairSet`]), the *resolved* ineffective set `B` (pairs whose
 //!    effectiveness changed at some point this round — only pairs
-//!    incident to an applied interaction, O(n) per effective step), and
-//!    an anonymous pool `U` of never-touched ineffective pairs tracked
-//!    only by counts (`u_count` members, `u_rem` unscheduled). A skip
+//!    incident to an applied interaction, at most 2(n−1) per effective
+//!    step), and an anonymous pool `U` of never-touched ineffective pairs
+//!    tracked only by counts (`u_count` members, `u_rem` unscheduled). A skip
 //!    batch of `t` draws splits between `B` and `U` by the
 //!    hypergeometric count law
 //!    ([`hypergeometric_count`]); the `B`
@@ -62,9 +64,10 @@
 //!
 //! The effective set itself is maintained by the same
 //! `Bookkeeping`/`EffectIndex` machinery as `EventSim` (word-parallel
-//! desired-row rescans); reclassification rides the XOR diff of the two
-//! touched [`PairSet`] rows. Pairs are presented to `interact` as
-//! `(min, max)` — the order the naive scheduler uses — which is why the
+//! desired-row rescans of the endpoints whose state changed);
+//! reclassification rides the XOR diff of the two touched [`PairSet`]
+//! rows. Pairs are presented to `interact` as `(min, max)` — the order
+//! the naive scheduler uses — which is why the
 //! engine, like [`BucketSim`](crate::BucketSim), requires `can_affect`
 //! to be symmetric in its node arguments.
 //!
@@ -235,7 +238,9 @@ impl<M: EnumerableMachine> RoundSim<M> {
     }
 
     /// Creates an event-driven ShuffledRounds simulation from an explicit
-    /// configuration (one O(n²) effectiveness scan).
+    /// configuration (one word-parallel effectiveness pass,
+    /// `O(n²·|Q|/64)` for machines with ≤ 32 states; the first round's
+    /// candidate set is a copy of the effective set).
     ///
     /// # Panics
     ///
@@ -256,25 +261,26 @@ impl<M: EnumerableMachine> RoundSim<M> {
         let (index, pairs) = EffectIndex::build(&machine, &pop, table);
         let m = (n as u64) * (n as u64 - 1) / 2;
         let row_words = n.div_ceil(64);
-        let mut sim = Self {
+        // Round one starts with every pair unscheduled: the candidates are
+        // the effective set itself, and the anonymous pool its complement.
+        let u_count = m - pairs.len() as u64;
+        Self {
             machine,
             pop,
             rng: SmallRng::seed_from_u64(seed),
             book: Bookkeeping::default(),
+            cand: pairs.clone(),
             pairs,
             index,
-            cand: PairSet::new(n),
             ineff_rem: PairSet::new(n),
             sched: SchedSet::new(n),
-            u_count: 0,
-            u_rem: 0,
+            u_count,
+            u_rem: u_count,
             m,
             old_row_u: vec![0; row_words],
             old_row_v: vec![0; row_words],
             faults: None,
-        };
-        sim.reset_round();
-        sim
+        }
     }
 
     /// Creates a faulted ShuffledRounds simulation: `n` live nodes plus
@@ -348,6 +354,13 @@ impl<M: EnumerableMachine> RoundSim<M> {
     #[must_use]
     pub fn effective_pairs(&self) -> usize {
         self.pairs.len()
+    }
+
+    /// The incrementally maintained effective pair set (scheduled or
+    /// not) — what each round's candidate set starts from.
+    #[must_use]
+    pub fn effective_set(&self) -> &PairSet {
+        &self.pairs
     }
 
     /// The number of effective pairs not yet scheduled this round — the

@@ -2,21 +2,33 @@
 //! the interpreted rule table — on every `(a, b, link)` triple, for every
 //! coin outcome, including the exact randomness consumption — and the
 //! event-driven engine built on it reproduces the naive engine's
-//! supporting invariants.
+//! supporting invariants. The dense engines' incrementally maintained
+//! pair sets equal the brute-force effective set after every step.
+
+use std::ops::Range;
 
 use netcon_core::{
-    EnumerableMachine, EventSim, EventStep, Link, Machine, ProtocolBuilder, RuleProtocol,
-    Simulation, StateId,
+    EnumerableMachine, EventSim, EventStep, Link, Machine, PairSet, Population, ProtocolBuilder,
+    RoundSim, RuleProtocol, Simulation, StateId,
 };
+use netcon_processes::Process;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 /// A random well-formed protocol over ≤ 6 states mixing deterministic and
 /// weighted randomized rules (distinct unordered triples only).
 fn arb_protocol() -> impl Strategy<Value = RuleProtocol> {
-    (2u16..7, any::<u64>(), 1usize..12).prop_map(|(size, seed, rules)| {
-        use rand::RngExt;
+    arb_protocol_with(2..7, 1..12)
+}
+
+/// [`arb_protocol`] with the state count and the number of rule draws
+/// taken from the given ranges.
+fn arb_protocol_with(
+    states: Range<u16>,
+    rules: Range<usize>,
+) -> impl Strategy<Value = RuleProtocol> {
+    (states, any::<u64>(), rules).prop_map(|(size, seed, rules)| {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut b = ProtocolBuilder::new("random");
         let states: Vec<StateId> = (0..size).map(|i| b.state(format!("s{i}"))).collect();
@@ -49,8 +61,99 @@ fn arb_protocol() -> impl Strategy<Value = RuleProtocol> {
     })
 }
 
+/// A configuration of `p` on `n` nodes with uniformly random states and
+/// each edge active with probability 1/3.
+fn random_population(p: &RuleProtocol, n: usize, seed: u64) -> Population<StateId> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut pop = Population::new(n, p.initial_state());
+    for u in 0..n {
+        pop.set_state(u, StateId::new(rng.random_range(0..p.size()) as u16));
+        for v in u + 1..n {
+            if rng.random_range(0..3u32) == 0 {
+                pop.edges_mut().set(u, v, true);
+            }
+        }
+    }
+    pop
+}
+
+/// Checks that `set` holds exactly the pairs whose states and link admit
+/// a transition of the interpreted table `p`, over all `n(n−1)/2` pairs.
+fn check_effective_set(
+    p: &RuleProtocol,
+    pop: &Population<StateId>,
+    set: &PairSet,
+) -> Result<(), TestCaseError> {
+    let mut expected = 0;
+    for u in 0..pop.n() {
+        for v in u + 1..pop.n() {
+            let link = Link::from(pop.edges().is_active(u, v));
+            let eff = p.can_affect(pop.state(u), pop.state(v), link);
+            prop_assert_eq!(set.contains(u, v), eff, "pair ({}, {})", u, v);
+            expected += usize::from(eff);
+        }
+    }
+    prop_assert_eq!(set.len(), expected);
+    Ok(())
+}
+
+/// Runs `EventSim` and `RoundSim` of `p` from `pop` for up to
+/// `candidates` candidate interactions each, checking both engines' pair
+/// sets against the brute-force effective set after construction and
+/// after every `advance` (and the round engine's pool accounting too).
+fn check_dense_engines(
+    p: &RuleProtocol,
+    pop: &Population<StateId>,
+    seed: u64,
+    candidates: usize,
+) -> Result<(), TestCaseError> {
+    let mut event = EventSim::from_population(p.compile(), pop.clone(), seed);
+    check_effective_set(p, event.population(), event.effective_set())?;
+    for _ in 0..candidates {
+        if event.advance(u64::MAX) == EventStep::Quiescent {
+            break;
+        }
+        check_effective_set(p, event.population(), event.effective_set())?;
+    }
+    let mut round = RoundSim::from_population(p.compile(), pop.clone(), seed);
+    check_effective_set(p, round.population(), round.effective_set())?;
+    for _ in 0..candidates {
+        if round.advance(u64::MAX) == EventStep::Quiescent {
+            break;
+        }
+        check_effective_set(p, round.population(), round.effective_set())?;
+        prop_assert!(round.pool_invariant_holds());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dense engines' pair sets equal the brute-force effective set
+    /// after every step, on random rule tables from random configurations
+    /// with active edges: small tables (the word-parallel index) and
+    /// tables past 32 states (its per-pair arm).
+    #[test]
+    fn dense_pair_sets_match_brute_force_every_step(
+        p in arb_protocol(),
+        wide in arb_protocol_with(33..41, 100..300),
+        n in 2usize..14,
+        seed in any::<u64>(),
+    ) {
+        for p in [&p, &wide] {
+            check_dense_engines(p, &random_population(p, n, seed), seed, 60)?;
+        }
+    }
+
+    /// The same per-step check on the seven Table 1 processes from their
+    /// initial configurations.
+    #[test]
+    fn dense_pair_sets_match_brute_force_on_table1(n in 2usize..14, seed in any::<u64>()) {
+        for process in Process::all() {
+            check_dense_engines(&process.protocol(), &process.initial_population(n), seed, 60)?;
+        }
+    }
 
     /// Compiled δ equals interpreted δ on the full domain, coin for coin:
     /// identically-seeded generators must produce identical outcomes AND
