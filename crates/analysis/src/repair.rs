@@ -48,37 +48,6 @@ impl Default for FaultSeverity {
 }
 
 impl FaultSeverity {
-    /// Parses the compact `"crashes,arrivals,edge_deletions"` form used
-    /// by the bench harness's severity knob (e.g. `"2,1,3"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field (or the arity
-    /// problem) and the expected format — surfaced verbatim when a bad
-    /// `NETCON_FAULT_SEVERITY` value reaches the bench harness.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        const FORMAT: &str = "expected \"crashes,arrivals,edge_deletions\" (e.g. \"2,1,3\")";
-        const FIELDS: [&str; 3] = ["crashes", "arrivals", "edge_deletions"];
-        let parts: Vec<&str> = s.split(',').collect();
-        if parts.len() != 3 {
-            return Err(format!(
-                "got {} comma-separated field(s) in {s:?}; {FORMAT}",
-                parts.len()
-            ));
-        }
-        let mut values = [0u32; 3];
-        for ((raw, name), out) in parts.iter().zip(FIELDS).zip(&mut values) {
-            *out = raw.trim().parse::<u32>().map_err(|e| {
-                format!("bad {name} field {:?} in {s:?} ({e}); {FORMAT}", raw.trim())
-            })?;
-        }
-        Ok(Self {
-            crashes: values[0],
-            arrivals: values[1],
-            edge_deletions: values[2],
-        })
-    }
-
     /// The [`FaultPlan`] realizing this severity, reproducible from
     /// `seed`. Events are scheduled at `u64::MAX` — repair measurements
     /// apply them manually with
@@ -206,35 +175,6 @@ mod tests {
         (0..v.n())
             .filter(|&u| fs.is_alive(u) && v.state_index(u) == 0)
             .count()
-    }
-
-    #[test]
-    fn severity_parses_and_plans() {
-        let s = FaultSeverity::parse("2,1,3").expect("valid");
-        assert_eq!(
-            s,
-            FaultSeverity {
-                crashes: 2,
-                arrivals: 1,
-                edge_deletions: 3
-            }
-        );
-        assert_eq!(s.plan(7).arrival_count(), 1);
-        assert!(FaultSeverity::parse(" 0 , 4 , 2 ").is_ok(), "whitespace ok");
-    }
-
-    #[test]
-    fn severity_parse_errors_name_the_field() {
-        let e = FaultSeverity::parse("2,1").unwrap_err();
-        assert!(e.contains("2 comma-separated field(s)"), "{e}");
-        assert!(e.contains("crashes,arrivals,edge_deletions"), "{e}");
-        let e = FaultSeverity::parse("2,1,x").unwrap_err();
-        assert!(e.contains("edge_deletions"), "{e}");
-        assert!(e.contains("\"x\""), "{e}");
-        let e = FaultSeverity::parse("2,-1,3").unwrap_err();
-        assert!(e.contains("arrivals"), "{e}");
-        let e = FaultSeverity::parse("2,1,3,4").unwrap_err();
-        assert!(e.contains("4 comma-separated field(s)"), "{e}");
     }
 
     #[test]

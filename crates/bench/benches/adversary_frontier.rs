@@ -22,42 +22,13 @@
 //! monotone non-increasing (up to trial noise), FT-star at least as
 //! available as Global-Star at every rung, and a detected knee on each.
 //!
-//! `NETCON_ADVERSARY_HORIZON` sets the draws per measurement (default
-//! `40_000`); `NETCON_ADVERSARY_TRIALS` overrides the trials per rung
-//! (default rides `NETCON_BENCH_SCALE` like every other target).
+//! The ladders run at n = 16 over 40k-draw measurements with a
+//! `min_alive` floor of 8. They live in [`netcon_bench::frontier`],
+//! shared with `perf_smoke`'s record; trials per rung ride
+//! `NETCON_BENCH_SCALE` like every other target.
 
-use netcon_analysis::knee::{
-    detect_knee, monotone_nonincreasing, periodic_adversary_plan, sweep_availability_vs_rate,
-    RatePoint,
-};
-use netcon_bench::harness::scale;
-use netcon_core::AdversaryPolicy;
-use netcon_protocols::{ft_star, global_star};
-
-/// The strike-rate ladder: expected adversary decisions per draw, from
-/// one strike per 40k draws to one per 1250. (Higher rates only shift
-/// *when* the floor-capped strike budget is spent, not how much damage
-/// lands, so the curves flatten — the ladder stops at the knee's far
-/// side instead of measuring that plateau.)
-const RATES: [f64; 6] = [2.5e-5, 5e-5, 1e-4, 2e-4, 4e-4, 8e-4];
-
-/// Trials per rung: `NETCON_ADVERSARY_TRIALS`, else bench-scaled.
-fn trials_from_env() -> usize {
-    std::env::var("NETCON_ADVERSARY_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(12).max(3))
-}
-
-/// Draws per measurement: `NETCON_ADVERSARY_HORIZON`, default 40k.
-fn horizon_from_env() -> u64 {
-    match std::env::var("NETCON_ADVERSARY_HORIZON") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_ADVERSARY_HORIZON {s:?}: {e}")),
-        Err(_) => 40_000,
-    }
-}
+use netcon_analysis::knee::{detect_knee, monotone_nonincreasing, RatePoint};
+use netcon_bench::frontier::{adversary_frontier, rung_trials, STRIKE_RATES};
 
 fn report(name: &str, points: &[RatePoint]) {
     println!("{name}:");
@@ -83,39 +54,8 @@ fn report(name: &str, points: &[RatePoint]) {
 
 fn main() {
     println!("=== Adversary frontier: availability vs targeted strike rate ===\n");
-    let trials = trials_from_env();
-    let horizon = horizon_from_env();
-    let n = 16;
-    // Repair budget after the stream: generous for FT-star (re-elects in
-    // Θ(n² log n)), finite so frozen Global-Star remnants report
-    // `repair: None` instead of running forever.
-    let max_steps = 400_000;
-    let plan = |rate: f64, seed: u64, _n: usize| {
-        periodic_adversary_plan(rate, seed, horizon, &[AdversaryPolicy::CrashMaxDegree], 8)
-    };
-
-    let ft = sweep_availability_vs_rate(
-        &ft_star::protocol(),
-        n,
-        &RATES,
-        trials,
-        131,
-        plan,
-        ft_star::is_stable_faulted,
-        max_steps,
-    );
+    let (ft, plain) = adversary_frontier(rung_trials());
     report("ft-global-star", &ft);
-
-    let plain = sweep_availability_vs_rate(
-        &global_star::protocol(),
-        n,
-        &RATES,
-        trials,
-        137,
-        plan,
-        global_star::is_stable_faulted,
-        max_steps,
-    );
     report("global-star", &plain);
 
     // Degradation guardrails: more adversary must never mean more
@@ -140,7 +80,7 @@ fn main() {
     }
     let knee = detect_knee(&ft).expect("6-rung ladder has a knee");
     assert!(
-        knee.rate >= RATES[0] && knee.rate <= RATES[RATES.len() - 1],
+        knee.rate >= STRIKE_RATES[0] && knee.rate <= STRIKE_RATES[STRIKE_RATES.len() - 1],
         "knee inside the ladder: {knee:?}"
     );
     println!("guardrails hold: monotone curves, FT-star dominates, knee detected");

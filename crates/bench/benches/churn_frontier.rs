@@ -15,38 +15,18 @@
 //!    full reconstruction; its lower availability at the same rates is
 //!    the measured price of the waste-based repair.
 //!
-//! `NETCON_CHURN_RATE` sets the symmetric per-draw arrival *and*
-//! departure rate (default `1e-4`); `NETCON_CHURN_TRIALS` overrides the
-//! trial count (default rides `NETCON_BENCH_SCALE` like every other
-//! target).
+//! Both run at a symmetric per-draw arrival *and* departure rate of
+//! `1e-4`. The sweeps live in [`netcon_bench::frontier`], shared with
+//! `perf_smoke`'s record; trial counts ride `NETCON_BENCH_SCALE` like
+//! every other target.
 
-use netcon_analysis::availability::sweep_availability;
-use netcon_analysis::sweep::{SweepConfig, SweepTable};
-use netcon_bench::harness::scale;
-use netcon_core::ChurnPlan;
-use netcon_protocols::{ft_line, ft_star};
+use netcon_analysis::sweep::SweepTable;
+use netcon_bench::frontier::{
+    churn_frontier, sweep_trials, CHURN_RATE, LINE_CHURN_HORIZON, STAR_CHURN_HORIZON,
+};
 
-/// The symmetric per-draw churn rate from `NETCON_CHURN_RATE`, default
-/// `1e-4` (one arrival *and* one departure expected every 10k draws).
-fn rate_from_env() -> f64 {
-    match std::env::var("NETCON_CHURN_RATE") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_CHURN_RATE {s:?}: {e}")),
-        Err(_) => 1e-4,
-    }
-}
-
-/// Trials per size: `NETCON_CHURN_TRIALS`, else bench-scaled.
-fn trials_from_env() -> usize {
-    std::env::var("NETCON_CHURN_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4))
-}
-
-fn report(name: &str, rate: f64, horizon: u64, table: &SweepTable) {
-    println!("{name} (rate {rate:e}/draw each way, horizon {horizon} draws):");
+fn report(name: &str, horizon: u64, table: &SweepTable) {
+    println!("{name} (rate {CHURN_RATE:e}/draw each way, horizon {horizon} draws):");
     for row in &table.rows {
         println!(
             "  n={:>4}: mean fraction available {:>6.3} (sd {:>6.3}, min {:>6.3}, {} trials)",
@@ -65,52 +45,9 @@ fn report(name: &str, rate: f64, horizon: u64, table: &SweepTable) {
 
 fn main() {
     println!("=== Churn frontier: availability under sustained Poisson churn ===\n");
-    let rate = rate_from_env();
-    let trials = trials_from_env();
-
-    // FT-star converges in Θ(n² log n) draws, so at these sizes the
-    // 60k-draw horizon holds many stable windows between events.
-    let star_horizon = 60_000u64;
-    let star_cfg = SweepConfig {
-        sizes: vec![16, 32],
-        trials,
-        base_seed: 83,
-    };
-    let star_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(8)
-        .horizon(star_horizon);
-    let star = sweep_availability(
-        &star_cfg,
-        &ft_star::protocol(),
-        star_churn,
-        ft_star::is_stable_faulted,
-        u64::MAX,
-    );
-    report("ft-global-star", rate, star_horizon, &star);
-
-    // The line pays Θ(n⁴)-ish reconstruction per restart wave, so it
-    // runs smaller and longer: the horizon still dwarfs a rebuild.
-    let line_horizon = 150_000u64;
-    let line_cfg = SweepConfig {
-        sizes: vec![10, 14],
-        trials,
-        base_seed: 89,
-    };
-    let line_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(5)
-        .horizon(line_horizon);
-    let line = sweep_availability(
-        &line_cfg,
-        &ft_line::protocol(),
-        line_churn,
-        ft_line::is_stable_faulted,
-        u64::MAX,
-    );
-    report("ft-spanning-line", rate, line_horizon, &line);
+    let (star, line) = churn_frontier(sweep_trials());
+    report("ft-global-star", STAR_CHURN_HORIZON, &star);
+    report("ft-spanning-line", LINE_CHURN_HORIZON, &line);
 
     // The star's notified re-election must beat the line's restart wave
     // at every common scale — that ordering is the section's physical

@@ -4,49 +4,22 @@
 //!
 //! Two workloads, chosen for opposite honesty:
 //!
-//! 1. *Maximum-Matching* under the mixed severity from
-//!    `NETCON_FAULT_SEVERITY` (`"crashes,arrivals,edge_deletions"`,
-//!    default `1,1,1`) — the matching process reconverges under **any**
-//!    mix of damage (widowed partners are terminal, fresh nodes pair
-//!    up), so it is the workload that can absorb whatever the knob says.
+//! 1. *Maximum-Matching* under a mixed `1,1,1` burst (one crash, one
+//!    arrival, one edge deletion) — the matching process reconverges
+//!    under **any** mix of damage (widowed partners are terminal, fresh
+//!    nodes pair up).
 //! 2. *Global-Star* under fixed spoke deletions (`0,0,2`) — the paper's
 //!    introduction protocol genuinely self-repairs this damage
 //!    (`(c, p, 0) → (c, p, 1)` re-fires per orphaned peripheral), giving
 //!    a positive repair-time curve with a physical meaning.
 //!
-//! `NETCON_FAULT_TRIALS` overrides the trial count (default rides
-//! `NETCON_BENCH_SCALE` like every other target).
+//! The sweeps live in [`netcon_bench::frontier`], shared with
+//! `perf_smoke`'s record; trial counts ride `NETCON_BENCH_SCALE` like
+//! every other target.
 
-use netcon_analysis::repair::{sweep_repair_time, FaultSeverity};
-use netcon_analysis::sweep::{SweepConfig, SweepTable};
-use netcon_bench::harness::scale;
-use netcon_core::{Link, ProtocolBuilder, RuleProtocol};
-use netcon_protocols::global_star;
-
-fn matching_protocol() -> RuleProtocol {
-    let mut b = ProtocolBuilder::new("matching");
-    let a = b.state("a");
-    let m = b.state("b");
-    b.rule((a, a, Link::Off), (m, m, Link::On));
-    b.build().expect("valid")
-}
-
-/// The burst severity from `NETCON_FAULT_SEVERITY`, default `1,1,1`.
-fn severity_from_env() -> FaultSeverity {
-    match std::env::var("NETCON_FAULT_SEVERITY") {
-        Ok(s) => FaultSeverity::parse(&s)
-            .unwrap_or_else(|e| panic!("invalid NETCON_FAULT_SEVERITY: {e}")),
-        Err(_) => FaultSeverity::default(),
-    }
-}
-
-/// Trials per size: `NETCON_FAULT_TRIALS`, else bench-scaled.
-fn trials_from_env() -> usize {
-    std::env::var("NETCON_FAULT_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4))
-}
+use netcon_analysis::repair::FaultSeverity;
+use netcon_analysis::sweep::SweepTable;
+use netcon_bench::frontier::{perturbation_frontier, sweep_trials, MATCHING_BURST, STAR_SPOKES};
 
 fn report(name: &str, severity: FaultSeverity, table: &SweepTable) {
     println!(
@@ -69,44 +42,9 @@ fn report(name: &str, severity: FaultSeverity, table: &SweepTable) {
 
 fn main() {
     println!("=== Perturbation frontier: repair-time sweeps over the fault layer ===\n");
-    let trials = trials_from_env();
-    let severity = severity_from_env();
-
-    // Odd sizes on purpose: a stabilized odd-n matching keeps exactly
-    // one unmatched survivor, so the default burst's single arrival has
-    // a partner to find and the repair column is non-degenerate.
-    let cfg = SweepConfig {
-        sizes: vec![25, 49],
-        trials,
-        base_seed: 41,
-    };
-    let matching = sweep_repair_time(
-        &cfg,
-        &matching_protocol(),
-        severity,
-        |v, fs| {
-            (0..v.n())
-                .filter(|&u| fs.is_alive(u) && v.state_index(u) == 0)
-                .count()
-                <= 1
-        },
-        1_000_000_000,
-    );
-    report("maximum-matching", severity, &matching);
-
-    let spokes = FaultSeverity {
-        crashes: 0,
-        arrivals: 0,
-        edge_deletions: 2,
-    };
-    let star = sweep_repair_time(
-        &cfg,
-        &global_star::protocol(),
-        spokes,
-        global_star::is_stable_faulted,
-        1_000_000_000,
-    );
-    report("global-star", spokes, &star);
+    let (matching, star) = perturbation_frontier(sweep_trials());
+    report("maximum-matching", MATCHING_BURST, &matching);
+    report("global-star", STAR_SPOKES, &star);
     // The star must actually repair: two deleted spokes re-fire at least
     // two attachment rules, so every trial's repair time is positive.
     for row in &star.rows {

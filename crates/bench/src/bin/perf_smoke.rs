@@ -20,11 +20,8 @@
 //! output path defaults to `BENCH_PR10.json` in the workspace root
 //! (`--out <path>` overrides). The `perturbation_frontier`,
 //! `churn_frontier`, and `adversary_frontier` sections are cheap and
-//! always regenerated live; `NETCON_FAULT_SEVERITY` /
-//! `NETCON_FAULT_TRIALS` shape the fault burst, `NETCON_CHURN_RATE` /
-//! `NETCON_CHURN_TRIALS` the churn stream, and
-//! `NETCON_ADVERSARY_TRIALS` / `NETCON_ADVERSARY_HORIZON` the targeted
-//! strike ladder.
+//! always regenerated live, from the same [`netcon_bench::frontier`]
+//! sweeps their bench targets print.
 //!
 //! `--check <baseline.json>` compares this run's per-bench wall-clock
 //! against the baseline's `benches` section and exits non-zero when any
@@ -38,8 +35,8 @@
 //! Expensive sections are regenerated only on request and carried
 //! forward otherwise: `scaling_frontier` (bucket engine at n ∈
 //! {20k, 50k, 100k}, ~15 min) under `NETCON_FRONTIER=1`,
-//! `round_frontier` (RoundSim ladder up to `NETCON_ROUND_FRONTIER_N`,
-//! default 1024) under `NETCON_ROUND_FRONTIER=1`, `mega_frontier`
+//! `round_frontier` (RoundSim ladder at n ∈ {256, 512, 1024}) under
+//! `NETCON_ROUND_FRONTIER=1`, `mega_frontier`
 //! (Simple-Global-Line at n = 10⁶ on the batched-endgame path, with
 //! its ≤ 60 s single-core acceptance gate) under
 //! `NETCON_MEGA_FRONTIER=1`, and `large_sample_agreement_n256` under
@@ -50,21 +47,20 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
-use netcon_analysis::availability::sweep_availability;
-use netcon_analysis::knee::{detect_knee, periodic_adversary_plan, sweep_availability_vs_rate};
-use netcon_analysis::repair::{sweep_repair_time, FaultSeverity};
-use netcon_analysis::sweep::SweepConfig;
+use netcon_analysis::knee::detect_knee;
+use netcon_bench::frontier::{
+    adversary_frontier, churn_frontier, perturbation_frontier, rung_trials, scaling_workloads,
+    sweep_trials, ADVERSARY_HORIZON, ADVERSARY_MIN_ALIVE, ADVERSARY_N, CHURN_RATE,
+    FRONTIER_SIZES, LINE_CHURN_HORIZON, MATCHING_BURST, STAR_CHURN_HORIZON, STAR_SPOKES,
+};
 use netcon_bench::harness::scale;
 use netcon_bench::speedup::{
     bucket_stats, compare_engines, compare_round_engines, Comparison,
 };
 use netcon_core::{
-    AdversaryPolicy, BucketSim, ChurnPlan, CompiledTable, EngineView, EventSim, ExactEngine,
-    Link, ProtocolBuilder, RoundSim, Simulation,
+    BucketSim, CompiledTable, EngineView, EventSim, ExactEngine, RoundSim, Simulation,
 };
-use netcon_protocols::{
-    cycle_cover, fast_global_line, ft_line, ft_star, global_star, simple_global_line,
-};
+use netcon_protocols::{cycle_cover, fast_global_line, simple_global_line};
 
 fn bench_targets(bench_dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(bench_dir)
@@ -303,28 +299,18 @@ fn round_engine_section(round_trials: usize, naive_trials: usize) -> (String, f6
     (s, c.speedup)
 }
 
-/// The round-frontier record: `RoundSim` alone at a doubling ladder of
-/// sizes up to `NETCON_ROUND_FRONTIER_N` (default 1024) — sizes whose
-/// naive round-player would take hours. Only under
+/// The round-frontier record: `RoundSim` alone at n ∈ {256, 512, 1024}
+/// — sizes whose naive round-player would take hours. Only under
 /// `NETCON_ROUND_FRONTIER=1`.
 fn round_frontier_section() -> String {
-    // The ladder always includes its n = 256 base rung, so smaller caps
-    // are clamped up — and the recorded note states the effective cap.
-    let cap: usize = std::env::var("NETCON_ROUND_FRONTIER_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
-        .max(256);
     let protocol = simple_global_line::protocol().compile();
     let mut s = String::from("  \"round_frontier\": {\n");
     let _ = writeln!(
         s,
-        "    \"note\": \"regenerate with NETCON_ROUND_FRONTIER=1 cargo run --release -p netcon-bench --bin perf_smoke (ladder cap NETCON_ROUND_FRONTIER_N={cap}); runs without that variable carry this section forward\","
+        "    \"note\": \"regenerate with NETCON_ROUND_FRONTIER=1 cargo run --release -p netcon-bench --bin perf_smoke; runs without that variable carry this section forward\","
     );
     let _ = writeln!(s, "    \"simple_global_line\": [");
-    let sizes: Vec<usize> = std::iter::successors(Some(256usize), |&n| Some(n * 2))
-        .take_while(|&n| n <= cap)
-        .collect();
+    let sizes = [256usize, 512, 1024];
     for (i, &n) in sizes.iter().enumerate() {
         println!("==> round frontier: simple_global_line n = {n} (RoundSim)");
         let m = (n as u64) * (n as u64 - 1) / 2;
@@ -348,73 +334,22 @@ fn round_frontier_section() -> String {
     s
 }
 
-/// The fault-layer repair-time record: [`sweep_repair_time`] on the two
-/// canonical self-repair workloads (matching under the
-/// `NETCON_FAULT_SEVERITY` mixed burst, Global-Star under fixed spoke
-/// deletions — the same pair the `perturbation_frontier` bench target
-/// prints). Cheap at these sizes, so it regenerates live on every run,
-/// including CI's scale-1 smoke: the fault layer has no carried-forward
-/// blind spot. `NETCON_FAULT_TRIALS` overrides the trial count.
+/// The fault-layer repair-time record: [`perturbation_frontier`], the
+/// sweeps the bench target of the same name prints. Cheap at these
+/// sizes, so it regenerates live on every run, including CI's scale-1
+/// smoke: the fault layer has no carried-forward blind spot.
 fn perturbation_frontier_section() -> String {
-    let severity = match std::env::var("NETCON_FAULT_SEVERITY") {
-        Ok(s) => FaultSeverity::parse(&s)
-            .unwrap_or_else(|e| panic!("invalid NETCON_FAULT_SEVERITY: {e}")),
-        Err(_) => FaultSeverity::default(),
-    };
-    let trials = std::env::var("NETCON_FAULT_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4));
-    // Odd sizes: the stabilized odd-n matching keeps one unmatched
-    // survivor, so the default burst's single arrival has a partner and
-    // the repair column is non-degenerate (see the bench target).
-    let cfg = SweepConfig {
-        sizes: vec![25, 49],
-        trials,
-        base_seed: 41,
-    };
-
-    let matching = {
-        let mut b = ProtocolBuilder::new("matching");
-        let a = b.state("a");
-        let m = b.state("b");
-        b.rule((a, a, Link::Off), (m, m, Link::On));
-        b.build().expect("valid")
-    };
-    let matching_table = sweep_repair_time(
-        &cfg,
-        &matching,
-        severity,
-        |v, fs| {
-            (0..v.n())
-                .filter(|&u| fs.is_alive(u) && v.state_index(u) == 0)
-                .count()
-                <= 1
-        },
-        1_000_000_000,
-    );
-    let spokes = FaultSeverity {
-        crashes: 0,
-        arrivals: 0,
-        edge_deletions: 2,
-    };
-    let star_table = sweep_repair_time(
-        &cfg,
-        &global_star::protocol(),
-        spokes,
-        global_star::is_stable_faulted,
-        1_000_000_000,
-    );
-
+    let trials = sweep_trials();
+    let (matching, star) = perturbation_frontier(trials);
     let mut s = String::from("  \"perturbation_frontier\": {\n");
     let _ = writeln!(
         s,
-        "    \"note\": \"mean steps from a seeded fault burst back to stability (netcon_analysis::repair); regenerated live on every run — NETCON_FAULT_SEVERITY and NETCON_FAULT_TRIALS shape it\","
+        "    \"note\": \"mean steps from a seeded fault burst back to stability (netcon_analysis::repair); regenerated live on every run\","
     );
     let mut first = true;
     for (key, sev, table) in [
-        ("maximum_matching", severity, &matching_table),
-        ("global_star_spokes", spokes, &star_table),
+        ("maximum_matching", MATCHING_BURST, &matching),
+        ("global_star_spokes", STAR_SPOKES, &star),
     ] {
         if !first {
             s.push_str(",\n");
@@ -439,73 +374,22 @@ fn perturbation_frontier_section() -> String {
     s
 }
 
-/// The continuous-churn availability record:
-/// [`sweep_availability`] on the two fault-tolerant constructors (the
-/// same pair the `churn_frontier` bench target prints): FT-Global-Star
-/// re-electing through crashes, FT-Spanning-Line paying a restart wave
-/// per crash. Cheap at these sizes, so it regenerates live on every
-/// run, including CI's scale-1 smoke. `NETCON_CHURN_RATE` sets the
-/// symmetric per-draw rate (default `1e-4`); `NETCON_CHURN_TRIALS`
-/// overrides the trial count.
+/// The continuous-churn availability record: [`churn_frontier`], the
+/// FT-Global-Star and FT-Spanning-Line sweeps the bench target of the
+/// same name prints. Cheap at these sizes, so it regenerates live on
+/// every run, including CI's scale-1 smoke.
 fn churn_frontier_section() -> String {
-    let rate: f64 = match std::env::var("NETCON_CHURN_RATE") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_CHURN_RATE {s:?}: {e}")),
-        Err(_) => 1e-4,
-    };
-    let trials = std::env::var("NETCON_CHURN_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(40).max(4));
-
-    // Same shapes as the bench target: the star converges fast enough
-    // for many stable windows at a 60k horizon; the line runs smaller
-    // and longer because every crash costs a restart-wave rebuild.
-    let star_cfg = SweepConfig {
-        sizes: vec![16, 32],
-        trials,
-        base_seed: 83,
-    };
-    let star_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(8)
-        .horizon(60_000);
-    let star = sweep_availability(
-        &star_cfg,
-        &ft_star::protocol(),
-        star_churn,
-        ft_star::is_stable_faulted,
-        u64::MAX,
-    );
-    let line_cfg = SweepConfig {
-        sizes: vec![10, 14],
-        trials,
-        base_seed: 89,
-    };
-    let line_churn = ChurnPlan::new(0)
-        .arrival_rate(rate)
-        .departure_rate(rate)
-        .min_alive(5)
-        .horizon(150_000);
-    let line = sweep_availability(
-        &line_cfg,
-        &ft_line::protocol(),
-        line_churn,
-        ft_line::is_stable_faulted,
-        u64::MAX,
-    );
-
+    let trials = sweep_trials();
+    let (star, line) = churn_frontier(trials);
     let mut s = String::from("  \"churn_frontier\": {\n");
     let _ = writeln!(
         s,
-        "    \"note\": \"mean fraction of draws with a stable output under sustained Poisson churn (netcon_analysis::availability); regenerated live on every run — NETCON_CHURN_RATE and NETCON_CHURN_TRIALS shape it\","
+        "    \"note\": \"mean fraction of draws with a stable output under sustained Poisson churn (netcon_analysis::availability); regenerated live on every run\","
     );
     let mut first = true;
     for (key, horizon, table) in [
-        ("ft_global_star", 60_000u64, &star),
-        ("ft_spanning_line", 150_000u64, &line),
+        ("ft_global_star", STAR_CHURN_HORIZON, &star),
+        ("ft_spanning_line", LINE_CHURN_HORIZON, &line),
     ] {
         if !first {
             s.push_str(",\n");
@@ -513,7 +397,7 @@ fn churn_frontier_section() -> String {
         first = false;
         let _ = writeln!(
             s,
-            "    \"{key}\": {{\n      \"rate_per_draw_each_way\": {rate:e},\n      \"horizon_draws\": {horizon},\n      \"trials\": {trials},\n      \"rows\": [",
+            "    \"{key}\": {{\n      \"rate_per_draw_each_way\": {CHURN_RATE:e},\n      \"horizon_draws\": {horizon},\n      \"trials\": {trials},\n      \"rows\": [",
         );
         for (i, row) in table.rows.iter().enumerate() {
             let comma = if i + 1 < table.rows.len() { "," } else { "" };
@@ -529,61 +413,23 @@ fn churn_frontier_section() -> String {
     s
 }
 
-/// The adaptive-adversary knee record:
-/// [`sweep_availability_vs_rate`] ladders for Global-Star vs
-/// FT-Global-Star under the targeted `CrashMaxDegree` cadence (the same
-/// pair, ladder, and seeds the `adversary_frontier` bench target
-/// asserts its guardrails on), with the two-segment log–log knee of
+/// The adaptive-adversary knee record: [`adversary_frontier`], the
+/// Global-Star vs FT-Global-Star ladders the bench target of the same
+/// name asserts its guardrails on, with the two-segment log–log knee of
 /// each curve. Cheap at these sizes, so it regenerates live on every
-/// run, including CI's scale-1 smoke. `NETCON_ADVERSARY_TRIALS`
-/// overrides the trials per rung, `NETCON_ADVERSARY_HORIZON` the draws
-/// per measurement (default 40k).
+/// run, including CI's scale-1 smoke.
 fn adversary_frontier_section() -> String {
-    let rates = [2.5e-5, 5e-5, 1e-4, 2e-4, 4e-4, 8e-4];
-    let trials = std::env::var("NETCON_ADVERSARY_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| scale(12).max(3));
-    let horizon: u64 = match std::env::var("NETCON_ADVERSARY_HORIZON") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid NETCON_ADVERSARY_HORIZON {s:?}: {e}")),
-        Err(_) => 40_000,
-    };
-    let (n, min_alive, max_steps) = (16usize, 8usize, 400_000u64);
-    let plan = |rate: f64, seed: u64, _n: usize| {
-        periodic_adversary_plan(rate, seed, horizon, &[AdversaryPolicy::CrashMaxDegree], min_alive)
-    };
-    let ft = sweep_availability_vs_rate(
-        &ft_star::protocol(),
-        n,
-        &rates,
-        trials,
-        131,
-        plan,
-        ft_star::is_stable_faulted,
-        max_steps,
-    );
-    let plain = sweep_availability_vs_rate(
-        &global_star::protocol(),
-        n,
-        &rates,
-        trials,
-        137,
-        plan,
-        global_star::is_stable_faulted,
-        max_steps,
-    );
-
+    let trials = rung_trials();
+    let (ft, plain) = adversary_frontier(trials);
     let mut s = String::from("  \"adversary_frontier\": {\n");
     let _ = writeln!(
         s,
-        "    \"note\": \"mean fraction of draws with a stable output under the adaptive CrashMaxDegree cadence, vs strike rate (netcon_analysis::knee); regenerated live on every run — NETCON_ADVERSARY_TRIALS and NETCON_ADVERSARY_HORIZON shape it\","
+        "    \"note\": \"mean fraction of draws with a stable output under the adaptive CrashMaxDegree cadence, vs strike rate (netcon_analysis::knee); regenerated live on every run\","
     );
     let _ = writeln!(s, "    \"policy\": \"crash-max-degree\",");
     let _ = writeln!(
         s,
-        "    \"n\": {n},\n    \"min_alive\": {min_alive},\n    \"horizon_draws\": {horizon},\n    \"trials\": {trials},"
+        "    \"n\": {ADVERSARY_N},\n    \"min_alive\": {ADVERSARY_MIN_ALIVE},\n    \"horizon_draws\": {ADVERSARY_HORIZON},\n    \"trials\": {trials},"
     );
     let mut first = true;
     for (key, curve) in [("ft_global_star", &ft), ("global_star", &plain)] {
@@ -619,7 +465,7 @@ fn adversary_frontier_section() -> String {
     s
 }
 
-/// The frontier record: bucket-engine runs at n ∈ {20k, 50k, 100k}.
+/// The frontier record: [`scaling_workloads`] at [`FRONTIER_SIZES`].
 /// ~15 minutes of single-core work — only under `NETCON_FRONTIER=1`.
 fn scaling_frontier_section() -> String {
     let mut s = String::from("  \"scaling_frontier\": {\n");
@@ -628,44 +474,25 @@ fn scaling_frontier_section() -> String {
         "    \"note\": \"regenerate with NETCON_FRONTIER=1 cargo run --release -p netcon-bench --bin perf_smoke (~15 min); runs without that variable carry this section forward\","
     );
     let mut first = true;
-    for (key, protocol, stable) in [
-        (
-            "simple_global_line",
-            simple_global_line::protocol(),
-            simple_global_line::is_stable_view as fn(&EngineView<'_, CompiledTable>) -> bool,
-        ),
-        (
-            "cycle_cover",
-            cycle_cover::protocol(),
-            cycle_cover::is_stable_view,
-        ),
-    ] {
+    for workload in scaling_workloads() {
+        let key = workload.key;
         if !first {
             s.push_str(",\n");
         }
         first = false;
         let _ = writeln!(s, "    \"{key}\": [");
-        let compiled = protocol.compile();
-        for (i, n) in [20_000usize, 50_000, 100_000].into_iter().enumerate() {
+        for (i, n) in FRONTIER_SIZES.into_iter().enumerate() {
             println!("==> frontier: {key} n = {n} (bucket engine)");
-            let t0 = Instant::now();
-            let mut sim = BucketSim::new(compiled.clone(), n, 2014 + n as u64);
-            let out = sim.run_until(
-                |sp| stable(&EngineView::Sparse { sp, machine: &compiled }),
-                u64::MAX,
-            );
-            let wall = t0.elapsed().as_secs_f64();
-            let converged = out
-                .converged_at()
-                .unwrap_or_else(|| panic!("{key} did not stabilize at n={n}"));
-            let mem = sim.approx_mem_bytes();
-            assert!(mem < 100 << 20, "{key} n={n}: {mem} bytes >= 100 MB");
-            let comma = if i < 2 { "," } else { "" };
+            let row = workload.run(n);
+            let comma = if i + 1 < FRONTIER_SIZES.len() { "," } else { "" };
             let _ = writeln!(
                 s,
-                "      {{ \"n\": {n}, \"engine\": \"bucket-sparse\", \"converged_at\": {converged}, \"effective_steps\": {}, \"wall_s\": {wall:.2}, \"approx_mem_bytes\": {mem}, \"event_mem_estimate_bytes\": {} }}{comma}",
-                sim.effective_steps(),
-                EventSim::<CompiledTable>::dense_mem_estimate(n),
+                "      {{ \"n\": {n}, \"engine\": \"bucket-sparse\", \"converged_at\": {}, \"effective_steps\": {}, \"wall_s\": {:.2}, \"approx_mem_bytes\": {}, \"event_mem_estimate_bytes\": {} }}{comma}",
+                row.converged_at,
+                row.effective_steps,
+                row.wall.as_secs_f64(),
+                row.mem_bytes,
+                row.dense_estimate_bytes,
             );
         }
         let _ = write!(s, "    ]");

@@ -5,5 +5,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod frontier;
 pub mod harness;
 pub mod speedup;

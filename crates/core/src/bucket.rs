@@ -705,12 +705,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.book.effective_steps
     }
 
-    /// The exact step of the most recent edge change (0 if none yet).
-    #[must_use]
-    pub fn last_output_change_wide(&self) -> u128 {
-        self.book.last_output_change
-    }
-
     /// The current number of *ordered* candidate pairs `K = |E'|` — the
     /// numerator of the geometric skip probability. An over-count of the
     /// exactly-effective set (rejection absorbs the difference); when it

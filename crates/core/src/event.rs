@@ -388,21 +388,6 @@ impl<M: EnumerableMachine> EventSim<M> {
         self.pairs.is_empty()
     }
 
-    /// Whether no pair of nodes has an interaction that could change an
-    /// edge in the current configuration — O(k) over the
-    /// possibly-effective set rather than O(n²) over all pairs.
-    #[must_use]
-    pub fn is_edge_quiescent(&self) -> bool {
-        self.pairs.iter().all(|(u, v)| {
-            let link = Link::from(self.pop.edges().is_active(u, v));
-            !self.index.table().can_affect_edge(
-                self.index.state_index(u),
-                self.index.state_index(v),
-                link,
-            )
-        })
-    }
-
     /// The output graph: active edges restricted to nodes in output
     /// states.
     #[must_use]
@@ -521,7 +506,6 @@ mod tests {
         let outcome = sim.run_until_edges(|p| is_maximum_matching(p.edges()), 200_000);
         assert!(outcome.stabilized(), "matching should form: {outcome:?}");
         assert!(sim.is_quiescent());
-        assert!(sim.is_edge_quiescent());
         assert_eq!(sim.population().edges().active_count(), 10);
         assert_eq!(sim.effective_steps(), 10);
         assert_eq!(sim.effective_pairs(), 0);

@@ -419,10 +419,11 @@ impl<M: EnumerableMachine> Engine<M> {
             .unwrap_or(DEFAULT_MEM_BUDGET)
     }
 
-    /// Whether the sparse engine was selected.
+    /// Whether a sparse engine was selected: [`BucketSim`] under the
+    /// uniform scheduler or [`RoundBucketSim`] under ShuffledRounds.
     #[must_use]
     pub fn is_sparse(&self) -> bool {
-        matches!(self, Engine::Sparse { .. })
+        matches!(self, Engine::Sparse { .. } | Engine::RoundSparse { .. })
     }
 
     /// The scheduler family the selected engine reproduces.
@@ -577,8 +578,10 @@ mod tests {
         let round = Engine::with_budget_for(matching(), 30, 1, u64::MAX, SchedulerKind::ShuffledRounds);
         assert_eq!(round.kind(), "round-dense");
         assert_eq!(round.scheduler(), SchedulerKind::ShuffledRounds);
+        assert!(!round.is_sparse());
         let sparse = Engine::with_budget_for(matching(), 30, 1, 1, SchedulerKind::ShuffledRounds);
         assert_eq!(sparse.kind(), "round-sparse");
+        assert!(sparse.is_sparse());
         assert_eq!(sparse.scheduler(), SchedulerKind::ShuffledRounds);
         assert_eq!(
             Engine::auto(matching(), 30, 1).scheduler(),

@@ -467,36 +467,6 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
         true
     }
 
-    /// Whether no pair of nodes has an interaction that could change an
-    /// edge *in the current configuration* — an O(n²) scan, like
-    /// [`is_quiescent`](Self::is_quiescent).
-    ///
-    /// This is a one-configuration check, not a reachability proof: a
-    /// protocol may pass it and still change edges later after node-state
-    /// drift. Use per-protocol stable predicates for certification.
-    #[must_use]
-    pub fn is_edge_quiescent(&self) -> bool {
-        let n = self.pop.n();
-        for u in 0..n {
-            if self.faults.as_ref().is_some_and(|fs| !fs.is_alive(u)) {
-                continue;
-            }
-            for (v, active) in self.pop.edges().row(u) {
-                if v > u
-                    && self.faults.as_ref().is_none_or(|fs| fs.is_alive(v))
-                    && self.machine.can_affect_edge(
-                        self.pop.state(u),
-                        self.pop.state(v),
-                        Link::from(active),
-                    )
-                {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// The output graph: active edges restricted to nodes in output
     /// states. When `Q_out = Q` this is just the active-edge set.
     #[must_use]
@@ -684,7 +654,6 @@ mod tests {
         let outcome = sim.run_until_edges(|p| is_maximum_matching(p.edges()), 200_000);
         assert!(outcome.stabilized(), "matching should form: {outcome:?}");
         assert!(sim.is_quiescent());
-        assert!(sim.is_edge_quiescent());
         assert_eq!(sim.population().edges().active_count(), 10);
     }
 

@@ -227,7 +227,6 @@ proptest! {
             let fresh = EventSim::from_population(compiled.clone(), sim.population().clone(), 0);
             prop_assert_eq!(sim.effective_pairs(), fresh.effective_pairs());
             prop_assert_eq!(sim.is_quiescent(), fresh.is_quiescent());
-            prop_assert_eq!(sim.is_edge_quiescent(), fresh.is_edge_quiescent());
         }
     }
 
