@@ -164,11 +164,14 @@ fn recorded_trajectory(
 
 /// `hypergeometric_skip` at the parameters of the sparse round engine on
 /// matching at n = 100 000 (≈ 5·10⁹ pairs per round): a dense candidate
-/// set takes the draw-by-draw walk, a sparse one the bracketed search.
+/// set takes the draw-by-draw walk, a sparse one the bracketed search,
+/// and 24 000 hits (~2·10⁵ expected skips, just inside the walk) is the
+/// costliest regime the exact walk meets there.
 fn skip_sampler(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampler");
     for (name, remaining, hits) in [
         ("hypergeometric_skip_walk_r5e9", 4_900_000_000u64, 5_000_000u64),
+        ("hypergeometric_skip_walk_r5e9_k24000", 4_800_000_000, 24_000),
         ("hypergeometric_skip_bracket_r5e9_k5000", 4_900_000_000, 5000),
     ] {
         group.bench_function(name, |b| {

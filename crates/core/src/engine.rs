@@ -90,6 +90,13 @@ fn nh_survival_below(u01: f64, remaining: u64, hits: u64, t: u64) -> bool {
     false
 }
 
+/// The real `t` with `(1 − t/R̄)^hits = u`, `R̄ = remaining − (hits−1)/2`:
+/// the closed-form approximation of the crossing `S(t) = u`.
+fn nh_guess(ln_u: f64, remaining: u64, hits: u64) -> f64 {
+    let rbar = remaining as f64 - (hits - 1) as f64 / 2.0;
+    rbar * -(ln_u / hits as f64).exp_m1()
+}
+
 /// Smallest `t` in `[lo, hi]` with `S(t + 1) < u01`, or `hi` if there is
 /// none below it. The caller guarantees the answer lies in the window.
 ///
@@ -102,8 +109,7 @@ fn nh_survival_below(u01: f64, remaining: u64, hits: u64, t: u64) -> bool {
 /// 2–4 survival evaluations instead of `log₂(hi − lo)`.
 fn nh_bisect(u01: f64, remaining: u64, hits: u64, lo: u64, hi: u64) -> u64 {
     let below = |t: u64| t >= hi || nh_survival_below(u01, remaining, hits, t + 1);
-    let rbar = remaining as f64 - (hits - 1) as f64 / 2.0;
-    let guess = (rbar * -(u01.ln() / hits as f64).exp_m1()).ceil() - 1.0;
+    let guess = nh_guess(u01.ln(), remaining, hits).ceil() - 1.0;
     let g = (guess.max(0.0) as u64).clamp(lo, hi);
     let (mut lo, mut hi) = (lo, hi);
     let mut step = 1u64;
@@ -141,6 +147,105 @@ fn nh_bisect(u01: f64, remaining: u64, hits: u64, lo: u64, hi: u64) -> u64 {
     lo
 }
 
+/// The certified path of [`hypergeometric_skip`] only runs when the
+/// expected skip count is at least this (shorter walks are cheap) …
+const CERTIFY_MIN_EXPECT: u64 = 64;
+
+/// … and only answers `t` with at least this many misses left after it,
+/// so the Stirling series of [`ln_survival`] is truncated at `x ≥ 1024`.
+const CERTIFY_MIN_TAIL: u64 = 1024;
+
+/// Relative error allowed per summed term of [`ln_survival`] and per
+/// `ln`/`ln_1p` result: 64 unit roundoffs, three times the ~19 that the
+/// operations need with a libm good to 4 ulps.
+const LN_TERM_REL_ERR: f64 = 32.0 * f64::EPSILON;
+
+/// `ln x! − ((x + ½)·ln x − x + ½·ln 2π)`: the Stirling series
+/// `1/(12x) − 1/(360x³) + 1/(1260x⁵)`, whose truncation error is below
+/// the first omitted term `1/(1680x⁷)` (< 10⁻²⁴ for `x ≥ 1024`).
+fn stirling_tail(x: f64) -> f64 {
+    let r = 1.0 / x;
+    let r2 = r * r;
+    r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0))
+}
+
+/// `ln S(t) = Σ_{i<t} ln((misses − i)/(remaining − i))` in O(1), with the
+/// sum of the magnitudes of its terms (the scale of its rounding error).
+/// `ln_miss_ratio` is `ln(misses/remaining)`.
+///
+/// `S(t) = misses!·(remaining − t)! / ((misses − t)!·remaining!)`, and
+/// with `y = misses − t`, `z = remaining − t` Stirling's formula turns
+/// `ln misses! − ln y!` into `(y + ½)·ln(1 + t/y) + t·ln misses − t`
+/// plus series tails; the `t·ln` and `t` terms of the two factorial
+/// ratios cancel analytically into `t·ln(misses/remaining)`. What is left
+/// are three terms of size at most `t` and four tails below `10⁻⁴`, so
+/// the error grows with `t·ε`, not with `t·ε·ln remaining`.
+/// Requires `y ≥ 1024`.
+fn ln_survival(remaining: u64, hits: u64, t: u64, ln_miss_ratio: f64) -> (f64, f64) {
+    let misses = remaining - hits;
+    let (tf, y, z) = (t as f64, (misses - t) as f64, (remaining - t) as f64);
+    let a = (y + 0.5) * (tf / y).ln_1p();
+    let b = (z + 0.5) * (tf / z).ln_1p();
+    let c = tf * ln_miss_ratio;
+    let tails = stirling_tail(misses as f64) - stirling_tail(y) - stirling_tail(remaining as f64)
+        + stirling_tail(z);
+    (a - b + c + tails, a + b - c + 1.0)
+}
+
+/// The answer of [`hypergeometric_skip`]'s exact code, when it can be
+/// proven without running it; `None` sends the call to that code.
+///
+/// The exact code answers the smallest `t` with `Ŝ(t + 1) < u01`, where
+/// `Ŝ` is the rounded survival product it multiplies out: the walk's
+/// `t`-factor product below `walk_cap`, then the `hits`-factor product
+/// of the search (`walk_cap = 0` when it only searches). Both products
+/// are non-increasing in `t`. A Newton step from the closed-form guess
+/// finds the crossing `t` of [`ln_survival`], and `t` is returned only if
+/// `Ŝ(t) ≥ u01 > Ŝ(t + 1)` holds for every value the rounded products
+/// can take: the approximation's own error bound plus, per factor, 2
+/// roundings (4 from `2⁵³` on, where both operands are converted) of
+/// relative size `ε` each. Past the cap the walk must also survive to it,
+/// `Ŝ_walk(walk_cap) ≥ u01`, which the bound at `t ≥ walk_cap` implies.
+/// Draws the bounds cannot separate from a threshold fall back.
+fn certified_skip(u01: f64, remaining: u64, hits: u64, expect: u64, walk_cap: u64) -> Option<u64> {
+    let misses = remaining - hits;
+    if expect < CERTIFY_MIN_EXPECT || misses <= CERTIFY_MIN_TAIL {
+        return None;
+    }
+    let ln_u = u01.ln();
+    let (rf, hf) = (remaining as f64, hits as f64);
+    let last = (misses - CERTIFY_MIN_TAIL) as f64;
+    let guess = nh_guess(ln_u, remaining, hits);
+    // Consecutive ln S differ by at least hits/remaining; skip draws
+    // whose error bound would rarely fit inside that gap (and far tails,
+    // where products could approach the subnormal range).
+    let gap = hf / rf;
+    if guess >= last || ln_u < -600.0 || 8.0 * LN_TERM_REL_ERR * (guess + 1.0) > gap {
+        return None;
+    }
+    let ln_miss_ratio = (-hf / rf).ln_1p();
+    let step = |t: u64| (-hf / (remaining - t) as f64).ln_1p();
+    let g = guess as u64;
+    let tau = g as f64 + (ln_u - ln_survival(remaining, hits, g, ln_miss_ratio).0) / step(g);
+    if !(tau >= 0.0 && tau < last) {
+        return None;
+    }
+    let t = tau as u64;
+    let (at, magnitude) = ln_survival(remaining, hits, t, ln_miss_ratio);
+    let s = step(t);
+    let err = LN_TERM_REL_ERR * (magnitude - s + ln_u.abs());
+    // ε = f64::EPSILON is twice the unit roundoff: a factor-2 margin.
+    let per_factor = if remaining >= EXACT_F64 { 4.0 } else { 2.0 } * f64::EPSILON;
+    let (k_at, k_next) = if t < walk_cap {
+        (t, t + 1)
+    } else {
+        (hits.max(walk_cap), hits)
+    };
+    let survives = at - err - k_at as f64 * per_factor >= ln_u;
+    let stops = at + s + err + k_next as f64 * per_factor < ln_u;
+    (survives && stops).then_some(t)
+}
+
 /// Inversion of the *negative hypergeometric* skip law used by
 /// [`RoundSim`](crate::RoundSim): drawing without replacement from
 /// `remaining` unscheduled pairs of which `hits` are candidates, the
@@ -158,10 +263,19 @@ fn nh_bisect(u01: f64, remaining: u64, hits: u64, lo: u64, hi: u64) -> u64 {
 ///
 /// The returned skip count never exceeds `remaining − hits` (a round
 /// cannot run out of candidates before its last candidate is drawn).
-/// Cost: `O(min(skips, hits·log|g − t|))` — a short sequential walk of
-/// the draw-by-draw product when the candidate set is dense, and when it
-/// is sparse a search on the `hits`-factor survival form that brackets
-/// the answer `t` outward from its closed-form guess `g`, adding a few
+/// Cost: O(1) for most draws once the expected skip count reaches 64. A
+/// certified closed-form inversion evaluates `ln S` by Stirling's formula
+/// and returns the exact code's answer only when it can prove it, with a
+/// bound on both its own error and the rounding of the product the exact
+/// code would multiply out; the answers are therefore bit-identical to
+/// that code's. Short expected skips, and draws the bound cannot separate
+/// from a threshold (near one, or where the bound outgrows the gap
+/// `hits/remaining` between consecutive survival values: few hits among
+/// very many pairs), run the exact code at
+/// `O(min(skips, hits·log|g − t|))` — a short sequential walk of the
+/// draw-by-draw product when the candidate set is dense, and when it is
+/// sparse a search on the `hits`-factor survival form that brackets the
+/// answer `t` outward from its closed-form guess `g`, adding a few
 /// survival evaluations past the guess.
 ///
 /// # Panics
@@ -171,39 +285,58 @@ fn nh_bisect(u01: f64, remaining: u64, hits: u64, lo: u64, hi: u64) -> u64 {
 pub fn hypergeometric_skip(u01: f64, remaining: u64, hits: u64) -> u64 {
     debug_assert!(hits >= 1 && hits <= remaining);
     debug_assert!(u01 > 0.0 && u01 <= 1.0);
-    let misses = remaining - hits;
-    if misses == 0 {
+    if hits == remaining {
         return 0;
     }
     // The result is the smallest t with S(t+1) < u (the same bracketing
     // convention as geometric_skip: S(t) ≥ u > S(t+1) ⇔ skips = t).
+    let (expect, cap) = skip_plan(remaining, hits);
+    certified_skip(u01, remaining, hits, expect, cap)
+        .unwrap_or_else(|| exact_skip(u01, remaining, hits, cap))
+}
+
+/// `(expect, walk_cap)` of a skip over `remaining` pairs with `hits`
+/// candidates: one more than the expected skip count, and how far the
+/// exact code walks the draw-by-draw product before it searches.
+///
+/// A dense candidate set has a tiny expected skip count, so the walk
+/// runs; its cap bounds a pathological tail (probability ≲ e⁻³²) which
+/// falls through to the search. A sparse one searches at once
+/// (`walk_cap = 0`).
+fn skip_plan(remaining: u64, hits: u64) -> (u64, u64) {
+    let misses = remaining - hits;
     let expect = misses / (hits + 1) + 1;
-    if hits.saturating_mul(34) > expect.saturating_mul(4) {
-        // Dense candidate set: the expected skip count is tiny, so walk
-        // the draw-by-draw product. The cap bounds a pathological tail
-        // (probability ≲ e⁻³²) which falls through to the bisection.
-        let cap = expect.saturating_mul(32).min(misses);
-        let mut surv = 1.0f64;
-        let (mut num, mut den) = (misses as f64, remaining as f64);
-        for t in 0..cap {
-            if remaining >= EXACT_F64 {
-                (num, den) = ((misses - t) as f64, (remaining - t) as f64);
-            }
-            surv *= num / den;
-            if surv < u01 {
-                return t;
-            }
-            num -= 1.0;
-            den -= 1.0;
-        }
-        if cap == misses {
-            // S(misses + 1) = 0 < u: the permutation is out of misses.
-            return misses;
-        }
-        nh_bisect(u01, remaining, hits, cap, misses)
+    let walk = hits.saturating_mul(34) > expect.saturating_mul(4);
+    let cap = if walk {
+        expect.saturating_mul(32).min(misses)
     } else {
-        nh_bisect(u01, remaining, hits, 0, misses)
+        0
+    };
+    (expect, cap)
+}
+
+/// [`hypergeometric_skip`]'s exact code: the draw-by-draw walk for
+/// `t < walk_cap`, then the bracketed search over `[walk_cap, misses]`.
+fn exact_skip(u01: f64, remaining: u64, hits: u64, walk_cap: u64) -> u64 {
+    let misses = remaining - hits;
+    let mut surv = 1.0f64;
+    let (mut num, mut den) = (misses as f64, remaining as f64);
+    for t in 0..walk_cap {
+        if remaining >= EXACT_F64 {
+            (num, den) = ((misses - t) as f64, (remaining - t) as f64);
+        }
+        surv *= num / den;
+        if surv < u01 {
+            return t;
+        }
+        num -= 1.0;
+        den -= 1.0;
     }
+    if walk_cap == misses {
+        // S(misses + 1) = 0 < u: the permutation is out of misses.
+        return misses;
+    }
+    nh_bisect(u01, remaining, hits, walk_cap, misses)
 }
 
 /// Probability tables up to this length live on the stack: the sparse
@@ -1105,6 +1238,84 @@ mod tests {
         // Two remaining, one candidate: S(1) = 1/2 splits the unit draw.
         assert_eq!(hypergeometric_skip(0.6, 2, 1), 0);
         assert_eq!(hypergeometric_skip(0.4, 2, 1), 1);
+    }
+
+    /// The rounded product the exact code compares with its draw when it
+    /// decides whether to skip past `t`: the walk's `t`-factor product
+    /// below the cap, the search's `hits`-factor product from it on.
+    fn exact_threshold(remaining: u64, hits: u64, t: u64, walk_cap: u64) -> f64 {
+        let misses = remaining - hits;
+        if t < walk_cap {
+            (0..t).fold(1.0, |s, i| {
+                s * ((misses - i) as f64 / (remaining - i) as f64)
+            })
+        } else {
+            (0..hits).fold(1.0, |s, j| {
+                s * ((remaining - t - j) as f64 / (remaining - j) as f64)
+            })
+        }
+    }
+
+    /// `(remaining, hits)` where the certified path runs: the walk and the
+    /// search at the matching-100k engine's ~5·10⁹ pairs per round, a
+    /// round of `RoundSim` at n = 512, and the walk past 2⁵³.
+    const CERTIFIED_REGIMES: [(u64, u64); 6] = [
+        (4_800_000_000, 24_000),
+        (4_900_000_000, 5_000_000),
+        (4_900_000_000, 5000),
+        (130_816, 300),
+        (60_000, 40),
+        (EXACT_F64 + 12_345, 9_000_000_000_000),
+    ];
+
+    #[test]
+    fn certified_skip_declines_at_the_exact_jump_draws() {
+        // At the exact code's own threshold Ŝ(t + 1), and one ulp above
+        // it, no error bound can separate the draw from the threshold: a
+        // sound bound must fall back to the exact code there.
+        for (r, k) in CERTIFIED_REGIMES {
+            let (expect, cap) = skip_plan(r, k);
+            for i in 1..16 {
+                let t = exact_skip(f64::from(i) / 16.0, r, k, cap);
+                let s = exact_threshold(r, k, t + 1, cap);
+                for u in [s, s.next_up()] {
+                    assert_eq!(
+                        certified_skip(u, r, k, expect, cap),
+                        None,
+                        "u={u:e} remaining={r} hits={k} t={t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn certified_skip_answers_most_draws_exactly() {
+        for (r, k) in CERTIFIED_REGIMES {
+            let (expect, cap) = skip_plan(r, k);
+            let mut answered = 0;
+            for i in 0..200 {
+                let u = (f64::from(i) + 0.5) / 200.0;
+                if let Some(t) = certified_skip(u, r, k, expect, cap) {
+                    assert_eq!(
+                        t,
+                        exact_skip(u, r, k, cap),
+                        "u={u:e} remaining={r} hits={k}"
+                    );
+                    answered += 1;
+                }
+            }
+            assert!(
+                answered >= 190,
+                "remaining={r} hits={k}: {answered}/200 certified"
+            );
+        }
+        // Too few expected skips, and a bound wider than the gap between
+        // consecutive survival values: the exact code answers.
+        let (expect, cap) = skip_plan(10_000, 500);
+        assert_eq!(certified_skip(0.5, 10_000, 500, expect, cap), None);
+        let (expect, cap) = skip_plan(3_541_621_206, 1);
+        assert_eq!(certified_skip(0.5, 3_541_621_206, 1, expect, cap), None);
     }
 
     /// Exact hypergeometric pmf via factorial ratios (small inputs).

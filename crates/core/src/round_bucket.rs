@@ -710,8 +710,10 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// then freezes `u`'s own urns — one per nonempty untouched class.
     fn finish_touch(&mut self, u: usize) {
         let q = usize::from(self.rs_class[u]);
-        let keys: Vec<u64> = self.cand_urns_by_class[q].clone();
-        for key in keys {
+        // Pulls and explicit pairs never add or drop a candidate urn, so
+        // the list is walked in place.
+        for i in 0..self.cand_urns_by_class[q].len() {
+            let key = self.cand_urns_by_class[q][i];
             let t = (key >> 16) as usize;
             if self.x.contains_key(&pkey(t, u)) {
                 continue;
@@ -878,11 +880,10 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         let q = (key & 0xFFFF) as usize;
         let urn = self.urns.get(&key).expect("cohort exists");
         debug_assert!(!urn.cand && urn.cursor as usize == self.log.len());
-        let from = urn.purge_cursor as usize;
-        let snapshot: Vec<u32> = self.touch_log[q][from..].to_vec();
-        self.urns.get_mut(&key).unwrap().purge_cursor = self.touch_log[q].len() as u32;
-        for w32 in snapshot {
-            let w = w32 as usize;
+        let (from, to) = (urn.purge_cursor as usize, self.touch_log[q].len());
+        self.urns.get_mut(&key).unwrap().purge_cursor = to as u32;
+        for i in from..to {
+            let w = self.touch_log[q][i] as usize;
             debug_assert_ne!(w, t);
             if self.x.contains_key(&pkey(t, w)) {
                 continue;
@@ -1053,6 +1054,17 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         }
     }
 
+    /// Re-derives the candidacy of every explicit pair at `u`. A
+    /// reclassification moves pairs between the `x_c_u`/`x_nc_u` lists
+    /// but never adds or drops one, so `u`'s partner list is walked in
+    /// place.
+    fn recompute_partners(&mut self, u: usize) {
+        for i in 0..self.x_by_node[u].len() {
+            let w = self.x_by_node[u][i] as usize;
+            self.recompute_x(u, w);
+        }
+    }
+
     /// Swap-removes a promoted-urn list entry, fixing the moved urn's
     /// mirrored position.
     fn cand_list_remove(&mut self, q: usize, pos: usize) {
@@ -1115,9 +1127,10 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             if self.tbuckets[q2].is_empty() {
                 continue;
             }
-            let members: Vec<u32> = self.tbuckets[q2].clone();
-            for t32 in members {
-                let t = t32 as usize;
+            // Pulls and explicit pairs never move a touched node, so the
+            // bucket is walked in place.
+            for i in 0..self.tbuckets[q2].len() {
+                let t = self.tbuckets[q2][i] as usize;
                 if t == u || self.x.contains_key(&pkey(t, u)) {
                     continue;
                 }
@@ -1140,10 +1153,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         self.sp.set_state_index(u, new);
         self.tbucket_insert(u, new);
         self.update_urn_flags(u);
-        let partners: Vec<u32> = self.x_by_node[u].clone();
-        for w in partners {
-            self.recompute_x(u, w as usize);
-        }
+        self.recompute_partners(u);
         self.tbucket_sup_scan(u);
     }
 }
@@ -1432,10 +1442,7 @@ impl<M: EnumerableMachine> Primitives for RoundBucketSim<M> {
                 self.tbucket_remove(x, self.sp.state_index(x));
                 self.sp.bucket_remove(x);
                 self.update_urn_flags(x);
-                let partners: Vec<u32> = self.x_by_node[x].clone();
-                for w in partners {
-                    self.recompute_x(x, w as usize);
-                }
+                self.recompute_partners(x);
                 // Drop x's active edges (explicit pairs by invariant),
                 // notifications in ascending node order like the other
                 // engines.

@@ -1763,7 +1763,12 @@ mod sampler_identity {
         /// skip and the search takes over); the bracketed sparse
         /// search at `remaining` up to 5·10⁹ with up to 40 000 hits; and
         /// the conversion branch at and above `remaining = 2⁵³`, for both
-        /// the walk and the search.
+        /// the walk and the search. Two families aim at the certified
+        /// closed-form path, whose error bound grows with the skip: 1–16
+        /// hits at `remaining` up to 5·10⁹ and from 2⁵³ on (skips of up
+        /// to ~10¹⁸, where the bound rarely fits between thresholds), and
+        /// the matching-100k crossover, 10³–10⁵ hits among ≈ 5·10⁹ pairs
+        /// (the walk/search switch sits at ≈ 24 000 hits).
         #[test]
         fn hypergeometric_skip_matches_frozen_reference(
             raw in any::<u64>(),
@@ -1791,6 +1796,15 @@ mod sampler_identity {
                 cases.push((u, r, k, true));
                 cases.push((u, r, r / (2 + ks % 8), true));
             }
+            // Few hits among many pairs, `remaining` spread over every
+            // scale up to 5·10⁹ so that both sides of the point where the
+            // certified path stops trying (~10⁷ pairs) are covered.
+            let k = 1 + ks % 16;
+            cases.push((u, k + 1 + (rs >> 5) % (5_000_000_000 >> (rs % 24)), k, true));
+            cases.push((u, EXACT + rs % (1 << 62), k, true));
+            // The matching-100k crossover.
+            let k = 1000 + ks % 99_001;
+            cases.push((u, 5_000_000_000 - rs % 100_000_000, k, true));
             for (u, r, k, probe) in cases {
                 let t = frozen::hypergeometric_skip(u, r, k);
                 prop_assert_eq!(hypergeometric_skip(u, r, k), t, "u={u:e} remaining={r} hits={k}");
@@ -1859,6 +1873,26 @@ mod sampler_identity {
                     "u={u:e} marked={m} total={t} draws={d}"
                 );
             }
+        }
+    }
+
+    /// One hit among ~3.5·10⁹ pairs, at a draw whose answer skips
+    /// ~2.3·10⁹ of them. A closed-form `ln S` carries a cancellation
+    /// error of ~`t·ε` ≈ 10⁻⁶ here, thousands of times the gap between
+    /// consecutive survival values, so an error bound that does not
+    /// grow with the skip would accept a wrong answer.
+    #[test]
+    fn hypergeometric_skip_long_single_hit_skip() {
+        let u = f64::from_bits(0x3fd6_8b58_c5d0_8182);
+        assert_eq!(u, 0.352_255_051_782_798_15);
+        let (r, k) = (3_541_621_206, 1);
+        assert_eq!(frozen::hypergeometric_skip(u, r, k), 2_294_067_244);
+        assert_eq!(hypergeometric_skip(u, r, k), 2_294_067_244);
+        for u in skip_boundary_draws(r, k, 2_294_067_244) {
+            assert_eq!(
+                hypergeometric_skip(u, r, k),
+                frozen::hypergeometric_skip(u, r, k)
+            );
         }
     }
 }
