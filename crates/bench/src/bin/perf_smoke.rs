@@ -103,6 +103,15 @@ fn carry_forward_section(out_path: &Path, key: &str) -> Option<String> {
     None
 }
 
+/// Reads environment knob `name`: `None` when unset, a panic naming the
+/// variable and its value when set but malformed.
+fn knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let v = std::env::var_os(name)?;
+    let parsed = v.to_str().and_then(|s| s.parse().ok());
+    let ty = std::any::type_name::<T>();
+    Some(parsed.unwrap_or_else(|| panic!("{name}={v:?} is not a valid {ty}")))
+}
+
 /// Parses the `benches` array of a perf_smoke JSON (our own format: one
 /// `{ "name": …, "wall_s": … }` object per line) plus its
 /// `bench_scale_pct`.
@@ -146,10 +155,7 @@ fn check_against_baseline(
         );
         return Ok(());
     }
-    let tolerance: f64 = std::env::var("NETCON_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.5);
+    let tolerance: f64 = knob("NETCON_BENCH_TOLERANCE").unwrap_or(2.5);
     let mut failures = Vec::new();
     println!("\n--check against {} (tolerance {tolerance}x):", baseline_path.display());
     for (name, wall) in rows {
@@ -577,7 +583,7 @@ fn main() {
             check,
         )
     };
-    let scale_pct = std::env::var("NETCON_BENCH_SCALE").unwrap_or_else(|_| "100".into());
+    let scale_pct: usize = knob("NETCON_BENCH_SCALE").unwrap_or(100);
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let bench_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("benches");
 
@@ -665,10 +671,7 @@ fn main() {
     // (k ≥ 100; ≈ 25 min at 1000) regenerates it; otherwise any section
     // already present in the output file is carried forward, so quick
     // re-runs don't destroy the expensive record.
-    let ref_trials: usize = std::env::var("NETCON_NAIVE_TRIALS_256")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let ref_trials: usize = knob("NETCON_NAIVE_TRIALS_256").unwrap_or(0);
     let large_sample = if ref_trials >= 100 {
         println!("==> large-sample agreement ({ref_trials} naive trials at n = 256)");
         let ls = compare_engines(
@@ -770,7 +773,7 @@ fn main() {
     );
 
     if let Some(baseline) = check_path {
-        if let Err(msg) = check_against_baseline(&baseline, &scale_pct, &rows) {
+        if let Err(msg) = check_against_baseline(&baseline, &scale_pct.to_string(), &rows) {
             eprintln!("\nREGRESSION GATE FAILED\n{msg}");
             std::process::exit(1);
         }

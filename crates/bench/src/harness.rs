@@ -37,11 +37,39 @@ pub fn fits(table: &SweepTable) -> (PowerLawFit, PowerLawFit) {
 
 /// Reads `NETCON_BENCH_SCALE` (percent, default 100) so CI can run the
 /// benches quickly while full runs keep paper-grade sample counts.
+///
+/// # Panics
+///
+/// Panics if `NETCON_BENCH_SCALE` is set but is not a whole percentage.
 #[must_use]
 pub fn scale(trials: usize) -> usize {
-    let pct: usize = std::env::var("NETCON_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
+    let pct: usize = parse_knob("NETCON_BENCH_SCALE", std::env::var_os("NETCON_BENCH_SCALE"))
         .unwrap_or(100);
     (trials * pct / 100).max(2)
+}
+
+/// An environment knob's raw value parsed as a `T`: `None` when unset, a
+/// panic naming the variable and its value when set but malformed.
+fn parse_knob<T: std::str::FromStr>(name: &str, value: Option<std::ffi::OsString>) -> Option<T> {
+    let v = value?;
+    let parsed = v.to_str().and_then(|s| s.parse().ok());
+    let ty = std::any::type_name::<T>();
+    Some(parsed.unwrap_or_else(|| panic!("{name}={v:?} is not a valid {ty}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn knobs_default_when_unset_and_parse_when_set() {
+        assert_eq!(parse_knob::<usize>("SCALE", None), None);
+        assert_eq!(parse_knob::<usize>("SCALE", Some("1".into())), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "SCALE=\"1%\" is not a valid usize")]
+    fn malformed_knobs_fail_loudly() {
+        parse_knob::<usize>("SCALE", Some("1%".into()));
+    }
 }

@@ -62,8 +62,7 @@ use crate::compiled::{EffectTable, EnumerableMachine};
 use crate::engine::{geometric_skip, unit_open01, Bookkeeping, GeoCacheSlot};
 use crate::driver::{next_probe, run_until_with, ExactEngine, Primitives};
 use crate::event::EventStep;
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::{RunOutcome, StepResult};
 use crate::walk::{
     bridge_weights_with_future, h_step, sample_absorption, sample_binomial, sample_gamma,
@@ -107,9 +106,39 @@ pub struct SparsePop {
 }
 
 impl SparsePop {
-    /// Builds the configuration with every node in state `initial` and no
-    /// active edges.
-    pub(crate) fn new(n: usize, num_states: usize, initial: usize) -> Self {
+    /// `n` nodes in `machine`'s initial state and no active edges.
+    pub(crate) fn initial<M: EnumerableMachine>(machine: &M, n: usize) -> Self {
+        Self::new(n, machine.num_states(), machine.state_index(&machine.initial_state()))
+    }
+
+    /// The sparse form of the dense configuration `pop` (one scan of its
+    /// active edges).
+    pub(crate) fn from_population<M: EnumerableMachine>(
+        machine: &M,
+        pop: &Population<M::State>,
+    ) -> Self {
+        let n = pop.n();
+        let mut sp = Self::new(n, machine.num_states(), machine.state_index(pop.state(0)));
+        for u in 0..n {
+            sp.set_state_index(u, machine.state_index(pop.state(u)));
+        }
+        for (u, v) in pop.edges().active_edges() {
+            sp.set_edge(u, v, true);
+        }
+        sp
+    }
+
+    /// `n` nodes in state `initial` and no active edges. Panics past
+    /// either sparse engine's limits: `n < 2`, `n > 2³¹` (node ids are
+    /// `u32` and ordered pair counts must fit `u64`), or more than 65536
+    /// states.
+    fn new(n: usize, num_states: usize, initial: usize) -> Self {
+        assert!(n >= 2, "pairwise interactions need at least 2 processes");
+        assert!(n <= 1 << 31, "the sparse engines pack node ids into u32");
+        assert!(
+            num_states <= usize::from(u16::MAX) + 1,
+            "the sparse engines' dense state index is u16: more than 65536 states"
+        );
         let mut buckets = vec![Vec::new(); num_states];
         buckets[initial] = (0..n as u32).collect();
         Self {
@@ -194,16 +223,16 @@ impl SparsePop {
         es
     }
 
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set read off the adjacency
-    /// (the snapshot sorts, so iteration order is moot).
-    pub(crate) fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.n()).map(|u| self.state_index(u)).collect();
+    /// The active edges in `(min, max)`-lexicographic order — the order
+    /// the dense engines' edge set lists them in.
+    pub(crate) fn canonical_edges(&self) -> Vec<(usize, usize)> {
         let mut edges = Vec::with_capacity(self.active);
         for u in 0..self.n() {
+            let row = edges.len();
             edges.extend(self.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
+            edges[row..].sort_unstable();
         }
-        ConfigSnapshot::new(states, edges)
+        edges
     }
 
     /// Moves node `u` to state `new`; returns whether the state changed.
@@ -335,12 +364,18 @@ fn sat64(x: u128) -> u64 {
 impl WideBook {
     /// Records an effective interaction at the current `steps` count.
     fn record_effective(&mut self, edge_changed: bool) {
-        if edge_changed {
-            self.edge_events += 1;
-            self.last_output_change = self.steps;
-        }
+        self.record_edge_changes(usize::from(edge_changed));
         self.effective_steps += 1;
         self.last_effective = self.steps;
+    }
+
+    /// Records `k` edge changes (an interaction's, or a fault's
+    /// deletions) at the current `steps` count.
+    fn record_edge_changes(&mut self, k: usize) {
+        if k > 0 {
+            self.edge_events += k as u64;
+            self.last_output_change = self.steps;
+        }
     }
 
     /// The counters in the `u64` the cross-engine API speaks.
@@ -575,15 +610,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// ```
     #[must_use]
     pub fn new(machine: M, n: usize, seed: u64) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "BucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "BucketSim's dense index is u16: more than 65536 states"
-        );
-        let initial = machine.state_index(&machine.initial_state());
-        let sp = SparsePop::new(n, num_states, initial);
+        let sp = SparsePop::initial(&machine, n);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -604,9 +631,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
         let fs = FaultState::new(plan, n);
         let mut sim = Self::new(machine, fs.capacity(), seed);
         for ghost in n..fs.capacity() {
-            sim.sp.bucket_remove(ghost);
+            sim.retire(ghost);
         }
-        sim.dirty = true;
         sim.faults = Some(fs);
         sim
     }
@@ -619,21 +645,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// As [`new`](Self::new).
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        let n = pop.n();
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "BucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "BucketSim's dense index is u16: more than 65536 states"
-        );
-        let mut sp = SparsePop::new(n, num_states, machine.state_index(pop.state(0)));
-        for u in 0..n {
-            sp.set_state_index(u, machine.state_index(pop.state(u)));
-        }
-        for (u, v) in pop.edges().active_edges() {
-            sp.set_edge(u, v, true);
-        }
+        let sp = SparsePop::from_population(&machine, &pop);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -1695,23 +1707,11 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.rejection_run = 0;
         self.probe_at = QUIESCENCE_PROBE;
     }
-
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// drops it from the on list if it rode there.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.sp.is_active(u, v) {
-            return;
-        }
-        let on_pos = self.sp.set_edge(u, v, false);
-        if on_pos != NOT_ON {
-            self.on_list_remove(on_pos as usize);
-        }
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-    }
 }
 
 impl<M: EnumerableMachine> Primitives for BucketSim<M> {
+    type Machine = M;
+
     fn advance(&mut self, max_steps: u64) -> EventStep {
         BucketSim::advance(self, max_steps)
     }
@@ -1732,15 +1732,55 @@ impl<M: EnumerableMachine> Primitives for BucketSim<M> {
         self.faults.as_mut()
     }
 
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        self.sp.config_snapshot()
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Sparse { sp: &self.sp, machine: &self.machine }
     }
 
-    /// Applies one resolved fault event by pure bucket/on-list
-    /// reclassification: crashed nodes leave their bucket and shed their
-    /// active edges; arrivals re-enter their retained bucket; deleted
-    /// edges leave the on list. The skip denominator never moves.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
+    // Faults are pure bucket/on-list reclassification: crashed nodes
+    // leave their bucket and shed their active edges, arrivals re-enter
+    // their retained bucket, deleted edges leave the on list. The skip
+    // denominator never moves.
+    fn retire(&mut self, x: usize) -> Vec<usize> {
+        let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
+        neighbors.sort_unstable();
+        for &w in &neighbors {
+            self.deactivate_edge(x, w);
+        }
+        self.sp.bucket_remove(x);
+        self.dirty = true;
+        neighbors
+    }
+
+    fn readmit(&mut self, x: usize) {
+        self.sp.bucket_insert(x);
+        self.dirty = true;
+    }
+
+    /// A bucket move plus on-list refreshes for `u`'s surviving edges.
+    fn set_state_index(&mut self, u: usize, q: usize) {
+        self.sp.set_state_index(u, q);
+        self.refresh_on_incident(u);
+        self.dirty = true;
+    }
+
+    fn deactivate_edge(&mut self, u: usize, v: usize) -> bool {
+        if !self.sp.is_active(u, v) {
+            return false;
+        }
+        let on_pos = self.sp.set_edge(u, v, false);
+        if on_pos != NOT_ON {
+            self.on_list_remove(on_pos as usize);
+        }
+        true
+    }
+
+    fn record_fault_edges(&mut self, k: usize) {
+        self.book.record_edge_changes(k);
+    }
+
+    /// The configuration changed, so any quiescence evidence gathered
+    /// from rejected candidates is void.
+    fn after_fault(&mut self) {
         debug_assert!(
             self.commits.is_empty(),
             "fault events and endgame commitments cannot coexist"
@@ -1749,58 +1789,6 @@ impl<M: EnumerableMachine> Primitives for BucketSim<M> {
             self.eg.is_none(),
             "fault events never land inside an endgame session"
         );
-        match resolved {
-            ResolvedFault::Noop => return,
-            ResolvedFault::Crash(x) => {
-                // The sparse adjacency lists neighbors in arbitrary
-                // order; notifications are specified in ascending node
-                // order, so sort before shedding edges.
-                let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
-                neighbors.sort_unstable();
-                for &w in &neighbors {
-                    let on_pos = self.sp.set_edge(x, w, false);
-                    if on_pos != NOT_ON {
-                        self.on_list_remove(on_pos as usize);
-                    }
-                }
-                self.sp.bucket_remove(x);
-                self.dirty = true;
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                // Crash notifications: pure bucket moves plus on-list
-                // refreshes for the notified nodes' surviving edges.
-                for &w in &neighbors {
-                    let su = self.sp.state_index(w);
-                    if let Some(new) = self.machine.notify_indexed(su) {
-                        if self.sp.set_state_index(w, new) {
-                            self.refresh_on_incident(w);
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                self.sp.bucket_insert(x);
-                self.dirty = true;
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // The dense engines sample from `EdgeSet::active_edges`'s
-                // triangular-index order, which is lexicographic in
-                // (min, max) — sort the adjacency-derived list to match.
-                let mut edges: Vec<(usize, usize)> = Vec::with_capacity(self.sp.active_count());
-                for u in 0..self.sp.n() {
-                    edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-                }
-                edges.sort_unstable();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
-            }
-        }
-        // The configuration changed, so any quiescence evidence gathered
-        // from rejected candidates is void.
         self.rejection_run = 0;
         self.probe_at = QUIESCENCE_PROBE;
     }

@@ -6,8 +6,9 @@
 //! next candidate draw and how they reclassify candidates after damage,
 //! not in what a run is. Each supplies a few primitives — `advance` to
 //! the next candidate under a step budget, the clock, an idle jump for
-//! quiescent configurations, and the fault hooks — and [`ExactEngine`]
-//! writes the loops over them once:
+//! quiescent configurations, a view of its configuration, and the
+//! structural fault hooks — and [`ExactEngine`] writes the loops over
+//! them once:
 //!
 //! * the predicate is evaluated initially and after every effective
 //!   interaction (`run_until`) or every edge change (`run_until_edges`),
@@ -18,22 +19,38 @@
 //!   at their draw, before anything else looks at the configuration, and
 //!   the predicate is not consulted while one is pending.
 //!
-//! [`Simulation`](crate::Simulation) keeps its own loops on purpose: it is
-//! the independent reference the equivalence suite measures this driver
-//! against, so a driver bug cannot hide as a common-mode error.
+//! Fault *semantics* live here too, once: every resolved fault goes
+//! through one dispatch (`apply_resolved`), which owns the crash
+//! sequence (retire, record the lost edges, notify the former neighbours
+//! in ascending node order), the canonical edge order random deletions
+//! draw from, and the adversary's configuration snapshot. An engine
+//! supplies only the data-structure repair — retire a node, re-admit
+//! one, set one node's state, deactivate one edge — so a new fault kind
+//! needs no engine edit unless it needs a new kind of repair.
+//!
+//! [`Simulation`](crate::Simulation) keeps its own loops and fault code
+//! on purpose: it is the independent reference the equivalence suite
+//! measures this driver against, so a driver bug cannot hide as a
+//! common-mode error.
 
 use std::ops::ControlFlow;
 
+use crate::compiled::EnumerableMachine;
 use crate::engine::Bookkeeping;
 use crate::event::EventStep;
 use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{DueFault, FaultState, ResolvedFault};
+use crate::fault::{sample_without_replacement, DueFault, FaultState, ResolvedFault};
 use crate::sim::{RunOutcome, StepResult};
+use crate::EngineView;
 
-/// What each skip-sampling engine supplies to the driver. Crate-private
-/// (the fault hooks trade in crate-private resolution types), which also
-/// seals [`ExactEngine`].
+/// What each skip-sampling engine supplies to the driver: the run
+/// primitives, and the structural fault hooks [`apply_resolved`] applies
+/// every fault kind through. Crate-private, which also seals
+/// [`ExactEngine`].
 pub(crate) trait Primitives: Sized {
+    /// The machine type the engine executes.
+    type Machine: EnumerableMachine;
+
     /// Skips to and simulates the next candidate interaction without
     /// letting the clock pass `max_steps` (the engine's public
     /// `advance`).
@@ -52,12 +69,35 @@ pub(crate) trait Primitives: Sized {
     /// Mutable access to the fault bookkeeping.
     fn faults_mut(&mut self) -> Option<&mut FaultState>;
 
-    /// The normalized configuration an adversary decision reads.
-    fn config_snapshot(&self) -> ConfigSnapshot;
+    /// The configuration as predicates read it — also the driver's read
+    /// of state indices, the canonical edge order and the machine's
+    /// crash-notification map.
+    fn engine_view(&self) -> EngineView<'_, Self::Machine>;
 
-    /// Applies one resolved fault (alive flags already flipped),
-    /// reclassifying exactly the candidates it touches.
-    fn apply_resolved(&mut self, resolved: ResolvedFault);
+    /// Retires crashed node `x` (alive flag already cleared): drops its
+    /// active edges and every candidate involving it, and returns its
+    /// former neighbours in ascending order.
+    fn retire(&mut self, x: usize) -> Vec<usize>;
+
+    /// Re-admits arrived node `x` (alive flag already set; it holds the
+    /// initial state and no edges) into the candidate structures.
+    fn readmit(&mut self, x: usize);
+
+    /// Moves node `u` to state index `q` (a crash notification; `q`
+    /// differs from its current index) and reclassifies its candidates.
+    fn set_state_index(&mut self, u: usize, q: usize);
+
+    /// Deactivates edge `{u, v}` if it is active, reclassifying its pair;
+    /// returns whether it was.
+    fn deactivate_edge(&mut self, u: usize, v: usize) -> bool;
+
+    /// Records `k` fault-deleted edges as output-graph changes at the
+    /// current step.
+    fn record_fault_edges(&mut self, k: usize);
+
+    /// Runs after every fault that resolved to something, once its hooks
+    /// are done — where an engine voids evidence the change made stale.
+    fn after_fault(&mut self) {}
 
     /// `run_until_edges` over a predicate on the whole engine — the one
     /// loop an engine may replace ([`BucketSim`](crate::BucketSim)
@@ -177,7 +217,7 @@ pub trait ExactEngine: Primitives {
     fn apply_faults_now(&mut self) {
         assert!(self.faults().is_some(), "apply_faults_now needs a fault plan");
         while let Some(resolved) = self.faults_mut().and_then(FaultState::resolve_next) {
-            self.apply_resolved(resolved);
+            apply_resolved(self, resolved);
         }
     }
 
@@ -304,20 +344,60 @@ fn apply_due_faults<E: Primitives>(e: &mut E) {
                     .faults_mut()
                     .and_then(FaultState::resolve_next)
                     .expect("due_fault implies a pending event");
-                e.apply_resolved(resolved);
+                apply_resolved(e, resolved);
             }
             DueFault::Decision => {
-                let snap = e.config_snapshot();
+                let view = e.engine_view();
+                let states = (0..view.n()).map(|u| view.state_index(u)).collect();
+                let snap = ConfigSnapshot::new(states, view.canonical_edges());
                 let damage = e
                     .faults_mut()
                     .expect("due implies a plan")
                     .resolve_due_decision(&snap);
                 for resolved in damage {
-                    e.apply_resolved(resolved);
+                    apply_resolved(e, resolved);
                 }
             }
         }
     }
+}
+
+/// Applies one resolved fault (alive flags already flipped by the
+/// resolver) through the engine's structural hooks. Every fault kind's
+/// semantics lives here, once, for all four engines: a crash retires the
+/// node, records its lost edges as output changes and then notifies its
+/// former neighbours in ascending node order (see
+/// [`Machine::on_crash_notify`](crate::Machine::on_crash_notify)); a
+/// random deletion draws from the canonical edge order, so the draw
+/// depends only on the configuration.
+fn apply_resolved<E: Primitives>(e: &mut E, resolved: ResolvedFault) {
+    match resolved {
+        ResolvedFault::Noop => return,
+        ResolvedFault::Crash(x) => {
+            let neighbors = e.retire(x);
+            e.record_fault_edges(neighbors.len());
+            for w in neighbors {
+                let view = e.engine_view();
+                let q = view.state_index(w);
+                if let Some(q2) = view.machine().notify_indexed(q).filter(|&q2| q2 != q) {
+                    e.set_state_index(w, q2);
+                }
+            }
+        }
+        ResolvedFault::Arrive(x) => e.readmit(x),
+        ResolvedFault::DeleteEdge(u, v) => {
+            let lost = e.deactivate_edge(u, v);
+            e.record_fault_edges(usize::from(lost));
+        }
+        ResolvedFault::DeleteRandomEdges { count, mut rng } => {
+            let edges = e.engine_view().canonical_edges();
+            for (u, v) in sample_without_replacement(&mut rng, edges, count) {
+                let lost = e.deactivate_edge(u, v);
+                e.record_fault_edges(usize::from(lost));
+            }
+        }
+    }
+    e.after_fault();
 }
 
 /// The driver contract as checks over one *arm* — an [`Engine`] arm or

@@ -626,12 +626,18 @@ pub(crate) struct Bookkeeping {
 impl Bookkeeping {
     /// Records an effective interaction at the current `steps` count.
     pub fn record_effective(&mut self, edge_changed: bool) {
-        if edge_changed {
-            self.edge_events += 1;
-            self.last_output_change = self.steps;
-        }
+        self.record_edge_changes(usize::from(edge_changed));
         self.effective_steps += 1;
         self.last_effective = self.steps;
+    }
+
+    /// Records `k` edge changes (an interaction's, or a fault's
+    /// deletions) at the current `steps` count.
+    pub fn record_edge_changes(&mut self, k: usize) {
+        if k > 0 {
+            self.edge_events += k as u64;
+            self.last_output_change = self.steps;
+        }
     }
 
     /// The [`RunOutcome`] for a stable predicate observed right now.

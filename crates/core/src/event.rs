@@ -59,10 +59,9 @@ use crate::engine::{
     apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot, PairSet,
 };
 use crate::driver::{ExactEngine, Primitives};
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
-use crate::{Link, Population};
+use crate::{EngineView, Link, Population};
 
 /// The result of one [`EventSim::advance`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,7 +207,7 @@ impl<M: EnumerableMachine> EventSim<M> {
         let fs = FaultState::new(plan, n);
         let mut sim = Self::new(machine, fs.capacity(), seed);
         for ghost in n..fs.capacity() {
-            sim.detach_node(ghost);
+            sim.retire(ghost);
         }
         sim.faults = Some(fs);
         sim
@@ -345,40 +344,6 @@ impl<M: EnumerableMachine> EventSim<M> {
         }
     }
 
-    /// Retires node `x` from the candidate structures: deactivates its
-    /// incident active edges, clears its pair row, and marks it absent
-    /// in the index. Returns the former neighbors, in ascending order.
-    fn detach_node(&mut self, x: usize) -> Vec<usize> {
-        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
-        for &w in &neighbors {
-            self.pop.edges_mut().set(x, w, false);
-        }
-        self.index.set_absent(x);
-        let zeros = vec![0u64; self.pairs.row_bits(x).len()];
-        apply_desired_row(&mut self.pairs, x, &zeros);
-        neighbors
-    }
-
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.pop.edges().is_active(u, v) {
-            return;
-        }
-        self.pop.edges_mut().set(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let eff = self.index.table().can_affect(
-            self.index.state_index(a),
-            self.index.state_index(b),
-            Link::Off,
-        );
-        self.pairs.set(a, b, eff);
-    }
-
     /// Whether no pair of nodes has any effective interaction — O(1): the
     /// incrementally-maintained possibly-effective set is empty. (Compare
     /// [`Simulation::is_quiescent`](crate::Simulation::is_quiescent)'s
@@ -397,6 +362,8 @@ impl<M: EnumerableMachine> EventSim<M> {
 }
 
 impl<M: EnumerableMachine> Primitives for EventSim<M> {
+    type Machine = M;
+
     fn advance(&mut self, max_steps: u64) -> EventStep {
         EventSim::advance(self, max_steps)
     }
@@ -417,58 +384,58 @@ impl<M: EnumerableMachine> Primitives for EventSim<M> {
         self.faults.as_mut()
     }
 
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set.
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.pop.n())
-            .map(|u| self.index.state_index(u))
-            .collect();
-        ConfigSnapshot::new(states, self.pop.edges().active_edges())
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Dense {
+            pop: &self.pop,
+            machine: &self.machine,
+            faults: self.faults.as_ref(),
+        }
     }
 
-    /// Applies one resolved fault event (alive flags already flipped by
-    /// the resolver): reclassifies candidates and records fault-induced
-    /// edge deletions as output-graph changes.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
-        match resolved {
-            ResolvedFault::Noop => {}
-            ResolvedFault::Crash(x) => {
-                let neighbors = self.detach_node(x);
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                // Crash notifications, in ascending node order (see
-                // `Machine::on_crash_notify`): state-only changes, so
-                // only the notified node's pair row needs rescanning.
-                for &w in &neighbors {
-                    if let Some(s2) = self.machine.on_crash_notify(self.pop.state(w)) {
-                        if *self.pop.state(w) != s2 {
-                            self.pop.set_state(w, s2);
-                            self.index.on_state_change(
-                                &self.machine,
-                                &self.pop,
-                                &mut self.pairs,
-                                w,
-                            );
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                self.index.set_present(x);
-                self.index.rescan_node(&self.pop, &mut self.pairs, x);
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // Canonical triangular-index order, shared by every
-                // engine, so the draw depends only on the configuration.
-                let edges: Vec<(usize, usize)> = self.pop.edges().active_edges().collect();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
-            }
+    /// Deactivates `x`'s incident active edges, clears its pair row, and
+    /// marks it absent in the index.
+    fn retire(&mut self, x: usize) -> Vec<usize> {
+        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
+        for &w in &neighbors {
+            self.pop.edges_mut().set(x, w, false);
         }
+        self.index.set_absent(x);
+        let zeros = vec![0u64; self.pairs.row_bits(x).len()];
+        apply_desired_row(&mut self.pairs, x, &zeros);
+        neighbors
+    }
+
+    fn readmit(&mut self, x: usize) {
+        self.index.set_present(x);
+        self.index.rescan_node(&self.pop, &mut self.pairs, x);
+    }
+
+    /// A state-only change, so only `u`'s pair row needs rescanning.
+    fn set_state_index(&mut self, u: usize, q: usize) {
+        self.pop.set_state(u, self.machine.state_at(q));
+        self.index
+            .on_state_change(&self.machine, &self.pop, &mut self.pairs, u);
+    }
+
+    fn deactivate_edge(&mut self, u: usize, v: usize) -> bool {
+        if !self.pop.edges().is_active(u, v) {
+            return false;
+        }
+        self.pop.edges_mut().set(u, v, false);
+        // A dead endpoint implies an inactive edge, so both ends are
+        // alive here; only the link of this one pair changed.
+        let (a, b) = (u.min(v), u.max(v));
+        let eff = self.index.table().can_affect(
+            self.index.state_index(a),
+            self.index.state_index(b),
+            Link::Off,
+        );
+        self.pairs.set(a, b, eff);
+        true
+    }
+
+    fn record_fault_edges(&mut self, k: usize) {
+        self.book.record_edge_changes(k);
     }
 }
 

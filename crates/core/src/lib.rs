@@ -139,3 +139,38 @@ pub use rules::{ProtocolBuilder, ProtocolError, Rule, RuleProtocol, RuleRhs};
 pub use scheduler::{RoundRobin, Scheduler, ShuffledRounds, Uniform};
 pub use sim::{RunOutcome, Simulation, StepResult};
 pub use state::{Link, StateId};
+
+/// Reads environment knob `name` as a `T`; `None` when it is unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but does
+/// not parse — a typo must not silently run the default.
+pub(crate) fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    parse_knob(name, std::env::var_os(name))
+}
+
+/// [`env_knob`] over the variable's raw value.
+fn parse_knob<T: std::str::FromStr>(name: &str, value: Option<std::ffi::OsString>) -> Option<T> {
+    let v = value?;
+    let parsed = v.to_str().and_then(|s| s.parse().ok());
+    let ty = std::any::type_name::<T>();
+    Some(parsed.unwrap_or_else(|| panic!("{name}={v:?} is not a valid {ty}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn knobs_default_when_unset_and_parse_when_set() {
+        assert_eq!(parse_knob::<u64>("BUDGET", None), None);
+        assert_eq!(parse_knob::<u64>("BUDGET", Some("4096".into())), Some(4096));
+    }
+
+    #[test]
+    #[should_panic(expected = "BUDGET=\"1%\" is not a valid u64")]
+    fn malformed_knobs_fail_loudly() {
+        parse_knob::<u64>("BUDGET", Some("1%".into()));
+    }
+}

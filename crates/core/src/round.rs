@@ -90,10 +90,9 @@ use crate::engine::{
 };
 use crate::driver::{ExactEngine, Primitives};
 use crate::event::EventStep;
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
-use crate::{Link, Population};
+use crate::{EngineView, Link, Population};
 
 /// Membership bitset over unordered pairs (one canonical bit per pair)
 /// plus a member list for O(members) clearing: the round's
@@ -657,32 +656,11 @@ impl<M: EnumerableMachine> RoundSim<M> {
             result: StepResult::Effective { pair, edge_changed },
         }
     }
-
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.pop.edges().is_active(u, v) {
-            return;
-        }
-        self.pop.edges_mut().set(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let now_eff = self.index.table().can_affect(
-            self.index.state_index(a),
-            self.index.state_index(b),
-            Link::Off,
-        );
-        if self.pairs.contains(a, b) != now_eff {
-            self.pairs.set(a, b, now_eff);
-            self.reclass_pair(a, b, now_eff);
-        }
-    }
 }
 
 impl<M: EnumerableMachine> Primitives for RoundSim<M> {
+    type Machine = M;
+
     fn advance(&mut self, max_steps: u64) -> EventStep {
         RoundSim::advance(self, max_steps)
     }
@@ -705,76 +683,79 @@ impl<M: EnumerableMachine> Primitives for RoundSim<M> {
         self.faults.as_mut()
     }
 
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set.
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.pop.n()).map(|u| self.index.state_index(u)).collect();
-        ConfigSnapshot::new(states, self.pop.edges().active_edges())
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Dense {
+            pop: &self.pop,
+            machine: &self.machine,
+            faults: self.faults.as_ref(),
+        }
     }
 
-    /// Applies one resolved fault event, reclassifying exactly the pairs
-    /// whose effectiveness flipped. Ghost pairs never flip: they stay in
-    /// the anonymous pool for the rest of the round (they are certainly
-    /// ineffective, which is all the pool records), so the pool does
-    /// *not* shrink on a crash — `pool_invariant_holds` is preserved.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
-        match resolved {
-            ResolvedFault::Noop => {}
-            ResolvedFault::Crash(x) => {
-                // Detach x's effective-set row (every flip is eff→ineff:
-                // cand → resolved-ineffective, scheduled pairs frozen)…
-                let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
-                self.index.set_absent(x);
-                let zeros = vec![0u64; old.len()];
-                apply_desired_row(&mut self.pairs, x, &zeros);
-                self.reclass_row(x, &old, None);
-                // …then drop its active edges. The incident pairs are
-                // already out of the effective set, so no further flips.
-                let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
-                for &w in &neighbors {
-                    self.pop.edges_mut().set(x, w, false);
-                }
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                // Crash notifications, in ascending node order: each is
-                // a state-only change handled like any mid-round flip —
-                // rescan the row, then reclassify exactly the diff
-                // (scheduled pairs stay frozen, ineff→eff flips resolve
-                // against the pool by the urn draw).
-                for &w in &neighbors {
-                    if let Some(s2) = self.machine.on_crash_notify(self.pop.state(w)) {
-                        if *self.pop.state(w) != s2 {
-                            let old_w: Vec<u64> = self.pairs.row_bits(w).to_vec();
-                            self.pop.set_state(w, s2);
-                            self.index
-                                .on_state_change(&self.machine, &self.pop, &mut self.pairs, w);
-                            self.reclass_row(w, &old_w, None);
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                // Re-admit x and rescan its row; every flip is
-                // ineff→eff, resolved against the pool by the urn draw
-                // (an arriving pair is exchangeable with any other pool
-                // member: it has been ineffective all round).
-                let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
-                self.index.set_present(x);
-                self.index.rescan_node(&self.pop, &mut self.pairs, x);
-                self.reclass_row(x, &old, None);
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // Canonical triangular-index order, shared by every
-                // engine, so the draw depends only on the configuration.
-                let edges: Vec<(usize, usize)> = self.pop.edges().active_edges().collect();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
-            }
+    // Ghost pairs never flip: they stay in the anonymous pool for the
+    // rest of the round (they are certainly ineffective, which is all the
+    // pool records), so the pool does *not* shrink on a crash —
+    // `pool_invariant_holds` is preserved.
+    fn retire(&mut self, x: usize) -> Vec<usize> {
+        // Detach x's effective-set row (every flip is eff→ineff:
+        // cand → resolved-ineffective, scheduled pairs frozen)…
+        let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
+        self.index.set_absent(x);
+        let zeros = vec![0u64; old.len()];
+        apply_desired_row(&mut self.pairs, x, &zeros);
+        self.reclass_row(x, &old, None);
+        // …then drop its active edges. The incident pairs are already
+        // out of the effective set, so no further flips.
+        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
+        for &w in &neighbors {
+            self.pop.edges_mut().set(x, w, false);
         }
+        neighbors
+    }
+
+    /// Re-admits x and rescans its row; every flip is ineff→eff, resolved
+    /// against the pool by the urn draw (an arriving pair is
+    /// exchangeable with any other pool member: it has been ineffective
+    /// all round).
+    fn readmit(&mut self, x: usize) {
+        let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
+        self.index.set_present(x);
+        self.index.rescan_node(&self.pop, &mut self.pairs, x);
+        self.reclass_row(x, &old, None);
+    }
+
+    /// A state-only change handled like any mid-round flip: rescan the
+    /// row, then reclassify exactly the diff (scheduled pairs stay
+    /// frozen, ineff→eff flips resolve against the pool by the urn draw).
+    fn set_state_index(&mut self, u: usize, q: usize) {
+        let old: Vec<u64> = self.pairs.row_bits(u).to_vec();
+        self.pop.set_state(u, self.machine.state_at(q));
+        self.index
+            .on_state_change(&self.machine, &self.pop, &mut self.pairs, u);
+        self.reclass_row(u, &old, None);
+    }
+
+    fn deactivate_edge(&mut self, u: usize, v: usize) -> bool {
+        if !self.pop.edges().is_active(u, v) {
+            return false;
+        }
+        self.pop.edges_mut().set(u, v, false);
+        // A dead endpoint implies an inactive edge, so both ends are
+        // alive here; only the link of this one pair changed.
+        let (a, b) = (u.min(v), u.max(v));
+        let now_eff = self.index.table().can_affect(
+            self.index.state_index(a),
+            self.index.state_index(b),
+            Link::Off,
+        );
+        if self.pairs.contains(a, b) != now_eff {
+            self.pairs.set(a, b, now_eff);
+            self.reclass_pair(a, b, now_eff);
+        }
+        true
+    }
+
+    fn record_fault_edges(&mut self, k: usize) {
+        self.book.record_edge_changes(k);
     }
 }
 

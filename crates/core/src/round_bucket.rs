@@ -96,8 +96,7 @@ use crate::compiled::{EffectTable, EnumerableMachine};
 use crate::engine::{hypergeometric_count_large, hypergeometric_skip, unit_open01, Bookkeeping};
 use crate::driver::{ExactEngine, Primitives};
 use crate::event::EventStep;
-use crate::fault::adversary::ConfigSnapshot;
-use crate::fault::{sample_without_replacement, FaultPlan, FaultState, ResolvedFault};
+use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
 use crate::{EngineView, Link, Population};
 
@@ -311,15 +310,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// presents pairs in a fixed node order).
     #[must_use]
     pub fn new(machine: M, n: usize, seed: u64) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "RoundBucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "RoundBucketSim's dense class index is u16: more than 65536 states"
-        );
-        let initial = machine.state_index(&machine.initial_state());
-        let sp = SparsePop::new(n, num_states, initial);
+        let sp = SparsePop::initial(&machine, n);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -331,21 +322,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// As [`new`](Self::new).
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        let n = pop.n();
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(n <= 1 << 31, "RoundBucketSim packs node ids into u32");
-        let num_states = machine.num_states();
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "RoundBucketSim's dense class index is u16: more than 65536 states"
-        );
-        let mut sp = SparsePop::new(n, num_states, machine.state_index(pop.state(0)));
-        for u in 0..n {
-            sp.set_state_index(u, machine.state_index(pop.state(u)));
-        }
-        for (u, v) in pop.edges().active_edges() {
-            sp.set_edge(u, v, true);
-        }
+        let sp = SparsePop::from_population(&machine, &pop);
         Self::from_sparse(machine, sp, seed)
     }
 
@@ -1379,22 +1356,9 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
 // ---------------------------------------------------------------------
 // Run loops (predicates over the sparse view) and the fault layer.
 // ---------------------------------------------------------------------
-impl<M: EnumerableMachine> RoundBucketSim<M> {
-    /// Deactivates edge `{u, v}` as a fault (no-op when inactive) and
-    /// reclassifies the single affected pair — explicit by the
-    /// active-edge invariant.
-    fn delete_edge_fault(&mut self, u: usize, v: usize) {
-        if !self.sp.is_active(u, v) {
-            return;
-        }
-        self.sp.set_edge(u, v, false);
-        self.book.edge_events += 1;
-        self.book.last_output_change = self.book.steps;
-        self.recompute_x(u, v);
-    }
-}
-
 impl<M: EnumerableMachine> Primitives for RoundBucketSim<M> {
+    type Machine = M;
+
     fn advance(&mut self, max_steps: u64) -> EventStep {
         RoundBucketSim::advance(self, max_steps)
     }
@@ -1417,92 +1381,78 @@ impl<M: EnumerableMachine> Primitives for RoundBucketSim<M> {
         self.faults.as_mut()
     }
 
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        self.sp.config_snapshot()
+    fn engine_view(&self) -> EngineView<'_, M> {
+        EngineView::Sparse { sp: &self.sp, machine: &self.machine }
     }
 
-    /// Applies one resolved fault event, reclassifying exactly the
-    /// cohorts and explicit pairs whose effectiveness flipped. The draw
-    /// space stays frozen at the capacity: dead pairs keep consuming
-    /// their round occurrences as anonymous non-candidates, so the pool
-    /// does *not* shrink on a crash and `pool_invariant_holds` is
-    /// preserved.
-    fn apply_resolved(&mut self, resolved: ResolvedFault) {
-        match resolved {
-            ResolvedFault::Noop => {}
-            ResolvedFault::Crash(x) => {
-                // Touch x first (it may still be anonymous), then flip
-                // every structure that keys on its liveness: its cohorts
-                // all demote to non-candidates, its explicit pairs all
-                // turn ineffective, and its untouched pairs stop being
-                // counted (x leaves the touched buckets; its urn rows
-                // were just demoted).
-                self.ensure_touched(x);
-                self.alive[x] = false;
-                self.tbucket_remove(x, self.sp.state_index(x));
-                self.sp.bucket_remove(x);
-                self.update_urn_flags(x);
-                self.recompute_partners(x);
-                // Drop x's active edges (explicit pairs by invariant),
-                // notifications in ascending node order like the other
-                // engines.
-                let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
-                neighbors.sort_unstable();
-                for &w in &neighbors {
-                    self.sp.set_edge(x, w, false);
-                    self.recompute_x(x, w);
-                }
-                if !neighbors.is_empty() {
-                    self.book.edge_events += neighbors.len() as u64;
-                    self.book.last_output_change = self.book.steps;
-                }
-                for &w in &neighbors {
-                    let sw = self.sp.state_index(w);
-                    if let Some(new) = self.machine.notify_indexed(sw) {
-                        if new != sw {
-                            self.ensure_touched(w);
-                            self.apply_state_change(w, new);
-                        }
-                    }
-                }
-            }
-            ResolvedFault::Arrive(x) => {
-                // The ghost was born touched; it joins as a live node
-                // with fresh pool-sourced cohorts over the untouched
-                // classes. `reset_dead` stays set: pairs owned by
-                // earlier-touched nodes were never in their urns (x was
-                // dead then) and keep resolving against the pool.
-                debug_assert!(!self.alive[x] && self.touched[x] && self.reset_dead[x]);
-                self.alive[x] = true;
-                self.sp.bucket_insert(x);
-                let q = self.sp.state_index(x);
-                self.rs_class[x] = q as u16;
-                self.tseq[x] = self.seq_next;
-                self.seq_next += 1;
-                self.tbucket_insert(x, q);
-                for q2 in 0..self.nq {
-                    let k = self.ubuckets[q2].len() as u64;
-                    if k > 0 {
-                        self.make_urn(x, q2, k, true);
-                    }
-                }
-                self.tbucket_sup_scan(x);
-            }
-            ResolvedFault::DeleteEdge(u, v) => self.delete_edge_fault(u, v),
-            ResolvedFault::DeleteRandomEdges { count, mut rng } => {
-                // The dense engines sample from the triangular-index
-                // order, lexicographic in (min, max) — sort the
-                // adjacency-derived list to match.
-                let mut edges: Vec<(usize, usize)> = Vec::with_capacity(self.sp.active_count());
-                for u in 0..self.sp.n() {
-                    edges.extend(self.sp.neighbors(u).filter(|&w| w > u).map(|w| (u, w)));
-                }
-                edges.sort_unstable();
-                for (u, v) in sample_without_replacement(&mut rng, edges, count) {
-                    self.delete_edge_fault(u, v);
-                }
+    // Faults reclassify exactly the cohorts and explicit pairs whose
+    // effectiveness flipped. The draw space stays frozen at the capacity:
+    // dead pairs keep consuming their round occurrences as anonymous
+    // non-candidates, so the pool does *not* shrink on a crash and
+    // `pool_invariant_holds` is preserved.
+    fn retire(&mut self, x: usize) -> Vec<usize> {
+        // Touch x first (it may still be anonymous), then flip every
+        // structure that keys on its liveness: its cohorts all demote to
+        // non-candidates, its explicit pairs all turn ineffective, and
+        // its untouched pairs stop being counted (x leaves the touched
+        // buckets; its urn rows were just demoted).
+        self.ensure_touched(x);
+        self.alive[x] = false;
+        self.tbucket_remove(x, self.sp.state_index(x));
+        self.sp.bucket_remove(x);
+        self.update_urn_flags(x);
+        self.recompute_partners(x);
+        // Drop x's active edges (explicit pairs by invariant).
+        let mut neighbors: Vec<usize> = self.sp.neighbors(x).collect();
+        neighbors.sort_unstable();
+        for &w in &neighbors {
+            self.deactivate_edge(x, w);
+        }
+        neighbors
+    }
+
+    /// The ghost was born touched; it joins as a live node with fresh
+    /// pool-sourced cohorts over the untouched classes. `reset_dead`
+    /// stays set: pairs owned by earlier-touched nodes were never in
+    /// their urns (x was dead then) and keep resolving against the pool.
+    fn readmit(&mut self, x: usize) {
+        debug_assert!(!self.alive[x] && self.touched[x] && self.reset_dead[x]);
+        self.alive[x] = true;
+        self.sp.bucket_insert(x);
+        let q = self.sp.state_index(x);
+        self.rs_class[x] = q as u16;
+        self.tseq[x] = self.seq_next;
+        self.seq_next += 1;
+        self.tbucket_insert(x, q);
+        for q2 in 0..self.nq {
+            let k = self.ubuckets[q2].len() as u64;
+            if k > 0 {
+                self.make_urn(x, q2, k, true);
             }
         }
+        self.tbucket_sup_scan(x);
+    }
+
+    fn set_state_index(&mut self, u: usize, q: usize) {
+        self.ensure_touched(u);
+        self.apply_state_change(u, q);
+    }
+
+    /// The one affected pair is explicit by the active-edge invariant.
+    fn deactivate_edge(&mut self, u: usize, v: usize) -> bool {
+        if !self.sp.is_active(u, v) {
+            return false;
+        }
+        self.sp.set_edge(u, v, false);
+        self.recompute_x(u, v);
+        true
+    }
+
+    fn record_fault_edges(&mut self, k: usize) {
+        self.book.record_edge_changes(k);
+    }
+
+    fn after_fault(&mut self) {
         debug_assert!(self.pool_invariant_holds());
     }
 }

@@ -171,6 +171,23 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
         }
     }
 
+    /// The machine being executed.
+    pub(crate) fn machine(&self) -> &M {
+        match self {
+            Self::Dense { machine, .. } | Self::Sparse { machine, .. } => machine,
+        }
+    }
+
+    /// The active edges in canonical `(min, max)`-lexicographic order,
+    /// whatever the engine's own edge representation — the order random
+    /// edge deletions draw from.
+    pub(crate) fn canonical_edges(&self) -> Vec<(usize, usize)> {
+        match self {
+            Self::Dense { pop, .. } => pop.edges().active_edges().collect(),
+            Self::Sparse { sp, .. } => sp.canonical_edges(),
+        }
+    }
+
     /// Materializes the full dense configuration — a clone on the dense
     /// arm, an O(n²) edge-set build on the sparse arm.
     #[must_use]
@@ -259,43 +276,6 @@ macro_rules! each_arm {
             Engine::RoundSparse { $sim } => $body,
         }
     };
-}
-
-/// How each arm's engine presents its configuration to predicates.
-trait Viewed<M: EnumerableMachine> {
-    fn engine_view(&self) -> EngineView<'_, M>;
-}
-
-impl<M: EnumerableMachine> Viewed<M> for EventSim<M> {
-    fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Dense {
-            pop: self.population(),
-            machine: self.machine(),
-            faults: self.fault_state(),
-        }
-    }
-}
-
-impl<M: EnumerableMachine> Viewed<M> for RoundSim<M> {
-    fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Dense {
-            pop: self.population(),
-            machine: self.machine(),
-            faults: self.fault_state(),
-        }
-    }
-}
-
-impl<M: EnumerableMachine> Viewed<M> for BucketSim<M> {
-    fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Sparse { sp: BucketSim::view(self), machine: self.machine() }
-    }
-}
-
-impl<M: EnumerableMachine> Viewed<M> for RoundBucketSim<M> {
-    fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Sparse { sp: RoundBucketSim::view(self), machine: self.machine() }
-    }
 }
 
 impl<M: EnumerableMachine> Engine<M> {
@@ -411,12 +391,14 @@ impl<M: EnumerableMachine> Engine<M> {
 
     /// The active memory budget (`NETCON_ENGINE_MEM_BUDGET` or the
     /// 512 MiB default).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `NETCON_ENGINE_MEM_BUDGET` is set but is not a byte
+    /// count.
     #[must_use]
     pub fn default_budget() -> u64 {
-        std::env::var("NETCON_ENGINE_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MEM_BUDGET)
+        crate::env_knob("NETCON_ENGINE_MEM_BUDGET").unwrap_or(DEFAULT_MEM_BUDGET)
     }
 
     /// Whether a sparse engine was selected: [`BucketSim`] under the

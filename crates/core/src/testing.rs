@@ -22,12 +22,13 @@ use crate::{
 ///
 /// The `NETCON_TEST_STEP_BUDGET` environment variable overrides the
 /// computed value (useful for bisecting a slow protocol or tightening CI).
+///
+/// # Panics
+///
+/// Panics if `NETCON_TEST_STEP_BUDGET` is set but is not a step count.
 #[must_use]
 pub fn step_budget(n: usize) -> u64 {
-    if let Some(v) = std::env::var("NETCON_TEST_STEP_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
+    if let Some(v) = crate::env_knob("NETCON_TEST_STEP_BUDGET") {
         return v;
     }
     let n = n as u64;

@@ -19,13 +19,16 @@
 //! run `CutBridge`, `CutAtWalker(q2)`, `CrashState(q1)` and
 //! `CrashMaxDegree`. Each run is also replayed boundary by boundary,
 //! checking that every fault boundary changes the fingerprint and that
-//! stopping at each one lands on the same final fingerprint.
+//! stopping at each one lands on the same final fingerprint. One more
+//! run pins `BucketSim` under churn on FT-Global-Star, whose rejected
+//! candidates make the engine's quiescence evidence — voided after every
+//! fault — decide coins.
 
 use netcon_core::{
-    AdversaryPlan, AdversaryPolicy, BucketSim, Cadence, CompiledTable, EventSim, ExactEngine,
-    FaultEvent, FaultPlan, Population, RoundBucketSim, RoundSim, SparsePop, StateId,
+    AdversaryPlan, AdversaryPolicy, BucketSim, Cadence, ChurnPlan, CompiledTable, EventSim,
+    ExactEngine, FaultEvent, FaultPlan, Population, RoundBucketSim, RoundSim, SparsePop, StateId,
 };
-use netcon_protocols::ft_line;
+use netcon_protocols::{ft_line, ft_star};
 
 /// `(steps, effective_steps, edge_events, last_output_change, alive
 /// count, configuration hash)`.
@@ -140,4 +143,21 @@ fn ft_line_under_every_fault_kind() {
             (50000, 293, 196, 36524, 20, 12873530443118200152),
         ]
     );
+}
+
+/// `BucketSim` voids the quiescence evidence of its rejection streak
+/// after every fault. FT-Global-Star's candidate over-count makes long
+/// streaks (the FT-line run above rarely rejects a candidate), so under
+/// churn the timing of that reset moves coins.
+#[test]
+fn bucket_ft_star_under_churn() {
+    let churn = ChurnPlan::new(21)
+        .arrival_rate(1e-4)
+        .departure_rate(1e-4)
+        .min_alive(8)
+        .horizon(60_000)
+        .compile(16);
+    let mut e = BucketSim::new_faulted(ft_star::protocol().compile(), 16, 1, churn);
+    e.run_faulted_to(80_000);
+    assert_eq!(fingerprint(&e, sparse_hash), (80000, 230, 237, 55838, 16, 8842769166206784938));
 }

@@ -24,10 +24,11 @@ use netcon::core::{Engine, EventSim};
 use netcon::protocols::simple_global_line;
 
 fn main() {
-    let n: usize = std::env::var("NETCON_HUGE_LINE_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let n: usize = std::env::var_os("NETCON_HUGE_LINE_N").map_or(100_000, |v| {
+        v.to_str()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("NETCON_HUGE_LINE_N={v:?} is not a node count"))
+    });
     println!("Simple-Global-Line on n = {n} nodes\n");
     println!(
         "dense-engine estimate : {:>10.1} MB (pair map + bitsets)",
