@@ -3,14 +3,14 @@
 //! uniform vs shuffled-rounds scheduling), event-driven candidate
 //! throughput, predicate-check cost (including the dense shape oracles
 //! over recorded trajectories), a full run on each engine, edge cover on
-//! the event engine (no interaction changes a state), the dense engines'
-//! construction, and the round engines' skip sampler on both of its
-//! paths.
+//! the event engine (no interaction changes a state), a matching run on
+//! the sparse round engine, the dense engines' construction, and the
+//! round engines' skip sampler on both of its paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netcon_core::{
-    hypergeometric_skip, unit_open01, EventSim, ExactEngine, Population, RoundSim, RuleProtocol,
-    ShuffledRounds, Simulation, StateId,
+    hypergeometric_skip, unit_open01, EventSim, ExactEngine, Population, RoundBucketSim, RoundSim,
+    RuleProtocol, ShuffledRounds, Simulation, StateId,
 };
 use netcon_graph::properties::is_spanning_star;
 use netcon_processes::Process;
@@ -120,6 +120,19 @@ fn engine_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = EventSim::new(p.protocol().compile(), 200, 7);
             black_box(sim.run_until_edges(|q| p.is_done(q), u64::MAX))
+        });
+    });
+
+    // The sparse round engine's own bookkeeping (touches, cohorts,
+    // explicit pairs) on the workload netbench's matching-100k cell runs
+    // at five times the size: build, then play round 1 until at most one
+    // node is unmatched.
+    group.bench_function("round_bucket_matching_n20000", |b| {
+        let table = Process::MaximumMatching.protocol().compile();
+        let n = 20_000;
+        b.iter(|| {
+            let mut sim = RoundBucketSim::new(table.clone(), n, 7);
+            black_box(sim.run_until_edges(|sp| sp.active_count() == n / 2, u64::MAX))
         });
     });
 

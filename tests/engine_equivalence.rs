@@ -1163,6 +1163,7 @@ mod adversary {
                     prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
                     prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
                     prop_assert!(rb.pool_invariant_holds());
+                    prop_assert!(rb.round_arenas_consistent());
                 }
             }
         }
@@ -1282,6 +1283,37 @@ mod fault_bookkeeping {
                 prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
                 prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
                 prop_assert!(rb.pool_invariant_holds());
+                prop_assert!(rb.round_arenas_consistent());
+            }
+        }
+
+        /// The sparse round engine on Simple-Global-Line's five states.
+        /// From round 2 on the round-start classes are mixed, so a
+        /// touched node owns several cohorts (the matching table above
+        /// never gives one more than one). After random crash, arrival
+        /// and edge-delete histories, its counted strata must still
+        /// match brute force, and its cohort runs and partner lists must
+        /// stay well formed.
+        #[test]
+        fn round_bucket_tracks_faults_on_a_multi_state_table(
+            n in 4usize..14,
+            seed in any::<u64>(),
+            plan_seed in any::<u64>(),
+            choices in proptest::collection::vec((0u64..500, any::<u8>()), 0..6),
+        ) {
+            let p = simple_global_line::protocol().compile();
+            let plan = plan_from(&choices, plan_seed);
+            let mut rb = RoundBucketSim::new_faulted(p.clone(), n, seed, plan);
+
+            for target in [60u64, 120, 200, 260, 380, 520] {
+                rb.run_faulted_to(target);
+                let rbp = rb.to_population();
+                let rbfs = rb.fault_state().expect("faulted").clone();
+                let (exact_q, _) = brute(&p, &rbp, &rbfs);
+                prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
+                prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
+                prop_assert!(rb.pool_invariant_holds());
+                prop_assert!(rb.round_arenas_consistent());
             }
         }
     }
