@@ -59,7 +59,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::engine::{geometric_skip, unit_open01, Bookkeeping, GeoCacheSlot};
+use crate::engine::{geometric_skip, unit_open01, Bookkeeping};
 use crate::driver::{next_probe, run_until_with, ExactEngine, Primitives};
 use crate::event::EventStep;
 use crate::fault::{FaultPlan, FaultState};
@@ -566,8 +566,6 @@ pub struct BucketSim<M: EnumerableMachine> {
     rejection_run: u64,
     probe_at: u64,
     faults: Option<FaultState>,
-    /// Lazy inversion table for the hot `geometric_skip` parameter.
-    geo: GeoCacheSlot,
     /// Batched-endgame commitments, keyed by the node currently holding
     /// the walker state (a `Vec`, so coin consumption is deterministic).
     commits: Vec<(u32, Commit)>,
@@ -679,7 +677,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             rejection_run: 0,
             probe_at: QUIESCENCE_PROBE,
             faults: None,
-            geo: GeoCacheSlot::default(),
             commits: Vec::new(),
             endgame_retry_after: 0,
             eg: None,
@@ -874,16 +871,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             0
         } else {
             let p = k2 as f64 / m2 as f64;
-            // The inversion table answers with the same value the direct
-            // computation would produce for this raw draw; a miss falls
-            // back to the `ln` inversion on the *same* draw, so the coin
-            // stream is bit-identical either way.
-            let raw = self.rng.next_u64();
-            let g = self
-                .geo
-                .note(p)
-                .and_then(|c| c.lookup(raw))
-                .unwrap_or_else(|| geometric_skip(unit_open01(raw), p));
+            let g = geometric_skip(unit_open01(self.rng.next_u64()), p);
             // Candidate would land past the budget: the whole remaining
             // window is ineffective (P(skips ≥ r) is exactly the naive
             // probability of r misses in a row).

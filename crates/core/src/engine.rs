@@ -481,117 +481,6 @@ pub fn hypergeometric_count_large(u01: f64, marked: u64, total: u64, draws: u64)
     invert_pmf_window(u01, marked, total, draws, wlo, whi, mode)
 }
 
-/// A cached inversion table for [`geometric_skip`] at one fixed hit
-/// probability `p`: for small skip counts the floor inversion is a pure
-/// threshold function of the raw draw's 53-bit mantissa, so the table
-/// stores the integer cut points and the steady-state path answers most
-/// draws with one binary search over 64 `u64`s instead of an `ln`.
-///
-/// **Bit-identical by construction**: each cut point is found by binary
-/// search *over the real function* — `cuts[t]` is the smallest mantissa
-/// value `j = (raw >> 11) + 1` with
-/// `geometric_skip(unit_open01(raw), p) ≤ t` — so on a cache hit the
-/// answer equals what the direct computation would have produced for the
-/// same raw draw, and a miss (skip beyond the tabled horizon, or a
-/// different `p`) falls back to the direct computation on the *same*
-/// draw. The engines' coin streams are therefore unchanged.
-#[derive(Debug, Clone)]
-pub struct GeoSkipCache {
-    p: f64,
-    /// `cuts[t]` = smallest mantissa `j` whose skip is ≤ `t`;
-    /// non-increasing in `t` (larger `u` ⇒ fewer skips).
-    cuts: Vec<u64>,
-}
-
-/// Tabled skip horizon: draws that skip more than this many candidates
-/// fall back to the direct `ln` inversion. 64 entries cover
-/// `1 − (1−p)^65` of draws — essentially all of them in the dense-`p`
-/// steady state the cache targets.
-pub const GEO_CACHE_HORIZON: usize = 64;
-
-impl GeoSkipCache {
-    /// Builds the table for hit probability `p ∈ (0, 1)`.
-    #[must_use]
-    pub fn build(p: f64) -> Self {
-        debug_assert!(p > 0.0 && p < 1.0);
-        let skip_of = |j: u64| geometric_skip(j as f64 * (1.0 / (1u64 << 53) as f64), p);
-        let mut cuts = Vec::with_capacity(GEO_CACHE_HORIZON + 1);
-        for t in 0..=GEO_CACHE_HORIZON as u64 {
-            // Smallest j in [1, 2⁵³] with skip(j) ≤ t; skip is
-            // non-increasing in j and skip(2⁵³) = 0.
-            let (mut lo, mut hi) = (1u64, 1u64 << 53);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if skip_of(mid) <= t as f64 {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            cuts.push(lo);
-        }
-        Self { p, cuts }
-    }
-
-    /// The probability the table was built for.
-    #[must_use]
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// The skip count for a raw 64-bit draw, or `None` when the draw
-    /// falls beyond the tabled horizon (caller recomputes directly from
-    /// the same draw).
-    #[inline]
-    #[must_use]
-    pub fn lookup(&self, raw: u64) -> Option<f64> {
-        let j = (raw >> 11) + 1;
-        if j < self.cuts[GEO_CACHE_HORIZON] {
-            return None;
-        }
-        // cuts is non-increasing; the skip is the first t with cuts[t] ≤ j.
-        Some(self.cuts.partition_point(|&c| c > j) as f64)
-    }
-}
-
-/// Streak-counting lazy builder for [`GeoSkipCache`]: engines call
-/// [`note`](Self::note) with the current hit probability before each
-/// skip draw and get a cache back once the same `p` has recurred long
-/// enough to amortize the table build.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GeoCacheSlot {
-    cache: Option<GeoSkipCache>,
-    streak_p: f64,
-    streak: u32,
-}
-
-/// Builds after this many consecutive draws at one `p` (the table build
-/// costs ~64 binary searches of ~53 `ln` evaluations).
-const GEO_CACHE_STREAK: u32 = 512;
-
-impl GeoCacheSlot {
-    /// Returns the cache valid for `p`, if one is (or just became) warm.
-    #[inline]
-    pub(crate) fn note(&mut self, p: f64) -> Option<&GeoSkipCache> {
-        if let Some(c) = &self.cache {
-            if c.p() == p {
-                return self.cache.as_ref();
-            }
-        }
-        if self.streak_p == p {
-            self.streak += 1;
-            if self.streak >= GEO_CACHE_STREAK && p > 0.0 && p < 1.0 {
-                self.cache = Some(GeoSkipCache::build(p));
-                return self.cache.as_ref();
-            }
-        } else {
-            self.streak_p = p;
-            self.streak = 1;
-        }
-        None
-    }
-}
-
 /// The output graph of a configuration: active edges restricted to nodes
 /// in output states (`G(C)` in §3.1). Shared by both engines'
 /// `output_graph` methods.
@@ -1408,59 +1297,6 @@ mod tests {
             assert!(x >= prev, "inversion not monotone at u={u}");
             prev = x;
         }
-    }
-
-    /// Cache hits must be bit-identical to the direct inversion on the
-    /// same raw draw, and misses must be exactly the beyond-horizon
-    /// draws.
-    #[test]
-    fn geo_skip_cache_is_bit_identical_over_its_domain() {
-        for &p in &[0.5f64, 0.1, 0.037, 0.9, 1.0 / 3.0, 0.004] {
-            let cache = GeoSkipCache::build(p);
-            assert_eq!(cache.p(), p);
-            let mut raw = 0x9E3779B97F4A7C15u64;
-            for _ in 0..4000 {
-                raw = raw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let direct = geometric_skip(unit_open01(raw), p);
-                match cache.lookup(raw) {
-                    Some(hit) => assert_eq!(
-                        hit.to_bits(),
-                        direct.to_bits(),
-                        "p={p} raw={raw:#x}: cache {hit} ≠ direct {direct}"
-                    ),
-                    None => assert!(
-                        direct > GEO_CACHE_HORIZON as f64,
-                        "p={p} raw={raw:#x}: miss but direct skip {direct} is in-horizon"
-                    ),
-                }
-            }
-            // Boundary mantissas around every cut point.
-            for t in 0..=GEO_CACHE_HORIZON {
-                let j = cache.cuts[t];
-                for cand in [j.saturating_sub(1).max(1), j, (j + 1).min(1 << 53)] {
-                    let raw = (cand - 1) << 11;
-                    let direct = geometric_skip(unit_open01(raw), p);
-                    if let Some(hit) = cache.lookup(raw) {
-                        assert_eq!(hit.to_bits(), direct.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn geo_cache_slot_warms_up_on_a_streak_and_resets_on_change() {
-        let mut slot = GeoCacheSlot::default();
-        for _ in 0..511 {
-            assert!(slot.note(0.25).is_none());
-        }
-        assert!(slot.note(0.25).is_some(), "warm after the streak");
-        assert!(slot.note(0.25).is_some(), "stays warm");
-        assert!(slot.note(0.5).is_none(), "new p invalidates");
-        for _ in 0..600 {
-            slot.note(0.5);
-        }
-        assert_eq!(slot.note(0.5).map(GeoSkipCache::p), Some(0.5));
     }
 
     #[test]

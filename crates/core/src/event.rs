@@ -56,7 +56,7 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
 use crate::engine::{
-    apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, GeoCacheSlot, PairSet,
+    apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, PairSet,
 };
 use crate::driver::{ExactEngine, Primitives};
 use crate::fault::{FaultPlan, FaultState};
@@ -120,8 +120,6 @@ pub struct EventSim<M: EnumerableMachine> {
     pairs: PairSet,
     index: EffectIndex,
     faults: Option<FaultState>,
-    /// Lazy inversion table for the hot `geometric_skip` parameter.
-    geo: GeoCacheSlot,
 }
 
 impl<M: EnumerableMachine> EventSim<M> {
@@ -184,7 +182,6 @@ impl<M: EnumerableMachine> EventSim<M> {
             pairs,
             index,
             faults: None,
-            geo: GeoCacheSlot::default(),
         }
     }
 
@@ -283,16 +280,7 @@ impl<M: EnumerableMachine> EventSim<M> {
         } else {
             // Inversion of the geometric law: P(skips ≥ t) = (1−p)^t.
             let p = k as f64 / m as f64;
-            // The inversion table answers with the same value the direct
-            // computation would produce for this raw draw; a miss falls
-            // back to the `ln` inversion on the *same* draw, so the coin
-            // stream is bit-identical either way.
-            let raw = self.rng.next_u64();
-            let g = self
-                .geo
-                .note(p)
-                .and_then(|c| c.lookup(raw))
-                .unwrap_or_else(|| geometric_skip(unit_open01(raw), p));
+            let g = geometric_skip(unit_open01(self.rng.next_u64()), p);
             // The candidate lands at steps + skips + 1: past the budget
             // means the whole remaining window is ineffective (this is
             // exact — P(skips ≥ r) equals the naive engine's probability

@@ -125,7 +125,7 @@ pub use compiled::{CompiledTable, EffectTable, EnumerableMachine};
 pub use driver::ExactEngine;
 pub use engine::{
     geometric_skip, hypergeometric_count, hypergeometric_count_large, hypergeometric_skip,
-    unit_open01, GeoSkipCache, PairSet,
+    unit_open01, PairSet,
 };
 pub use event::{EventSim, EventStep};
 pub use fault::adversary::{AdversaryPlan, AdversaryPolicy, Cadence};

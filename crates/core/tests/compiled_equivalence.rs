@@ -3,13 +3,15 @@
 //! coin outcome, including the exact randomness consumption — and the
 //! event-driven engine built on it reproduces the naive engine's
 //! supporting invariants. The dense engines' incrementally maintained
-//! pair sets equal the brute-force effective set after every step.
+//! pair sets equal the brute-force effective set after every step, and
+//! the sparse engine's candidate weight equals the brute-force count of
+//! the superset it samples from.
 
 use std::ops::Range;
 
 use netcon_core::{
-    EnumerableMachine, EventSim, EventStep, Link, Machine, PairSet, Population, ProtocolBuilder,
-    RoundSim, RuleProtocol, Simulation, StateId,
+    BucketSim, CompiledTable, EnumerableMachine, EventSim, EventStep, Link, Machine, PairSet,
+    Population, ProtocolBuilder, RoundSim, RuleProtocol, Simulation, StateId,
 };
 use netcon_processes::Process;
 use proptest::prelude::*;
@@ -97,11 +99,38 @@ fn check_effective_set(
     Ok(())
 }
 
-/// Runs `EventSim` and `RoundSim` of `p` from `pop` for up to
-/// `candidates` candidate interactions each, checking both engines' pair
-/// sets against the brute-force effective set after construction and
-/// after every `advance` (and the round engine's pool accounting too).
-fn check_dense_engines(
+/// Checks `BucketSim`'s candidate weight against a brute-force count of
+/// the superset it samples from: every ordered pair whose states admit a
+/// transition on an inactive link (the off buckets count such pairs
+/// whatever their link), plus both orders of every active edge whose
+/// states admit one only on an active link (the on list).
+fn check_candidate_weight(
+    p: &RuleProtocol,
+    sim: &mut BucketSim<CompiledTable>,
+) -> Result<(), TestCaseError> {
+    let pop = sim.to_population();
+    let mut expected = 0u64;
+    for u in 0..pop.n() {
+        for v in 0..pop.n() {
+            if u == v {
+                continue;
+            }
+            let (a, b) = (pop.state(u), pop.state(v));
+            let on = pop.edges().is_active(u, v) && p.can_affect(a, b, Link::On);
+            expected += u64::from(p.can_affect(a, b, Link::Off) || on);
+        }
+    }
+    prop_assert_eq!(sim.candidate_weight(), expected);
+    Ok(())
+}
+
+/// Runs `EventSim`, `RoundSim` and `BucketSim` of `p` from `pop` for up
+/// to `candidates` candidate interactions each, checking the dense
+/// engines' pair sets against the brute-force effective set (and the
+/// round engine's pool accounting) and the sparse engine's candidate
+/// weight against its brute-force superset, after construction and after
+/// every `advance`.
+fn check_engines(
     p: &RuleProtocol,
     pop: &Population<StateId>,
     seed: u64,
@@ -124,13 +153,22 @@ fn check_dense_engines(
         check_effective_set(p, round.population(), round.effective_set())?;
         prop_assert!(round.pool_invariant_holds());
     }
+    let mut bucket = BucketSim::from_population(p.compile(), pop.clone(), seed);
+    check_candidate_weight(p, &mut bucket)?;
+    for _ in 0..candidates {
+        if bucket.advance(u64::MAX) == EventStep::Quiescent {
+            break;
+        }
+        check_candidate_weight(p, &mut bucket)?;
+    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The dense engines' pair sets equal the brute-force effective set
+    /// The dense engines' pair sets equal the brute-force effective set,
+    /// and the sparse engine's candidate weight its brute-force superset,
     /// after every step, on random rule tables from random configurations
     /// with active edges: small tables (the word-parallel index) and
     /// tables past 32 states (its per-pair arm).
@@ -142,7 +180,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         for p in [&p, &wide] {
-            check_dense_engines(p, &random_population(p, n, seed), seed, 60)?;
+            check_engines(p, &random_population(p, n, seed), seed, 60)?;
         }
     }
 
@@ -151,7 +189,7 @@ proptest! {
     #[test]
     fn dense_pair_sets_match_brute_force_on_table1(n in 2usize..14, seed in any::<u64>()) {
         for process in Process::all() {
-            check_dense_engines(&process.protocol(), &process.initial_population(n), seed, 60)?;
+            check_engines(&process.protocol(), &process.initial_population(n), seed, 60)?;
         }
     }
 

@@ -23,41 +23,29 @@ use netcon_protocols::{cycle_cover, simple_global_line};
 /// configuration hash)`, with the exact wide counts.
 type Fingerprint = (u128, u128, u64, u64, u64);
 
-/// FNV-1a over a stream of words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
 /// FNV-1a over `n`, every node's state index, and every active edge
 /// `{u, v}` with `u < v` in lexicographic order — independent of the
 /// order the adjacency lists hold them in.
 fn sparse_hash(sp: &SparsePop) -> u64 {
-    let mut h = Fnv::new();
-    let n = sp.n();
-    h.eat(n as u64);
-    for u in 0..n {
-        h.eat(sp.state_index(u) as u64);
-    }
-    for u in 0..n {
-        let mut row: Vec<usize> = sp.neighbors(u).filter(|&v| v > u).collect();
-        row.sort_unstable();
-        for v in row {
-            h.eat(u as u64);
-            h.eat(v as u64);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: usize| {
+        for byte in (x as u64).to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
         }
+    };
+    eat(sp.n());
+    (0..sp.n()).for_each(|u| eat(sp.state_index(u)));
+    let mut edges = Vec::new();
+    for u in 0..sp.n() {
+        edges.extend(sp.neighbors(u).filter(|&v| v > u).map(|v| (u, v)));
     }
-    h.0
+    edges.sort_unstable();
+    for (u, v) in edges {
+        eat(u);
+        eat(v);
+    }
+    h
 }
 
 fn fingerprint(e: &BucketSim<CompiledTable>) -> Fingerprint {

@@ -2,16 +2,19 @@
 //! memory wall.
 //!
 //! Simple-Global-Line (Protocol 1) is the paper's slowest constructor:
-//! Θ(n⁴)–O(n⁵) expected *sequential* steps, ~10²⁰ scheduler draws at
-//! n = 100 000. The dense event engine would skip the idle draws but
-//! needs ~45 GB for its pair-position structures at this size; the
-//! sparse [`BucketSim`](netcon::core::BucketSim) (selected automatically
-//! by [`Engine::auto`](netcon::core::Engine::auto)) runs the identical
-//! distribution in a few dozen megabytes:
+//! Θ(n⁴)–O(n⁵) expected *sequential* steps. At n = 100 000 (seed 2014)
+//! that is 2.72×10¹⁸ scheduler draws; at n = 10⁶ it is 2.88×10²², past
+//! `u64`, so the example prints the sparse engine's exact wide step
+//! count. The dense event engine would skip the idle draws but needs
+//! ~43 GB for its pair-position structures at n = 100 000; the sparse
+//! [`BucketSim`](netcon::core::BucketSim) (selected automatically by
+//! [`Engine::auto`](netcon::core::Engine::auto)) runs the identical
+//! distribution in a few dozen megabytes, and its batched endgame draws
+//! whole leader walks at once:
 //!
 //! ```sh
-//! cargo run --release --example huge_line                  # n = 100 000, minutes
-//! NETCON_HUGE_LINE_N=20000 cargo run --release --example huge_line   # quicker
+//! cargo run --release --example huge_line                  # n = 100 000, ~2 s
+//! NETCON_HUGE_LINE_N=1000000 cargo run --release --example huge_line # ~25 s
 //! ```
 //!
 //! The run stops when the spanning line's last edge activates (the
@@ -48,9 +51,15 @@ fn main() {
     let outcome = eng.run_until_edges(simple_global_line::is_stable_view, u64::MAX);
     let wall = t0.elapsed();
     let converged = outcome.converged_at().expect("Protocol 1 stabilizes");
+    // `converged_at` saturates at `u64::MAX`; the run stops at
+    // convergence, so the sparse engine's wide clock is the exact count.
+    let steps = match &eng {
+        Engine::Sparse { sim } => sim.steps_wide(),
+        _ => u128::from(converged),
+    };
 
     println!("\nspanning line complete: {} active edges\n", n - 1);
-    println!("sequential steps (paper's time) : {converged:>22}");
+    println!("sequential steps (paper's time) : {steps:>22}");
     println!(
         "effective interactions          : {:>22}",
         eng.effective_steps()

@@ -23,8 +23,7 @@
 //! The coin-level proptests at the bottom pin the shared skip samplers
 //! themselves: the geometric inversion both uniform-family engines draw
 //! from (one shared skip schedule ⇒ the superset engine never skips
-//! more; `GeoSkipCache` reproduces it bit for bit on the cached
-//! domain), the hypergeometric inversions the round engines draw from
+//! more), the hypergeometric inversions the round engines draw from
 //! (bracketing the brute-force CDFs, including the within-round
 //! exhaustion edge cases), and the batched-endgame absorption laws of
 //! `netcon_core::walk` against brute-force per-draw walks.
@@ -37,8 +36,8 @@
 use netcon::core::seeds::derive2;
 use netcon::core::{
     geometric_skip, hypergeometric_count, hypergeometric_skip, unit_open01, BucketSim,
-    CompiledTable, EngineView, EventSim, ExactEngine, GeoSkipCache, Link, Population,
-    ProtocolBuilder, RoundBucketSim, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
+    CompiledTable, EngineView, EventSim, ExactEngine, Link, Population, ProtocolBuilder,
+    RoundBucketSim, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
 };
 use netcon::graph::properties::is_maximum_matching;
 use netcon::protocols::{cycle_cover, simple_global_line};
@@ -1361,43 +1360,6 @@ mod skip_schedule {
             let p_event = ke as f64 / m as f64;
             let p_bucket = (ke + extra) as f64 / m as f64;
             prop_assert!(geometric_skip(u, p_bucket) <= geometric_skip(u, p_event));
-        }
-
-        /// The geometric skip cache is bit-identical to the direct
-        /// inversion it replaces: on the cached domain (skips within the
-        /// table horizon) `lookup` returns *exactly*
-        /// `geometric_skip(unit_open01(raw), p)` — not an approximation —
-        /// and outside it returns `None` so the engine recomputes from
-        /// the same raw draw. Either way the engine's coin stream is
-        /// unchanged, which is what makes the cache invisible to every
-        /// equivalence test above.
-        #[test]
-        fn geo_cache_is_bit_identical_to_direct_inversion(
-            raw in any::<u64>(),
-            kp in 1u64..999,
-        ) {
-            let p = kp as f64 / 1000.0;
-            let cache = GeoSkipCache::build(p);
-            prop_assert_eq!(cache.p(), p);
-            let direct = geometric_skip(unit_open01(raw), p);
-            match cache.lookup(raw) {
-                Some(cached) => prop_assert_eq!(cached, direct, "cache diverges at raw={raw}"),
-                None => prop_assert!(
-                    direct > 63.0,
-                    "cache refused an in-horizon skip {direct} at raw={raw}"
-                ),
-            }
-        }
-
-        /// Small raw draws map deep into the tail (beyond the horizon of
-        /// 64), so the cache must decline them; the all-ones draw maps to
-        /// zero skips and must be served from the table.
-        #[test]
-        fn geo_cache_horizon_edges(kp in 1u64..200) {
-            let p = kp as f64 / 1000.0;
-            let cache = GeoSkipCache::build(p);
-            prop_assert_eq!(cache.lookup(u64::MAX), Some(0.0));
-            prop_assert_eq!(cache.lookup(0), None, "p={p} should overflow the horizon at u→0");
         }
 
         /// The two event engines' candidate-set sizes obey the superset
