@@ -4,13 +4,14 @@
 //! throughput, predicate-check cost (including the dense shape oracles
 //! over recorded trajectories), a full run on each engine, edge cover on
 //! the event engine (no interaction changes a state), a matching run on
-//! the sparse round engine, the dense engines' construction, and the
-//! round engines' skip sampler on both of its paths.
+//! the sparse round engine, runs of the sparse uniform engine at the
+//! sizes of netbench's `sparse` cells, the dense engines' construction,
+//! and the round engines' skip sampler on both of its paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netcon_core::{
-    hypergeometric_skip, unit_open01, EventSim, ExactEngine, Population, RoundBucketSim, RoundSim,
-    RuleProtocol, ShuffledRounds, Simulation, StateId,
+    hypergeometric_skip, unit_open01, BucketSim, CompiledTable, EngineView, EventSim, ExactEngine,
+    Population, RoundBucketSim, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
 };
 use netcon_graph::properties::is_spanning_star;
 use netcon_processes::Process;
@@ -60,7 +61,6 @@ fn engine_throughput(c: &mut Criterion) {
     group.bench_function("event_advance_bucket_line_n4096", |b| {
         // The sparse engine's candidate throughput at a size the dense
         // pair map would already pay ~70 MB for.
-        use netcon_core::BucketSim;
         let mut sim = BucketSim::new(simple_global_line::protocol().compile(), 4096, 1);
         let mut reseed = 2u64;
         b.iter(|| {
@@ -135,6 +135,38 @@ fn engine_throughput(c: &mut Criterion) {
             black_box(sim.run_until_edges(|sp| sp.active_count() == n / 2, u64::MAX))
         });
     });
+
+    // The sparse uniform engine on two of netbench's `sparse` cells: build,
+    // then run to the O(1) view predicate, checked after every effective
+    // step. One seed, so every iteration repeats the same trajectory.
+    type ViewCheck = fn(&EngineView<'_, CompiledTable>) -> bool;
+    for (name, protocol, n, stable) in [
+        (
+            "bucket_sgl_run_n256",
+            simple_global_line::protocol(),
+            256,
+            simple_global_line::is_stable_view::<CompiledTable> as ViewCheck,
+        ),
+        (
+            "bucket_cycle_cover_run_n20000",
+            cycle_cover::protocol(),
+            20_000,
+            cycle_cover::is_stable_view::<CompiledTable>,
+        ),
+    ] {
+        let table = protocol.compile();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sim = BucketSim::new(table.clone(), n, 7);
+                let out = sim.run_until(
+                    |sp| stable(&EngineView::Sparse { sp, machine: &table }),
+                    u64::MAX,
+                );
+                assert!(out.stabilized());
+                black_box(out)
+            });
+        });
+    }
 
     group.finish();
 }

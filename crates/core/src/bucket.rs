@@ -23,7 +23,7 @@
 //!    `p = K / n(n−1)` — states are frozen during misses, exactly the
 //!    argument of the dense engine, with `E'` in place of `E`. The count
 //!    comes from the same inversion draw
-//!    ([`geometric_skip`]).
+//!    ([`geometric_skip`](crate::geometric_skip)).
 //! 3. A candidate is then drawn uniformly from `E'`: an off bucket with
 //!    probability proportional to its pair count (one cumulative-weight
 //!    search over ≤ |Q|² integers), then a uniform member from each
@@ -47,9 +47,13 @@
 //!
 //! Maintenance is O(1) per node-state change (two swap-removes and a
 //! dirty flag for the ≤ |Q|² cumulative weights) plus O(deg) per touched
-//! node for the on list, and memory is O(n + |Q|²): at n = 100 000
-//! Simple-Global-Line runs in a few megabytes where the dense pair map
-//! alone would need ~40 GB.
+//! node for the on list, and memory is O(n + |Q|²). Each node keeps its
+//! adjacency row inline while its degree is at most 2 (see
+//! [`SparsePop`]), so a configuration of lines, rings, cycles or a
+//! matching allocates nothing per node: at n = 100 000
+//! Simple-Global-Line converges holding 5.0 MB (3.0 MB at construction)
+//! where the dense pair map alone would need ~40 GB, and a maximum
+//! matching holds 3.5 MB.
 
 use std::cmp::Reverse;
 use std::ops::ControlFlow;
@@ -59,7 +63,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::engine::{geometric_skip, unit_open01, Bookkeeping};
+use crate::engine::{geometric_skip_unfloored, unit_open01, Bookkeeping};
 use crate::driver::{next_probe, run_until_with, ExactEngine, Primitives};
 use crate::event::EventStep;
 use crate::fault::{FaultPlan, FaultState};
@@ -73,15 +77,18 @@ use crate::{EngineView, Link, Population};
 /// Sentinel for "this active edge is not on the on list".
 const NOT_ON: u32 = u32::MAX;
 
-/// One adjacency cell: the neighbour plus the edge's position in the on
-/// list (mirrored in the neighbour's cell), so on-list membership reads
-/// and writes ride the adjacency scans the engine does anyway — no
-/// hashing in the hot loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AdjCell {
-    to: u32,
-    on_pos: u32,
-}
+/// One adjacency cell, `(neighbour, on-list position)`: the position of
+/// the edge in the on list (mirrored in the neighbour's cell, or
+/// [`NOT_ON`]), so on-list membership reads and writes ride the
+/// adjacency scans the engine does anyway — no hashing in the hot loop.
+/// A tuple rather than a named struct so the inline rows below are
+/// built as zeroed memory.
+type AdjCell = (u32, u32);
+
+/// Adjacency cells a node keeps inline. Lines, rings, cycle covers and
+/// matchings never pass degree 2, so only hubs (a star's centre) ever
+/// hold a heap row.
+const INLINE: usize = 2;
 
 /// A sparse configuration: per-node state indices, per-state node
 /// buckets, and adjacency lists of the active edges — everything a
@@ -90,6 +97,14 @@ struct AdjCell {
 ///
 /// Node ids are `u32` (the engine's population cap), state ids are the
 /// machine's dense [`EnumerableMachine`] indices.
+///
+/// A node's adjacency row (unordered, swap-remove order) lives inline
+/// in one flat array of `INLINE = 2` cells per node while its degree is
+/// at most 2. Past that the whole row moves to a heap row, and it moves
+/// back inline when the degree falls to 2 again; a vacated heap row
+/// keeps its capacity for the next hub. The row's order is the same in
+/// either place. Per node that is 26 bytes of state, position, degree
+/// and inline cells, and no allocation of its own.
 #[derive(Debug, Clone)]
 pub struct SparsePop {
     /// Dense state index of every node.
@@ -98,9 +113,17 @@ pub struct SparsePop {
     buckets: Vec<Vec<u32>>,
     /// Position of each node inside its bucket.
     pos: Vec<u32>,
-    /// Active-edge adjacency lists, unordered within a row; each cell
-    /// carries the edge's on-list position (or [`NOT_ON`]).
-    adj: Vec<Vec<AdjCell>>,
+    /// Active degree of every node.
+    deg: Vec<u32>,
+    /// The adjacency row of every node of degree ≤ [`INLINE`]; for a
+    /// node past it, cell 0's neighbour field holds its heap row's index
+    /// in `spill`.
+    inline: Vec<[AdjCell; INLINE]>,
+    /// Heap rows of the nodes of degree > [`INLINE`], and vacated
+    /// (empty) rows awaiting reuse.
+    spill: Vec<Vec<AdjCell>>,
+    /// Indices of the vacated rows in `spill`.
+    spill_free: Vec<u32>,
     /// Number of active edges.
     active: usize,
 }
@@ -145,7 +168,10 @@ impl SparsePop {
             idx: vec![u16::try_from(initial).expect("≤ 65536 states"); n],
             buckets,
             pos: (0..n as u32).collect(),
-            adj: vec![Vec::new(); n],
+            deg: vec![0; n],
+            inline: vec![[(0, 0); INLINE]; n],
+            spill: Vec::new(),
+            spill_free: Vec::new(),
             active: 0,
         }
     }
@@ -183,12 +209,80 @@ impl SparsePop {
     /// The active degree of node `u`.
     #[must_use]
     pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
+        self.deg[u] as usize
     }
 
     /// The active neighbours of node `u` (arbitrary order).
     pub fn neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
-        self.adj[u].iter().map(|c| c.to as usize)
+        self.row(u).iter().map(|&(to, _)| to as usize)
+    }
+
+    /// Node `u`'s adjacency row, wherever it lives.
+    #[inline]
+    fn row(&self, u: usize) -> &[AdjCell] {
+        let d = self.deg[u] as usize;
+        if d <= INLINE {
+            &self.inline[u][..d]
+        } else {
+            &self.spill[self.inline[u][0].0 as usize]
+        }
+    }
+
+    /// Node `u`'s adjacency row, mutably.
+    #[inline]
+    fn row_mut(&mut self, u: usize) -> &mut [AdjCell] {
+        let d = self.deg[u] as usize;
+        if d <= INLINE {
+            &mut self.inline[u][..d]
+        } else {
+            &mut self.spill[self.inline[u][0].0 as usize]
+        }
+    }
+
+    /// Appends `cell` to `u`'s row, moving the row to a heap row when it
+    /// outgrows the inline cells.
+    fn push_cell(&mut self, u: usize, cell: AdjCell) {
+        let d = self.deg[u] as usize;
+        if d < INLINE {
+            self.inline[u][d] = cell;
+        } else if d == INLINE {
+            let slot = self.spill_free.pop().unwrap_or_else(|| {
+                self.spill.push(Vec::new());
+                (self.spill.len() - 1) as u32
+            });
+            let row = &mut self.spill[slot as usize];
+            row.extend_from_slice(&self.inline[u]);
+            row.push(cell);
+            self.inline[u][0].0 = slot;
+        } else {
+            self.spill[self.inline[u][0].0 as usize].push(cell);
+        }
+        self.deg[u] += 1;
+    }
+
+    /// Swap-removes cell `i` of `u`'s row (the same order a `Vec`'s
+    /// `swap_remove` leaves), moving the row back inline when it fits
+    /// again.
+    fn swap_remove_cell(&mut self, u: usize, i: usize) {
+        let d = self.deg[u] as usize;
+        if d <= INLINE {
+            self.inline[u][i] = self.inline[u][d - 1];
+        } else {
+            let slot = self.inline[u][0].0;
+            let row = &mut self.spill[slot as usize];
+            row.swap_remove(i);
+            if row.len() == INLINE {
+                self.inline[u].copy_from_slice(row);
+                row.clear();
+                self.spill_free.push(slot);
+            }
+        }
+        self.deg[u] -= 1;
+    }
+
+    /// Position of `v` in `u`'s row.
+    fn cell_of(&self, u: usize, v: usize) -> Option<usize> {
+        self.row(u).iter().position(|&(to, _)| to as usize == v)
     }
 
     /// Whether the edge `{u, v}` is active — an O(min degree) adjacency
@@ -200,12 +294,8 @@ impl SparsePop {
     #[must_use]
     pub fn is_active(&self, u: usize, v: usize) -> bool {
         assert!(u != v, "self-loops are not part of the model");
-        let (a, b) = if self.adj[u].len() <= self.adj[v].len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.adj[a].iter().any(|c| c.to as usize == b)
+        let (a, b) = if self.deg[u] <= self.deg[v] { (u, v) } else { (v, u) };
+        self.row(a).iter().any(|&(to, _)| to as usize == b)
     }
 
     /// Materializes the dense active-edge set — Θ(n²) bits; for
@@ -213,11 +303,9 @@ impl SparsePop {
     #[must_use]
     pub fn to_edgeset(&self) -> netcon_graph::EdgeSet {
         let mut es = netcon_graph::EdgeSet::new(self.n());
-        for (u, row) in self.adj.iter().enumerate() {
-            for c in row {
-                if (c.to as usize) > u {
-                    es.activate(u, c.to as usize);
-                }
+        for u in 0..self.n() {
+            for w in self.neighbors(u).filter(|&w| w > u) {
+                es.activate(u, w);
             }
         }
         es
@@ -283,24 +371,17 @@ impl SparsePop {
     /// the engine can repair its on list.
     pub(crate) fn set_edge(&mut self, u: usize, v: usize, active: bool) -> u32 {
         if active {
-            debug_assert!(!self.adj[u].iter().any(|c| c.to as usize == v));
-            self.adj[u].push(AdjCell {
-                to: v as u32,
-                on_pos: NOT_ON,
-            });
-            self.adj[v].push(AdjCell {
-                to: u as u32,
-                on_pos: NOT_ON,
-            });
+            debug_assert!(self.cell_of(u, v).is_none());
+            self.push_cell(u, (v as u32, NOT_ON));
+            self.push_cell(v, (u as u32, NOT_ON));
             self.active += 1;
             NOT_ON
         } else {
-            let pu = self.adj[u].iter().position(|c| c.to as usize == v);
-            let pv = self.adj[v].iter().position(|c| c.to as usize == u);
-            let (pu, pv) = (pu.expect("edge was active"), pv.expect("edge was active"));
-            let on_pos = self.adj[u][pu].on_pos;
-            self.adj[u].swap_remove(pu);
-            self.adj[v].swap_remove(pv);
+            let pu = self.cell_of(u, v).expect("edge was active");
+            let pv = self.cell_of(v, u).expect("edge was active");
+            let on_pos = self.row(u)[pu].1;
+            self.swap_remove_cell(u, pu);
+            self.swap_remove_cell(v, pv);
             self.active -= 1;
             on_pos
         }
@@ -309,35 +390,91 @@ impl SparsePop {
     /// Writes the on-list position into both adjacency cells of the
     /// active edge `{u, v}` — O(deg).
     fn set_edge_on_pos(&mut self, u: usize, v: usize, on_pos: u32) {
-        let cu = self.adj[u]
-            .iter_mut()
-            .find(|c| c.to as usize == v)
-            .expect("edge is active");
-        cu.on_pos = on_pos;
-        let cv = self.adj[v]
-            .iter_mut()
-            .find(|c| c.to as usize == u)
-            .expect("edge is active");
-        cv.on_pos = on_pos;
+        for (a, b) in [(u, v), (v, u)] {
+            let cell = self
+                .row_mut(a)
+                .iter_mut()
+                .find(|c| c.0 as usize == b)
+                .expect("edge is active");
+            cell.1 = on_pos;
+        }
     }
 
-    /// Bytes of heap memory held by the configuration (including the
-    /// per-row `Vec` headers, which at bounded degree are most of the
-    /// adjacency's footprint).
+    /// Whether the adjacency is well formed: every active edge has one
+    /// cell in each endpoint's row and the degrees and the edge count
+    /// agree with the rows; a row lives inline exactly while its degree
+    /// is at most 2, each heap row belongs to one such node or is vacant
+    /// and empty; and each cell's on-list position is mirrored in the
+    /// neighbour's cell and names the edge's entry in `on_list`, which
+    /// lists no other edge. `on_list` is the owning engine's on list
+    /// (empty for [`RoundBucketSim`](crate::RoundBucketSim), which keeps
+    /// none). O(Σ deg²); for tests.
+    #[must_use]
+    pub fn adjacency_consistent(&self, on_list: &[(u32, u32)]) -> bool {
+        let n = self.n();
+        let mut owner = vec![None; self.spill.len()];
+        for &slot in &self.spill_free {
+            match owner.get_mut(slot as usize) {
+                Some(o @ None) if self.spill[slot as usize].is_empty() => *o = Some(n),
+                _ => return false,
+            }
+        }
+        let (mut degrees, mut named) = (0, 0);
+        for u in 0..n {
+            let d = self.degree(u);
+            if d > INLINE {
+                match owner.get_mut(self.inline[u][0].0 as usize) {
+                    Some(o @ None) => *o = Some(u),
+                    _ => return false,
+                }
+            }
+            let row = self.row(u);
+            if row.len() != d {
+                return false;
+            }
+            degrees += d;
+            for (i, &(to, on_pos)) in row.iter().enumerate() {
+                let v = to as usize;
+                if v == u || v >= n || row[..i].iter().any(|c| c.0 == to) {
+                    return false;
+                }
+                let back: Vec<u32> = self
+                    .row(v)
+                    .iter()
+                    .filter(|c| c.0 as usize == u)
+                    .map(|c| c.1)
+                    .collect();
+                if back != [on_pos] {
+                    return false;
+                }
+                if on_pos != NOT_ON {
+                    let edge = (u.min(v) as u32, u.max(v) as u32);
+                    if on_list.get(on_pos as usize) != Some(&edge) {
+                        return false;
+                    }
+                    named += 1;
+                }
+            }
+        }
+        owner.iter().all(Option::is_some) && degrees == 2 * self.active && named == 2 * on_list.len()
+    }
+
+    /// Bytes of heap memory held by the configuration: the flat
+    /// per-node arrays, the bucket lists, and the hubs' heap rows.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
-        (self.idx.capacity() * 2
-            + self.pos.capacity() * 4
-            + self
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * 4 + 24)
-                .sum::<usize>()
-            + self
-                .adj
-                .iter()
-                .map(|a| a.capacity() * 8 + 24)
-                .sum::<usize>()) as u64
+        fn bytes<T>(v: &Vec<T>) -> u64 {
+            (v.capacity() * size_of::<T>()) as u64
+        }
+        bytes(&self.idx)
+            + bytes(&self.pos)
+            + bytes(&self.deg)
+            + bytes(&self.inline)
+            + bytes(&self.buckets)
+            + self.buckets.iter().map(bytes).sum::<u64>()
+            + bytes(&self.spill)
+            + self.spill.iter().map(bytes).sum::<u64>()
+            + bytes(&self.spill_free)
     }
 }
 
@@ -558,8 +695,12 @@ pub struct BucketSim<M: EnumerableMachine> {
     dirty: bool,
     /// Active edges whose state pair is effective on an active link only,
     /// as unordered `(u, v)` entries; positions are mirrored in the
-    /// adjacency cells ([`AdjCell::on_pos`]).
+    /// adjacency cells ([`AdjCell`]).
     on_list: Vec<(u32, u32)>,
+    /// Whether any state pair is effective on an active link only.
+    /// Without one (Cycle-Cover, matching) the on list stays empty, so
+    /// refreshing it after a state change is skipped.
+    on_pairs: bool,
     /// Consecutive candidates that resolved ineffective — drives the
     /// exact quiescence probe that keeps budget-bounded runs from
     /// grinding through a dead configuration.
@@ -663,6 +804,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             }
         }
         let cum = vec![0; off_pairs.len()];
+        let on_pairs = (0..size).any(|s| (0..size).any(|t| table.on_link_only(s, t)));
         let mut sim = Self {
             machine,
             sp,
@@ -674,6 +816,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             off_total: 0,
             dirty: true,
             on_list: Vec::new(),
+            on_pairs,
             rejection_run: 0,
             probe_at: QUIESCENCE_PROBE,
             faults: None,
@@ -726,6 +869,14 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.off_total + 2 * self.on_list.len() as u64
     }
 
+    /// Whether the adjacency and the on list agree
+    /// ([`SparsePop::adjacency_consistent`] against this engine's on
+    /// list). O(Σ deg²); for tests.
+    #[must_use]
+    pub fn adjacency_consistent(&self) -> bool {
+        self.sp.adjacency_consistent(&self.on_list)
+    }
+
     /// Materializes the dense configuration — Θ(n²) bits for the edge
     /// set; for inspection and small-n testing only.
     #[must_use]
@@ -734,15 +885,21 @@ impl<M: EnumerableMachine> BucketSim<M> {
     }
 
     /// Bytes of heap memory held by the engine: the sparse configuration,
-    /// buckets, cumulative weights, on list, and effect table — O(n + |Q|²),
+    /// buckets, cumulative weights, on list, effect table, and the
+    /// batched endgame's carried walker commitments — O(n + |Q|²),
     /// against the dense engine's Θ(n²).
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
+        fn bytes<T>(v: &Vec<T>) -> u64 {
+            (v.capacity() * size_of::<T>()) as u64
+        }
         self.sp.approx_mem_bytes()
-            + (self.off_pairs.capacity() * 4
-                + self.cum.capacity() * 8
-                + self.on_list.capacity() * 8) as u64
             + self.table.approx_mem_bytes()
+            + bytes(&self.off_pairs)
+            + bytes(&self.cum)
+            + bytes(&self.on_list)
+            + bytes(&self.commits)
+            + self.commits.iter().map(|(_, c)| bytes(&c.path)).sum::<u64>()
     }
 
     /// Rebuilds the off-bucket cumulative weights from the bucket sizes —
@@ -779,9 +936,12 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// change; membership state rides the adjacency cells, so unchanged
     /// edges cost one table lookup each.
     fn refresh_on_incident(&mut self, u: usize) {
+        if !self.on_pairs {
+            return;
+        }
         let su = self.sp.state_index(u);
-        for i in 0..self.sp.adj[u].len() {
-            let AdjCell { to, on_pos } = self.sp.adj[u][i];
+        for i in 0..self.sp.degree(u) {
+            let (to, on_pos) = self.sp.row(u)[i];
             let w = to as usize;
             let want = self.table.on_link_only(su, self.sp.state_index(w));
             let member = on_pos != NOT_ON;
@@ -863,7 +1023,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
         }
         let n = self.sp.n() as u64;
         let m2 = n * (n - 1);
-        let remaining = u128::from(max_steps).saturating_sub(self.book.steps);
+        // At most `max_steps`, so the `u64` is exact.
+        let remaining = u128::from(max_steps).saturating_sub(self.book.steps) as u64;
         if remaining == 0 {
             return EventStep::BudgetExhausted;
         }
@@ -871,15 +1032,15 @@ impl<M: EnumerableMachine> BucketSim<M> {
             0
         } else {
             let p = k2 as f64 / m2 as f64;
-            let g = geometric_skip(unit_open01(self.rng.next_u64()), p);
+            let x = geometric_skip_unfloored(unit_open01(self.rng.next_u64()), p);
             // Candidate would land past the budget: the whole remaining
             // window is ineffective (P(skips ≥ r) is exactly the naive
             // probability of r misses in a row).
-            if g >= remaining as f64 {
+            if x >= remaining as f64 {
                 self.book.steps = u128::from(max_steps);
                 return EventStep::BudgetExhausted;
             }
-            g as u64
+            x as u64
         };
         self.book.steps += u128::from(skipped) + 1;
 
@@ -975,9 +1136,9 @@ impl<M: EnumerableMachine> BucketSim<M> {
             let ordered_active: u64 = self.sp.buckets[s]
                 .iter()
                 .map(|&u| {
-                    self.sp.adj[u as usize]
-                        .iter()
-                        .filter(|c| usize::from(self.sp.idx[c.to as usize]) == t)
+                    self.sp
+                        .neighbors(u as usize)
+                        .filter(|&w| usize::from(self.sp.idx[w]) == t)
                         .count() as u64
                 })
                 .sum();
@@ -1345,11 +1506,10 @@ impl<M: EnumerableMachine> BucketSim<M> {
             let eg = self.eg.as_ref().expect("session is open");
             let mut seen: HashSet<u32> = HashSet::new();
             for &u in nodes {
-                for cell in &self.sp.adj[u as usize] {
-                    if cell.on_pos == NOT_ON {
+                for &(v, on_pos) in self.sp.row(u as usize) {
+                    if on_pos == NOT_ON {
                         continue;
                     }
-                    let v = cell.to;
                     let uc = eg.claim.contains_key(&u) || seen.contains(&u);
                     let vc = eg.claim.contains_key(&v) || seen.contains(&v);
                     if uc && vc {
@@ -1467,10 +1627,9 @@ impl<M: EnumerableMachine> BucketSim<M> {
 
     /// Whether the active edge `{u, v}` currently rides the on list.
     fn edge_is_on_entry(&self, u: usize, v: usize) -> bool {
-        self.sp.adj[u]
-            .iter()
-            .find(|c| c.to as usize == v)
-            .is_some_and(|c| c.on_pos != NOT_ON)
+        self.sp
+            .cell_of(u, v)
+            .is_some_and(|i| self.sp.row(u)[i].1 != NOT_ON)
     }
 
     /// Registers a validated lone-walker path: reuses a carried per-draw
@@ -2006,6 +2165,143 @@ mod tests {
         let es = sp.to_edgeset();
         assert_eq!(es.active_count(), 5);
         assert!(sp.approx_mem_bytes() > 0);
+    }
+
+    /// Every row edit of random edge toggles keeps the adjacency
+    /// consistent and in exactly the order plain `Vec` rows with
+    /// `push`/`swap_remove` would hold — the order the engines' draws
+    /// depend on — while hubs spill to heap rows and move back inline.
+    #[test]
+    fn rows_spill_and_return_in_vec_order() {
+        let n = 7;
+        let mut sp = SparsePop::new(n, 1, 0);
+        let mut model: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut rng = SmallRng::seed_from_u64(11);
+        let (mut spilled, mut returned) = (false, false);
+        for _ in 0..4000 {
+            // Node 0 is a hub: most toggles touch it.
+            let u = if rng.random_bool(0.7) { 0 } else { rng.random_range(1..n) };
+            let v = (u + rng.random_range(1..n)) % n;
+            let was = sp.degree(u);
+            if sp.is_active(u, v) {
+                sp.set_edge(u, v, false);
+                for (a, b) in [(u, v), (v, u)] {
+                    let i = model[a].iter().position(|&w| w as usize == b).expect("modelled");
+                    model[a].swap_remove(i);
+                }
+                returned |= was == INLINE + 1;
+            } else {
+                sp.set_edge(u, v, true);
+                model[u].push(v as u32);
+                model[v].push(u as u32);
+                spilled |= was == INLINE;
+            }
+            assert!(sp.adjacency_consistent(&[]));
+            for (w, row) in model.iter().enumerate() {
+                assert!(sp.neighbors(w).eq(row.iter().map(|&x| x as usize)));
+            }
+        }
+        assert!(spilled && returned, "the hub never crossed the inline capacity");
+    }
+
+    /// The Global-Star centre gathers every node (its row spills), and a
+    /// centre demoted by a `(c, c)` meeting sheds its edges through
+    /// `(p, p, 1)` until its row is back inline; the adjacency stays
+    /// consistent with the on list after every step.
+    #[test]
+    fn global_star_hub_rows_spill_and_shrink_back() {
+        let mut b = ProtocolBuilder::new("Global-Star");
+        let c = b.state("c");
+        let p = b.state("p");
+        b.rule((c, c, OFF), (c, p, ON));
+        b.rule((p, p, ON), (p, p, OFF));
+        b.rule((c, p, OFF), (c, p, ON));
+        let n = 24;
+        let mut sim = BucketSim::new(b.build().expect("valid").compile(), n, 5);
+        let (mut widest, mut shrunk) = (0, false);
+        let mut prev = vec![0; n];
+        while sim.advance(u64::MAX) != EventStep::Quiescent {
+            assert!(sim.adjacency_consistent(), "after {} steps", sim.steps());
+            for (u, d) in prev.iter_mut().enumerate() {
+                let now = sim.view().degree(u);
+                shrunk |= *d > INLINE && now <= INLINE;
+                widest = widest.max(now);
+                *d = now;
+            }
+        }
+        assert_eq!(widest, n - 1, "the final centre's row holds every node");
+        assert!(shrunk, "no demoted centre's row came back inline");
+        assert_eq!(sim.view().active_count(), n - 1);
+    }
+
+    /// A `run_until_edges` run that stops while batched-endgame walkers
+    /// are alive carries their commitments out of the session, and
+    /// `approx_mem_bytes` counts them with their paths.
+    #[test]
+    fn memory_counts_carried_endgame_commitments() {
+        let mut b = ProtocolBuilder::new("Simple-Global-Line");
+        let q0 = b.state("q0");
+        let q1 = b.state("q1");
+        let q2 = b.state("q2");
+        let l = b.state("l");
+        let w = b.state("w");
+        b.rule((q0, q0, OFF), (q1, l, ON));
+        b.rule((l, q0, OFF), (q2, l, ON));
+        b.rule((l, l, OFF), (q2, w, ON));
+        b.rule((w, q2, ON), (q2, w, ON));
+        b.rule((w, q1, ON), (q2, l, ON));
+        let table = b.build().expect("valid").compile();
+        let n = 400;
+        let with_commits = (n / 2..n - 1)
+            .find_map(|edges| {
+                let mut sim = BucketSim::new(table.clone(), n, 3);
+                let out = sim.run_until_edges(|sp| sp.active_count() >= edges, u64::MAX);
+                assert!(out.stabilized());
+                (!sim.commits.is_empty()).then_some(sim)
+            })
+            .expect("some stop lands while walkers are alive");
+        // Clones (capacity = length) differ only in the commitments.
+        let full = with_commits.clone();
+        let mut bare = with_commits.clone();
+        bare.commits = Vec::new();
+        let carried = full.commits.capacity() * size_of::<(u32, Commit)>()
+            + full
+                .commits
+                .iter()
+                .map(|(_, c)| c.path.capacity() * size_of::<u32>())
+                .sum::<usize>();
+        assert!(carried > 0);
+        assert_eq!(full.approx_mem_bytes() - bare.approx_mem_bytes(), carried as u64);
+    }
+
+    /// `approx_mem_bytes` of a stable Cycle-Cover at n = 20 000, seed 0:
+    /// every adjacency row inline.
+    const CYCLE_COVER_20K_MEM: u64 = 764_000;
+
+    #[test]
+    fn memory_of_a_cycle_cover_at_twenty_thousand_nodes() {
+        let mut b = ProtocolBuilder::new("Cycle-Cover");
+        let q0 = b.state("q0");
+        let q1 = b.state("q1");
+        let q2 = b.state("q2");
+        b.rule((q0, q0, OFF), (q1, q1, ON));
+        b.rule((q1, q0, OFF), (q2, q1, ON));
+        b.rule((q1, q1, OFF), (q2, q2, ON));
+        let mut sim = BucketSim::new(b.build().expect("valid").compile(), 20_000, 0);
+        let out = sim.run_until(
+            |sp| match (sp.count_index(0), sp.count_index(1)) {
+                (0 | 1, 0) => true,
+                (0, 2) => sp.is_active(sp.nodes_index(1)[0] as usize, sp.nodes_index(1)[1] as usize),
+                _ => false,
+            },
+            u64::MAX,
+        );
+        assert!(out.stabilized(), "{out:?}");
+        let measured = sim.approx_mem_bytes();
+        assert!(
+            measured <= CYCLE_COVER_20K_MEM,
+            "{measured} bytes, above the recorded {CYCLE_COVER_20K_MEM}"
+        );
     }
 
     #[test]

@@ -46,7 +46,16 @@ pub fn unit_open01(raw: u64) -> f64 {
 #[must_use]
 pub fn geometric_skip(u01: f64, p: f64) -> f64 {
     debug_assert!(p > 0.0 && p <= 1.0);
-    (u01.ln() / (-p).ln_1p()).floor()
+    geometric_skip_unfloored(u01, p).floor()
+}
+
+/// [`geometric_skip`] before its floor. [`BucketSim`](crate::BucketSim)
+/// compares this value with its integer budget directly (`⌊x⌋ ≥ r ⇔
+/// x ≥ r`, and `⌊x⌋ as u64 == x as u64` for `x ≥ 0`), so it gets the same
+/// skips without a `floor` call per draw.
+#[inline]
+pub(crate) fn geometric_skip_unfloored(u01: f64, p: f64) -> f64 {
+    u01.ln() / (-p).ln_1p()
 }
 
 /// Below this bound every integer is an exact `f64`, and so is every

@@ -1823,9 +1823,8 @@ mod tests {
         }
     }
 
-    /// `approx_mem_bytes` of a completed matching at n = 100 000 when
-    /// cohorts lived in a hash map and partner lists in per-node rows.
-    const MATCHING_100K_MEM_HASHED: u64 = 22_327_344;
+    /// `approx_mem_bytes` of a completed matching at n = 100 000, seed 0.
+    const MATCHING_100K_MEM: u64 = 16_188_080;
 
     #[test]
     fn memory_stays_far_below_the_dense_round_engine() {
@@ -1838,14 +1837,13 @@ mod tests {
             measured * 20 < dense,
             "sparse {measured} bytes should be well under dense {dense}"
         );
-        // The flat arenas hold no more than the structures they replaced.
         let n = 100_000;
         let mut sim = RoundBucketSim::new(matching_protocol(), n, 0);
         sim.run_until_edges(|sp| sp.active_count() == n / 2, u64::MAX);
         let measured = sim.approx_mem_bytes();
         assert!(
-            measured <= MATCHING_100K_MEM_HASHED,
-            "{measured} bytes at n = {n}, above the hashed bookkeeping's {MATCHING_100K_MEM_HASHED}"
+            measured <= MATCHING_100K_MEM,
+            "{measured} bytes at n = {n}, above the recorded {MATCHING_100K_MEM}"
         );
     }
 

@@ -103,7 +103,10 @@ fn check_effective_set(
 /// the superset it samples from: every ordered pair whose states admit a
 /// transition on an inactive link (the off buckets count such pairs
 /// whatever their link), plus both orders of every active edge whose
-/// states admit one only on an active link (the on list).
+/// states admit one only on an active link (the on list). Also checks
+/// that its adjacency rows mirror each other, hold the edges the
+/// configuration has, and name their on-list entries
+/// (`BucketSim::adjacency_consistent`).
 fn check_candidate_weight(
     p: &RuleProtocol,
     sim: &mut BucketSim<CompiledTable>,
@@ -121,6 +124,7 @@ fn check_candidate_weight(
         }
     }
     prop_assert_eq!(sim.candidate_weight(), expected);
+    prop_assert!(sim.adjacency_consistent(), "adjacency rows disagree with the on list");
     Ok(())
 }
 
@@ -128,8 +132,8 @@ fn check_candidate_weight(
 /// to `candidates` candidate interactions each, checking the dense
 /// engines' pair sets against the brute-force effective set (and the
 /// round engine's pool accounting) and the sparse engine's candidate
-/// weight against its brute-force superset, after construction and after
-/// every `advance`.
+/// weight against its brute-force superset (and its adjacency rows for
+/// consistency), after construction and after every `advance`.
 fn check_engines(
     p: &RuleProtocol,
     pop: &Population<StateId>,

@@ -1266,6 +1266,7 @@ mod fault_bookkeeping {
                 let bfs = bu.fault_state().expect("faulted").clone();
                 let (_, maybe_b) = brute(&p, &bp, &bfs);
                 prop_assert_eq!(bu.candidate_weight(), maybe_b);
+                prop_assert!(bu.adjacency_consistent());
 
                 let (exact_r, _) =
                     brute(&p, rs.population(), rs.fault_state().expect("faulted"));
@@ -1283,6 +1284,7 @@ mod fault_bookkeeping {
                 prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
                 prop_assert!(rb.pool_invariant_holds());
                 prop_assert!(rb.round_arenas_consistent());
+                prop_assert!(rb.view().adjacency_consistent(&[]));
             }
         }
 
@@ -1313,7 +1315,42 @@ mod fault_bookkeeping {
                 prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
                 prop_assert!(rb.pool_invariant_holds());
                 prop_assert!(rb.round_arenas_consistent());
+                prop_assert!(rb.view().adjacency_consistent(&[]));
             }
+        }
+
+        /// Hubs under faults on the sparse uniform engine: FT-star's
+        /// centre gathers every live node, so its adjacency row leaves
+        /// the inline cells for a heap row, and crashes (a max-degree
+        /// adversary and random ones), arrivals and edge deletions tear
+        /// it down and rebuild it. After each stretch its candidate
+        /// weight must match brute force and its rows must agree with
+        /// each other and with its on list.
+        #[test]
+        fn bucket_hub_rows_track_faults(
+            n in 4usize..14,
+            seed in any::<u64>(),
+            plan_seed in any::<u64>(),
+            choices in proptest::collection::vec((0u64..3000, any::<u8>()), 0..6),
+        ) {
+            use netcon::core::{AdversaryPlan, AdversaryPolicy, Cadence};
+            let p = netcon::protocols::ft_star::protocol().compile();
+            let strikes = AdversaryPlan::new(Cadence::Burst(vec![900, 1800]))
+                .policy(AdversaryPolicy::CrashMaxDegree)
+                .min_alive(3);
+            let plan = plan_from(&choices, plan_seed).with_adversary(strikes);
+            let mut bu = BucketSim::new_faulted(p.clone(), n, seed, plan);
+            let mut widest = 0;
+            for target in (150u64..3600).step_by(150) {
+                bu.run_faulted_to(target);
+                let bp = bu.to_population();
+                let bfs = bu.fault_state().expect("faulted").clone();
+                let (_, maybe_b) = brute(&p, &bp, &bfs);
+                prop_assert_eq!(bu.candidate_weight(), maybe_b);
+                prop_assert!(bu.adjacency_consistent());
+                widest = widest.max((0..bp.n()).map(|u| bu.view().degree(u)).max().unwrap_or(0));
+            }
+            prop_assert!(n < 6 || widest > 2, "no hub formed at n = {n}");
         }
     }
 }
