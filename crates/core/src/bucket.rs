@@ -931,6 +931,38 @@ impl<M: EnumerableMachine> BucketSim<M> {
         }
     }
 
+    /// Activates or deactivates the edge `{u, v}`; a deactivated on-list
+    /// edge leaves the list (its adjacency cells are already gone).
+    fn write_edge(&mut self, u: usize, v: usize, on: bool) {
+        let on_pos = self.sp.set_edge(u, v, on);
+        if on_pos != NOT_ON {
+            self.on_list_remove(on_pos as usize);
+        }
+    }
+
+    /// Moves node `u` to state `q`; returns whether the state changed.
+    /// The caller refreshes `u`'s on-list entries once its neighbours'
+    /// states are final.
+    fn move_state(&mut self, u: usize, q: usize) -> bool {
+        self.sp.set_state_index(u, q)
+    }
+
+    /// Applies the outcome `(a2, b2, l2)` of an effective interaction of
+    /// `(u, v)` over `link`: the edge write, both state moves and both
+    /// endpoints' on-list refresh. Returns whether the edge changed.
+    fn apply(&mut self, u: usize, v: usize, link: Link, (a2, b2, l2): (usize, usize, Link)) -> bool {
+        let edge_changed = l2 != link;
+        if edge_changed {
+            self.write_edge(u, v, l2.is_on());
+        }
+        if self.move_state(u, a2) | self.move_state(v, b2) {
+            self.dirty = true;
+        }
+        self.refresh_on_incident(u);
+        self.refresh_on_incident(v);
+        edge_changed
+    }
+
     /// Refreshes the on-list membership of every active edge incident to
     /// `u` — O(deg + deg of changed counterparts) after a node-state
     /// change; membership state rides the adjacency cells, so unchanged
@@ -1074,20 +1106,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
         };
         self.rejection_run = 0;
         self.probe_at = QUIESCENCE_PROBE;
-        let edge_changed = l2 != link;
-        if edge_changed {
-            let on_pos = self.sp.set_edge(u, v, l2.is_on());
-            if on_pos != NOT_ON {
-                // A deactivated on-list edge leaves the list; its
-                // adjacency cells are already gone.
-                self.on_list_remove(on_pos as usize);
-            }
-        }
-        if self.sp.set_state_index(u, a2) | self.sp.set_state_index(v, b2) {
-            self.dirty = true;
-        }
-        self.refresh_on_incident(u);
-        self.refresh_on_incident(v);
+        let edge_changed = self.apply(u, v, link, (a2, b2, l2));
         self.book.record_effective(edge_changed);
         EventStep::Candidate {
             skipped,
@@ -1308,18 +1327,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             return self.endgame_ineffective();
         };
         self.probe_at = QUIESCENCE_PROBE;
-        let edge_changed = l2 != link;
-        if edge_changed {
-            let on_pos = self.sp.set_edge(u, v, l2.is_on());
-            if on_pos != NOT_ON {
-                self.on_list_remove(on_pos as usize);
-            }
-        }
-        if self.sp.set_state_index(u, a2) | self.sp.set_state_index(v, b2) {
-            self.dirty = true;
-        }
-        self.refresh_on_incident(u);
-        self.refresh_on_incident(v);
+        let edge_changed = self.apply(u, v, link, (a2, b2, l2));
         {
             let eg = self.eg.as_mut().expect("session is open");
             eg.ineff_run = 0;
@@ -1410,8 +1418,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
         if adj != old {
             let s_w = self.sp.state_index(old);
             let s_int = self.sp.state_index(adj);
-            self.sp.set_state_index(old, s_int);
-            self.sp.set_state_index(adj, s_w);
+            self.move_state(old, s_int);
+            self.move_state(adj, s_w);
             self.refresh_on_incident(old);
         }
         let (x, y) = if self.rng.random_bool(0.5) {
@@ -1420,22 +1428,11 @@ impl<M: EnumerableMachine> BucketSim<M> {
             (end, adj)
         };
         let (sx, sy) = (self.sp.state_index(x), self.sp.state_index(y));
-        let (a2, b2, l2) = self
+        let outcome = self
             .machine
             .interact_indexed(sx, sy, Link::On, &mut self.rng)
             .expect("is_certain certified an effective contact");
-        let edge_changed = l2 != Link::On;
-        if edge_changed {
-            let on_pos = self.sp.set_edge(x, y, l2.is_on());
-            if on_pos != NOT_ON {
-                self.on_list_remove(on_pos as usize);
-            }
-        }
-        if self.sp.set_state_index(x, a2) | self.sp.set_state_index(y, b2) {
-            self.dirty = true;
-        }
-        self.refresh_on_incident(x);
-        self.refresh_on_incident(y);
+        let edge_changed = self.apply(x, y, Link::On, outcome);
         {
             let eg = self.eg.as_mut().expect("session is open");
             let mark = Mark {
@@ -1834,8 +1831,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
             if new != old {
                 let s_w = self.sp.state_index(old);
                 let s_int = self.sp.state_index(new);
-                self.sp.set_state_index(old, s_int);
-                self.sp.set_state_index(new, s_w);
+                self.move_state(old, s_int);
+                self.move_state(new, s_w);
                 self.refresh_on_incident(old);
                 self.refresh_on_incident(new);
             }
@@ -1905,7 +1902,7 @@ impl<M: EnumerableMachine> Primitives for BucketSim<M> {
 
     /// A bucket move plus on-list refreshes for `u`'s surviving edges.
     fn set_state_index(&mut self, u: usize, q: usize) {
-        self.sp.set_state_index(u, q);
+        self.move_state(u, q);
         self.refresh_on_incident(u);
         self.dirty = true;
     }
@@ -1914,10 +1911,7 @@ impl<M: EnumerableMachine> Primitives for BucketSim<M> {
         if !self.sp.is_active(u, v) {
             return false;
         }
-        let on_pos = self.sp.set_edge(u, v, false);
-        if on_pos != NOT_ON {
-            self.on_list_remove(on_pos as usize);
-        }
+        self.write_edge(u, v, false);
         true
     }
 
