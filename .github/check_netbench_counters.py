@@ -7,9 +7,10 @@ effective steps, edge events, fault events, adversary decisions) are fixed
 by the seed: they do not depend on `--seconds` or on the host. The record
 in `netbench-counters-seed7.json` holds them for `--seed 7`, so an engine
 refactor that moves any coin, step or predicate call fails here. A change
-that alters a trajectory on purpose re-records the file and says so.
-`engine_mem_bytes` is left out: it follows allocation capacity, not the
-trajectory.
+that alters a trajectory on purpose re-records the file and says so: on
+a mismatch the measured counters are also printed as one JSON line, the
+workload's entry to paste into the record. `engine_mem_bytes` is left
+out: it follows allocation capacity, not the trajectory.
 """
 
 import json
@@ -38,6 +39,7 @@ def main():
         print(f"{workload}: counters moved off the seed-7 record", file=sys.stderr)
         for m in moved:
             print(f"  {m}", file=sys.stderr)
+        print(f"  measured: {json.dumps(got)}", file=sys.stderr)
         sys.exit(1)
     print(f"{workload}: counters match the seed-7 record")
 

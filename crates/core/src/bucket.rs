@@ -1,56 +1,57 @@
 //! The sparse state-bucketed event engine: exact uniform-scheduler
 //! simulation in O(n + |Q|²) memory.
 //!
-//! [`EventSim`](crate::EventSim) tracks the possibly-effective pairs
+//! [`EventSim`](crate::EventSim) tracks the effective pairs
 //! *individually* — a dense pair-position matrix plus membership bitsets,
 //! Θ(n²) bytes that wall off populations beyond a few tens of thousands
 //! of nodes. [`BucketSim`] replaces the pair set with **per-state
-//! buckets** and reconstructs the same sampling law from counts:
+//! buckets** and counts the same set by state class:
 //!
-//! 1. Its candidate set `E'` is defined by *state pairs*, not node pairs:
-//!    an ordered pair `(u, v)` is a candidate iff
-//!    `can_affect(q_u, q_v, 0)` (an **off bucket** — every node pair with
-//!    those states, counted as `c_s·c_t` from the bucket sizes alone), or
-//!    the edge `{u, v}` is active and `can_affect(q_u, q_v, 1)` holds
-//!    while `can_affect(q_u, q_v, 0)` does not (the **on list** — an
-//!    explicit list of active edges, which for the bounded-degree outputs
-//!    of the paper's constructors has O(n) entries). `E'` is a superset
-//!    of the exactly-effective set `E`: every pair outside `E'` has
-//!    `can_affect(q_u, q_v, link) = false` for its *actual* link, so the
-//!    naive engine would draw it to no effect.
-//! 2. With `K = |E'|` (ordered) out of `n(n−1)` ordered pairs, the number
-//!    of consecutive draws that miss `E'` is geometric with
-//!    `p = K / n(n−1)` — states are frozen during misses, exactly the
-//!    argument of the dense engine, with `E'` in place of `E`. The count
+//! 1. An ordered pair `(u, v)` is effective iff `can_affect(q_u, q_v,
+//!    link)` holds on its actual link. The effective set `E` splits in
+//!    two. The **off buckets**, one per ordered state pair `(s, t)` with
+//!    `can_affect(s, t, 0)`, hold `c_s·c_t` node pairs (`c_s(c_s−1)` when
+//!    `s = t`), counted from the bucket sizes alone, less the active
+//!    `(s, t)` edges when `can_affect(s, t, 1)` fails. A tally of active
+//!    edges per ordered state pair supplies that count, at O(1) per edge
+//!    change and O(deg) per state change. The **on list** holds the
+//!    active edges whose states are effective on an active link only; for
+//!    the bounded-degree outputs of the paper's constructors it has O(n)
+//!    entries. The candidate weight `K = |E|` (ordered) is the sum.
+//! 2. Out of `n(n−1)` ordered pairs, the number of consecutive draws
+//!    that miss `E` is geometric with `p = K / n(n−1)` — states are frozen
+//!    during misses, exactly the argument of the dense engine. The count
 //!    comes from the same inversion draw
 //!    ([`geometric_skip`](crate::geometric_skip)).
-//! 3. A candidate is then drawn uniformly from `E'`: an off bucket with
-//!    probability proportional to its pair count (one cumulative-weight
+//! 3. The hit is then drawn uniformly from `E`: an off bucket with
+//!    probability proportional to its weight (one cumulative-weight
 //!    search over ≤ |Q|² integers), then a uniform member from each
-//!    side's bucket (swap-remove `Vec`s indexed by
-//!    [`EnumerableMachine`] state ids); or an on-list entry uniformly.
-//!    The candidate is **accepted or rejected on its actual edge state**:
-//!    if `can_affect(q_u, q_v, link)` fails the draw is recorded as one
-//!    ordinary ineffective step (exactly what the naive engine would
-//!    record for it); otherwise `interact` runs with real coins.
+//!    side's bucket (swap-remove `Vec`s indexed by [`EnumerableMachine`]
+//!    state ids), drawn again inside the bucket while it lands on an
+//!    active edge the bucket's rule cannot fire on; or an on-list entry
+//!    uniformly. The re-draws spend coins but no clock, so the pick is
+//!    uniform over the bucket's effective pairs. `interact` then runs
+//!    with real coins; only a randomized rule's identity outcome leaves
+//!    the step ineffective.
 //!
-//! Conditioned on hitting `E'`, the uniform scheduler selects uniformly
-//! within `E'` — which is precisely the bucket draw — so every statistic
+//! Conditioned on hitting `E`, the uniform scheduler selects uniformly
+//! within `E` — which is precisely the bucket draw — so every statistic
 //! (`steps`, `effective_steps`, `converged_at`, the full configuration
 //! process) has **identical distribution** to the naive
-//! [`Simulation`](crate::Simulation) and therefore to
-//! [`EventSim`](crate::EventSim), coin for coin the same argument with a
-//! coarser skipped set. The cost of the coarseness is the rejected
-//! candidates; for the paper's constructors the on/off split keeps the
-//! rejection rate near zero (link-sensitive rules pair rare states or
-//! ride the on list).
+//! [`Simulation`](crate::Simulation) and to
+//! [`EventSim`](crate::EventSim): the same skip law over the same set.
+//! Quiescence is a candidate weight of 0, known without a scan. The
+//! re-draws are what the dense engine's bitset avoids: a bucket nearly
+//! saturated with active edges (edge cover's single class near its end)
+//! spends about `c_s·c_t / weight` of them per pick, each an O(deg)
+//! adjacency scan.
 //!
-//! Maintenance is O(1) per node-state change (two swap-removes and a
-//! dirty flag for the ≤ |Q|² cumulative weights) plus O(deg) per touched
-//! node for the on list, and memory is O(n + |Q|²). Each node keeps its
-//! adjacency row inline while its degree is at most 2 (see
-//! [`SparsePop`]), so a configuration of lines, rings, cycles or a
-//! matching allocates nothing per node: at n = 100 000
+//! Maintenance is O(1) per node-state change for the buckets (two
+//! swap-removes and a dirty flag for the ≤ |Q|² cumulative weights) plus
+//! O(deg) per touched node for the tally and the on list, and memory is
+//! O(n + |Q|²). Each node keeps its adjacency row inline while its
+//! degree is at most 2 (see [`SparsePop`]), so a configuration of lines,
+//! rings, cycles or a matching allocates nothing per node: at n = 100 000
 //! Simple-Global-Line converges holding 5.0 MB (3.0 MB at construction)
 //! where the dense pair map alone would need ~40 GB, and a maximum
 //! matching holds 3.5 MB.
@@ -619,15 +620,11 @@ struct Endgame {
     edge_events: u64,
     /// Instant of the last edge change (deferred `last_output_change`).
     change: Option<Mark>,
-    /// Instant of the last *applied* effective draw (deferred
-    /// `last_effective`); walker arrivals after it are folded in at
-    /// close.
-    eff_mark: Option<Mark>,
+    /// Instant of the last *applied* effective event; every close lands
+    /// on one.
+    eff_at: Option<f64>,
     /// Walkers absorbed after `change.tau`, oldest first.
     absorbed_recs: VecDeque<AbsorbedRec>,
-    /// Consecutive ineffective off-candidate draws (session-local
-    /// rejection run for the quiescence probe).
-    ineff_run: u64,
 }
 
 /// One processed session event, as seen by the driving loop.
@@ -701,11 +698,11 @@ pub struct BucketSim<M: EnumerableMachine> {
     /// Without one (Cycle-Cover, matching) the on list stays empty, so
     /// refreshing it after a state change is skipped.
     on_pairs: bool,
-    /// Consecutive candidates that resolved ineffective — drives the
-    /// exact quiescence probe that keeps budget-bounded runs from
-    /// grinding through a dead configuration.
-    rejection_run: u64,
-    probe_at: u64,
+    /// Active edges per ordered state pair: `tally[s·|Q| + t]` counts the
+    /// ordered pairs `(u, v)` in states `(s, t)` whose edge is active, so
+    /// an off bucket whose rule needs an inactive link loses exactly
+    /// those pairs from its weight.
+    tally: Vec<u64>,
     faults: Option<FaultState>,
     /// Batched-endgame commitments, keyed by the node currently holding
     /// the walker state (a `Vec`, so coin consumption is deterministic).
@@ -718,10 +715,6 @@ pub struct BucketSim<M: EnumerableMachine> {
     /// [`run_until_edges`](Self::run_until_edges).
     eg: Option<Endgame>,
 }
-
-/// First rejection-run length at which [`BucketSim::advance`] pays for an
-/// exact quiescence scan (doubling after each inconclusive probe).
-const QUIESCENCE_PROBE: u64 = 128;
 
 impl<M: EnumerableMachine> BucketSim<M> {
     /// Creates a sparse event-driven simulation of `machine` on `n` nodes
@@ -817,15 +810,18 @@ impl<M: EnumerableMachine> BucketSim<M> {
             dirty: true,
             on_list: Vec::new(),
             on_pairs,
-            rejection_run: 0,
-            probe_at: QUIESCENCE_PROBE,
+            tally: vec![0; size * size],
             faults: None,
             commits: Vec::new(),
             endgame_retry_after: 0,
             eg: None,
         };
-        // Initial on-list: scan the active edges once.
+        // Initial tally and on list: scan the active edges once.
         for u in 0..sim.sp.n() {
+            let su = sim.sp.state_index(u);
+            for w in sim.sp.neighbors(u) {
+                sim.tally[su * size + sim.sp.state_index(w)] += 1;
+            }
             sim.refresh_on_incident(u);
         }
         sim
@@ -857,10 +853,11 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.book.effective_steps
     }
 
-    /// The current number of *ordered* candidate pairs `K = |E'|` — the
-    /// numerator of the geometric skip probability. An over-count of the
-    /// exactly-effective set (rejection absorbs the difference); when it
-    /// reaches 0 the configuration is certainly quiescent.
+    /// The current number of *ordered* pairs `(u, v)` whose interaction
+    /// can change something (`can_affect` on their actual link) — the
+    /// numerator of the geometric skip probability, twice the effective
+    /// pair count of [`EventSim`](crate::EventSim). It is 0 exactly when
+    /// the configuration is quiescent.
     #[must_use]
     pub fn candidate_weight(&mut self) -> u64 {
         if self.dirty {
@@ -898,23 +895,32 @@ impl<M: EnumerableMachine> BucketSim<M> {
             + bytes(&self.off_pairs)
             + bytes(&self.cum)
             + bytes(&self.on_list)
+            + bytes(&self.tally)
             + bytes(&self.commits)
             + self.commits.iter().map(|(_, c)| bytes(&c.path)).sum::<u64>()
     }
 
-    /// Rebuilds the off-bucket cumulative weights from the bucket sizes —
-    /// O(|off buckets|) ≤ O(|Q|²), amortized against the state change
-    /// that dirtied them.
+    /// Rebuilds the off-bucket cumulative weights from the bucket sizes
+    /// and the tally — O(|off buckets|) ≤ O(|Q|²), amortized against the
+    /// state or edge change that dirtied them. A bucket whose rule needs
+    /// an inactive link weighs its pairs minus its active edges.
     fn rebuild_weights(&mut self) {
+        let size = self.table.size();
         let mut total = 0u64;
         for (i, &(s, t)) in self.off_pairs.iter().enumerate() {
-            let cs = self.sp.buckets[usize::from(s)].len() as u64;
-            let w = if s == t {
+            let (s, t) = (usize::from(s), usize::from(t));
+            let cs = self.sp.buckets[s].len() as u64;
+            let pairs = if s == t {
                 cs * cs.saturating_sub(1)
             } else {
-                cs * self.sp.buckets[usize::from(t)].len() as u64
+                cs * self.sp.buckets[t].len() as u64
             };
-            total += w;
+            let dead = if self.table.can_affect(s, t, Link::On) {
+                0
+            } else {
+                self.tally[s * size + t]
+            };
+            total += pairs - dead;
             self.cum[i] = total;
         }
         self.off_total = total;
@@ -931,19 +937,42 @@ impl<M: EnumerableMachine> BucketSim<M> {
         }
     }
 
-    /// Activates or deactivates the edge `{u, v}`; a deactivated on-list
-    /// edge leaves the list (its adjacency cells are already gone).
+    /// Activates or deactivates the edge `{u, v}` and tallies it; a
+    /// deactivated on-list edge leaves the list (its adjacency cells are
+    /// already gone).
     fn write_edge(&mut self, u: usize, v: usize, on: bool) {
+        let size = self.table.size();
+        let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
+        for cell in [su * size + sv, sv * size + su] {
+            if on {
+                self.tally[cell] += 1;
+            } else {
+                self.tally[cell] -= 1;
+            }
+        }
         let on_pos = self.sp.set_edge(u, v, on);
         if on_pos != NOT_ON {
             self.on_list_remove(on_pos as usize);
         }
+        self.dirty = true;
     }
 
-    /// Moves node `u` to state `q`; returns whether the state changed.
-    /// The caller refreshes `u`'s on-list entries once its neighbours'
-    /// states are final.
+    /// Moves node `u` to state `q`, re-tallying its active edges — O(deg).
+    /// Returns whether the state changed. The caller refreshes `u`'s
+    /// on-list entries once its neighbours' states are final.
     fn move_state(&mut self, u: usize, q: usize) -> bool {
+        let old = self.sp.state_index(u);
+        if old == q {
+            return false;
+        }
+        let size = self.table.size();
+        for &(w, _) in self.sp.row(u) {
+            let sw = self.sp.state_index(w as usize);
+            self.tally[old * size + sw] -= 1;
+            self.tally[sw * size + old] -= 1;
+            self.tally[q * size + sw] += 1;
+            self.tally[sw * size + q] += 1;
+        }
         self.sp.set_state_index(u, q)
     }
 
@@ -1011,36 +1040,40 @@ impl<M: EnumerableMachine> BucketSim<M> {
 
     /// The off-candidate at cumulative rank `r < off_total`: a
     /// cumulative-weight bucket search, then one uniform member per side
-    /// (distinct indices when the sides share a bucket).
+    /// (distinct indices when the sides share a bucket). When the
+    /// bucket's rule needs an inactive link, a pair that lands on an
+    /// active edge is re-drawn inside the bucket — coins but no clock —
+    /// so the pick is uniform over the bucket's effective pairs.
     fn off_candidate_at(&mut self, r: u64) -> (usize, usize) {
         let b = self.cum.partition_point(|&c| c <= r);
-        let (s, t) = self.off_pairs[b];
-        let bs = &self.sp.buckets[usize::from(s)];
-        if s == t {
-            let c = bs.len();
-            let i = self.rng.random_range(0..c);
-            let mut j = self.rng.random_range(0..c - 1);
-            if j >= i {
-                j += 1;
+        let (s, t) = (usize::from(self.off_pairs[b].0), usize::from(self.off_pairs[b].1));
+        let redraw = !self.table.can_affect(s, t, Link::On);
+        loop {
+            let bs = &self.sp.buckets[s];
+            let (u, v) = if s == t {
+                let c = bs.len();
+                let i = self.rng.random_range(0..c);
+                let mut j = self.rng.random_range(0..c - 1);
+                if j >= i {
+                    j += 1;
+                }
+                (bs[i] as usize, bs[j] as usize)
+            } else {
+                let u = bs[self.rng.random_range(0..bs.len())];
+                let bt = &self.sp.buckets[t];
+                (u as usize, bt[self.rng.random_range(0..bt.len())] as usize)
+            };
+            if !redraw || !self.sp.is_active(u, v) {
+                return (u, v);
             }
-            (bs[i] as usize, bs[j] as usize)
-        } else {
-            let u = bs[self.rng.random_range(0..bs.len())];
-            let bt = &self.sp.buckets[usize::from(t)];
-            let v = bt[self.rng.random_range(0..bt.len())];
-            (u as usize, v as usize)
         }
     }
 
-    /// Skips the geometric number of certainly-ineffective draws and
-    /// simulates the next candidate interaction, without letting the step
-    /// counter pass `max_steps` — same contract as
-    /// [`EventSim::advance`](crate::EventSim::advance).
-    ///
-    /// `Quiescent` is returned when the candidate set is empty, or when a
-    /// long run of rejected candidates triggers the exact quiescence scan
-    /// and it certifies that no pair can ever change again (rejections
-    /// change nothing, so a quiescent configuration stays quiescent).
+    /// Skips the geometric number of ineffective draws and simulates the
+    /// next effective-pair interaction, without letting the step counter
+    /// pass `max_steps` — same contract as
+    /// [`EventSim::advance`](crate::EventSim::advance). `Quiescent` is
+    /// returned when the candidate weight is 0.
     pub fn advance(&mut self, max_steps: u64) -> EventStep {
         debug_assert!(
             self.eg.is_none(),
@@ -1050,7 +1083,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             self.rebuild_weights();
         }
         let k2 = self.off_total + 2 * self.on_list.len() as u64;
-        if k2 == 0 || (self.rejection_run >= self.probe_at && self.probe_quiescence()) {
+        if k2 == 0 {
             return EventStep::Quiescent;
         }
         let n = self.sp.n() as u64;
@@ -1085,28 +1118,16 @@ impl<M: EnumerableMachine> BucketSim<M> {
         let pair = (u, v);
         let link = Link::from(self.sp.is_active(u, v));
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
-        // Accept/reject on the actual edge state: a rejected candidate is
-        // one real (ineffective) step, exactly as the naive engine would
-        // record the same draw.
-        if !self.table.can_affect(su, sv, link) {
-            self.rejection_run += 1;
-            return EventStep::Candidate {
-                skipped,
-                result: StepResult::Ineffective { pair },
-            };
-        }
-        let outcome = self.machine.interact_indexed(su, sv, link, &mut self.rng);
-        let Some((a2, b2, l2)) = outcome else {
-            // A randomized rule sampled the identity.
-            self.rejection_run += 1;
+        debug_assert!(self.table.can_affect(su, sv, link), "every candidate is effective");
+        let Some(outcome) = self.machine.interact_indexed(su, sv, link, &mut self.rng) else {
+            // A randomized rule sampled the identity: one real
+            // ineffective step, as the naive engine records it.
             return EventStep::Candidate {
                 skipped,
                 result: StepResult::Ineffective { pair },
             };
         };
-        self.rejection_run = 0;
-        self.probe_at = QUIESCENCE_PROBE;
-        let edge_changed = self.apply(u, v, link, (a2, b2, l2));
+        let edge_changed = self.apply(u, v, link, outcome);
         self.book.record_effective(edge_changed);
         EventStep::Candidate {
             skipped,
@@ -1114,75 +1135,12 @@ impl<M: EnumerableMachine> BucketSim<M> {
         }
     }
 
-    /// Exact quiescence scan, run when a long rejection streak suggests
-    /// the candidate set may contain no actually-effective pair: since
-    /// rejected candidates change nothing, a quiescent configuration can
-    /// never leave quiescence, so certifying it once is sound forever.
-    ///
-    /// O(Σ bucket × degree) worst case. Within one rejection streak the
-    /// doubling `probe_at` schedule scans at run lengths 128, 256, 512, …,
-    /// so a streak of `R ≥ 128` rejections pays at most `1 + log₂(R/128)`
-    /// scans. Nothing amortizes across streaks: [`advance`](Self::advance)
-    /// resets `probe_at` after every effective step, so once fewer than 1
-    /// in 128 candidates is accepted, each effective step pays at least
-    /// one scan on top of its rejections — the edge-cover process is the
-    /// measured case where the scans dominate.
-    fn probe_quiescence(&mut self) -> bool {
-        if self.is_quiescent_scan() {
-            true
-        } else {
-            self.probe_at = self.probe_at.saturating_mul(2);
-            false
-        }
-    }
-
-    fn is_quiescent_scan(&self) -> bool {
-        if !self.on_list.is_empty() {
-            return false;
-        }
-        for &(s, t) in &self.off_pairs {
-            let (s, t) = (usize::from(s), usize::from(t));
-            let cs = self.sp.buckets[s].len() as u64;
-            let w = if s == t {
-                cs * cs.saturating_sub(1)
-            } else {
-                cs * self.sp.buckets[t].len() as u64
-            };
-            if w == 0 {
-                continue;
-            }
-            // Ordered (s, t) candidates that sit on an active edge.
-            let ordered_active: u64 = self.sp.buckets[s]
-                .iter()
-                .map(|&u| {
-                    self.sp
-                        .neighbors(u as usize)
-                        .filter(|&w| usize::from(self.sp.idx[w]) == t)
-                        .count() as u64
-                })
-                .sum();
-            if w > ordered_active {
-                // Some (s, t) pair has an inactive edge, and the bucket
-                // exists because can_affect(s, t, Off) holds.
-                return false;
-            }
-            if ordered_active > 0 && self.table.can_affect(s, t, Link::On) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether no pair of nodes has any effective interaction. O(1) when
-    /// the candidate set is empty; otherwise an exact scan over the
-    /// candidate buckets (the set over-approximates, so emptiness is
-    /// sufficient but not necessary).
+    /// Whether no pair of nodes has any effective interaction: the exact
+    /// candidate weight is 0. No scan — at most an O(|off buckets|)
+    /// weight rebuild after a state or edge change.
     #[must_use]
     pub fn is_quiescent(&mut self) -> bool {
-        if self.dirty {
-            self.rebuild_weights();
-        }
-        self.off_total + 2 * self.on_list.len() as u64 == 0 || self.is_quiescent_scan()
+        self.candidate_weight() == 0
     }
 
     // -----------------------------------------------------------------
@@ -1298,7 +1256,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     }
 
     /// One aggregated off-candidate event: a uniform off-candidate draw
-    /// applied through the standard accept/reject machinery. Off-link
+    /// applied through the per-draw path's interaction code. Off-link
     /// isolation (validated for every path state) keeps externals off
     /// the walker paths, so the lazily-parked walker states are never
     /// observed; an effective external may *create* walker paths, which
@@ -1316,31 +1274,26 @@ impl<M: EnumerableMachine> BucketSim<M> {
         );
         let link = Link::from(self.sp.is_active(u, v));
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
-        let outcome = if self.table.can_affect(su, sv, link) {
-            self.machine.interact_indexed(su, sv, link, &mut self.rng)
-        } else {
-            None
+        debug_assert!(self.table.can_affect(su, sv, link), "every candidate is effective");
+        let Some(outcome) = self.machine.interact_indexed(su, sv, link, &mut self.rng) else {
+            // A randomized rule sampled the identity: one ordinary
+            // ineffective step.
+            return EndgameEvent::Applied {
+                edge_changed: false,
+            };
         };
-        let Some((a2, b2, l2)) = outcome else {
-            // An off-bucket pair sitting on an active edge, or a sampled
-            // identity: one ordinary ineffective step.
-            return self.endgame_ineffective();
-        };
-        self.probe_at = QUIESCENCE_PROBE;
-        let edge_changed = self.apply(u, v, link, (a2, b2, l2));
+        let edge_changed = self.apply(u, v, link, outcome);
         {
             let eg = self.eg.as_mut().expect("session is open");
-            eg.ineff_run = 0;
             eg.eff_done += 1;
-            let mark = Mark {
-                tau: eg.now,
-                cand_done: eg.cand_done,
-                reject_integral: eg.reject_integral,
-            };
-            eg.eff_mark = Some(mark);
+            eg.eff_at = Some(eg.now);
             if edge_changed {
                 eg.edge_events += 1;
-                eg.change = Some(mark);
+                eg.change = Some(Mark {
+                    tau: eg.now,
+                    cand_done: eg.cand_done,
+                    reject_integral: eg.reject_integral,
+                });
                 // Every absorption so far is fully inside the new mark's
                 // candidate tally.
                 eg.absorbed_recs.clear();
@@ -1351,30 +1304,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             self.endgame_retry_after = self.book.effective_steps + ENDGAME_RETRY;
         }
         EndgameEvent::Applied { edge_changed }
-    }
-
-    /// Books one rejected/identity off-candidate draw, running the exact
-    /// quiescence probe when the session has no walkers left (the view
-    /// is then fully materialized, so the scan's verdict is sound).
-    fn endgame_ineffective(&mut self) -> EndgameEvent {
-        let (run, no_walkers) = {
-            let eg = self.eg.as_mut().expect("session is open");
-            eg.ineff_run += 1;
-            (eg.ineff_run, eg.walkers.is_empty())
-        };
-        if no_walkers && run >= self.probe_at {
-            if self.is_quiescent_scan() {
-                self.endgame_finish();
-                // `advance` re-certifies immediately and reports
-                // `Quiescent`.
-                self.rejection_run = self.probe_at;
-            } else {
-                self.probe_at = self.probe_at.saturating_mul(2);
-            }
-        }
-        EndgameEvent::Applied {
-            edge_changed: false,
-        }
     }
 
     /// A walker's absorption deadline fired: credit its full own-draw
@@ -1391,7 +1320,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             }
             eg.cand_done += u128::from(w.rem);
             eg.eff_done += u128::from(w.rem);
-            eg.ineff_run = 0;
             // Draws of this walker that precede a pending change mark
             // are missing from that mark's tally — keep what the close
             // needs to split them.
@@ -1407,7 +1335,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             }
             w
         };
-        self.probe_at = QUIESCENCE_PROBE;
         let len = w.path.len() - 1;
         let (adj, end) = if w.exit0 {
             (w.path[1] as usize, w.path[0] as usize)
@@ -1435,15 +1362,14 @@ impl<M: EnumerableMachine> BucketSim<M> {
         let edge_changed = self.apply(x, y, Link::On, outcome);
         {
             let eg = self.eg.as_mut().expect("session is open");
-            let mark = Mark {
-                tau: eg.now,
-                cand_done: eg.cand_done,
-                reject_integral: eg.reject_integral,
-            };
-            eg.eff_mark = Some(mark);
+            eg.eff_at = Some(eg.now);
             if edge_changed {
                 eg.edge_events += 1;
-                eg.change = Some(mark);
+                eg.change = Some(Mark {
+                    tau: eg.now,
+                    cand_done: eg.cand_done,
+                    reject_integral: eg.reject_integral,
+                });
                 eg.absorbed_recs.clear();
             }
         }
@@ -1753,38 +1679,19 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.book.steps = base + cand_total + rejected;
         self.book.effective_steps += eff_total;
         self.book.edge_events += eg.edge_events;
-        // `last_effective`: every close path ends on an effective event
-        // except the quiescence-probe close, where no walkers remain, so
-        // the mark resolves from its candidate tally plus a thinned
-        // share of the skipped draws alone (an inhomogeneous Poisson
-        // count splits at a time by its intensity-integral ratio).
-        let mut rej_before_eff = rejected;
-        if let Some(me) = eg.eff_mark {
-            self.book.last_effective = if me.tau == tau_end {
-                self.book.steps
-            } else {
-                debug_assert!(
-                    alive.is_empty(),
-                    "a mid-session eff mark only survives a probe close"
-                );
-                let re = if rejected > 0 {
-                    let p = (me.reject_integral / eg.reject_integral).clamp(0.0, 1.0);
-                    let r64 = u64::try_from(rejected).unwrap_or(u64::MAX);
-                    u128::from(sample_binomial(&mut self.rng, r64, p))
-                } else {
-                    0
-                };
-                rej_before_eff = re;
-                base + me.cand_done + re
-            };
+        // `last_effective`: every close lands on an effective event — a
+        // stable predicate or a failed validation right after one, or an
+        // empty candidate set, which only an effective event can leave —
+        // so it is the session's last draw.
+        if let Some(at) = eg.eff_at {
+            debug_assert!(at == tau_end, "a close lands on an effective event");
+            self.book.last_effective = self.book.steps;
         }
-        // `last_output_change`: the change mark precedes (or is) the eff
-        // mark, so the draws resolved at close thin consistently inside
-        // the eff mark's shares.
+        // `last_output_change`: the draws resolved at close thin by the
+        // change mark's share of each clock.
         if let Some(mc) = eg.change {
-            let me = eg.eff_mark.expect("an edge change is an effective event");
-            self.book.last_output_change = if mc.tau == me.tau {
-                self.book.last_effective
+            self.book.last_output_change = if mc.tau == tau_end {
+                self.book.steps
             } else {
                 let mut idx = base + mc.cand_done;
                 for &(id, j) in &alive {
@@ -1802,10 +1709,10 @@ impl<M: EnumerableMachine> BucketSim<M> {
                     let p = (4.0 * (mc.tau - rec.born) / rec.gamma).clamp(0.0, 1.0);
                     idx += u128::from(sample_binomial(&mut self.rng, rec.rem - 1, p));
                 }
-                if rej_before_eff > 0 {
-                    let p = (mc.reject_integral / me.reject_integral.max(f64::MIN_POSITIVE))
+                if rejected > 0 {
+                    let p = (mc.reject_integral / eg.reject_integral.max(f64::MIN_POSITIVE))
                         .clamp(0.0, 1.0);
-                    let r64 = u64::try_from(rej_before_eff).unwrap_or(u64::MAX);
+                    let r64 = u64::try_from(rejected).unwrap_or(u64::MAX);
                     idx += u128::from(sample_binomial(&mut self.rng, r64, p));
                 }
                 idx
@@ -1846,10 +1753,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
                 },
             ));
         }
-        // The configuration moved while the per-draw rejection evidence
-        // was idle; void it.
-        self.rejection_run = 0;
-        self.probe_at = QUIESCENCE_PROBE;
     }
 }
 
@@ -1917,21 +1820,6 @@ impl<M: EnumerableMachine> Primitives for BucketSim<M> {
 
     fn record_fault_edges(&mut self, k: usize) {
         self.book.record_edge_changes(k);
-    }
-
-    /// The configuration changed, so any quiescence evidence gathered
-    /// from rejected candidates is void.
-    fn after_fault(&mut self) {
-        debug_assert!(
-            self.commits.is_empty(),
-            "fault events and endgame commitments cannot coexist"
-        );
-        debug_assert!(
-            self.eg.is_none(),
-            "fault events never land inside an endgame session"
-        );
-        self.rejection_run = 0;
-        self.probe_at = QUIESCENCE_PROBE;
     }
 
     /// The batched endgame engages here: when every on-candidate is an
@@ -2069,11 +1957,11 @@ mod tests {
     }
 
     #[test]
-    fn rejection_livelock_is_escaped_by_the_quiescence_probe() {
-        // Two adjacent nodes in state a with rule (a, a, 0): the pair is
-        // a permanent candidate (off bucket) but its edge is active, so
-        // every candidate rejects. The probe must detect quiescence and
-        // jump to the budget instead of grinding through 10^12 steps.
+    fn dead_pair_on_an_active_edge_is_no_candidate() {
+        // Two adjacent nodes in state a with rule (a, a, 0): the pair
+        // sits in an off bucket, but its edge is active, so the tally
+        // takes it out of the bucket's weight. The configuration is
+        // quiescent at once, and a 10^12-step budget is a jump.
         let mut b = ProtocolBuilder::new("stuck");
         let a = b.state("a");
         let m = b.state("b");
@@ -2087,7 +1975,7 @@ mod tests {
         pop.set_state(3, crate::StateId::new(1));
         pop.edges_mut().activate(2, 3);
         let mut sim = BucketSim::from_population(p, pop, 3);
-        assert!(sim.candidate_weight() > 0, "the dead pair stays a candidate");
+        assert_eq!(sim.candidate_weight(), 0, "the dead pair is no candidate");
         let t0 = std::time::Instant::now();
         let out = sim.run_until(|_| false, 1_000_000_000_000);
         assert_eq!(
@@ -2098,7 +1986,7 @@ mod tests {
         );
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(5),
-            "probe failed to shortcut the dead configuration"
+            "the dead configuration was not a jump"
         );
         assert!(sim.is_quiescent());
     }
@@ -2269,8 +2157,8 @@ mod tests {
     }
 
     /// `approx_mem_bytes` of a stable Cycle-Cover at n = 20 000, seed 0:
-    /// every adjacency row inline.
-    const CYCLE_COVER_20K_MEM: u64 = 764_000;
+    /// every adjacency row inline, plus the 3 × 3 edge tally.
+    const CYCLE_COVER_20K_MEM: u64 = 764_072;
 
     #[test]
     fn memory_of_a_cycle_cover_at_twenty_thousand_nodes() {

@@ -210,8 +210,8 @@ impl EffectTable {
 
     /// Whether the pair could be affected over an **active** edge but not
     /// over an inactive one. Such pairs enter the bucket engine's
-    /// candidate set only through the explicit active-edge list (the
-    /// state buckets would over-count them by the whole off-link bulk).
+    /// candidate set only through the explicit active-edge list (a state
+    /// bucket would count the whole off-link bulk of the class pair).
     #[inline]
     #[must_use]
     pub fn on_link_only(&self, a: usize, b: usize) -> bool {

@@ -66,8 +66,8 @@
 //! default for measurement: identical output distribution under the
 //! uniform scheduler at a cost proportional to *effective* interactions
 //! (10–1000× fewer for the paper's constructors at interesting sizes).
-//! [`BucketSim`] trades a per-candidate rejection check for O(n + |Q|²)
-//! memory — the frontier engine beyond n ≈ 20 000. [`RoundSim`] is the
+//! [`BucketSim`] counts the same effective pairs by state class in
+//! O(n + |Q|²) memory — the frontier engine beyond n ≈ 20 000. [`RoundSim`] is the
 //! same idea for the [`ShuffledRounds`] box scheduler, where parallel
 //! time is measured in rounds, and [`RoundBucketSim`] is its sparse
 //! counterpart for round-denominated runs at frontier sizes.

@@ -442,8 +442,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         self.round_of(self.book.last_output_change)
     }
 
-    /// The number of currently effective pairs, scheduled or not —
-    /// exact, unlike [`BucketSim`](crate::BucketSim)'s counted superset.
+    /// The number of currently effective pairs, scheduled or not.
     #[must_use]
     pub fn effective_pairs(&self) -> u64 {
         self.avail() + self.x_sched_cand + self.cand_sched_urns

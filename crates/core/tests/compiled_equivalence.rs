@@ -4,8 +4,7 @@
 //! event-driven engine built on it reproduces the naive engine's
 //! supporting invariants. The dense engines' incrementally maintained
 //! pair sets equal the brute-force effective set after every step, and
-//! the sparse engine's candidate weight equals the brute-force count of
-//! the superset it samples from.
+//! the sparse engine's candidate weight equals its brute-force count.
 
 use std::ops::Range;
 
@@ -100,13 +99,10 @@ fn check_effective_set(
 }
 
 /// Checks `BucketSim`'s candidate weight against a brute-force count of
-/// the superset it samples from: every ordered pair whose states admit a
-/// transition on an inactive link (the off buckets count such pairs
-/// whatever their link), plus both orders of every active edge whose
-/// states admit one only on an active link (the on list). Also checks
-/// that its adjacency rows mirror each other, hold the edges the
-/// configuration has, and name their on-list entries
-/// (`BucketSim::adjacency_consistent`).
+/// the effective set: every ordered pair whose states admit a transition
+/// on the pair's actual link. Also checks that its adjacency rows mirror
+/// each other, hold the edges the configuration has, and name their
+/// on-list entries (`BucketSim::adjacency_consistent`).
 fn check_candidate_weight(
     p: &RuleProtocol,
     sim: &mut BucketSim<CompiledTable>,
@@ -118,9 +114,8 @@ fn check_candidate_weight(
             if u == v {
                 continue;
             }
-            let (a, b) = (pop.state(u), pop.state(v));
-            let on = pop.edges().is_active(u, v) && p.can_affect(a, b, Link::On);
-            expected += u64::from(p.can_affect(a, b, Link::Off) || on);
+            let link = Link::from(pop.edges().is_active(u, v));
+            expected += u64::from(p.can_affect(pop.state(u), pop.state(v), link));
         }
     }
     prop_assert_eq!(sim.candidate_weight(), expected);
@@ -132,7 +127,7 @@ fn check_candidate_weight(
 /// to `candidates` candidate interactions each, checking the dense
 /// engines' pair sets against the brute-force effective set (and the
 /// round engine's pool accounting) and the sparse engine's candidate
-/// weight against its brute-force superset (and its adjacency rows for
+/// weight against its brute-force count (and its adjacency rows for
 /// consistency), after construction and after every `advance`.
 fn check_engines(
     p: &RuleProtocol,
@@ -172,7 +167,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The dense engines' pair sets equal the brute-force effective set,
-    /// and the sparse engine's candidate weight its brute-force superset,
+    /// and the sparse engine's candidate weight its brute-force count,
     /// after every step, on random rule tables from random configurations
     /// with active edges: small tables (the word-parallel index) and
     /// tables past 32 states (its per-pair arm).

@@ -1,7 +1,8 @@
 //! Frozen trajectories of the sparse uniform engine.
 //!
 //! `BucketSim` consumes one raw draw per geometric skip, then its
-//! candidate picks, in an order fixed by its buckets and its on list.
+//! candidate picks (with any in-bucket re-draws), in an order fixed by
+//! its buckets and its on list.
 //! These tests pin `(steps, effective_steps, edge_events,
 //! last_output_change, configuration hash)` of fixed-seed unfaulted runs
 //! to constants recorded while the engine still answered some skips from
@@ -12,7 +13,10 @@
 //!
 //! Coverage: Simple-Global-Line at n = 256 run to its stability oracle
 //! (long stretches at one hit probability, where the old table was
-//! built); Cycle-Cover at n = 256; and Simple-Global-Line under
+//! built); Cycle-Cover at n = 256, whose adjacent `q1` pairs are
+//! re-drawn inside their off bucket (its constants were re-recorded when
+//! the engine began counting effective pairs exactly; the other two
+//! never meet such a pair); and Simple-Global-Line under
 //! `run_until_edges` at n = 1 000, where the batched walker endgame
 //! opens.
 
@@ -105,8 +109,8 @@ fn cycle_cover_n256() {
     assert_eq!(
         got,
         [
-            (10958, 256, 256, 10958, 7548467043014890),
-            (10566, 255, 255, 10566, 4406849054083252028),
+            (21206, 256, 256, 21206, 11796003672239597418),
+            (31861, 256, 256, 31861, 8608349229374541514),
         ]
     );
 }

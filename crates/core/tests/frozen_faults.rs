@@ -20,9 +20,9 @@
 //! `CrashMaxDegree`. Each run is also replayed boundary by boundary,
 //! checking that every fault boundary changes the fingerprint and that
 //! stopping at each one lands on the same final fingerprint. One more
-//! run pins `BucketSim` under churn on FT-Global-Star, whose rejected
-//! candidates make the engine's quiescence evidence — voided after every
-//! fault — decide coins.
+//! run pins `BucketSim` under churn on FT-Global-Star, whose spokes sit
+//! in an off bucket they cannot fire in, so the engine's active-edge
+//! tally and its in-bucket re-draws decide coins across every fault.
 
 use netcon_core::{
     AdversaryPlan, AdversaryPolicy, BucketSim, Cadence, ChurnPlan, CompiledTable, EventSim,
@@ -145,10 +145,10 @@ fn ft_line_under_every_fault_kind() {
     );
 }
 
-/// `BucketSim` voids the quiescence evidence of its rejection streak
-/// after every fault. FT-Global-Star's candidate over-count makes long
-/// streaks (the FT-line run above rarely rejects a candidate), so under
-/// churn the timing of that reset moves coins.
+/// `BucketSim` takes FT-Global-Star's active `(c, p)` spokes out of the
+/// `(c, p)` off bucket's weight and re-draws a pick that lands on one
+/// (the FT-line run above rarely meets such a pair), so under churn every
+/// crash's and arrival's re-tally moves coins.
 #[test]
 fn bucket_ft_star_under_churn() {
     let churn = ChurnPlan::new(21)
@@ -159,5 +159,5 @@ fn bucket_ft_star_under_churn() {
         .compile(16);
     let mut e = BucketSim::new_faulted(ft_star::protocol().compile(), 16, 1, churn);
     e.run_faulted_to(80_000);
-    assert_eq!(fingerprint(&e, sparse_hash), (80000, 230, 237, 55838, 16, 8842769166206784938));
+    assert_eq!(fingerprint(&e, sparse_hash), (80000, 298, 305, 55985, 16, 11095120143685542282));
 }

@@ -2,10 +2,10 @@
 //!
 //! The fast engines are exact by construction, each against the naive
 //! loop under *its* scheduler family: `EventSim` and `BucketSim` equal
-//! `Simulation` under the uniform scheduler (`EventSim` skips the draws
-//! outside the exact effective set; `BucketSim` skips the draws outside
-//! a state-bucketed superset and rejects the difference — see
-//! `netcon_core::bucket`), and `RoundSim` / `RoundBucketSim` equal
+//! `Simulation` under the uniform scheduler (both skip the draws outside
+//! the exact effective set: `EventSim` keeps it pair by pair, `BucketSim`
+//! counts it by state class — see `netcon_core::bucket`), and
+//! `RoundSim` / `RoundBucketSim` equal
 //! `Simulation` under `ShuffledRounds` (hypergeometric within-round
 //! skips plus scheduled-identity resolution — lazy dense rows in
 //! `netcon_core::round`, counted cohorts in
@@ -22,7 +22,7 @@
 //!
 //! The coin-level proptests at the bottom pin the shared skip samplers
 //! themselves: the geometric inversion both uniform-family engines draw
-//! from (one shared skip schedule ⇒ the superset engine never skips
+//! from (one shared skip schedule ⇒ a larger candidate set never skips
 //! more), the hypergeometric inversions the round engines draw from
 //! (bracketing the brute-force CDFs, including the within-round
 //! exhaustion edge cases), and the batched-endgame absorption laws of
@@ -1142,23 +1142,23 @@ mod adversary {
                     rb.run_faulted_to(target);
 
                     let brute = super::super::fault_bookkeeping::brute;
-                    let (exact_e, _) =
+                    let exact_e =
                         brute(&p, ev.population(), ev.fault_state().expect("faulted"));
                     prop_assert_eq!(2 * ev.effective_pairs() as u64, exact_e);
 
                     let bp = bu.to_population();
                     let bfs = bu.fault_state().expect("faulted").clone();
-                    let (_, maybe_b) = brute(&p, &bp, &bfs);
-                    prop_assert_eq!(bu.candidate_weight(), maybe_b);
+                    let exact_b = brute(&p, &bp, &bfs);
+                    prop_assert_eq!(bu.candidate_weight(), exact_b);
 
-                    let (exact_r, _) =
+                    let exact_r =
                         brute(&p, rs.population(), rs.fault_state().expect("faulted"));
                     prop_assert_eq!(2 * rs.effective_pairs() as u64, exact_r);
                     prop_assert!(rs.pool_invariant_holds());
 
                     let rbp = rb.to_population();
                     let rbfs = rb.fault_state().expect("faulted").clone();
-                    let (exact_q, _) = brute(&p, &rbp, &rbfs);
+                    let exact_q = brute(&p, &rbp, &rbfs);
                     prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
                     prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
                     prop_assert!(rb.pool_invariant_holds());
@@ -1200,35 +1200,25 @@ mod fault_bookkeeping {
         plan
     }
 
-    /// Ordered-pair counts over the *alive* population: the exact
-    /// effective count and BucketSim's state-bucketed over-approximation
-    /// (`can_affect(·, ·, Off)` union active-`On`), recomputed from
-    /// scratch — the ground truth each engine's incremental fault
-    /// bookkeeping must match.
+    /// The exact effective ordered-pair count over the *alive*
+    /// population, recomputed from scratch — the ground truth each
+    /// engine's incremental fault bookkeeping must match.
     pub(super) fn brute(
         p: &netcon::core::CompiledTable,
         pop: &Population<StateId>,
         fs: &FaultState,
-    ) -> (u64, u64) {
-        let (mut exact, mut maybe) = (0u64, 0u64);
+    ) -> u64 {
+        let mut exact = 0u64;
         for u in 0..pop.n() {
             for v in 0..pop.n() {
                 if u == v || !fs.is_alive(u) || !fs.is_alive(v) {
                     continue;
                 }
                 let link = Link::from(pop.edges().is_active(u, v));
-                let (a, b) = (pop.state(u), pop.state(v));
-                if p.can_affect(a, b, link) {
-                    exact += 1;
-                }
-                if p.can_affect(a, b, Link::Off)
-                    || (link == Link::On && p.can_affect(a, b, Link::On))
-                {
-                    maybe += 1;
-                }
+                exact += u64::from(p.can_affect(pop.state(u), pop.state(v), link));
             }
         }
-        (exact, maybe)
+        exact
     }
 
     proptest! {
@@ -1258,17 +1248,17 @@ mod fault_bookkeeping {
                 rs.run_faulted_to(target);
                 rb.run_faulted_to(target);
 
-                let (exact_e, _) =
+                let exact_e =
                     brute(&p, ev.population(), ev.fault_state().expect("faulted"));
                 prop_assert_eq!(2 * ev.effective_pairs() as u64, exact_e);
 
                 let bp = bu.to_population();
                 let bfs = bu.fault_state().expect("faulted").clone();
-                let (_, maybe_b) = brute(&p, &bp, &bfs);
-                prop_assert_eq!(bu.candidate_weight(), maybe_b);
+                let exact_b = brute(&p, &bp, &bfs);
+                prop_assert_eq!(bu.candidate_weight(), exact_b);
                 prop_assert!(bu.adjacency_consistent());
 
-                let (exact_r, _) =
+                let exact_r =
                     brute(&p, rs.population(), rs.fault_state().expect("faulted"));
                 prop_assert_eq!(2 * rs.effective_pairs() as u64, exact_r);
                 prop_assert!(rs.pool_invariant_holds());
@@ -1279,7 +1269,7 @@ mod fault_bookkeeping {
                 // must account for every remaining pair.
                 let rbp = rb.to_population();
                 let rbfs = rb.fault_state().expect("faulted").clone();
-                let (exact_q, _) = brute(&p, &rbp, &rbfs);
+                let exact_q = brute(&p, &rbp, &rbfs);
                 prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
                 prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
                 prop_assert!(rb.pool_invariant_holds());
@@ -1310,7 +1300,7 @@ mod fault_bookkeeping {
                 rb.run_faulted_to(target);
                 let rbp = rb.to_population();
                 let rbfs = rb.fault_state().expect("faulted").clone();
-                let (exact_q, _) = brute(&p, &rbp, &rbfs);
+                let exact_q = brute(&p, &rbp, &rbfs);
                 prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
                 prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
                 prop_assert!(rb.pool_invariant_holds());
@@ -1345,8 +1335,8 @@ mod fault_bookkeeping {
                 bu.run_faulted_to(target);
                 let bp = bu.to_population();
                 let bfs = bu.fault_state().expect("faulted").clone();
-                let (_, maybe_b) = brute(&p, &bp, &bfs);
-                prop_assert_eq!(bu.candidate_weight(), maybe_b);
+                let exact_b = brute(&p, &bp, &bfs);
+                prop_assert_eq!(bu.candidate_weight(), exact_b);
                 prop_assert!(bu.adjacency_consistent());
                 widest = widest.max((0..bp.n()).map(|u| bu.view().degree(u)).max().unwrap_or(0));
             }
@@ -1388,9 +1378,8 @@ mod skip_schedule {
         }
 
         /// Sharing one skip schedule (the same unit draw), the engine
-        /// with the larger candidate set never skips more: BucketSim's
-        /// over-approximating set (p_bucket ≥ p_event) hits no later than
-        /// EventSim's exact set on every draw.
+        /// with the larger candidate set never skips more: a hit
+        /// probability p_bucket ≥ p_event hits no later on every draw.
         #[test]
         fn shared_schedule_is_monotone_in_p(raw in any::<u64>(), ke in 1u64..500, extra in 0u64..500, m in 1000u64..4000) {
             let u = unit_open01(raw);
@@ -1399,9 +1388,9 @@ mod skip_schedule {
             prop_assert!(geometric_skip(u, p_bucket) <= geometric_skip(u, p_event));
         }
 
-        /// The two event engines' candidate-set sizes obey the superset
-        /// relation on random reachable matching configurations, and both
-        /// count exactly what a brute-force scan counts.
+        /// The two event engines count the same candidate set on random
+        /// reachable matching configurations: exactly the effective pairs
+        /// a brute-force scan counts.
         #[test]
         fn candidate_sets_are_nested_and_exact(n in 4usize..32, steps in 0u64..40, seed in any::<u64>()) {
             let p = super::matching_protocol().compile();
@@ -1412,23 +1401,16 @@ mod skip_schedule {
 
             // Brute force over all ordered pairs.
             let mut exact = 0u64;
-            let mut maybe = 0u64;
             for u in 0..n {
                 for v in 0..n {
                     if u == v { continue; }
                     let link = Link::from(pop.edges().is_active(u, v));
-                    let (a, b) = (pop.state(u), pop.state(v));
                     use netcon::core::Machine;
-                    if p.can_affect(a, b, link) { exact += 1; }
-                    if p.can_affect(a, b, Link::Off)
-                        || (link == Link::On && p.can_affect(a, b, Link::On)) {
-                        maybe += 1;
-                    }
+                    exact += u64::from(p.can_affect(pop.state(u), pop.state(v), link));
                 }
             }
             prop_assert_eq!(2 * ev.effective_pairs() as u64, exact);
-            prop_assert_eq!(bu.candidate_weight(), maybe);
-            prop_assert!(bu.candidate_weight() >= 2 * ev.effective_pairs() as u64);
+            prop_assert_eq!(bu.candidate_weight(), 2 * ev.effective_pairs() as u64);
         }
 
         /// Driving both engines with the same seed does not make them
