@@ -13,8 +13,8 @@
 //!    `can_affect(s, t, 0)`, hold `c_s·c_t` node pairs (`c_s(c_s−1)` when
 //!    `s = t`), counted from the bucket sizes alone, less the active
 //!    `(s, t)` edges when `can_affect(s, t, 1)` fails. A tally of active
-//!    edges per ordered state pair supplies that count, at O(1) per edge
-//!    change and O(deg) per state change. The **on list** holds the
+//!    edges per state pair supplies that count, at O(1) per edge change
+//!    and O(deg) per state change of a node in such a bucket's states. The **on list** holds the
 //!    active edges whose states are effective on an active link only; for
 //!    the bounded-degree outputs of the paper's constructors it has O(n)
 //!    entries. The candidate weight `K = |E|` (ordered) is the sum.
@@ -685,6 +685,10 @@ pub struct BucketSim<M: EnumerableMachine> {
     /// Ordered state pairs `(s, t)` with `can_affect(s, t, Off)` — the
     /// off buckets, fixed at construction.
     off_pairs: Vec<(u16, u16)>,
+    /// Per off bucket, its `tally` cell and the ordered pairs each
+    /// tallied edge takes from its weight: 1, or 2 when `s = t`, if its
+    /// rule needs an inactive link, else 0.
+    dead_cells: Vec<(u32, u64)>,
     /// Cumulative ordered-pair counts per off bucket (rebuilt lazily when
     /// a state count changed).
     cum: Vec<u64>,
@@ -698,11 +702,16 @@ pub struct BucketSim<M: EnumerableMachine> {
     /// Without one (Cycle-Cover, matching) the on list stays empty, so
     /// refreshing it after a state change is skipped.
     on_pairs: bool,
-    /// Active edges per ordered state pair: `tally[s·|Q| + t]` counts the
-    /// ordered pairs `(u, v)` in states `(s, t)` whose edge is active, so
-    /// an off bucket whose rule needs an inactive link loses exactly
-    /// those pairs from its weight.
+    /// Active edges per unordered state pair: `tally[s·|Q| + t]`, `s ≤ t`,
+    /// counts the active edges between states `s` and `t`, so an off
+    /// bucket whose rule needs an inactive link loses exactly those
+    /// pairs (twice, ordered, when `s = t`) from its weight. Kept for
+    /// pairs of `tallied` states only; the other entries stay 0.
     tally: Vec<u64>,
+    /// The states of the off buckets whose rule needs an inactive link.
+    /// A state change between untallied states (a walker's move) skips
+    /// the tally.
+    tallied: Vec<bool>,
     faults: Option<FaultState>,
     /// Batched-endgame commitments, keyed by the node currently holding
     /// the walker state (a `Vec`, so coin consumption is deterministic).
@@ -797,6 +806,18 @@ impl<M: EnumerableMachine> BucketSim<M> {
             }
         }
         let cum = vec![0; off_pairs.len()];
+        let mut tallied = vec![false; size];
+        let mut dead_cells = Vec::with_capacity(off_pairs.len());
+        for &(s, t) in &off_pairs {
+            let (s, t) = (usize::from(s), usize::from(t));
+            if table.can_affect(s, t, Link::On) {
+                dead_cells.push((0, 0));
+            } else {
+                tallied[s] = true;
+                tallied[t] = true;
+                dead_cells.push(((s.min(t) * size + s.max(t)) as u32, 1 + u64::from(s == t)));
+            }
+        }
         let on_pairs = (0..size).any(|s| (0..size).any(|t| table.on_link_only(s, t)));
         let mut sim = Self {
             machine,
@@ -805,22 +826,28 @@ impl<M: EnumerableMachine> BucketSim<M> {
             book: WideBook::default(),
             table,
             off_pairs,
+            dead_cells,
             cum,
             off_total: 0,
             dirty: true,
             on_list: Vec::new(),
             on_pairs,
             tally: vec![0; size * size],
+            tallied,
             faults: None,
             commits: Vec::new(),
             endgame_retry_after: 0,
             eg: None,
         };
         // Initial tally and on list: scan the active edges once.
-        for u in 0..sim.sp.n() {
+        let with_edges = if sim.sp.active_count() > 0 { sim.sp.n() } else { 0 };
+        for u in 0..with_edges {
             let su = sim.sp.state_index(u);
-            for w in sim.sp.neighbors(u) {
-                sim.tally[su * size + sim.sp.state_index(w)] += 1;
+            for w in sim.sp.neighbors(u).filter(|&w| w > u) {
+                let sw = sim.sp.state_index(w);
+                if sim.tallied[su] && sim.tallied[sw] {
+                    sim.tally[su.min(sw) * size + su.max(sw)] += 1;
+                }
             }
             sim.refresh_on_incident(u);
         }
@@ -905,7 +932,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// state or edge change that dirtied them. A bucket whose rule needs
     /// an inactive link weighs its pairs minus its active edges.
     fn rebuild_weights(&mut self) {
-        let size = self.table.size();
         let mut total = 0u64;
         for (i, &(s, t)) in self.off_pairs.iter().enumerate() {
             let (s, t) = (usize::from(s), usize::from(t));
@@ -915,11 +941,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
             } else {
                 cs * self.sp.buckets[t].len() as u64
             };
-            let dead = if self.table.can_affect(s, t, Link::On) {
-                0
-            } else {
-                self.tally[s * size + t]
-            };
+            let (cell, per_edge) = self.dead_cells[i];
+            let dead = per_edge * self.tally[cell as usize];
             total += pairs - dead;
             self.cum[i] = total;
         }
@@ -940,10 +963,11 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// Activates or deactivates the edge `{u, v}` and tallies it; a
     /// deactivated on-list edge leaves the list (its adjacency cells are
     /// already gone).
+    #[inline]
     fn write_edge(&mut self, u: usize, v: usize, on: bool) {
-        let size = self.table.size();
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
-        for cell in [su * size + sv, sv * size + su] {
+        if self.tallied[su] && self.tallied[sv] {
+            let cell = su.min(sv) * self.table.size() + su.max(sv);
             if on {
                 self.tally[cell] += 1;
             } else {
@@ -957,21 +981,31 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.dirty = true;
     }
 
-    /// Moves node `u` to state `q`, re-tallying its active edges — O(deg).
-    /// Returns whether the state changed. The caller refreshes `u`'s
-    /// on-list entries once its neighbours' states are final.
+    /// Moves node `u` to state `q`, re-tallying its active edges — O(deg)
+    /// when either state is tallied. Returns whether the state changed.
+    /// The caller refreshes `u`'s on-list entries once its neighbours'
+    /// states are final.
+    #[inline]
     fn move_state(&mut self, u: usize, q: usize) -> bool {
         let old = self.sp.state_index(u);
         if old == q {
             return false;
         }
-        let size = self.table.size();
-        for &(w, _) in self.sp.row(u) {
-            let sw = self.sp.state_index(w as usize);
-            self.tally[old * size + sw] -= 1;
-            self.tally[sw * size + old] -= 1;
-            self.tally[q * size + sw] += 1;
-            self.tally[sw * size + q] += 1;
+        let (was, now) = (self.tallied[old], self.tallied[q]);
+        if was || now {
+            let size = self.table.size();
+            for &(w, _) in self.sp.row(u) {
+                let sw = self.sp.state_index(w as usize);
+                if !self.tallied[sw] {
+                    continue;
+                }
+                if was {
+                    self.tally[old.min(sw) * size + old.max(sw)] -= 1;
+                }
+                if now {
+                    self.tally[q.min(sw) * size + q.max(sw)] += 1;
+                }
+            }
         }
         self.sp.set_state_index(u, q)
     }
@@ -979,13 +1013,24 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// Applies the outcome `(a2, b2, l2)` of an effective interaction of
     /// `(u, v)` over `link`: the edge write, both state moves and both
     /// endpoints' on-list refresh. Returns whether the edge changed.
-    fn apply(&mut self, u: usize, v: usize, link: Link, (a2, b2, l2): (usize, usize, Link)) -> bool {
+    #[inline]
+    fn apply(&mut self, u: usize, v: usize, link: Link, outcome: (usize, usize, Link)) -> bool {
+        let (a2, b2, l2) = outcome;
+        let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
         let edge_changed = l2 != link;
-        if edge_changed {
-            self.write_edge(u, v, l2.is_on());
+        // A removed edge leaves with the old states, a new one arrives
+        // with the new states: the state moves never re-tally it.
+        if edge_changed && link.is_on() {
+            self.write_edge(u, v, false);
         }
-        if self.move_state(u, a2) | self.move_state(v, b2) {
+        // Two untallied states trading places (a walker's move) leave
+        // every bucket size and tally cell, so every weight, as it was.
+        let swap = (a2, b2) == (sv, su) && !self.tallied[su] && !self.tallied[sv];
+        if (self.move_state(u, a2) | self.move_state(v, b2)) && !swap {
             self.dirty = true;
+        }
+        if edge_changed && l2.is_on() {
+            self.write_edge(u, v, true);
         }
         self.refresh_on_incident(u);
         self.refresh_on_incident(v);
@@ -1022,8 +1067,9 @@ impl<M: EnumerableMachine> BucketSim<M> {
     }
 
     /// Draws a candidate ordered pair uniformly from the `k2` ordered
-    /// candidates (`k2 = off_total + 2·on_len`, weights up to date).
-    fn draw_candidate(&mut self, k2: u64) -> (usize, usize) {
+    /// candidates (`k2 = off_total + 2·on_len`, weights up to date), with
+    /// its link.
+    fn draw_candidate(&mut self, k2: u64) -> (usize, usize, Link) {
         let r = self.rng.random_range(0..k2);
         if r < self.off_total {
             self.off_candidate_at(r)
@@ -1031,20 +1077,20 @@ impl<M: EnumerableMachine> BucketSim<M> {
             let e = r - self.off_total;
             let (a, b) = self.on_list[(e / 2) as usize];
             if e % 2 == 1 {
-                (b as usize, a as usize)
+                (b as usize, a as usize, Link::On)
             } else {
-                (a as usize, b as usize)
+                (a as usize, b as usize, Link::On)
             }
         }
     }
 
-    /// The off-candidate at cumulative rank `r < off_total`: a
-    /// cumulative-weight bucket search, then one uniform member per side
-    /// (distinct indices when the sides share a bucket). When the
+    /// The off-candidate at cumulative rank `r < off_total`, with its
+    /// link: a cumulative-weight bucket search, then one uniform member
+    /// per side (distinct indices when the sides share a bucket). When the
     /// bucket's rule needs an inactive link, a pair that lands on an
     /// active edge is re-drawn inside the bucket — coins but no clock —
     /// so the pick is uniform over the bucket's effective pairs.
-    fn off_candidate_at(&mut self, r: u64) -> (usize, usize) {
+    fn off_candidate_at(&mut self, r: u64) -> (usize, usize, Link) {
         let b = self.cum.partition_point(|&c| c <= r);
         let (s, t) = (usize::from(self.off_pairs[b].0), usize::from(self.off_pairs[b].1));
         let redraw = !self.table.can_affect(s, t, Link::On);
@@ -1063,8 +1109,9 @@ impl<M: EnumerableMachine> BucketSim<M> {
                 let bt = &self.sp.buckets[t];
                 (u as usize, bt[self.rng.random_range(0..bt.len())] as usize)
             };
-            if !redraw || !self.sp.is_active(u, v) {
-                return (u, v);
+            let link = Link::from(self.sp.is_active(u, v));
+            if !(redraw && link.is_on()) {
+                return (u, v, link);
             }
         }
     }
@@ -1109,14 +1156,14 @@ impl<M: EnumerableMachine> BucketSim<M> {
         };
         self.book.steps += u128::from(skipped) + 1;
 
-        let (u, v) = self.draw_candidate(k2);
+        let (u, v, link) = self.draw_candidate(k2);
         let (u, v) = if self.commits.is_empty() {
             (u, v)
         } else {
             self.redirect_committed(u, v)
         };
+        debug_assert_eq!(link, Link::from(self.sp.is_active(u, v)), "a redirect stays on the path");
         let pair = (u, v);
-        let link = Link::from(self.sp.is_active(u, v));
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
         debug_assert!(self.table.can_affect(su, sv, link), "every candidate is effective");
         let Some(outcome) = self.machine.interact_indexed(su, sv, link, &mut self.rng) else {
@@ -1264,7 +1311,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     fn endgame_external(&mut self) -> EndgameEvent {
         self.eg.as_mut().expect("session is open").cand_done += 1;
         let r = self.rng.random_range(0..self.off_total);
-        let (u, v) = self.off_candidate_at(r);
+        let (u, v, link) = self.off_candidate_at(r);
         debug_assert!(
             {
                 let eg = self.eg.as_ref().expect("session is open");
@@ -1272,7 +1319,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             },
             "off-isolation keeps externals off walker paths"
         );
-        let link = Link::from(self.sp.is_active(u, v));
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
         debug_assert!(self.table.can_affect(su, sv, link), "every candidate is effective");
         let Some(outcome) = self.machine.interact_indexed(su, sv, link, &mut self.rng) else {

@@ -3,10 +3,9 @@
 //!
 //! For the **uniform** scheduler, [`EventSim`] is the
 //! fastest exact engine per effective interaction but holds Θ(n²) bytes;
-//! [`BucketSim`] holds O(n + |Q|²) and pays in-bucket re-draws where a
-//! state class fills with edges instead. Both produce
-//! identically-distributed executions, so the only question is whether
-//! the dense structures fit:
+//! [`BucketSim`] holds O(n + |Q|²) and pays in-bucket re-draws instead.
+//! Both produce identically-distributed executions, so the only question
+//! is whether the dense structures fit:
 //! [`Engine::auto`] answers it with [`EventSim::dense_mem_estimate`]
 //! against a budget (`NETCON_ENGINE_MEM_BUDGET` bytes, default 512 MiB),
 //! falling back to the sparse engine beyond it — or beyond the dense
