@@ -839,17 +839,19 @@ impl<M: EnumerableMachine> BucketSim<M> {
             endgame_retry_after: 0,
             eg: None,
         };
-        // Initial tally and on list: scan the active edges once.
-        let with_edges = if sim.sp.active_count() > 0 { sim.sp.n() } else { 0 };
-        for u in 0..with_edges {
-            let su = sim.sp.state_index(u);
-            for w in sim.sp.neighbors(u).filter(|&w| w > u) {
-                let sw = sim.sp.state_index(w);
-                if sim.tallied[su] && sim.tallied[sw] {
-                    sim.tally[su.min(sw) * size + su.max(sw)] += 1;
+        // Initial tally and on list: scan the active edges once (a fresh
+        // population has none).
+        if sim.sp.active_count() > 0 {
+            for u in 0..sim.sp.n() {
+                let su = sim.sp.state_index(u);
+                for w in sim.sp.neighbors(u).filter(|&w| w > u) {
+                    let sw = sim.sp.state_index(w);
+                    if sim.tallied[su] && sim.tallied[sw] {
+                        sim.tally[su.min(sw) * size + su.max(sw)] += 1;
+                    }
                 }
+                sim.refresh_on_incident(u);
             }
-            sim.refresh_on_incident(u);
         }
         sim
     }
