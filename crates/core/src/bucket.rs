@@ -70,8 +70,8 @@ use crate::event::EventStep;
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::{RunOutcome, StepResult};
 use crate::walk::{
-    bridge_weights_with_future, h_step, sample_absorption, sample_binomial, sample_gamma,
-    sample_poisson, sample_weighted,
+    bridge_weights_with_future, h_step, sample_absorption, sample_binomial, sample_binomial_u128,
+    sample_gamma, sample_poisson, sample_weighted,
 };
 use crate::{EngineView, Link, Population};
 
@@ -153,16 +153,11 @@ impl SparsePop {
     }
 
     /// `n` nodes in state `initial` and no active edges. Panics past
-    /// either sparse engine's limits: `n < 2`, `n > 2³¹` (node ids are
-    /// `u32` and ordered pair counts must fit `u64`), or more than 65536
-    /// states.
+    /// either sparse engine's limits: `n < 2` or `n > 2³¹` (node ids are
+    /// `u32` and ordered pair counts must fit `u64`).
     fn new(n: usize, num_states: usize, initial: usize) -> Self {
         assert!(n >= 2, "pairwise interactions need at least 2 processes");
         assert!(n <= 1 << 31, "the sparse engines pack node ids into u32");
-        assert!(
-            num_states <= usize::from(u16::MAX) + 1,
-            "the sparse engines' dense state index is u16: more than 65536 states"
-        );
         let mut buckets = vec![Vec::new(); num_states];
         buckets[initial] = (0..n as u32).collect();
         Self {
@@ -731,10 +726,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`, `n > 2³¹` (node ids are `u32` and ordered pair
-    /// counts must fit `u64`), the machine has more than 65536 states, or
-    /// the machine's `can_affect` is not symmetric in its node arguments
-    /// (a [`Machine`](crate::Machine) contract violation).
+    /// Panics if `n < 2` or `n > 2³¹` (node ids are `u32` and ordered pair
+    /// counts must fit `u64`).
     ///
     /// # Example
     ///
@@ -792,10 +785,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
 
     fn from_sparse(machine: M, sp: SparsePop, seed: u64) -> Self {
         let table = machine.effect_table();
-        assert!(
-            table.is_symmetric(),
-            "BucketSim requires can_affect to be symmetric in its node arguments"
-        );
         let size = table.size();
         let mut off_pairs = Vec::new();
         for s in 0..size {
@@ -1760,8 +1749,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
                 if rejected > 0 {
                     let p = (mc.reject_integral / eg.reject_integral.max(f64::MIN_POSITIVE))
                         .clamp(0.0, 1.0);
-                    let r64 = u64::try_from(rejected).unwrap_or(u64::MAX);
-                    idx += u128::from(sample_binomial(&mut self.rng, r64, p));
+                    idx += sample_binomial_u128(&mut self.rng, rejected, p);
                 }
                 idx
             };

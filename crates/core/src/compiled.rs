@@ -1,16 +1,11 @@
-//! Compiled protocols: dense-index machines and flat rule tables.
+//! Compiled protocols: the one executable form the skip engines run.
 //!
 //! The interpreted [`RuleProtocol`] is faithful to
 //! the paper's listings but pays for that fidelity per interaction: its δ
 //! slots hold [`RuleRhs`] enums, and its `interact` runs
 //! through the generic [`Machine`] interface with a `dyn Rng`. This module
-//! provides the lowered form the engines prefer:
+//! provides the lowered form every skip-sampling engine requires:
 //!
-//! * [`EnumerableMachine`] — a machine whose states are (isomorphic to) a
-//!   dense index range `0..num_states()`. Flat protocols implement it for
-//!   free; composite machines with a bounded state space can opt in and
-//!   inherit every fast path (effect tables, the event-driven engine's
-//!   O(1) effectiveness tests).
 //! * [`CompiledTable`] — any `RuleProtocol` lowered to a flat `Vec`-indexed
 //!   δ: one packed right-hand side per `(a_idx, b_idx, link)` slot, `u16`
 //!   state ids, no hashing, no allocation, and a monomorphic
@@ -18,30 +13,60 @@
 //!   `dyn Rng` in the hot path. Behaviour (including the coin-consumption
 //!   order) is bit-for-bit identical to the interpreted protocol under the
 //!   same generator.
+//! * [`EnumerableMachine`] — the sealed dense-index interface the engines
+//!   are generic over. [`CompiledTable`] is its only implementor, so an
+//!   engine never sees a second δ path.
 //! * [`EffectTable`] — precomputed `can_affect` / `can_affect_edge` bits
 //!   over all `(a_idx, b_idx, link)` triples, the lookup the incremental
 //!   effective-pair maintenance performs O(n) times per effective
-//!   interaction.
+//!   interaction. [`RuleProtocol`] tabulates it once at build time and
+//!   its compiled table shares a copy.
 
 use rand::{Rng, RngExt};
 
 use crate::{Link, Machine, RuleProtocol, RuleRhs, StateId};
 
+mod sealed {
+    /// Keeps [`EnumerableMachine`](super::EnumerableMachine) implemented
+    /// by [`CompiledTable`](super::CompiledTable) alone.
+    pub trait Sealed {}
+}
+
+impl sealed::Sealed for CompiledTable {}
+
 /// A [`Machine`] whose state set is enumerable as the dense index range
-/// `0..num_states()`.
+/// `0..num_states()`: the machine interface of the skip-sampling engines.
+///
+/// The trait is sealed: [`CompiledTable`] is its only implementor, so
+/// every engine runs the one flat δ (lower a [`RuleProtocol`] with
+/// [`RuleProtocol::compile`]). It is public so that engines, views and
+/// predicates can be written generically over it.
+///
+/// ```compile_fail
+/// use netcon_core::{EventSim, Link, ProtocolBuilder};
+///
+/// let mut b = ProtocolBuilder::new("matching");
+/// let a = b.state("a");
+/// let m = b.state("b");
+/// b.rule((a, a, Link::Off), (m, m, Link::On));
+/// let protocol = b.build()?;
+/// // Rejected: `RuleProtocol` is not an `EnumerableMachine`; the engine
+/// // takes `protocol.compile()`.
+/// let sim = EventSim::new(protocol, 100, 1);
+/// # Ok::<(), netcon_core::ProtocolError>(())
+/// ```
 ///
 /// # Contract
 ///
-/// `state_index` and `state_at` must be mutually inverse bijections, and
-/// `num_states` must not change over the machine's lifetime. The
-/// [`interact_indexed`](Self::interact_indexed) provided method must stay
-/// consistent with [`Machine::interact`] — override it only with an
-/// implementation that consumes randomness identically (the engines rely
-/// on this for reproducibility across representations).
+/// `state_index` and `state_at` are mutually inverse bijections, and
+/// `num_states` does not change over the machine's lifetime. The indexed
+/// methods agree with their state-typed [`Machine`] counterparts and
+/// consume randomness identically (the engines rely on this for
+/// reproducibility across representations).
 ///
 /// The trait is not object-safe (`interact_indexed` is generic over the
 /// generator precisely so compiled hot loops avoid `dyn Rng`).
-pub trait EnumerableMachine: Machine {
+pub trait EnumerableMachine: Machine + sealed::Sealed {
     /// The number of states `|Q|`.
     fn num_states(&self) -> usize;
 
@@ -55,84 +80,44 @@ pub trait EnumerableMachine: Machine {
     /// May panic if `index >= num_states()`.
     fn state_at(&self, index: usize) -> Self::State;
 
-    /// The machine's effect table. The default tabulates
-    /// `can_affect`/`can_affect_edge` over the whole dense domain;
-    /// machines that already carry the table (compiled ones) override
-    /// this to hand out their copy.
-    fn effect_table(&self) -> EffectTable
-    where
-        Self: Sized,
-    {
-        EffectTable::of(self)
-    }
+    /// A copy of the machine's effect table.
+    fn effect_table(&self) -> EffectTable;
 
-    /// [`Machine::on_crash_notify`] over dense indices. The default
-    /// routes through the state-typed hook; compiled machines override
-    /// it with a direct table load. Must stay consistent with the hook —
-    /// the engines use whichever form fits their representation.
-    fn notify_indexed(&self, state: usize) -> Option<usize> {
-        self.on_crash_notify(&self.state_at(state))
-            .map(|s| self.state_index(&s))
-    }
+    /// [`Machine::on_crash_notify`] over dense indices.
+    fn notify_indexed(&self, state: usize) -> Option<usize>;
 
     /// Whether an interaction on the triple is **certainly** effective:
     /// every outcome the rule can produce (over any coin values) differs
     /// from the input triple, so `interact_indexed` never returns
-    /// `None`. The default `false` is always sound — engines use this
-    /// only as an optimization gate (batched endgame sampling); compiled
-    /// machines override it from their δ slots.
-    fn is_certain(&self, a: usize, b: usize, link: Link) -> bool {
-        let _ = (a, b, link);
-        false
-    }
+    /// `None`. Engines use this only as an optimization gate (batched
+    /// endgame sampling).
+    fn is_certain(&self, a: usize, b: usize, link: Link) -> bool;
 
     /// The outcome of a **deterministic, coin-free** interaction:
     /// `Some(rhs)` only when `interact_indexed` on the triple always
     /// returns `Some(rhs)` *and consumes no randomness* (in particular
-    /// the rule is not subject to the §3.1 symmetry coin). `None` is
-    /// always sound; the batched endgame uses this to recognize pure
-    /// state-swap walk rules.
-    fn det_interaction(&self, a: usize, b: usize, link: Link) -> Option<(usize, usize, Link)> {
-        let _ = (a, b, link);
-        None
-    }
+    /// the rule is not subject to the §3.1 symmetry coin). The batched
+    /// endgame uses this to recognize pure state-swap walk rules.
+    fn det_interaction(&self, a: usize, b: usize, link: Link) -> Option<(usize, usize, Link)>;
 
     /// [`Machine::interact`] over dense indices with a monomorphic
-    /// generator. The default routes through `interact`; compiled
-    /// machines override it with a direct table walk.
+    /// generator: one slot load per interaction.
     fn interact_indexed<R: Rng + ?Sized>(
         &self,
         a: usize,
         b: usize,
         link: Link,
         rng: &mut R,
-    ) -> Option<(usize, usize, Link)> {
-        let (sa, sb) = (self.state_at(a), self.state_at(b));
-        let mut r = rng;
-        let (a2, b2, l2) = self.interact(&sa, &sb, link, &mut r)?;
-        Some((self.state_index(&a2), self.state_index(&b2), l2))
-    }
-}
-
-impl EnumerableMachine for RuleProtocol {
-    fn num_states(&self) -> usize {
-        self.size()
-    }
-
-    fn state_index(&self, state: &StateId) -> usize {
-        state.index()
-    }
-
-    fn state_at(&self, index: usize) -> StateId {
-        StateId::new(u16::try_from(index).expect("RuleProtocol has ≤ 65536 states"))
-    }
+    ) -> Option<(usize, usize, Link)>;
 }
 
 /// Precomputed `can_affect` / `can_affect_edge` bits over every
-/// `(a_idx, b_idx, link)` triple of an [`EnumerableMachine`].
+/// `(a_idx, b_idx, link)` triple of a rule table.
 ///
-/// `2·|Q|²` bits each; built once per engine construction with `O(|Q|²)`
-/// machine queries, then answering in one shift-and-mask.
+/// `2·|Q|²` bits each; tabulated once when [`ProtocolBuilder::build`]
+/// validates the rules, then answering in one shift-and-mask.
+///
+/// [`ProtocolBuilder::build`]: crate::ProtocolBuilder::build
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EffectTable {
     size: usize,
@@ -146,30 +131,31 @@ pub struct EffectTable {
 }
 
 impl EffectTable {
-    /// Queries `machine` over its whole dense domain.
-    #[must_use]
-    pub fn of<M: EnumerableMachine>(machine: &M) -> Self {
-        let size = machine.num_states();
-        let bits = size * size * 2;
+    /// Tabulates `bits(a, b, link) = (can_affect, can_affect_edge)` over
+    /// the whole `size`-state domain.
+    pub(crate) fn tabulate(
+        size: usize,
+        mut bits: impl FnMut(usize, usize, Link) -> (bool, bool),
+    ) -> Self {
+        let words = (size * size * 2).div_ceil(64);
         let mut t = Self {
             size,
-            affect: vec![0; bits.div_ceil(64)],
-            affect_edge: vec![0; bits.div_ceil(64)],
+            affect: vec![0; words],
+            affect_edge: vec![0; words],
             affect_rows: if size <= 32 { vec![0; size] } else { Vec::new() },
         };
         for a in 0..size {
-            let sa = machine.state_at(a);
             for b in 0..size {
-                let sb = machine.state_at(b);
                 for link in [Link::Off, Link::On] {
                     let i = slot(size, a, b, link);
-                    if machine.can_affect(&sa, &sb, link) {
+                    let (affect, affect_edge) = bits(a, b, link);
+                    if affect {
                         t.affect[i / 64] |= 1 << (i % 64);
                         if size <= 32 {
                             t.affect_rows[a] |= 1 << (b * 2 + usize::from(link.is_on()));
                         }
                     }
-                    if machine.can_affect_edge(&sa, &sb, link) {
+                    if affect_edge {
                         t.affect_edge[i / 64] |= 1 << (i % 64);
                     }
                 }
@@ -219,12 +205,9 @@ impl EffectTable {
     }
 
     /// Whether `can_affect` is symmetric in its node arguments over the
-    /// whole domain. True for every machine honouring the
-    /// [`Machine`] symmetry contract; the bucket engine
-    /// asserts it once at construction because its unordered active-edge
-    /// list canonicalizes pair order.
-    #[must_use]
-    pub fn is_symmetric(&self) -> bool {
+    /// whole domain. Holds by construction (the builder mirrors every
+    /// rule); the engines' unordered pair sets rely on it.
+    fn is_symmetric(&self) -> bool {
         (0..self.size).all(|a| {
             (a..self.size).all(|b| {
                 [Link::Off, Link::On]
@@ -283,11 +266,12 @@ enum Slot {
 ///
 /// Create with [`RuleProtocol::compile`]. The compiled machine implements
 /// [`Machine`] (so it is a drop-in for the interpreted protocol in
-/// [`Simulation`](crate::Simulation)) and [`EnumerableMachine`] with an
-/// overridden, monomorphic [`interact_indexed`] that performs exactly one
-/// slot load per interaction — no hashing, no allocation, no `dyn Rng` —
-/// while consuming randomness in the same order as the interpreted
-/// protocol, so equal seeds give equal executions.
+/// [`Simulation`](crate::Simulation)) and [`EnumerableMachine`] (so every
+/// skip engine runs it), with a monomorphic [`interact_indexed`] that
+/// performs exactly one slot load per interaction — no hashing, no
+/// allocation, no `dyn Rng` — while consuming randomness in the same
+/// order as the interpreted protocol, so equal seeds give equal
+/// executions.
 ///
 /// [`interact_indexed`]: EnumerableMachine::interact_indexed
 ///
@@ -366,6 +350,8 @@ impl CompiledTable {
         let state_names = (0..size)
             .map(|i| protocol.state_name(StateId::new(i as u16)).to_owned())
             .collect();
+        let effects = protocol.effects().clone();
+        debug_assert!(effects.is_symmetric(), "the builder mirrors every rule");
         Self {
             name: protocol.name().to_owned(),
             state_names,
@@ -376,7 +362,7 @@ impl CompiledTable {
             size,
             slots,
             alts,
-            effects: EffectTable::of(protocol),
+            effects,
             notify: (0..size)
                 .map(|i| {
                     protocol
@@ -706,30 +692,21 @@ mod tests {
         assert_eq!(c.det_interaction(iq1, iq1, ON), Some((iq1, iq1, OFF)));
         assert!(!c.is_certain(il, il, OFF));
         assert!(!c.is_certain(iq0, iq1, OFF));
-        // Defaults on the interpreted protocol stay conservative.
-        let p = line_protocol();
-        assert!(!EnumerableMachine::is_certain(&p, 0, 0, OFF));
-        assert_eq!(EnumerableMachine::det_interaction(&p, 0, 0, OFF), None);
     }
 
+    /// The compiled table shares the protocol's one effect table, which
+    /// is symmetric because the builder mirrors every rule, and whose
+    /// bits are those the line protocol's rules imply.
     #[test]
     fn effect_table_matches_machine_queries() {
         let p = line_protocol();
-        let t = EffectTable::of(&p);
-        for a in 0..3u16 {
-            for b in 0..3u16 {
-                for link in [OFF, ON] {
-                    let (sa, sb) = (StateId::new(a), StateId::new(b));
-                    assert_eq!(
-                        t.can_affect(a as usize, b as usize, link),
-                        p.can_affect(&sa, &sb, link)
-                    );
-                    assert_eq!(
-                        t.can_affect_edge(a as usize, b as usize, link),
-                        p.can_affect_edge(&sa, &sb, link)
-                    );
-                }
-            }
-        }
+        let t = p.compile().effect_table();
+        assert_eq!(&t, p.effects());
+        assert!(t.is_symmetric());
+        let (q0, q1, l) = (0, 1, 2);
+        assert!(t.can_affect(q0, q0, OFF) && t.can_affect_edge(q0, q0, OFF));
+        assert!(t.can_affect(l, q0, OFF) && t.can_affect(q0, l, OFF));
+        assert!(!t.can_affect(q0, q0, ON) && !t.can_affect(q1, l, OFF));
+        assert_eq!(t.affect_row(q1), Some(0));
     }
 }

@@ -877,8 +877,8 @@ impl EffectIndex {
     /// so the member order (which the samplers index by position) is
     /// that of rescanning both rows. A link-only step, the bulk of
     /// Global-Star's, costs one [`PairSet::set`]. Relies on `can_affect`
-    /// being symmetric in its node arguments, which both dense engines
-    /// assert at construction.
+    /// being symmetric in its node arguments, which every compiled table
+    /// is by construction.
     pub fn on_interaction<M: EnumerableMachine>(
         &mut self,
         machine: &M,
@@ -980,12 +980,12 @@ impl EffectIndex {
 #[cfg(test)]
 pub(crate) mod index_check {
     use super::PairSet;
-    use crate::{Link, Machine, Population, ProtocolBuilder, RuleProtocol, StateId};
+    use crate::{CompiledTable, Link, Machine, Population, ProtocolBuilder, StateId};
 
     /// A 100-state ring table on 300 nodes, three per state: past the
     /// 32 states of a packed affect row, so [`EffectIndex`](super::EffectIndex)
     /// maintains it with the per-pair fallback rescan.
-    pub(crate) fn many_states() -> (RuleProtocol, Population<StateId>) {
+    pub(crate) fn many_states() -> (CompiledTable, Population<StateId>) {
         let mut b = ProtocolBuilder::new("many-states");
         let ids: Vec<_> = (0..100).map(|i| b.state(format!("s{i}"))).collect();
         for i in 0..100 {
@@ -998,7 +998,7 @@ pub(crate) mod index_check {
         for u in 0..300 {
             pop.set_state(u, ids[u % 100]);
         }
-        (b.build().expect("valid"), pop)
+        (b.build().expect("valid").compile(), pop)
     }
 
     /// Asserts that `pairs` holds exactly the pairs `machine.can_affect`

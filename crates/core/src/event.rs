@@ -38,8 +38,8 @@
 //! quiescence (the pair set is empty) and reports the exhausted budget
 //! immediately.
 //!
-//! Construction requires an [`EnumerableMachine`] (dense state indices →
-//! precomputed effect table).
+//! Construction takes a [`CompiledTable`](crate::CompiledTable), the only
+//! [`EnumerableMachine`] (dense state indices → precomputed effect table).
 //!
 //! Memory: the pair-position map is a full `n × n` matrix (4n² bytes —
 //! its contiguous rows are what the maintenance loop streams over), plus
@@ -103,7 +103,7 @@ pub enum EventStep {
 /// let a = b.state("a");
 /// let m = b.state("b");
 /// b.rule((a, a, Link::Off), (m, m, Link::On));
-/// let protocol = b.build()?;
+/// let protocol = b.build()?.compile();
 ///
 /// let mut sim = EventSim::new(protocol, 30, 1);
 /// let outcome = sim.run_until(|p| is_maximum_matching(p.edges()), 1_000_000);
@@ -155,25 +155,11 @@ impl<M: EnumerableMachine> EventSim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the population has fewer than 2 nodes, the machine has
-    /// more than 65536 states, or the machine's `can_affect` is not
-    /// symmetric in its node arguments (a [`Machine`](crate::Machine)
-    /// contract violation; the candidate index keeps one membership bit
-    /// per unordered pair and skips the rescan of an endpoint whose state
-    /// did not change).
+    /// Panics if the population has fewer than 2 nodes.
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
         assert!(pop.n() >= 2, "pairwise interactions need at least 2 processes");
-        assert!(
-            machine.num_states() <= usize::from(u16::MAX) + 1,
-            "EventSim's dense index is u16: more than 65536 states"
-        );
-        let table = machine.effect_table();
-        assert!(
-            table.is_symmetric(),
-            "EventSim requires can_affect to be symmetric in its node arguments"
-        );
-        let (index, pairs) = EffectIndex::build(&machine, &pop, table);
+        let (index, pairs) = EffectIndex::build(&machine, &pop, machine.effect_table());
         Self {
             machine,
             pop,
@@ -196,8 +182,7 @@ impl<M: EnumerableMachine> EventSim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`, the machine has more than 65536 states, or its
-    /// `can_affect` is not symmetric (see [`from_population`](Self::from_population)).
+    /// Panics if `n < 2`.
     #[must_use]
     pub fn new_faulted(machine: M, n: usize, seed: u64, plan: FaultPlan) -> Self {
         assert!(n >= 2, "pairwise interactions need at least 2 processes");
@@ -457,7 +442,7 @@ mod tests {
 
     #[test]
     fn matching_converges_and_quiesces() {
-        let mut sim = EventSim::new(matching_protocol(), 20, 123);
+        let mut sim = EventSim::new(matching_protocol().compile(), 20, 123);
         let outcome = sim.run_until_edges(|p| is_maximum_matching(p.edges()), 200_000);
         assert!(outcome.stabilized(), "matching should form: {outcome:?}");
         assert!(sim.is_quiescent());
@@ -469,7 +454,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let run = |seed| {
-            let mut sim = EventSim::new(matching_protocol(), 16, seed);
+            let mut sim = EventSim::new(matching_protocol().compile(), 16, seed);
             let out = sim.run_until_edges(|p| is_maximum_matching(p.edges()), 100_000);
             (out, sim.steps(), sim.edge_events())
         };
@@ -492,22 +477,6 @@ mod tests {
             index_check::assert_exact(&sim.machine, &sim.pop, &sim.pairs);
         }
         assert!(sim.effective_steps() > 0);
-    }
-
-    #[test]
-    fn compiled_and_interpreted_agree_step_for_step() {
-        let p = matching_protocol();
-        let mut a = EventSim::new(p.clone(), 15, 31);
-        let mut b = EventSim::new(p.compile(), 15, 31);
-        loop {
-            let (ra, rb) = (a.advance(u64::MAX), b.advance(u64::MAX));
-            assert_eq!(ra, rb);
-            if ra == EventStep::Quiescent {
-                break;
-            }
-        }
-        assert_eq!(a.population().edges(), b.population().edges());
-        assert_eq!(a.steps(), b.steps());
     }
 
     // This engine's rows of the shared driver-contract table; the
@@ -534,7 +503,7 @@ mod tests {
 
     #[test]
     fn initial_configuration_can_be_stable() {
-        let mut sim = EventSim::new(matching_protocol(), 6, 2);
+        let mut sim = EventSim::new(matching_protocol().compile(), 6, 2);
         let out = sim.run_until(|_| true, 10);
         assert_eq!(
             out,
@@ -558,7 +527,7 @@ mod tests {
         let p = b.build().expect("valid");
         let mut pop = Population::new(4, a);
         pop.set_state(0, c);
-        let mut sim = EventSim::from_population(p, pop, 11);
+        let mut sim = EventSim::from_population(p.compile(), pop, 11);
         let mut saw_ineffective = false;
         for _ in 0..200 {
             match sim.advance(u64::MAX) {
@@ -584,7 +553,7 @@ mod tests {
                 .map(|seed| {
                     let stable = |p: &Population<StateId>| is_maximum_matching(p.edges());
                     let out = if event {
-                        EventSim::new(matching_protocol(), 12, 1000 + seed)
+                        EventSim::new(matching_protocol().compile(), 12, 1000 + seed)
                             .run_until_edges(stable, u64::MAX)
                     } else {
                         Simulation::new(matching_protocol(), 12, 2000 + seed)
@@ -607,7 +576,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2")]
     fn tiny_population_rejected() {
-        let _ = EventSim::new(matching_protocol(), 1, 0);
+        let _ = EventSim::new(matching_protocol().compile(), 1, 0);
     }
 
     #[test]
@@ -618,7 +587,7 @@ mod tests {
         b.rule((a, a, OFF), (m, m, ON));
         b.output_states(&[a]);
         let p = b.build().expect("valid");
-        let mut sim = EventSim::new(p, 10, 11);
+        let mut sim = EventSim::new(p.compile(), 10, 11);
         sim.run_until_edges(|p| is_maximum_matching(p.edges()), 100_000);
         assert_eq!(sim.output_graph().active_count(), 0);
         assert!(sim.population().edges().active_count() > 0);

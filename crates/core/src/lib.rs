@@ -23,15 +23,15 @@
 //!   the ½/½ randomized transitions of the `PREL` extension;
 //! * [`Machine`] — the generic interaction interface, so composite-state
 //!   constructions (Turing-machine simulations, supernodes) can share the
-//!   engine with flat rule tables;
+//!   naive engine with flat rule tables;
 //! * [`Population`] — node states plus the active-edge set;
 //! * [`scheduler`] — the uniform random scheduler used by all running-time
 //!   analyses, plus fair deterministic adversaries for correctness testing;
 //! * [`sim`] — the naive step loop with the paper-exact symmetry-breaking
 //!   coin, convergence bookkeeping, and quiescence checks;
-//! * [`compiled`] — [`EnumerableMachine`] (dense state indices) and
-//!   [`CompiledTable`], the flat allocation-free lowering of a
-//!   [`RuleProtocol`];
+//! * [`compiled`] — [`CompiledTable`], the flat allocation-free lowering
+//!   of a [`RuleProtocol`] and the only machine the skip engines take
+//!   (through the sealed [`EnumerableMachine`], dense state indices);
 //! * [`event`] — [`EventSim`], the exact event-driven engine that skips
 //!   ineffective interactions via geometric jumps while preserving every
 //!   measured distribution of the naive loop;

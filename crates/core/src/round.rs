@@ -164,7 +164,7 @@ impl SchedSet {
 /// let a = b.state("a");
 /// let m = b.state("b");
 /// b.rule((a, a, Link::Off), (m, m, Link::On));
-/// let protocol = b.build()?;
+/// let protocol = b.build()?.compile();
 ///
 /// let mut sim = RoundSim::new(protocol, 30, 1);
 /// let outcome = sim.run_until(|p| is_maximum_matching(p.edges()), 1_000_000);
@@ -211,11 +211,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`, `n > 65535` (dense pair ids are `u16`), the
-    /// machine has more than 65536 states, or the machine's `can_affect`
-    /// is not symmetric in its node arguments (a
-    /// [`Machine`](crate::Machine) contract violation; the scheduler
-    /// presents pairs in a fixed node order).
+    /// Panics if `n < 2` or `n > 65535` (dense pair ids are `u16`).
     ///
     /// # Example
     ///
@@ -248,16 +244,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
         let n = pop.n();
         assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        assert!(
-            machine.num_states() <= usize::from(u16::MAX) + 1,
-            "RoundSim's dense index is u16: more than 65536 states"
-        );
-        let table = machine.effect_table();
-        assert!(
-            table.is_symmetric(),
-            "RoundSim requires can_affect to be symmetric in its node arguments"
-        );
-        let (index, pairs) = EffectIndex::build(&machine, &pop, table);
+        let (index, pairs) = EffectIndex::build(&machine, &pop, machine.effect_table());
         let m = (n as u64) * (n as u64 - 1) / 2;
         let row_words = n.div_ceil(64);
         // Round one starts with every pair unscheduled: the candidates are
@@ -773,7 +760,7 @@ mod tests {
     use crate::driver::contract::{self, Arm};
     use crate::engine::index_check;
     use crate::RunOutcome;
-    use crate::{ProtocolBuilder, RuleProtocol, ShuffledRounds, Simulation};
+    use crate::{CompiledTable, ProtocolBuilder, RuleProtocol, ShuffledRounds, Simulation};
     use netcon_graph::properties::is_maximum_matching;
 
     const OFF: Link = Link::Off;
@@ -803,7 +790,7 @@ mod tests {
     #[test]
     fn matching_converges_in_round_one() {
         for seed in 0..20 {
-            let mut sim = RoundSim::new(matching_protocol(), 20, seed);
+            let mut sim = RoundSim::new(matching_protocol().compile(), 20, seed);
             let out = sim.run_until_edges(|p| is_maximum_matching(p.edges()), 10_000);
             assert!(out.stabilized(), "seed {seed}: {out:?}");
             // Every (a, a) pair occurs within round 1, so no two nodes
@@ -824,7 +811,7 @@ mod tests {
         let p = dissolve_protocol();
         let d = p.state("c").expect("dissolved state exists");
         for seed in 0..20 {
-            let mut sim = RoundSim::new(p.clone(), 12, 100 + seed);
+            let mut sim = RoundSim::new(p.compile(), 12, 100 + seed);
             let out = sim.run_until_edges(
                 |q| q.count_where(|s| *s == d) == q.n() && q.edges().active_count() == 0,
                 200_000,
@@ -838,28 +825,12 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let run = |seed| {
-            let mut sim = RoundSim::new(matching_protocol(), 16, seed);
+            let mut sim = RoundSim::new(matching_protocol().compile(), 16, seed);
             let out = sim.run_until_edges(|p| is_maximum_matching(p.edges()), 100_000);
             (out, sim.steps(), sim.edge_events(), sim.rounds_completed())
         };
         assert_eq!(run(9), run(9));
         assert!(run(9).0.stabilized());
-    }
-
-    #[test]
-    fn compiled_and_interpreted_agree_step_for_step() {
-        let p = matching_protocol();
-        let mut a = RoundSim::new(p.clone(), 15, 31);
-        let mut b = RoundSim::new(p.compile(), 15, 31);
-        loop {
-            let (ra, rb) = (a.advance(u64::MAX), b.advance(u64::MAX));
-            assert_eq!(ra, rb);
-            assert_eq!(a.steps(), b.steps());
-            if ra == EventStep::Quiescent {
-                break;
-            }
-        }
-        assert_eq!(a.population(), b.population());
     }
 
     #[test]
@@ -883,7 +854,7 @@ mod tests {
     fn budget_is_respected_exactly_and_resumes() {
         // Budget exactness is the shared driver contract; here a stop
         // mid-round (a round is 1225 draws) resumes into a completing run.
-        let mut sim = RoundSim::new(matching_protocol(), 50, 3);
+        let mut sim = RoundSim::new(matching_protocol().compile(), 50, 3);
         sim.run_to(1_000);
         assert!(sim.pool_invariant_holds());
         let out = sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
@@ -901,7 +872,7 @@ mod tests {
     fn quiescence_after_convergence_jumps_to_target() {
         // The jump is the shared driver contract; the round partition must
         // survive it, landing mid-round.
-        let mut sim = RoundSim::new(matching_protocol(), 10, 5);
+        let mut sim = RoundSim::new(matching_protocol().compile(), 10, 5);
         sim.run_until_edges(|p| is_maximum_matching(p.edges()), u64::MAX);
         sim.run_to(sim.steps() + 1_000_007);
         assert!(sim.pool_invariant_holds());
@@ -909,7 +880,7 @@ mod tests {
 
     #[test]
     fn round_bookkeeping_is_consistent() {
-        let mut sim = RoundSim::new(dissolve_protocol(), 10, 77);
+        let mut sim = RoundSim::new(dissolve_protocol().compile(), 10, 77);
         let m = sim.pairs_per_round();
         assert_eq!(m, 45);
         sim.run_to(3 * m + 7);
@@ -935,7 +906,7 @@ mod tests {
                     let stable =
                         |p: &Population<crate::StateId>| is_maximum_matching(p.edges());
                     let out = if round {
-                        RoundSim::new(matching_protocol(), 12, 1000 + seed)
+                        RoundSim::new(matching_protocol().compile(), 12, 1000 + seed)
                             .run_until_edges(stable, u64::MAX)
                     } else {
                         Simulation::with_scheduler(
@@ -970,7 +941,7 @@ mod tests {
         let p = b.build().expect("valid");
         let mut pop = Population::new(4, a);
         pop.set_state(0, c);
-        let mut sim = RoundSim::from_population(p, pop, 11);
+        let mut sim = RoundSim::from_population(p.compile(), pop, 11);
         let mut saw_ineffective = false;
         for _ in 0..200 {
             match sim.advance(u64::MAX) {
@@ -988,7 +959,7 @@ mod tests {
 
     #[test]
     fn initial_configuration_can_be_stable() {
-        let mut sim = RoundSim::new(matching_protocol(), 6, 2);
+        let mut sim = RoundSim::new(matching_protocol().compile(), 6, 2);
         let out = sim.run_until(|_| true, 10);
         assert_eq!(
             out,
@@ -1003,7 +974,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2")]
     fn tiny_population_rejected() {
-        let _ = RoundSim::new(matching_protocol(), 1, 0);
+        let _ = RoundSim::new(matching_protocol().compile(), 1, 0);
     }
 
     #[test]
@@ -1013,7 +984,7 @@ mod tests {
             .at(10, FaultEvent::CrashRandom)
             .at(25, FaultEvent::Arrive)
             .at(40, FaultEvent::DeleteRandomActiveEdges(1));
-        let mut sim = RoundSim::new_faulted(dissolve_protocol(), 10, 17, plan);
+        let mut sim = RoundSim::new_faulted(dissolve_protocol().compile(), 10, 17, plan);
         assert!(sim.pool_invariant_holds());
         for target in [10, 25, 40, 70, 200] {
             sim.run_faulted_to(target);
@@ -1032,7 +1003,7 @@ mod tests {
         for seed in 0..10 {
             use crate::fault::{FaultEvent, FaultPlan};
             let plan = FaultPlan::new(seed).at(0, FaultEvent::CrashRandom);
-            let mut sim = RoundSim::new_faulted(matching_protocol(), 9, 300 + seed, plan);
+            let mut sim = RoundSim::new_faulted(matching_protocol().compile(), 9, 300 + seed, plan);
             let out = sim.run_faulted_until(|p, _| p.edges().active_count() == 4, 1_000_000);
             assert!(out.stabilized(), "seed {seed}: {out:?}");
             assert_eq!(sim.last_output_change_round(), 1, "seed {seed}");
@@ -1042,9 +1013,9 @@ mod tests {
 
     #[test]
     fn mem_estimate_tracks_measured() {
-        let sim = RoundSim::new(matching_protocol(), 128, 0);
+        let sim = RoundSim::new(matching_protocol().compile(), 128, 0);
         let measured = sim.approx_mem_bytes();
-        let estimate = RoundSim::<RuleProtocol>::dense_mem_estimate(128);
+        let estimate = RoundSim::<CompiledTable>::dense_mem_estimate(128);
         assert!(
             measured <= estimate * 2 && estimate <= measured * 2,
             "estimate {estimate} vs measured {measured}"

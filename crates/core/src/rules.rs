@@ -23,7 +23,7 @@ use std::fmt;
 
 use rand::{Rng, RngExt};
 
-use crate::{Link, Machine, StateId};
+use crate::{EffectTable, Link, Machine, StateId};
 
 /// A left-hand side or right-hand side triple `(a, b, link)`.
 pub type Triple = (StateId, StateId, Link);
@@ -321,23 +321,20 @@ impl ProtocolBuilder {
             }
         }
 
-        // Precompute the effectiveness bits so `can_affect` /
-        // `can_affect_edge` are single indexed loads with no allocation
-        // (they run O(n²) times per quiescence scan and O(n) times per
-        // event-engine interaction).
-        let mut affects = vec![false; size * size * 2];
-        let mut affects_edge = vec![false; size * size * 2];
-        for a in 0..size {
-            for b in 0..size {
-                for link in [Link::Off, Link::On] {
-                    let i = (a * size + b) * 2 + usize::from(link.is_on());
-                    let Some(rhs) = &table[i] else { continue };
-                    let lhs = (StateId::new(a as u16), StateId::new(b as u16), link);
-                    affects[i] = rhs.outcomes().any(|t| t != lhs);
-                    affects_edge[i] = rhs.outcomes().any(|(_, _, l2)| l2 != link);
-                }
-            }
-        }
+        // Tabulate the effectiveness bits once: `can_affect` /
+        // `can_affect_edge` become single indexed loads, and the compiled
+        // table shares the same bits.
+        let effects = EffectTable::tabulate(size, |a, b, link| {
+            let i = (a * size + b) * 2 + usize::from(link.is_on());
+            let Some(rhs) = &table[i] else {
+                return (false, false);
+            };
+            let lhs = (StateId::new(a as u16), StateId::new(b as u16), link);
+            (
+                rhs.outcomes().any(|t| t != lhs),
+                rhs.outcomes().any(|(_, _, l2)| l2 != link),
+            )
+        });
 
         let mut crash_notify: Vec<Option<StateId>> = vec![None; size];
         for &(from, to) in &self.crash_notify {
@@ -357,8 +354,7 @@ impl ProtocolBuilder {
             initial: self.initial.unwrap_or(StateId::new(0)),
             output,
             table,
-            affects,
-            affects_edge,
+            effects,
             rules: self.rules.clone(),
             crash_notify,
         })
@@ -378,10 +374,9 @@ pub struct RuleProtocol {
     initial: StateId,
     output: Vec<bool>,
     table: Vec<Option<RuleRhs>>,
-    /// Per-slot: whether some outcome differs from the left-hand side.
-    affects: Vec<bool>,
-    /// Per-slot: whether some outcome changes the edge state.
-    affects_edge: Vec<bool>,
+    /// Per triple: whether some outcome differs from the left-hand side,
+    /// and whether some outcome changes the edge state.
+    effects: EffectTable,
     rules: Vec<Rule>,
     /// Per-state crash-notification target (`None` = ignore).
     crash_notify: Vec<Option<StateId>>,
@@ -429,6 +424,11 @@ impl RuleProtocol {
     pub fn lookup(&self, a: StateId, b: StateId, link: Link) -> Option<&RuleRhs> {
         let size = self.size();
         self.table[(a.index() * size + b.index()) * 2 + usize::from(link.is_on())].as_ref()
+    }
+
+    /// The effect bits the compiled table shares.
+    pub(crate) fn effects(&self) -> &EffectTable {
+        &self.effects
     }
 
     /// The crash-notification target of state `s`, if the protocol
@@ -493,11 +493,11 @@ impl Machine for RuleProtocol {
     }
 
     fn can_affect(&self, a: &StateId, b: &StateId, link: Link) -> bool {
-        self.affects[(a.index() * self.size() + b.index()) * 2 + usize::from(link.is_on())]
+        self.effects.can_affect(a.index(), b.index(), link)
     }
 
     fn can_affect_edge(&self, a: &StateId, b: &StateId, link: Link) -> bool {
-        self.affects_edge[(a.index() * self.size() + b.index()) * 2 + usize::from(link.is_on())]
+        self.effects.can_affect_edge(a.index(), b.index(), link)
     }
 
     fn on_crash_notify(&self, state: &StateId) -> Option<StateId> {

@@ -12,11 +12,10 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::compiled::EnumerableMachine;
 use crate::engine::Bookkeeping;
 use crate::fault::adversary::ConfigSnapshot;
 use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
-use crate::{Link, Machine, Population, Scheduler, Uniform};
+use crate::{Link, Machine, Population, Scheduler, StateId, Uniform};
 
 /// The result of a single simulation step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -484,14 +483,15 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
     }
 }
 
-impl<M: EnumerableMachine, S: Scheduler> Simulation<M, S> {
+impl<M: Machine<State = StateId>, S: Scheduler> Simulation<M, S> {
     /// Normalizes the configuration for an adversary decision: dense
     /// state indices plus the active-edge set (the dense-index
     /// requirement is why the faulted run loops live under the
-    /// [`EnumerableMachine`] bound).
+    /// [`StateId`] bound; the interpreted and the compiled rule table
+    /// both run them).
     fn config_snapshot(&self) -> ConfigSnapshot {
         let states = (0..self.pop.n())
-            .map(|u| self.machine.state_index(self.pop.state(u)))
+            .map(|u| self.pop.state(u).index())
             .collect();
         ConfigSnapshot::new(states, self.pop.edges().active_edges())
     }

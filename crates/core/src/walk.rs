@@ -16,9 +16,8 @@
 //! * the alive-position propagator and its future-conditioned variant
 //!   (for walkers that lose a race and must resume mid-flight);
 //! * exact large-parameter discrete samplers (gamma / beta / binomial /
-//!   Poisson / negative-binomial totals) used to embed multi-walker
-//!   races in continuous time and to reconstruct the rejected-draw gaps
-//!   between effective steps.
+//!   Poisson) used to embed multi-walker races in continuous time and to
+//!   reconstruct the rejected-draw gaps between effective steps.
 //!
 //! Every sampler here is exact up to `f64` rounding — the same epistemic
 //! status as the engines' existing `geometric_skip` /
@@ -135,14 +134,6 @@ pub fn sample_time_given_exit(rng: &mut SmallRng, z: usize, len: usize, exit0: b
         }
     }
     hi
-}
-
-/// Alive-position weights after `t` steps: `w[x] = Pᵗ(z, x)` for
-/// `x ∈ 1..L` (zero at the barriers and off-parity). The weights sum to
-/// the survival `S(t)`.
-#[must_use]
-pub fn alive_weights(z: usize, len: usize, t: u64) -> Vec<f64> {
-    propagator_row(z, len, t)
 }
 
 /// Position weights for a walker known to be alive after `j` steps *and*
@@ -428,7 +419,7 @@ pub fn sample_binomial(rng: &mut SmallRng, mut n: u64, mut p: f64) -> u64 {
     while n > 64 {
         let m = n / 2 + 1;
         // The m-th smallest of n uniforms is Beta(m, n+1−m).
-        let x = sample_beta(rng, m as f64, (n + 1 - m) as f64);
+        let x = sample_beta(rng, m as f64, (n - m + 1) as f64);
         if x <= p {
             acc += m;
             n -= m;
@@ -445,6 +436,23 @@ pub fn sample_binomial(rng: &mut SmallRng, mut n: u64, mut p: f64) -> u64 {
         }
     }
     acc
+}
+
+/// Binomial(n, p) for a `u128` count: the sum of one
+/// [`sample_binomial`] per `u64` chunk of `n` (binomials over the same
+/// `p` add). A count that fits `u64` makes exactly one call, so it
+/// draws the same coins as [`sample_binomial`] itself.
+pub(crate) fn sample_binomial_u128(rng: &mut SmallRng, n: u128, p: f64) -> u128 {
+    let mut left = n;
+    let mut acc = 0u128;
+    loop {
+        let chunk = u64::try_from(left).unwrap_or(u64::MAX);
+        acc += u128::from(sample_binomial(rng, chunk, p));
+        left -= u128::from(chunk);
+        if left == 0 {
+            return acc;
+        }
+    }
 }
 
 /// Poisson(λ), exact for arbitrarily large `λ` via the gamma-splitting
@@ -474,57 +482,6 @@ pub fn sample_poisson(rng: &mut SmallRng, mut lambda: f64) -> u128 {
         prod *= unit_open01(rng.next_u64());
     }
     acc
-}
-
-/// The total number of *rejected* draws interleaved among `n_eff`
-/// successes of a Bernoulli(p) acceptance test: a negative binomial
-/// `NB(n_eff, p)` sampled through its exact Gamma–Poisson mixture, so it
-/// stays tractable when the mean `n_eff·(1−p)/p` overflows `u64`.
-pub fn sample_gap_total(rng: &mut SmallRng, n_eff: u64, p: f64) -> u128 {
-    debug_assert!(n_eff >= 1 && p > 0.0 && p <= 1.0);
-    if p >= 1.0 {
-        return 0;
-    }
-    let lambda = sample_gamma(rng, n_eff as f64) * ((1.0 - p) / p);
-    sample_poisson(rng, lambda)
-}
-
-/// The continuous-time embedding of a multi-walker race: walker `i`
-/// with absorption time `tᵢ` absorbs at `Γᵢ ~ Gamma(tᵢ, 1)` on its own
-/// independent unit-rate clock, and the interleaving of clock events
-/// reproduces the uniform-label discrete race exactly. Returns the
-/// winner's index and, for every loser, its exact number of consumed
-/// steps `jᵢ ~ Binomial(tᵢ − 1, Γ_win/Γᵢ)` (uniform order statistics of
-/// its earlier arrivals).
-pub fn race(rng: &mut SmallRng, times: &[u64]) -> (usize, Vec<u64>) {
-    debug_assert!(times.len() >= 2);
-    let gammas: Vec<f64> = times
-        .iter()
-        .map(|&t| {
-            debug_assert!(t >= 1);
-            sample_gamma(rng, t as f64)
-        })
-        .collect();
-    let winner = gammas
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("gamma samples are finite"))
-        .map(|(i, _)| i)
-        .expect("non-empty race");
-    let gw = gammas[winner];
-    let steps = times
-        .iter()
-        .zip(&gammas)
-        .enumerate()
-        .map(|(i, (&t, &g))| {
-            if i == winner {
-                t
-            } else {
-                sample_binomial(rng, t - 1, (gw / g).clamp(0.0, 1.0))
-            }
-        })
-        .collect();
-    (winner, steps)
 }
 
 #[cfg(test)]
@@ -587,7 +544,7 @@ mod tests {
     fn propagator_row_sums_to_survival() {
         for t in [4u64, 33, 211, 1500, 5000] {
             let (z, len) = (6usize, 15usize);
-            let row = alive_weights(z, len, t);
+            let row = propagator_row(z, len, t);
             let sum: f64 = row.iter().sum();
             let s = survival(z, len, t);
             assert!(
@@ -697,6 +654,26 @@ mod tests {
         assert_eq!(sample_binomial(&mut r, 1000, 1.0), 1000);
     }
 
+    /// A count below 2⁶⁴ draws exactly `sample_binomial`'s coins; past
+    /// it the chunk sums keep the mean `n·p` (within 10σ at n = 2⁶⁶).
+    #[test]
+    fn wide_binomial_chunks_past_u64() {
+        for n in [1u64, 64, 65, 1_000_000, u64::MAX] {
+            let (mut a, mut b) = (rng(n), rng(n));
+            let wide = sample_binomial_u128(&mut a, u128::from(n), 0.37);
+            assert_eq!(wide, u128::from(sample_binomial(&mut b, n, 0.37)));
+            assert_eq!(a, b, "n = {n}: coin streams diverged");
+        }
+        let (n, p) = (1u128 << 66, 0.3f64);
+        let (mean, sd) = (n as f64 * p, (n as f64 * p * (1.0 - p)).sqrt());
+        let mut r = rng(66);
+        for _ in 0..8 {
+            let x = sample_binomial_u128(&mut r, n, p);
+            assert!(x <= n);
+            assert!((x as f64 - mean).abs() < 10.0 * sd, "{x} vs mean {mean}");
+        }
+    }
+
     #[test]
     fn poisson_matches_its_moments() {
         let mut r = rng(123);
@@ -714,97 +691,6 @@ mod tests {
             let se = (lambda / trials as f64).sqrt();
             assert!((mean - lambda).abs() < 5.0 * se + 0.5, "λ={lambda}: mean {mean}");
             assert!((var / lambda - 1.0).abs() < 0.2, "λ={lambda}: var {var}");
-        }
-    }
-
-    #[test]
-    fn gap_totals_match_the_negative_binomial_moments() {
-        let mut r = rng(321);
-        let (n_eff, p, trials) = (400u64, 0.25f64, 2000);
-        let mut mean = 0.0;
-        for _ in 0..trials {
-            mean += sample_gap_total(&mut r, n_eff, p) as f64;
-        }
-        mean /= trials as f64;
-        let em = n_eff as f64 * (1.0 - p) / p;
-        let sd = (n_eff as f64 * (1.0 - p)).sqrt() / p;
-        assert!((mean - em).abs() < 5.0 * sd / (trials as f64).sqrt());
-        assert_eq!(sample_gap_total(&mut r, 10, 1.0), 0);
-    }
-
-    /// The gamma-embedded race must reproduce the uniform-label discrete
-    /// race law: winner identity and loser progress compared against
-    /// brute-force label-sequence simulation.
-    #[test]
-    fn race_matches_brute_force_label_race() {
-        let times = [9u64, 14];
-        let trials = 6000;
-        let mut fast = (0usize, 0.0f64);
-        let mut r = rng(2014);
-        for _ in 0..trials {
-            let (w, steps) = race(&mut r, &times);
-            if w == 0 {
-                fast.0 += 1;
-                fast.1 += steps[1] as f64;
-            }
-            assert_eq!(steps[w], times[w]);
-            let loser = 1 - w;
-            assert!(steps[loser] < times[loser]);
-        }
-        let mut brute = (0usize, 0.0f64);
-        let mut r = rng(4102);
-        for _ in 0..trials {
-            let mut c = [0u64; 2];
-            loop {
-                let who = usize::from(r.random_bool(0.5));
-                c[who] += 1;
-                if c[who] == times[who] {
-                    if who == 0 {
-                        brute.0 += 1;
-                        brute.1 += c[1] as f64;
-                    }
-                    break;
-                }
-            }
-        }
-        let (pf, pb) = (
-            fast.0 as f64 / trials as f64,
-            brute.0 as f64 / trials as f64,
-        );
-        assert!((pf - pb).abs() < 0.035, "winner prob {pf} vs brute {pb}");
-        let (jf, jb) = (fast.1 / fast.0 as f64, brute.1 / brute.0 as f64);
-        assert!((jf - jb).abs() / jb < 0.08, "loser progress {jf} vs {jb}");
-    }
-
-    #[test]
-    fn three_way_race_winner_distribution_matches_brute_force() {
-        let times = [6u64, 8, 11];
-        let trials = 6000;
-        let mut fast = [0usize; 3];
-        let mut r = rng(55);
-        for _ in 0..trials {
-            let (w, _) = race(&mut r, &times);
-            fast[w] += 1;
-        }
-        let mut brute = [0usize; 3];
-        let mut r = rng(66);
-        for _ in 0..trials {
-            let mut c = [0u64; 3];
-            loop {
-                let who = r.random_range(0..3u32) as usize;
-                c[who] += 1;
-                if c[who] == times[who] {
-                    brute[who] += 1;
-                    break;
-                }
-            }
-        }
-        for i in 0..3 {
-            let (pf, pb) = (
-                fast[i] as f64 / trials as f64,
-                brute[i] as f64 / trials as f64,
-            );
-            assert!((pf - pb).abs() < 0.035, "walker {i}: {pf} vs {pb}");
         }
     }
 }

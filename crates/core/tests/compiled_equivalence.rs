@@ -78,6 +78,20 @@ fn random_population(p: &RuleProtocol, n: usize, seed: u64) -> Population<StateI
     pop
 }
 
+/// `(can_affect, can_affect_edge)` of the triple, derived from the
+/// outcomes [`RuleProtocol::lookup`] lists without reading any stored
+/// effect bit: some outcome differs from the input triple, and some
+/// outcome changes the link. (The §3.1 coin only swaps the outputs of an
+/// equal-state input, which changes neither answer.)
+fn derived_effects(p: &RuleProtocol, a: StateId, b: StateId, link: Link) -> (bool, bool) {
+    p.lookup(a, b, link).map_or((false, false), |rhs| {
+        (
+            rhs.outcomes().any(|t| t != (a, b, link)),
+            rhs.outcomes().any(|(_, _, l2)| l2 != link),
+        )
+    })
+}
+
 /// Checks that `set` holds exactly the pairs whose states and link admit
 /// a transition of the interpreted table `p`, over all `n(n−1)/2` pairs.
 fn check_effective_set(
@@ -89,7 +103,7 @@ fn check_effective_set(
     for u in 0..pop.n() {
         for v in u + 1..pop.n() {
             let link = Link::from(pop.edges().is_active(u, v));
-            let eff = p.can_affect(pop.state(u), pop.state(v), link);
+            let eff = derived_effects(p, *pop.state(u), *pop.state(v), link).0;
             prop_assert_eq!(set.contains(u, v), eff, "pair ({}, {})", u, v);
             expected += usize::from(eff);
         }
@@ -115,7 +129,7 @@ fn check_candidate_weight(
                 continue;
             }
             let link = Link::from(pop.edges().is_active(u, v));
-            expected += u64::from(p.can_affect(pop.state(u), pop.state(v), link));
+            expected += u64::from(derived_effects(p, *pop.state(u), *pop.state(v), link).0);
         }
     }
     prop_assert_eq!(sim.candidate_weight(), expected);
@@ -194,10 +208,12 @@ proptest! {
 
     /// Compiled δ equals interpreted δ on the full domain, coin for coin:
     /// identically-seeded generators must produce identical outcomes AND
-    /// end in identical generator states.
+    /// end in identical generator states. The one effect table both
+    /// answer from holds the bits the rule outcomes imply.
     #[test]
     fn compiled_table_agrees_on_every_triple_and_coin(p in arb_protocol(), seed in any::<u64>()) {
         let c = p.compile();
+        let table = c.effect_table();
         for a in 0..p.size() {
             for b in 0..p.size() {
                 for link in [Link::Off, Link::On] {
@@ -212,13 +228,18 @@ proptest! {
                         );
                         prop_assert_eq!(&r1, &r2, "coin consumption diverged at ({a}, {b}, {link})");
                     }
+                    let derived = derived_effects(&p, sa, sb, link);
+                    let bit = b * 2 + usize::from(link.is_on());
+                    let row_bit = table.affect_row(a).map(|r| r >> bit & 1 == 1);
+                    prop_assert_eq!(row_bit, Some(derived.0));
                     prop_assert_eq!(
-                        p.can_affect(&sa, &sb, link),
-                        c.can_affect(&sa, &sb, link)
+                        derived,
+                        (table.can_affect(a, b, link), table.can_affect_edge(a, b, link)),
+                        "effect bits disagree at ({}, {}, {})", a, b, link
                     );
                     prop_assert_eq!(
-                        p.can_affect_edge(&sa, &sb, link),
-                        c.can_affect_edge(&sa, &sb, link)
+                        derived,
+                        (p.can_affect(&sa, &sb, link), p.can_affect_edge(&sa, &sb, link))
                     );
                 }
             }
