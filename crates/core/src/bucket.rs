@@ -46,10 +46,21 @@
 //! spends about `c_s·c_t / weight` of them per pick, each an O(deg)
 //! adjacency scan.
 //!
-//! Maintenance is O(1) per node-state change for the buckets (two
-//! swap-removes and a dirty flag for the ≤ |Q|² cumulative weights) plus
+//! Maintenance is O(1) per node-state change for the buckets plus
 //! O(deg) per touched node for the tally and the on list, and memory is
-//! O(n + |Q|²). Each node keeps its adjacency row inline while its
+//! O(n + |Q|²). A state change swap-removes the node from its old
+//! bucket, pushes it onto the new one and marks the ≤ |Q|² cumulative
+//! weights dirty. Draws index only the buckets of *sampled* states, the
+//! states some off bucket names, so their order carries coins. Two
+//! unsampled states trading places over an unchanged link (a walker's
+//! move) instead trade the two nodes' bucket slots in place: no draw
+//! reads those buckets and their sizes stay, so no coin or weight
+//! moves, but their order is no longer the swap-remove order. The
+//! on-list refresh tests membership with one lookup in a per-state-pair
+//! table, writes the touched node's own adjacency cell directly, and
+//! scans only the neighbour's row for the mirrored cell; an interaction
+//! that changes no state (a pure link toggle) moves no membership and
+//! skips it. Each node keeps its adjacency row inline while its
 //! degree is at most 2 (see [`SparsePop`]), so a configuration of lines,
 //! rings, cycles or a matching allocates nothing per node: at n = 100 000
 //! Simple-Global-Line converges holding 5.0 MB (3.0 MB at construction)
@@ -340,6 +351,20 @@ impl SparsePop {
         true
     }
 
+    /// Trades the states of nodes `u` and `v` in place: each takes the
+    /// other's state index and bucket slot. The buckets' sizes and every
+    /// other slot stay as they were, unlike the two swap-remove-and-push
+    /// moves of [`set_state_index`](Self::set_state_index), so only a
+    /// bucket no draw samples may be edited this way.
+    fn swap_states(&mut self, u: usize, v: usize) {
+        let (su, sv) = (usize::from(self.idx[u]), usize::from(self.idx[v]));
+        let (pu, pv) = (self.pos[u] as usize, self.pos[v] as usize);
+        self.buckets[su][pu] = v as u32;
+        self.buckets[sv][pv] = u as u32;
+        self.idx.swap(u, v);
+        self.pos.swap(u, v);
+    }
+
     /// Removes node `u` from its state bucket (ghost retirement for the
     /// fault layer): the node keeps its `idx` entry but stops being
     /// counted or drawn. `pos[u]` is stale until
@@ -383,17 +408,15 @@ impl SparsePop {
         }
     }
 
-    /// Writes the on-list position into both adjacency cells of the
-    /// active edge `{u, v}` — O(deg).
-    fn set_edge_on_pos(&mut self, u: usize, v: usize, on_pos: u32) {
-        for (a, b) in [(u, v), (v, u)] {
-            let cell = self
-                .row_mut(a)
-                .iter_mut()
-                .find(|c| c.0 as usize == b)
-                .expect("edge is active");
-            cell.1 = on_pos;
-        }
+    /// Writes the on-list position into `u`'s adjacency cell of the
+    /// active edge `{u, v}` — O(deg u).
+    fn set_cell_on_pos(&mut self, u: usize, v: usize, on_pos: u32) {
+        let cell = self
+            .row_mut(u)
+            .iter_mut()
+            .find(|c| c.0 as usize == v)
+            .expect("edge is active");
+        cell.1 = on_pos;
     }
 
     /// Whether the adjacency is well formed: every active edge has one
@@ -453,6 +476,24 @@ impl SparsePop {
             }
         }
         owner.iter().all(Option::is_some) && degrees == 2 * self.active && named == 2 * on_list.len()
+    }
+
+    /// Whether the state buckets are well formed: every node `alive`
+    /// admits sits at `buckets[idx[u]][pos[u]]`, and the bucket sizes
+    /// sum to the number of such nodes, so no bucket lists a retired
+    /// node or a node twice. Pass `|_| true` for an unfaulted
+    /// configuration. O(n); for tests.
+    #[must_use]
+    pub fn buckets_consistent(&self, alive: impl Fn(usize) -> bool) -> bool {
+        let mut live = 0;
+        for u in (0..self.n()).filter(|&u| alive(u)) {
+            let slot = self.buckets[usize::from(self.idx[u])].get(self.pos[u] as usize);
+            if slot != Some(&(u as u32)) {
+                return false;
+            }
+            live += 1;
+        }
+        self.buckets.iter().map(Vec::len).sum::<usize>() == live
     }
 
     /// Bytes of heap memory held by the configuration: the flat
@@ -693,6 +734,9 @@ pub struct BucketSim<M: EnumerableMachine> {
     /// as unordered `(u, v)` entries; positions are mirrored in the
     /// adjacency cells ([`AdjCell`]).
     on_list: Vec<(u32, u32)>,
+    /// `on_only[s·|Q| + t]`: whether the state pair `(s, t)` is
+    /// effective on an active link only, the on list's membership test.
+    on_only: Vec<bool>,
     /// Whether any state pair is effective on an active link only.
     /// Without one (Cycle-Cover, matching) the on list stays empty, so
     /// refreshing it after a state change is skipped.
@@ -704,9 +748,12 @@ pub struct BucketSim<M: EnumerableMachine> {
     /// pairs of `tallied` states only; the other entries stay 0.
     tally: Vec<u64>,
     /// The states of the off buckets whose rule needs an inactive link.
-    /// A state change between untallied states (a walker's move) skips
-    /// the tally.
+    /// A state change between untallied states skips the tally.
     tallied: Vec<bool>,
+    /// The states some off bucket names: the only buckets a draw
+    /// samples. Two other states trading places over an unchanged link
+    /// (a walker's move) trade bucket slots in place.
+    sampled: Vec<bool>,
     faults: Option<FaultState>,
     /// Batched-endgame commitments, keyed by the node currently holding
     /// the walker state (a `Vec`, so coin consumption is deterministic).
@@ -796,9 +843,12 @@ impl<M: EnumerableMachine> BucketSim<M> {
         }
         let cum = vec![0; off_pairs.len()];
         let mut tallied = vec![false; size];
+        let mut sampled = vec![false; size];
         let mut dead_cells = Vec::with_capacity(off_pairs.len());
         for &(s, t) in &off_pairs {
             let (s, t) = (usize::from(s), usize::from(t));
+            sampled[s] = true;
+            sampled[t] = true;
             if table.can_affect(s, t, Link::On) {
                 dead_cells.push((0, 0));
             } else {
@@ -807,7 +857,10 @@ impl<M: EnumerableMachine> BucketSim<M> {
                 dead_cells.push(((s.min(t) * size + s.max(t)) as u32, 1 + u64::from(s == t)));
             }
         }
-        let on_pairs = (0..size).any(|s| (0..size).any(|t| table.on_link_only(s, t)));
+        let on_only: Vec<bool> = (0..size * size)
+            .map(|i| table.on_link_only(i / size, i % size))
+            .collect();
+        let on_pairs = on_only.contains(&true);
         let mut sim = Self {
             machine,
             sp,
@@ -820,9 +873,11 @@ impl<M: EnumerableMachine> BucketSim<M> {
             off_total: 0,
             dirty: true,
             on_list: Vec::new(),
+            on_only,
             on_pairs,
             tally: vec![0; size * size],
             tallied,
+            sampled,
             faults: None,
             commits: Vec::new(),
             endgame_retry_after: 0,
@@ -892,6 +947,15 @@ impl<M: EnumerableMachine> BucketSim<M> {
         self.sp.adjacency_consistent(&self.on_list)
     }
 
+    /// Whether every alive node sits in its bucket slot and the buckets
+    /// list nothing else ([`SparsePop::buckets_consistent`] over this
+    /// engine's alive nodes). O(n); for tests.
+    #[must_use]
+    pub fn buckets_consistent(&self) -> bool {
+        self.sp
+            .buckets_consistent(|u| self.faults.as_ref().is_none_or(|fs| fs.is_alive(u)))
+    }
+
     /// Materializes the dense configuration — Θ(n²) bits for the edge
     /// set; for inspection and small-n testing only.
     #[must_use]
@@ -947,7 +1011,9 @@ impl<M: EnumerableMachine> BucketSim<M> {
     fn on_list_remove(&mut self, hole: usize) {
         self.on_list.swap_remove(hole);
         if let Some(&(a, b)) = self.on_list.get(hole) {
-            self.sp.set_edge_on_pos(a as usize, b as usize, hole as u32);
+            let (a, b) = (a as usize, b as usize);
+            self.sp.set_cell_on_pos(a, b, hole as u32);
+            self.sp.set_cell_on_pos(b, a, hole as u32);
         }
     }
 
@@ -1009,38 +1075,48 @@ impl<M: EnumerableMachine> BucketSim<M> {
         let (a2, b2, l2) = outcome;
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
         let edge_changed = l2 != link;
-        // A removed edge leaves with the old states, a new one arrives
-        // with the new states: the state moves never re-tally it.
-        if edge_changed && link.is_on() {
-            self.write_edge(u, v, false);
+        if !edge_changed && (a2, b2) == (sv, su) && !self.sampled[su] && !self.sampled[sv] {
+            // A walker's move: two unsampled, hence untallied, states
+            // trade places, and every weight and coin stays as it was.
+            self.sp.swap_states(u, v);
+        } else {
+            // A removed edge leaves with the old states, a new one
+            // arrives with the new states: the state moves never
+            // re-tally it.
+            if edge_changed && link.is_on() {
+                self.write_edge(u, v, false);
+            }
+            if self.move_state(u, a2) | self.move_state(v, b2) {
+                self.dirty = true;
+            }
+            if edge_changed && l2.is_on() {
+                self.write_edge(u, v, true);
+            }
         }
-        // Two untallied states trading places (a walker's move) leave
-        // every bucket size and tally cell, so every weight, as it was.
-        let swap = (a2, b2) == (sv, su) && !self.tallied[su] && !self.tallied[sv];
-        if (self.move_state(u, a2) | self.move_state(v, b2)) && !swap {
-            self.dirty = true;
+        // A pure link toggle moves no on-list membership: a removed edge
+        // has left the list already, and a created one was effective on
+        // an inactive link, so its state pair is not on-link-only.
+        if (a2, b2) != (su, sv) {
+            self.refresh_on_incident(u);
+            self.refresh_on_incident(v);
         }
-        if edge_changed && l2.is_on() {
-            self.write_edge(u, v, true);
-        }
-        self.refresh_on_incident(u);
-        self.refresh_on_incident(v);
         edge_changed
     }
 
     /// Refreshes the on-list membership of every active edge incident to
     /// `u` — O(deg + deg of changed counterparts) after a node-state
     /// change; membership state rides the adjacency cells, so unchanged
-    /// edges cost one table lookup each.
+    /// edges cost one table lookup each, and a changed one writes `u`'s
+    /// cell in place and scans only the neighbour's row for the mirror.
     fn refresh_on_incident(&mut self, u: usize) {
         if !self.on_pairs {
             return;
         }
-        let su = self.sp.state_index(u);
+        let row = self.sp.state_index(u) * self.table.size();
         for i in 0..self.sp.degree(u) {
             let (to, on_pos) = self.sp.row(u)[i];
             let w = to as usize;
-            let want = self.table.on_link_only(su, self.sp.state_index(w));
+            let want = self.on_only[row + self.sp.state_index(w)];
             let member = on_pos != NOT_ON;
             if want == member {
                 continue;
@@ -1049,9 +1125,11 @@ impl<M: EnumerableMachine> BucketSim<M> {
                 let at = self.on_list.len() as u32;
                 let (a, b) = if u < w { (u, w) } else { (w, u) };
                 self.on_list.push((a as u32, b as u32));
-                self.sp.set_edge_on_pos(u, w, at);
+                self.sp.row_mut(u)[i].1 = at;
+                self.sp.set_cell_on_pos(w, u, at);
             } else {
-                self.sp.set_edge_on_pos(u, w, NOT_ON);
+                self.sp.row_mut(u)[i].1 = NOT_ON;
+                self.sp.set_cell_on_pos(w, u, NOT_ON);
                 self.on_list_remove(on_pos as usize);
             }
         }
@@ -1380,10 +1458,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
         };
         let old = w.path[w.z] as usize;
         if adj != old {
-            let s_w = self.sp.state_index(old);
-            let s_int = self.sp.state_index(adj);
-            self.move_state(old, s_int);
-            self.move_state(adj, s_w);
+            // Path states are off-link isolated, so unsampled.
+            self.sp.swap_states(old, adj);
             self.refresh_on_incident(old);
         }
         let (x, y) = if self.rng.random_bool(0.5) {
@@ -1772,10 +1848,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
             let old = w.path[w.z] as usize;
             let new = w.path[z2] as usize;
             if new != old {
-                let s_w = self.sp.state_index(old);
-                let s_int = self.sp.state_index(new);
-                self.move_state(old, s_int);
-                self.move_state(new, s_w);
+                // Path states are off-link isolated, so unsampled.
+                self.sp.swap_states(old, new);
                 self.refresh_on_incident(old);
                 self.refresh_on_incident(new);
             }
@@ -2140,6 +2214,7 @@ mod tests {
         let mut prev = vec![0; n];
         while sim.advance(u64::MAX) != EventStep::Quiescent {
             assert!(sim.adjacency_consistent(), "after {} steps", sim.steps());
+            assert!(sim.buckets_consistent(), "after {} steps", sim.steps());
             for (u, d) in prev.iter_mut().enumerate() {
                 let now = sim.view().degree(u);
                 shrunk |= *d > INLINE && now <= INLINE;
@@ -2152,11 +2227,9 @@ mod tests {
         assert_eq!(sim.view().active_count(), n - 1);
     }
 
-    /// A `run_until_edges` run that stops while batched-endgame walkers
-    /// are alive carries their commitments out of the session, and
-    /// `approx_mem_bytes` counts them with their paths.
-    #[test]
-    fn memory_counts_carried_endgame_commitments() {
+    /// Simple-Global-Line (Protocol 1), states `q0, q1, q2, l, w` at
+    /// indices 0–4.
+    fn sgl_protocol() -> CompiledTable {
         let mut b = ProtocolBuilder::new("Simple-Global-Line");
         let q0 = b.state("q0");
         let q1 = b.state("q1");
@@ -2168,7 +2241,103 @@ mod tests {
         b.rule((l, l, OFF), (q2, w, ON));
         b.rule((w, q2, ON), (q2, w, ON));
         b.rule((w, q1, ON), (q2, l, ON));
+        b.build().expect("valid").compile()
+    }
+
+    /// A walker's move trades the two nodes' bucket slots in place: no
+    /// off bucket names `w` or `q2`, so the sampled `q0` and `l` lists
+    /// stay byte for byte as they were, and the new walker's `q2` slot
+    /// now holds the old walker.
+    #[test]
+    fn sgl_walker_moves_swap_bucket_slots_in_place() {
+        const Q2: usize = 2;
+        const W: usize = 4;
+        let mut sim = BucketSim::new(sgl_protocol(), 40, 8);
+        let mut moves = 0;
+        loop {
+            let before: Vec<Vec<u32>> =
+                (0..5).map(|s| sim.view().nodes_index(s).to_vec()).collect();
+            let step = sim.advance(u64::MAX);
+            if step == EventStep::Quiescent {
+                break;
+            }
+            assert!(sim.buckets_consistent(), "after {} steps", sim.steps());
+            let EventStep::Candidate {
+                result:
+                    StepResult::Effective {
+                        pair: (u, v),
+                        edge_changed: false,
+                    },
+                ..
+            } = step
+            else {
+                continue;
+            };
+            let after = |s| sim.view().nodes_index(s);
+            if before[W].len() != 1 || after(W).len() != 1 || after(W) == &before[W][..] {
+                continue;
+            }
+            // The walker `old` handed `w` to its neighbour `new`.
+            let (old, new) = (before[W][0], after(W)[0]);
+            assert!([(u, v), (v, u)].contains(&(old as usize, new as usize)));
+            for s in [0, 1, 3] {
+                assert_eq!(after(s), &before[s][..], "state {s}'s bucket moved");
+            }
+            let slot = before[Q2]
+                .iter()
+                .position(|&x| x == new)
+                .expect("new was a q2");
+            let mut expect = before[Q2].clone();
+            expect[slot] = old;
+            assert_eq!(
+                after(Q2),
+                &expect[..],
+                "the q2 bucket was not edited in place"
+            );
+            moves += 1;
+        }
+        assert!(moves > 20, "only {moves} walker moves observed");
+    }
+
+    /// A swap rule whose states an off bucket names keeps the
+    /// swap-remove-and-push moves, whose order the sampled buckets'
+    /// draws depend on.
+    #[test]
+    fn sampled_swaps_take_the_re_push_path() {
+        let mut b = ProtocolBuilder::new("sampled-swap");
+        let a = b.state("a");
+        let c = b.state("b");
+        b.rule((a, c, ON), (c, a, ON));
+        b.rule((a, c, OFF), (a, c, ON));
         let table = b.build().expect("valid").compile();
+        let mut pop = Population::new(6, crate::StateId::new(0));
+        for x in 3..6 {
+            pop.set_state(x, crate::StateId::new(1));
+        }
+        pop.edges_mut().activate(0, 3);
+        let mut sim = BucketSim::from_population(table, pop, 1);
+        assert!(sim.sampled[0] && sim.sampled[1]);
+        assert_eq!(sim.view().nodes_index(0), &[0, 1, 2]);
+        assert_eq!(sim.view().nodes_index(1), &[3, 4, 5]);
+        assert!(!sim.apply(0, 3, ON, (1, 0, ON)), "the link stays");
+        // Each node swap-removed from the front and pushed at the back,
+        // node 0 first; in place, the `a` bucket would read [3, 1, 2].
+        assert_eq!(sim.view().nodes_index(0), &[2, 1, 3]);
+        assert_eq!(sim.view().nodes_index(1), &[0, 4, 5]);
+        assert!(sim.buckets_consistent());
+        assert_eq!(
+            sim.candidate_weight(),
+            2 * 3 * 3,
+            "every (a, b) pair, either link"
+        );
+    }
+
+    /// A `run_until_edges` run that stops while batched-endgame walkers
+    /// are alive carries their commitments out of the session, and
+    /// `approx_mem_bytes` counts them with their paths.
+    #[test]
+    fn memory_counts_carried_endgame_commitments() {
+        let table = sgl_protocol();
         let n = 400;
         let with_commits = (n / 2..n - 1)
             .find_map(|edges| {

@@ -116,7 +116,8 @@ fn check_effective_set(
 /// the effective set: every ordered pair whose states admit a transition
 /// on the pair's actual link. Also checks that its adjacency rows mirror
 /// each other, hold the edges the configuration has, and name their
-/// on-list entries (`BucketSim::adjacency_consistent`).
+/// on-list entries (`BucketSim::adjacency_consistent`), and that every
+/// node sits in its bucket slot (`BucketSim::buckets_consistent`).
 fn check_candidate_weight(
     p: &RuleProtocol,
     sim: &mut BucketSim<CompiledTable>,
@@ -134,6 +135,7 @@ fn check_candidate_weight(
     }
     prop_assert_eq!(sim.candidate_weight(), expected);
     prop_assert!(sim.adjacency_consistent(), "adjacency rows disagree with the on list");
+    prop_assert!(sim.buckets_consistent(), "a node is missing from its bucket slot");
     Ok(())
 }
 

@@ -1257,6 +1257,7 @@ mod fault_bookkeeping {
                 let exact_b = brute(&p, &bp, &bfs);
                 prop_assert_eq!(bu.candidate_weight(), exact_b);
                 prop_assert!(bu.adjacency_consistent());
+                prop_assert!(bu.buckets_consistent());
 
                 let exact_r =
                     brute(&p, rs.population(), rs.fault_state().expect("faulted"));
@@ -1275,6 +1276,7 @@ mod fault_bookkeeping {
                 prop_assert!(rb.pool_invariant_holds());
                 prop_assert!(rb.round_arenas_consistent());
                 prop_assert!(rb.view().adjacency_consistent(&[]));
+                prop_assert!(rb.view().buckets_consistent(|u| rbfs.is_alive(u)));
             }
         }
 
@@ -1306,6 +1308,7 @@ mod fault_bookkeeping {
                 prop_assert!(rb.pool_invariant_holds());
                 prop_assert!(rb.round_arenas_consistent());
                 prop_assert!(rb.view().adjacency_consistent(&[]));
+                prop_assert!(rb.view().buckets_consistent(|u| rbfs.is_alive(u)));
             }
         }
 
@@ -1338,6 +1341,7 @@ mod fault_bookkeeping {
                 let exact_b = brute(&p, &bp, &bfs);
                 prop_assert_eq!(bu.candidate_weight(), exact_b);
                 prop_assert!(bu.adjacency_consistent());
+                prop_assert!(bu.buckets_consistent());
                 widest = widest.max((0..bp.n()).map(|u| bu.view().degree(u)).max().unwrap_or(0));
             }
             prop_assert!(n < 6 || widest > 2, "no hub formed at n = {n}");
