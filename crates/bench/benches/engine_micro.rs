@@ -5,17 +5,21 @@
 //! over recorded trajectories), a full run on each engine, edge cover on
 //! the event engine (no interaction changes a state), a matching run on
 //! the sparse round engine, runs of the sparse uniform engine at the
-//! sizes of netbench's `sparse` cells, the dense engines' construction,
-//! and the round engines' skip sampler on both of its paths.
+//! sizes of netbench's `sparse` cells, FT-Global-Star under periodic
+//! max-degree crash strikes on the dense and the sparse uniform engine
+//! (the fault-application layer), the dense engines' construction, and
+//! the round engines' skip sampler on both of its paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use netcon_analysis::knee::periodic_adversary_plan;
 use netcon_core::{
-    hypergeometric_skip, unit_open01, BucketSim, CompiledTable, EngineView, EventSim, ExactEngine,
-    Population, RoundBucketSim, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
+    hypergeometric_skip, unit_open01, AdversaryPolicy, BucketSim, CompiledTable, Engine,
+    EngineView, EventSim, ExactEngine, Population, RoundBucketSim, RoundSim, RuleProtocol,
+    SchedulerKind, ShuffledRounds, Simulation, StateId,
 };
 use netcon_graph::properties::is_spanning_star;
 use netcon_processes::Process;
-use netcon_protocols::{c_cliques, cycle_cover, global_star, simple_global_line};
+use netcon_protocols::{c_cliques, cycle_cover, ft_star, global_star, simple_global_line};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -162,6 +166,36 @@ fn engine_throughput(c: &mut Criterion) {
                     |sp| stable(&EngineView::Sparse { sp, machine: &table }),
                     u64::MAX,
                 );
+                assert!(out.stabilized());
+                black_box(out)
+            });
+        });
+    }
+
+    // netbench's `ft-star-strikes` cell on the dense and the sparse
+    // uniform engine, one seed: FT-Global-Star on 16 nodes, a max-degree
+    // crash strike every 10⁴ draws over 4·10⁴ draws with an alive floor
+    // of 8, run to the faulted star predicate — the fault-application
+    // layer (decisions, crashes, notifications) with the repairs between
+    // strikes.
+    let table = ft_star::protocol().compile();
+    for (name, budget) in [
+        ("ft_star_strikes_event_n16", u64::MAX),
+        ("ft_star_strikes_bucket_n16", 0),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let plan =
+                    periodic_adversary_plan(1e-4, 7, 40_000, &[AdversaryPolicy::CrashMaxDegree], 8);
+                let mut eng = Engine::with_budget_for_faulted(
+                    table.clone(),
+                    16,
+                    7,
+                    budget,
+                    SchedulerKind::Uniform,
+                    plan,
+                );
+                let out = eng.run_faulted_until(ft_star::is_stable_faulted, 1 << 40);
                 assert!(out.stabilized());
                 black_box(out)
             });

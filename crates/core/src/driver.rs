@@ -23,10 +23,13 @@
 //! through one dispatch (`apply_resolved`), which owns the crash
 //! sequence (retire, record the lost edges, notify the former neighbours
 //! in ascending node order), the canonical edge order random deletions
-//! draw from, and the adversary's configuration snapshot. An engine
-//! supplies only the data-structure repair — retire a node, re-admit
-//! one, set one node's state, deactivate one edge — so a new fault kind
-//! needs no engine edit unless it needs a new kind of repair.
+//! draw from, and the adversary's decisions, resolved against the
+//! engine's live configuration through its view, with no copy taken (the
+//! naive loop runs the same resolver on its population; the view hands
+//! out sorted rows, so the policies never see engine-internal order). An
+//! engine supplies only the data-structure repair — retire a node,
+//! re-admit one, set one node's state, deactivate one edge — so a new
+//! fault kind needs no engine edit unless it needs a new kind of repair.
 //!
 //! [`Simulation`](crate::Simulation) keeps its own loops and fault code
 //! on purpose: it is the independent reference the equivalence suite
@@ -38,7 +41,6 @@ use std::ops::ControlFlow;
 use crate::compiled::EnumerableMachine;
 use crate::engine::Bookkeeping;
 use crate::event::EventStep;
-use crate::fault::adversary::ConfigSnapshot;
 use crate::fault::{sample_without_replacement, DueFault, FaultState, ResolvedFault};
 use crate::sim::{RunOutcome, StepResult};
 use crate::EngineView;
@@ -334,8 +336,10 @@ fn run_faults_through<E: ExactEngine>(e: &mut E, limit: u64) -> bool {
 }
 
 /// Applies everything due at the current draw: scheduled plan events in
-/// order, and adversary decisions resolved against a fresh configuration
-/// snapshot.
+/// order, and adversary decisions resolved against the live
+/// configuration, read through the engine's view. The view borrows the
+/// engine, so the decision's scratch is taken out of the fault state
+/// while the policies run and put back as the decision lands.
 fn apply_due_faults<E: Primitives>(e: &mut E) {
     while let Some(due) = e.faults().and_then(|fs| fs.due_fault(e.book().steps)) {
         match due {
@@ -347,13 +351,11 @@ fn apply_due_faults<E: Primitives>(e: &mut E) {
                 apply_resolved(e, resolved);
             }
             DueFault::Decision => {
-                let view = e.engine_view();
-                let states = (0..view.n()).map(|u| view.state_index(u)).collect();
-                let snap = ConfigSnapshot::new(states, view.canonical_edges());
-                let damage = e
-                    .faults_mut()
-                    .expect("due implies a plan")
-                    .resolve_due_decision(&snap);
+                let mut scratch = e.faults_mut().expect("due implies a plan").take_scratch();
+                let faults = e.faults().expect("due implies a plan");
+                let (damage, spent) = faults.decide(&e.engine_view(), &mut scratch);
+                let faults = e.faults_mut().expect("due implies a plan");
+                faults.commit_decision(&damage, spent, scratch);
                 for resolved in damage {
                     apply_resolved(e, resolved);
                 }

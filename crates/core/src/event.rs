@@ -56,7 +56,7 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
 use crate::engine::{
-    apply_desired_row, geometric_skip, unit_open01, Bookkeeping, EffectIndex, PairSet,
+    apply_desired_row, geometric_skip_unfloored, unit_open01, Bookkeeping, EffectIndex, PairSet,
 };
 use crate::driver::{ExactEngine, Primitives};
 use crate::fault::{FaultPlan, FaultState};
@@ -265,16 +265,19 @@ impl<M: EnumerableMachine> EventSim<M> {
         } else {
             // Inversion of the geometric law: P(skips ≥ t) = (1−p)^t.
             let p = k as f64 / m as f64;
-            let g = geometric_skip(unit_open01(self.rng.next_u64()), p);
+            // `geometric_skip` before its floor: the comparison and the
+            // truncation below give the floored skip bit for bit, without
+            // a `floor` call per draw (see `geometric_skip_unfloored`).
+            let x = geometric_skip_unfloored(unit_open01(self.rng.next_u64()), p);
             // The candidate lands at steps + skips + 1: past the budget
             // means the whole remaining window is ineffective (this is
             // exact — P(skips ≥ r) equals the naive engine's probability
             // of r ineffective draws in a row).
-            if g >= remaining as f64 {
+            if x >= remaining as f64 {
                 self.book.steps = max_steps;
                 return EventStep::BudgetExhausted;
             }
-            g as u64
+            x as u64
         };
         self.book.steps += skipped + 1;
 

@@ -50,7 +50,7 @@ use crate::seeds;
 
 pub mod adversary;
 
-use adversary::{AdversaryPlan, ConfigSnapshot};
+use adversary::{AdversaryPlan, DecisionScratch, LiveConfig};
 
 /// A single scheduled fault/churn event of a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,10 +147,12 @@ impl FaultPlan {
     }
 
     /// Attaches a configuration-adaptive [`AdversaryPlan`]: every
-    /// faulted engine pauses at its decision draws, snapshots the live
-    /// configuration, and applies the policies' damage through the
-    /// ordinary resolved-fault path (builder style). See
-    /// [`adversary`] for the exactness argument.
+    /// faulted engine pauses at its decision draws, resolves the
+    /// policies against its live configuration in place (no copy of it
+    /// is taken), and applies their damage through the ordinary
+    /// resolved-fault path (builder style). See [`adversary`] for the
+    /// exactness argument and for why the policies never see an
+    /// engine's internal order.
     #[must_use]
     pub fn with_adversary(mut self, adv: AdversaryPlan) -> Self {
         self.adversary = Some(adv);
@@ -465,12 +467,13 @@ pub struct FaultState {
     decided: u32,
     /// Adversary damage budget spent so far.
     adv_spent: u64,
+    /// The working buffers of adversary decisions, reused across them.
+    scratch: DecisionScratch,
 }
 
 /// What kind of fault is due at the current draw — how an engine
 /// decides between resolving a scheduled plan event (no engine input
-/// needed) and an adversary decision (needs a configuration
-/// snapshot).
+/// needed) and an adversary decision (reads the live configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DueFault {
     /// The next scheduled plan event is due.
@@ -503,6 +506,7 @@ impl FaultState {
             base_n,
             decided: 0,
             adv_spent: 0,
+            scratch: DecisionScratch::default(),
         }
     }
 
@@ -601,29 +605,69 @@ impl FaultState {
         }
     }
 
-    /// Resolves the pending adversary decision against `snap` (the
-    /// engine's normalized configuration): runs the policies, flips
-    /// alive flags for the crashes they emit, and returns the damage
-    /// for the engine to apply in order. Consumes exactly one
-    /// decision index even when every policy no-ops.
-    pub(crate) fn resolve_due_decision(&mut self, snap: &ConfigSnapshot) -> Vec<ResolvedFault> {
-        let Some(adv) = self.plan.adversary.as_ref() else {
-            return Vec::new();
-        };
-        self.decided += 1;
+    /// Resolves the pending adversary decision against `cfg`, the live
+    /// configuration: [`take_scratch`](Self::take_scratch),
+    /// [`decide`](Self::decide) and
+    /// [`commit_decision`](Self::commit_decision) in one call, for a
+    /// caller whose configuration does not borrow this state's owner.
+    pub(crate) fn resolve_due_decision(&mut self, cfg: &impl LiveConfig) -> Vec<ResolvedFault> {
+        let mut scratch = self.take_scratch();
+        let (damage, spent) = self.decide(cfg, &mut scratch);
+        self.commit_decision(&damage, spent, scratch);
+        damage
+    }
+
+    /// Takes the decision scratch out, so that [`decide`](Self::decide)
+    /// can write it while its configuration borrows the engine that owns
+    /// this state. [`commit_decision`](Self::commit_decision) puts it
+    /// back.
+    pub(crate) fn take_scratch(&mut self) -> DecisionScratch {
+        std::mem::take(&mut self.scratch)
+    }
+
+    /// Runs the pending decision's policies against `cfg`, the live
+    /// configuration, and returns the damage in application order plus
+    /// the budget it spends. Changes nothing here: the decision lands
+    /// with [`commit_decision`](Self::commit_decision).
+    pub(crate) fn decide(
+        &self,
+        cfg: &impl LiveConfig,
+        scratch: &mut DecisionScratch,
+    ) -> (Vec<ResolvedFault>, u64) {
+        let adv = self.plan.adversary.as_ref().expect("decisions come from an adversary");
         let budget_left = adv
             .budget_limit()
             .map_or(u64::MAX, |b| b.saturating_sub(self.adv_spent));
-        let (damage, spent) = adversary::resolve_decision(
+        adversary::resolve_decision(
             adv,
-            snap,
-            &mut self.alive,
-            &mut self.alive_count,
+            cfg,
+            &self.alive,
+            self.alive_count,
             self.plan.min_alive,
             budget_left,
-        );
+            scratch,
+        )
+    }
+
+    /// Lands a decision [`decide`](Self::decide) returned: flips the
+    /// alive flags of its crashes, adds its spent budget, returns the
+    /// scratch, and consumes exactly one decision index even when every
+    /// policy no-ops.
+    pub(crate) fn commit_decision(
+        &mut self,
+        damage: &[ResolvedFault],
+        spent: u64,
+        scratch: DecisionScratch,
+    ) {
+        for fault in damage {
+            if let ResolvedFault::Crash(x) = *fault {
+                self.alive[x] = false;
+                self.alive_count -= 1;
+            }
+        }
         self.adv_spent += spent;
-        damage
+        self.decided += 1;
+        self.scratch = scratch;
     }
 
     /// Resolves the next unapplied event: draws its private randomness,
@@ -726,6 +770,7 @@ pub(crate) fn sample_without_replacement<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Population, StateId};
 
     #[test]
     fn plan_builder_sorts_and_counts() {
@@ -969,7 +1014,7 @@ mod tests {
 
     #[test]
     fn adversary_times_merge_into_next_at_and_boundaries() {
-        use super::adversary::{AdversaryPlan, AdversaryPolicy, Cadence, ConfigSnapshot};
+        use super::adversary::{AdversaryPlan, AdversaryPolicy, Cadence};
 
         let adv = AdversaryPlan::new(Cadence::burst(vec![15, 40]))
             .policy(AdversaryPolicy::CrashMaxDegree);
@@ -988,12 +1033,19 @@ mod tests {
         assert!(matches!(fs.resolve_next(), Some(ResolvedFault::Crash(_))));
         assert_eq!(fs.next_at(), Some(15), "decision now leads");
         assert_eq!(fs.due_fault(15), Some(DueFault::Decision));
-        // Resolving the decision against a snapshot consumes exactly
-        // one decision index and flips the victim's alive flag.
-        let states = vec![0usize; fs.capacity()];
-        let snap = ConfigSnapshot::new(states, vec![(0, 1)]);
+        // Resolving the decision consumes exactly one decision index and
+        // flips the victim's alive flag. The configuration's one edge
+        // joins two nodes the plan event left alive.
+        let (u, v) = {
+            let mut alive = (0..fs.capacity()).filter(|&u| fs.is_alive(u));
+            (alive.next().expect("alive"), alive.next().expect("alive"))
+        };
+        let cfg = Population::from_parts(
+            vec![StateId::new(0); fs.capacity()],
+            netcon_graph::EdgeSet::from_edges(fs.capacity(), [(u, v)]),
+        );
         let before = fs.alive_count();
-        let damage = fs.resolve_due_decision(&snap);
+        let damage = fs.resolve_due_decision(&cfg);
         assert_eq!(damage.len(), 1);
         assert_eq!(fs.decisions_taken(), 1);
         assert_eq!(fs.adversary_spent(), 1);
@@ -1003,7 +1055,7 @@ mod tests {
 
     #[test]
     fn spent_budget_cancels_remaining_decisions() {
-        use super::adversary::{AdversaryPlan, AdversaryPolicy, Cadence, ConfigSnapshot};
+        use super::adversary::{AdversaryPlan, AdversaryPolicy, Cadence};
 
         let adv = AdversaryPlan::new(Cadence::Periodic {
             start: 5,
@@ -1014,8 +1066,8 @@ mod tests {
         .budget(1);
         let mut fs = FaultState::new(FaultPlan::new(2).with_adversary(adv), 4);
         assert_eq!(fs.next_at(), Some(5));
-        let snap = ConfigSnapshot::new(vec![0; 4], Vec::<(usize, usize)>::new());
-        let damage = fs.resolve_due_decision(&snap);
+        let cfg = Population::new(4, StateId::new(0));
+        let damage = fs.resolve_due_decision(&cfg);
         assert_eq!(damage.len(), 1);
         assert_eq!(
             fs.next_at(),

@@ -25,11 +25,41 @@ use crate::bucket::{BucketSim, SparsePop};
 use crate::compiled::EnumerableMachine;
 use crate::driver::{run_faulted_until_with, run_until_with, ExactEngine, Primitives};
 use crate::event::EventSim;
+use crate::fault::adversary::LiveConfig;
 use crate::fault::{FaultPlan, FaultState};
 use crate::round::RoundSim;
 use crate::round_bucket::RoundBucketSim;
 use crate::sim::RunOutcome;
 use crate::Population;
+
+/// The adversary's read of a skip engine's configuration. Neighbour
+/// rows come out sorted whatever the engine's own order: the sparse
+/// rows are in swap-remove order, which carries coins, so they are
+/// sorted on the way out rather than in place.
+impl<M: EnumerableMachine> LiveConfig for EngineView<'_, M> {
+    fn n(&self) -> usize {
+        EngineView::n(self)
+    }
+
+    fn degree(&self, u: usize) -> usize {
+        EngineView::degree(self, u)
+    }
+
+    fn state_index(&self, u: usize) -> usize {
+        EngineView::state_index(self, u)
+    }
+
+    fn neighbors_ascending(&self, u: usize, out: &mut Vec<usize>) {
+        out.clear();
+        match self {
+            Self::Dense { pop, .. } => out.extend(pop.edges().neighbors(u)),
+            Self::Sparse { sp, .. } => {
+                out.extend(sp.neighbors(u));
+                out.sort_unstable();
+            }
+        }
+    }
+}
 
 /// Default dense-engine memory budget: 512 MiB keeps the dense engine up
 /// to n ≈ 11 000 and the CI box comfortable.
@@ -139,7 +169,9 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
             Self::Dense { pop, machine, faults: None } => {
                 pop.count_where(|st| machine.state_index(st) == s)
             }
-            Self::Dense { faults: Some(_), .. } => self.nodes_index(s).len(),
+            Self::Dense { pop, machine, faults: Some(fs) } => (0..pop.n())
+                .filter(|&u| fs.is_alive(u) && machine.state_index(pop.state(u)) == s)
+                .count(),
             Self::Sparse { sp, .. } => sp.count_index(s),
         }
     }

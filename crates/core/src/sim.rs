@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::engine::Bookkeeping;
-use crate::fault::adversary::ConfigSnapshot;
+use crate::fault::adversary::LiveConfig;
 use crate::fault::{sample_without_replacement, DueFault, FaultPlan, FaultState, ResolvedFault};
 use crate::{Link, Machine, Population, Scheduler, StateId, Uniform};
 
@@ -483,22 +483,33 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
     }
 }
 
-impl<M: Machine<State = StateId>, S: Scheduler> Simulation<M, S> {
-    /// Normalizes the configuration for an adversary decision: dense
-    /// state indices plus the active-edge set (the dense-index
-    /// requirement is why the faulted run loops live under the
-    /// [`StateId`] bound; the interpreted and the compiled rule table
-    /// both run them).
-    fn config_snapshot(&self) -> ConfigSnapshot {
-        let states = (0..self.pop.n())
-            .map(|u| self.pop.state(u).index())
-            .collect();
-        ConfigSnapshot::new(states, self.pop.edges().active_edges())
+/// The naive loop's read of its configuration for adversary decisions.
+impl LiveConfig for Population<StateId> {
+    fn n(&self) -> usize {
+        Population::n(self)
     }
 
+    fn degree(&self, u: usize) -> usize {
+        self.edges().degree(u) as usize
+    }
+
+    fn state_index(&self, u: usize) -> usize {
+        self.state(u).index()
+    }
+
+    fn neighbors_ascending(&self, u: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.edges().neighbors(u));
+    }
+}
+
+impl<M: Machine<State = StateId>, S: Scheduler> Simulation<M, S> {
     /// Applies everything due at the current step counter: scheduled
     /// plan events in order, and adversary decisions resolved against
-    /// a fresh configuration snapshot.
+    /// the live population — by the resolver the skip engines' driver
+    /// runs on their views. (It reads dense state indices, which is why
+    /// the faulted run loops live under the [`StateId`] bound; the
+    /// interpreted and the compiled rule table both run them.)
     fn apply_due_faults(&mut self) {
         loop {
             let due = self
@@ -516,12 +527,11 @@ impl<M: Machine<State = StateId>, S: Scheduler> Simulation<M, S> {
                     self.apply_resolved(resolved);
                 }
                 Some(DueFault::Decision) => {
-                    let snap = self.config_snapshot();
                     let damage = self
                         .faults
                         .as_mut()
                         .expect("due implies a plan")
-                        .resolve_due_decision(&snap);
+                        .resolve_due_decision(&self.pop);
                     for resolved in damage {
                         self.apply_resolved(resolved);
                     }

@@ -362,7 +362,16 @@ impl Iterator for Neighbors<'_> {
             self.word = self.words[self.word_idx];
         }
     }
+
+    /// Exact: the row's degree counts down as the scan yields, so a
+    /// `collect` allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.remaining as usize;
+        (left, Some(left))
+    }
 }
+
+impl ExactSizeIterator for Neighbors<'_> {}
 
 /// Iterator over all active edges.
 ///
@@ -454,6 +463,9 @@ mod tests {
     fn neighbors_and_edge_iteration() {
         let es = EdgeSet::from_edges(5, [(0, 3), (3, 4), (1, 3)]);
         assert_eq!(es.neighbors(3).collect::<Vec<_>>(), vec![0, 1, 4]);
+        let mut it = es.neighbors(3);
+        it.next();
+        assert_eq!(it.len(), 2, "the size hint counts down exactly");
         assert_eq!(es.neighbors(2).count(), 0);
         let mut edges = es.active_edges().collect::<Vec<_>>();
         edges.sort_unstable();

@@ -77,9 +77,16 @@ pub fn is_stable_faulted<M: EnumerableMachine>(v: &EngineView<'_, M>, fs: &Fault
 }
 
 /// A unique centre whose spokes reach the other `alive − 1` nodes.
+///
+/// Allocation-free: the centre count and the edge count go first, and
+/// only then is the one centre looked for — as the node of state 0 with
+/// degree `alive − 1`, which it is iff the star is spanning. (A dead
+/// node has degree 0, so it can match only when `alive` is 1, where the
+/// lone alive centre matches too.)
 fn is_star_over<M: EnumerableMachine>(v: &EngineView<'_, M>, alive: usize) -> bool {
-    let centres = v.nodes_index(0);
-    centres.len() == 1 && v.active_count() == alive - 1 && v.degree(centres[0]) == alive - 1
+    v.count_index(0) == 1
+        && v.active_count() == alive - 1
+        && (0..v.n()).any(|u| v.degree(u) == alive - 1 && v.state_index(u) == 0)
 }
 
 #[cfg(test)]
