@@ -76,26 +76,33 @@ pub fn availability(
     stable: impl Fn(&EngineView<'_, CompiledTable>, &FaultState) -> bool,
     max_steps: u64,
 ) -> AvailabilityResult {
+    availability_of(protocol.compile(), n, seed, plan, stable, max_steps)
+}
+
+/// [`availability`] of an already compiled protocol, so a sweep compiles
+/// it once.
+pub(crate) fn availability_of(
+    table: CompiledTable,
+    n: usize,
+    seed: u64,
+    plan: netcon_core::FaultPlan,
+    stable: impl Fn(&EngineView<'_, CompiledTable>, &FaultState) -> bool,
+    max_steps: u64,
+) -> AvailabilityResult {
     // Boundary times cover scheduled events *and* adversary decision
     // draws, so each window is fault-free even under an adaptive plan.
     let times: Vec<u64> = plan.boundary_times();
     let total_draws = times.last().copied().unwrap_or(0);
-    let mut eng = Engine::auto_faulted(protocol.compile(), n, seed, plan);
+    let mut eng = Engine::auto_faulted(table, n, seed, plan);
     let mut available = 0u64;
     let mut window_start = 0u64;
     for &t in &times {
         // Draws `window_start..t` are fault-free: run to just before
-        // the events at `t` apply and judge the window (`run_until` at
-        // the current step count is a pure peek — zero draws).
+        // the events at `t` apply and judge the window on the live view
+        // (no draw).
         if t > window_start {
             eng.run_faulted_to(t - 1);
-            let fs = eng.fault_state().expect("faulted engine").clone();
-            let now = eng.steps();
-            if eng
-                .run_until(|v| stable(v, &fs), now)
-                .converged_at()
-                .is_some()
-            {
+            if stable(&eng.view(), eng.fault_state().expect("faulted engine")) {
                 available += t - eng.last_output_change().max(window_start);
             }
         }
@@ -103,11 +110,11 @@ pub fn availability(
         eng.run_faulted_to(t);
         window_start = t;
     }
-    let fs = eng.fault_state().expect("faulted engine").clone();
-    debug_assert_eq!(fs.next_at(), None, "plan exhausted at the horizon");
+    // The plan is exhausted, so the faulted run consults `stable` at once.
+    debug_assert_eq!(eng.fault_state().and_then(FaultState::next_at), None);
     let end = eng.steps();
     let repair = eng
-        .run_until(|v| stable(v, &fs), end.saturating_add(max_steps))
+        .run_faulted_until(&stable, end.saturating_add(max_steps))
         .converged_at()
         .map(|at| at.saturating_sub(end));
     AvailabilityResult {
@@ -131,9 +138,10 @@ pub fn sweep_availability<P>(
 where
     P: Fn(&EngineView<'_, CompiledTable>, &FaultState) -> bool + Sync,
 {
+    let table = protocol.compile();
     sweep(cfg, |n, seed| {
         let plan = churn.reseeded(seed).compile(n);
-        availability(protocol, n, seed, plan, &stable, max_steps).fraction_available()
+        availability_of(table.clone(), n, seed, plan, &stable, max_steps).fraction_available()
     })
 }
 

@@ -24,7 +24,7 @@ use netcon_core::{
     FaultState, RuleProtocol,
 };
 
-use crate::availability::availability;
+use crate::availability::availability_of;
 use crate::fit::{fit_power_law, PowerLawFit};
 
 /// Availabilities below this are clamped before taking logs: a fully
@@ -61,9 +61,10 @@ pub struct Knee {
 /// trial `t` gets seed [`seeds::derive2`](netcon_core::seeds::derive2)
 /// `(base_seed, rate_index, t)` and a plan from
 /// `make_plan(rate, seed, n)`, then measures
-/// [`availability`] with `stable` and averages `fraction_available`
-/// across the trials. Ladder order is preserved in the output, so a
-/// monotone-degradation guardrail is a single pass over the result.
+/// [`availability`](crate::availability::availability) with `stable`
+/// and averages `fraction_available` across the trials. Ladder order is
+/// preserved in the output, so a monotone-degradation guardrail is a
+/// single pass over the result.
 ///
 /// # Panics
 ///
@@ -88,6 +89,7 @@ where
         rates.iter().all(|r| r.is_finite() && *r > 0.0),
         "rates must be finite and positive"
     );
+    let table = protocol.compile();
     rates
         .iter()
         .enumerate()
@@ -96,7 +98,7 @@ where
             for t in 0..trials {
                 let seed = netcon_core::seeds::derive2(base_seed, i as u64, t as u64);
                 let plan = make_plan(rate, seed, n);
-                sum += availability(protocol, n, seed, plan, &stable, max_steps)
+                sum += availability_of(table.clone(), n, seed, plan, &stable, max_steps)
                     .fraction_available();
             }
             RatePoint {

@@ -119,9 +119,8 @@ pub fn repair_time(
         .unwrap_or_else(|| panic!("{name} did not stabilize on n={n} within {max_steps}"));
     eng.apply_faults_now();
     let perturbed_at = eng.steps();
-    let fs1 = eng.fault_state().expect("faulted engine").clone();
     let repaired_at = eng
-        .run_until(|v| stable(v, &fs1), perturbed_at.saturating_add(max_steps))
+        .run_faulted_until(&stable, perturbed_at.saturating_add(max_steps))
         .converged_at()
         .unwrap_or_else(|| {
             panic!("{name} did not re-stabilize on n={n} within {max_steps} of the perturbation")

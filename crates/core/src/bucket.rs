@@ -75,7 +75,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::engine::{geometric_skip_unfloored, unit_open01, Bookkeeping};
+use crate::engine::{uniform_skip, unit_open01, Bookkeeping};
 use crate::driver::{next_probe, run_until_with, ExactEngine, Primitives};
 use crate::event::EventStep;
 use crate::fault::{FaultPlan, FaultState};
@@ -1209,19 +1209,9 @@ impl<M: EnumerableMachine> BucketSim<M> {
         if remaining == 0 {
             return EventStep::BudgetExhausted;
         }
-        let skipped = if k2 == m2 {
-            0
-        } else {
-            let p = k2 as f64 / m2 as f64;
-            let x = geometric_skip_unfloored(unit_open01(self.rng.next_u64()), p);
-            // Candidate would land past the budget: the whole remaining
-            // window is ineffective (P(skips ≥ r) is exactly the naive
-            // probability of r misses in a row).
-            if x >= remaining as f64 {
-                self.book.steps = u128::from(max_steps);
-                return EventStep::BudgetExhausted;
-            }
-            x as u64
+        let Some(skipped) = uniform_skip(&mut self.rng, k2, m2, remaining) else {
+            self.book.steps = u128::from(max_steps);
+            return EventStep::BudgetExhausted;
         };
         self.book.steps += u128::from(skipped) + 1;
 

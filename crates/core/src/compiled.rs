@@ -16,8 +16,8 @@
 //! * [`EnumerableMachine`] — the sealed dense-index interface the engines
 //!   are generic over. [`CompiledTable`] is its only implementor, so an
 //!   engine never sees a second δ path.
-//! * [`EffectTable`] — precomputed `can_affect` / `can_affect_edge` bits
-//!   over all `(a_idx, b_idx, link)` triples, the lookup the incremental
+//! * [`EffectTable`] — precomputed `can_affect` bits over all
+//!   `(a_idx, b_idx, link)` triples, the lookup the incremental
 //!   effective-pair maintenance performs O(n) times per effective
 //!   interaction. [`RuleProtocol`] tabulates it once at build time and
 //!   its compiled table shares a copy.
@@ -111,10 +111,10 @@ pub trait EnumerableMachine: Machine + sealed::Sealed {
     ) -> Option<(usize, usize, Link)>;
 }
 
-/// Precomputed `can_affect` / `can_affect_edge` bits over every
-/// `(a_idx, b_idx, link)` triple of a rule table.
+/// Precomputed `can_affect` bits over every `(a_idx, b_idx, link)`
+/// triple of a rule table.
 ///
-/// `2·|Q|²` bits each; tabulated once when [`ProtocolBuilder::build`]
+/// `2·|Q|²` bits; tabulated once when [`ProtocolBuilder::build`]
 /// validates the rules, then answering in one shift-and-mask.
 ///
 /// [`ProtocolBuilder::build`]: crate::ProtocolBuilder::build
@@ -122,7 +122,6 @@ pub trait EnumerableMachine: Machine + sealed::Sealed {
 pub struct EffectTable {
     size: usize,
     affect: Vec<u64>,
-    affect_edge: Vec<u64>,
     /// For machines with ≤ 32 states: `affect_rows[a] >> (b·2 + link) & 1`
     /// is `can_affect(a, b, link)` — one register row per left state, so
     /// the engine's per-node rescan tests membership without memory
@@ -131,32 +130,27 @@ pub struct EffectTable {
 }
 
 impl EffectTable {
-    /// Tabulates `bits(a, b, link) = (can_affect, can_affect_edge)` over
-    /// the whole `size`-state domain.
+    /// Tabulates `affects(a, b, link) = can_affect(a, b, link)` over the
+    /// whole `size`-state domain.
     pub(crate) fn tabulate(
         size: usize,
-        mut bits: impl FnMut(usize, usize, Link) -> (bool, bool),
+        mut affects: impl FnMut(usize, usize, Link) -> bool,
     ) -> Self {
         let words = (size * size * 2).div_ceil(64);
         let mut t = Self {
             size,
             affect: vec![0; words],
-            affect_edge: vec![0; words],
             affect_rows: if size <= 32 { vec![0; size] } else { Vec::new() },
         };
         for a in 0..size {
             for b in 0..size {
                 for link in [Link::Off, Link::On] {
                     let i = slot(size, a, b, link);
-                    let (affect, affect_edge) = bits(a, b, link);
-                    if affect {
+                    if affects(a, b, link) {
                         t.affect[i / 64] |= 1 << (i % 64);
                         if size <= 32 {
                             t.affect_rows[a] |= 1 << (b * 2 + usize::from(link.is_on()));
                         }
-                    }
-                    if affect_edge {
-                        t.affect_edge[i / 64] |= 1 << (i % 64);
                     }
                 }
             }
@@ -186,14 +180,6 @@ impl EffectTable {
         self.affect[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Whether an interaction on the triple could change the edge state.
-    #[inline]
-    #[must_use]
-    pub fn can_affect_edge(&self, a: usize, b: usize, link: Link) -> bool {
-        let i = slot(self.size, a, b, link);
-        self.affect_edge[i / 64] >> (i % 64) & 1 == 1
-    }
-
     /// Whether the pair could be affected over an **active** edge but not
     /// over an inactive one. Such pairs enter the bucket engine's
     /// candidate set only through the explicit active-edge list (a state
@@ -220,8 +206,7 @@ impl EffectTable {
     /// Bytes of heap memory held by the table.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
-        ((self.affect.capacity() + self.affect_edge.capacity() + self.affect_rows.capacity()) * 8)
-            as u64
+        ((self.affect.capacity() + self.affect_rows.capacity()) * 8) as u64
     }
 }
 
@@ -430,10 +415,6 @@ impl Machine for CompiledTable {
         self.effects.can_affect(a.index(), b.index(), link)
     }
 
-    fn can_affect_edge(&self, a: &StateId, b: &StateId, link: Link) -> bool {
-        self.effects.can_affect_edge(a.index(), b.index(), link)
-    }
-
     fn on_crash_notify(&self, state: &StateId) -> Option<StateId> {
         self.notify[state.index()].map(StateId::new)
     }
@@ -585,10 +566,6 @@ mod tests {
                         assert_eq!(r1, r2, "coin consumption diverged");
                     }
                     assert_eq!(p.can_affect(&a, &b, link), c.can_affect(&a, &b, link));
-                    assert_eq!(
-                        p.can_affect_edge(&a, &b, link),
-                        c.can_affect_edge(&a, &b, link)
-                    );
                 }
             }
         }
@@ -704,7 +681,7 @@ mod tests {
         assert_eq!(&t, p.effects());
         assert!(t.is_symmetric());
         let (q0, q1, l) = (0, 1, 2);
-        assert!(t.can_affect(q0, q0, OFF) && t.can_affect_edge(q0, q0, OFF));
+        assert!(t.can_affect(q0, q0, OFF));
         assert!(t.can_affect(l, q0, OFF) && t.can_affect(q0, l, OFF));
         assert!(!t.can_affect(q0, q0, ON) && !t.can_affect(q1, l, OFF));
         assert_eq!(t.affect_row(q1), Some(0));

@@ -19,6 +19,14 @@
 //!   at their draw, before anything else looks at the configuration, and
 //!   the predicate is not consulted while one is pending.
 //!
+//! Each scheduler family's skip clock is written once. The two
+//! ShuffledRounds engines share the `advance` loop and the quiescent idle
+//! jump here, so the round-boundary rules that make stop/resume coin for
+//! coin exist in one place; their round accessors are [`RoundEngine`]'s.
+//! The two uniform engines share one skip-or-budget decision
+//! (`engine::uniform_skip`) and keep their own clock writes, since
+//! [`BucketSim`](crate::BucketSim) counts steps in a `u128`.
+//!
 //! Fault *semantics* live here too, once: every resolved fault goes
 //! through one dispatch (`apply_resolved`), which owns the crash
 //! sequence (retire, record the lost edges, notify the former neighbours
@@ -39,7 +47,7 @@
 use std::ops::ControlFlow;
 
 use crate::compiled::EnumerableMachine;
-use crate::engine::Bookkeeping;
+use crate::engine::{hypergeometric_skip, Bookkeeping};
 use crate::event::EventStep;
 use crate::fault::{sample_without_replacement, DueFault, FaultState, ResolvedFault};
 use crate::sim::{RunOutcome, StepResult};
@@ -257,6 +265,139 @@ pub trait ExactEngine: Primitives {
             |e| stable(e.config(), e.faults().expect("faulted run")),
             max_steps,
         )
+    }
+}
+
+/// What a ShuffledRounds engine supplies to the round clock written once
+/// here ([`advance_rounds`], [`idle_rounds_to`]): its round partition's
+/// counts and the operations on it. Crate-private, which also seals
+/// [`RoundEngine`].
+pub(crate) trait RoundPrimitives: Primitives {
+    /// Pairs per round: every unordered pair of the draw space once.
+    fn round_len(&self) -> u64;
+
+    /// The step counter, for the clock to move.
+    fn clock(&mut self) -> &mut u64;
+
+    /// Effective pairs not yet scheduled this round — the `hits` side of
+    /// the next hypergeometric skip.
+    fn avail(&self) -> u64;
+
+    /// Whether no pair of nodes has any effective interaction.
+    fn quiescent(&self) -> bool;
+
+    /// One uniform draw on `(0, 1]` from the engine's coin stream.
+    fn u01(&mut self) -> f64;
+
+    /// Consumes `t` skipped draws of the current round, all of them
+    /// non-candidates.
+    fn schedule_skips(&mut self, t: u64);
+
+    /// Rebuilds the round partition for the round the clock is in, with
+    /// its first `pre_scheduled` draws already consumed (nonzero only
+    /// when a quiescent jump lands mid-round).
+    fn start_round(&mut self, pre_scheduled: u64);
+
+    /// Draws one of the `k` unscheduled candidates uniformly, schedules
+    /// it and applies its interaction; the clock already counts it.
+    fn apply_candidate(&mut self, skipped: u64, k: u64) -> EventStep;
+}
+
+/// The round-denominated readings of a ShuffledRounds engine
+/// ([`RoundSim`](crate::RoundSim),
+/// [`RoundBucketSim`](crate::RoundBucketSim)): parallel time in rounds
+/// of [`pairs_per_round`](Self::pairs_per_round) draws.
+///
+/// Sealed: only the crate's round engines implement it.
+#[allow(private_bounds)] // `RoundPrimitives` is the crate-private seal
+pub trait RoundEngine: ExactEngine + RoundPrimitives {
+    /// The number of scheduler draws in one round: every unordered pair
+    /// exactly once, `n(n−1)/2` (over the capacity when faulted).
+    fn pairs_per_round(&self) -> u64 {
+        self.round_len()
+    }
+
+    /// Rounds completed so far, `steps / pairs_per_round()`.
+    fn rounds_completed(&self) -> u64 {
+        self.steps() / self.round_len()
+    }
+
+    /// The 1-based round containing draw `step` (0 for `step = 0`): the
+    /// round-denominated reading of any step statistic.
+    fn round_of(&self, step: u64) -> u64 {
+        step.div_ceil(self.round_len())
+    }
+
+    /// The round of the most recent edge change — `converged_at` in
+    /// rounds once a run stabilizes (0 if no edge ever changed).
+    fn last_output_change_round(&self) -> u64 {
+        self.round_of(self.last_output_change())
+    }
+}
+
+/// The ShuffledRounds `advance`: skips the negative-hypergeometric number
+/// of non-candidate draws and applies the next candidate, without
+/// letting the clock pass `max_steps`.
+///
+/// A round with no unscheduled candidate left is ineffective to its end;
+/// when the budget reaches its boundary it is taken whole, resolving no
+/// identity (the reset discards them, and drawing them would make a run
+/// stopped on the boundary consume coins a straight run does not). A
+/// candidate past the budget consumes only the in-budget skips, never up
+/// to the boundary; truncation self-similarity makes a resume exact.
+pub(crate) fn advance_rounds<E: RoundPrimitives>(e: &mut E, max_steps: u64) -> EventStep {
+    if e.quiescent() {
+        return EventStep::Quiescent;
+    }
+    let m = e.round_len();
+    loop {
+        let steps = e.book().steps;
+        let remaining_budget = max_steps.saturating_sub(steps);
+        if remaining_budget == 0 {
+            return EventStep::BudgetExhausted;
+        }
+        let r = m - steps % m;
+        let k = e.avail();
+        if k == 0 && r <= remaining_budget {
+            *e.clock() += r;
+            e.start_round(0);
+            continue;
+        }
+        let skipped = if k == 0 {
+            r
+        } else {
+            hypergeometric_skip(e.u01(), r, k)
+        };
+        if skipped >= remaining_budget {
+            e.schedule_skips(remaining_budget);
+            *e.clock() = max_steps;
+            return EventStep::BudgetExhausted;
+        }
+        e.schedule_skips(skipped);
+        *e.clock() += skipped + 1;
+        return e.apply_candidate(skipped, k);
+    }
+}
+
+/// The ShuffledRounds idle jump: moves a quiescent engine's clock to
+/// `target` (never backwards), keeping the round partition exact for a
+/// later revival by an arrival. Landing inside the current round consumes
+/// the elapsed draws as skips; crossing a boundary rebuilds the landing
+/// round with its elapsed prefix consumed — a uniform subset of all
+/// pairs, exact because under quiescence no draw of it was effective.
+pub(crate) fn idle_rounds_to<E: RoundPrimitives>(e: &mut E, target: u64) {
+    let steps = e.book().steps;
+    if target <= steps {
+        return;
+    }
+    debug_assert!(e.quiescent());
+    let m = e.round_len();
+    if target - steps < m - steps % m {
+        e.schedule_skips(target - steps);
+        *e.clock() = target;
+    } else {
+        *e.clock() = target;
+        e.start_round(target % m);
     }
 }
 

@@ -58,6 +58,27 @@ pub(crate) fn geometric_skip_unfloored(u01: f64, p: f64) -> f64 {
     u01.ln() / (-p).ln_1p()
 }
 
+/// The uniform engines' skip decision, with `k` of the `m` equally likely
+/// draws a candidate: `Some(skips)` when the next candidate lands within
+/// the `remaining ≥ 1` draws of the budget, `None` when it lands past it —
+/// then the whole window is ineffective, exactly: `P(skips ≥ r)` is the
+/// naive engine's probability of `r` misses in a row. Draws one raw
+/// `u64` unless `k == m` (every draw is a candidate). Compares the
+/// unfloored quotient: `⌊x⌋ ≥ r ⇔ x ≥ r`, and `x as u64` floors.
+#[inline]
+pub(crate) fn uniform_skip(
+    rng: &mut impl rand::Rng,
+    k: u64,
+    m: u64,
+    remaining: u64,
+) -> Option<u64> {
+    if k == m {
+        return Some(0);
+    }
+    let x = geometric_skip_unfloored(unit_open01(rng.next_u64()), k as f64 / m as f64);
+    (x < remaining as f64).then_some(x as u64)
+}
+
 /// Below this bound every integer is an exact `f64`, and so is every
 /// `x ± 1.0` with `x` such an integer: the samplers step their factors
 /// in `f64` there instead of converting fresh `u64`s each iteration —

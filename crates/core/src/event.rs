@@ -52,13 +52,11 @@
 //! between the two by a memory budget.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
-use crate::engine::{
-    apply_desired_row, geometric_skip_unfloored, unit_open01, Bookkeeping, EffectIndex, PairSet,
-};
 use crate::driver::{ExactEngine, Primitives};
+use crate::engine::{apply_desired_row, uniform_skip, Bookkeeping, EffectIndex, PairSet};
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
 use crate::{EngineView, Link, Population};
@@ -260,24 +258,9 @@ impl<M: EnumerableMachine> EventSim<M> {
         if remaining == 0 {
             return EventStep::BudgetExhausted;
         }
-        let skipped = if k == m {
-            0
-        } else {
-            // Inversion of the geometric law: P(skips ≥ t) = (1−p)^t.
-            let p = k as f64 / m as f64;
-            // `geometric_skip` before its floor: the comparison and the
-            // truncation below give the floored skip bit for bit, without
-            // a `floor` call per draw (see `geometric_skip_unfloored`).
-            let x = geometric_skip_unfloored(unit_open01(self.rng.next_u64()), p);
-            // The candidate lands at steps + skips + 1: past the budget
-            // means the whole remaining window is ineffective (this is
-            // exact — P(skips ≥ r) equals the naive engine's probability
-            // of r ineffective draws in a row).
-            if x >= remaining as f64 {
-                self.book.steps = max_steps;
-                return EventStep::BudgetExhausted;
-            }
-            x as u64
+        let Some(skipped) = uniform_skip(&mut self.rng, k as u64, m as u64, remaining) else {
+            self.book.steps = max_steps;
+            return EventStep::BudgetExhausted;
         };
         self.book.steps += skipped + 1;
 

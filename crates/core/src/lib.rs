@@ -122,7 +122,7 @@ pub mod walk;
 
 pub use bucket::{BucketSim, SparsePop};
 pub use compiled::{CompiledTable, EffectTable, EnumerableMachine};
-pub use driver::ExactEngine;
+pub use driver::{ExactEngine, RoundEngine};
 pub use engine::{
     geometric_skip, hypergeometric_count, hypergeometric_count_large, hypergeometric_skip,
     unit_open01, PairSet,

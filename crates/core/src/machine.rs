@@ -70,13 +70,6 @@ pub trait Machine {
     /// it only makes quiescence detection more conservative.
     fn can_affect(&self, a: &Self::State, b: &Self::State, link: Link) -> bool;
 
-    /// Whether an interaction between `a` and `b` over `link` could change
-    /// the *edge* state. Defaults to [`can_affect`](Machine::can_affect)
-    /// (a sound over-approximation).
-    fn can_affect_edge(&self, a: &Self::State, b: &Self::State, link: Link) -> bool {
-        self.can_affect(a, b, link)
-    }
-
     /// The crash-notification transition of the fault-notification model
     /// ("Fault Tolerant Network Constructors", arXiv 1903.05992): when a
     /// node crashes, each alive node that *lost an active edge* to it is

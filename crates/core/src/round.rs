@@ -24,10 +24,14 @@
 //!    so `k` is constant between candidates). The number of draws before
 //!    the next candidate is negative hypergeometric —
 //!    `P(skips ≥ t) = ∏_{i<t} (r−k−i)/(r−i)` — sampled in one inversion
-//!    draw by [`hypergeometric_skip`], and
+//!    draw by [`hypergeometric_skip`](crate::hypergeometric_skip), and
 //!    the candidate itself is uniform among the `k` (independent of the
 //!    skip count, by permutation symmetry). When `k = 0` the rest of the
-//!    round is certainly ineffective and is consumed in one jump.
+//!    round is certainly ineffective and is consumed in one jump. The
+//!    loop that applies this law, and the quiescent idle jump, are
+//!    written once for both round engines in the
+//!    [driver](crate::driver); this engine supplies its partition's
+//!    primitives.
 //! 2. **Lazy identities.** Unlike the i.i.d. case, the *identities* of
 //!    skipped pairs matter: a pair already scheduled this round cannot
 //!    recur until the next round. Materializing them would cost Θ(n²)
@@ -84,11 +88,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
-use crate::engine::{
-    apply_desired_row, hypergeometric_count, hypergeometric_skip, unit_open01, Bookkeeping,
-    EffectIndex, PairSet,
+use crate::driver::{
+    advance_rounds, idle_rounds_to, ExactEngine, Primitives, RoundEngine, RoundPrimitives,
 };
-use crate::driver::{ExactEngine, Primitives};
+use crate::engine::{
+    apply_desired_row, hypergeometric_count, unit_open01, Bookkeeping, EffectIndex, PairSet,
+};
 use crate::event::EventStep;
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
@@ -147,17 +152,18 @@ impl SchedSet {
 /// identical output distribution to
 /// [`Simulation`](crate::Simulation) under `ShuffledRounds` (see the
 /// [module docs](self) for the exactness argument), plus round-level
-/// bookkeeping: [`rounds_completed`](Self::rounds_completed),
-/// [`round_of`](Self::round_of), and
-/// [`last_output_change_round`](Self::last_output_change_round) measure
-/// parallel time in rounds of `n(n−1)/2` draws.
+/// bookkeeping: the [`RoundEngine`] accessors
+/// ([`rounds_completed`](RoundEngine::rounds_completed),
+/// [`round_of`](RoundEngine::round_of),
+/// [`last_output_change_round`](RoundEngine::last_output_change_round))
+/// measure parallel time in rounds of `n(n−1)/2` draws.
 ///
 /// [`advance`]: Self::advance
 ///
 /// # Example
 ///
 /// ```
-/// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundSim};
+/// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundEngine, RoundSim};
 /// use netcon_graph::properties::is_maximum_matching;
 ///
 /// let mut b = ProtocolBuilder::new("matching");
@@ -216,7 +222,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// # Example
     ///
     /// ```
-    /// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundSim};
+    /// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundEngine, RoundSim};
     /// let mut b = ProtocolBuilder::new("pairing");
     /// let a = b.state("a");
     /// let p = b.state("b");
@@ -292,7 +298,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
             sim.index.set_absent(ghost);
             apply_desired_row(&mut sim.pairs, ghost, &zeros);
         }
-        sim.reset_round();
+        sim.start_round(0);
         sim.faults = Some(fs);
         sim
     }
@@ -307,33 +313,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
     #[must_use]
     pub fn machine(&self) -> &M {
         &self.machine
-    }
-
-    /// The number of scheduler draws in one round: every unordered pair
-    /// exactly once, `n(n−1)/2`.
-    #[must_use]
-    pub fn pairs_per_round(&self) -> u64 {
-        self.m
-    }
-
-    /// Rounds completed so far, `steps / pairs_per_round()`.
-    #[must_use]
-    pub fn rounds_completed(&self) -> u64 {
-        self.book.steps / self.m
-    }
-
-    /// The 1-based round containing draw `step` (0 for `step = 0`): the
-    /// round-denominated reading of any step statistic.
-    #[must_use]
-    pub fn round_of(&self, step: u64) -> u64 {
-        step.div_ceil(self.m)
-    }
-
-    /// The round of the most recent edge change — `converged_at` in
-    /// rounds once a run stabilizes (0 if no edge ever changed).
-    #[must_use]
-    pub fn last_output_change_round(&self) -> u64 {
-        self.round_of(self.book.last_output_change)
     }
 
     /// The number of currently effective pairs (scheduled or not).
@@ -402,7 +381,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// [`EventSim::is_quiescent`](crate::EventSim::is_quiescent).
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.pairs.is_empty()
+        self.quiescent()
     }
 
     /// The output graph: active edges restricted to nodes in output
@@ -410,48 +389,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
     #[must_use]
     pub fn output_graph(&self) -> netcon_graph::EdgeSet {
         crate::engine::output_graph(&self.machine, &self.pop)
-    }
-
-    /// Starts a fresh round: every pair is unscheduled again, so the
-    /// candidate set is exactly the effective set and the anonymous pool
-    /// is its complement.
-    fn reset_round(&mut self) {
-        debug_assert_eq!(self.book.steps % self.m, 0);
-        self.cand.clear();
-        self.ineff_rem.clear();
-        self.sched.clear();
-        for (u, v) in self.pairs.iter() {
-            self.cand.set(u, v, true);
-        }
-        self.u_count = self.m - self.pairs.len() as u64;
-        self.u_rem = self.u_count;
-    }
-
-    /// Accounts for `t` skipped ineffective draws: splits them between
-    /// the resolved ineffective set and the anonymous pool by the
-    /// hypergeometric count law, removing the resolved casualties
-    /// uniformly (exchangeable) and decrementing the pool's unscheduled
-    /// count for the rest.
-    fn schedule_skips(&mut self, t: u64) {
-        if t == 0 {
-            return;
-        }
-        let b = self.ineff_rem.len() as u64;
-        debug_assert!(t <= b + self.u_rem);
-        let from_b = if b == 0 {
-            0
-        } else if t == b + self.u_rem {
-            b
-        } else {
-            hypergeometric_count(unit_open01(self.rng.next_u64()), b, b + self.u_rem, t)
-        };
-        for _ in 0..from_b {
-            let i = self.rng.random_range(0..self.ineff_rem.len());
-            let (u, v) = self.ineff_rem.get(i);
-            self.ineff_rem.set(u, v, false);
-            self.sched.insert(u, v);
-        }
-        self.u_rem -= t - from_b;
     }
 
     /// Reclassifies pair `{a, w}` after its effectiveness flipped to
@@ -509,84 +446,82 @@ impl<M: EnumerableMachine> RoundSim<M> {
         }
     }
 
-    /// Fast-forwards a certainly-quiescent engine to `target` total steps
-    /// while keeping the round partition exact, so a later fault (an
-    /// arrival can revive a quiescent network) resumes correctly. Within
-    /// the current round the skipped draws are split by the usual
-    /// hypergeometric law; crossing a round boundary discards every
-    /// resolved identity, and the landing round has all pairs anonymous
-    /// with a uniformly-scheduled `pos`-subset — exact because no pair
-    /// of the fresh round has been resolved.
-    fn jump_quiescent_to(&mut self, target: u64) {
-        debug_assert!(self.pairs.is_empty());
-        let remaining = self.m - self.book.steps % self.m;
-        if target - self.book.steps < remaining {
-            self.schedule_skips(target - self.book.steps);
-            self.book.steps = target;
-            return;
-        }
-        self.book.steps = target;
-        self.cand.clear();
-        self.ineff_rem.clear();
-        self.sched.clear();
-        self.u_count = self.m;
-        self.u_rem = self.m - target % self.m;
-    }
-
     /// Skips the hypergeometric number of ineffective draws and simulates
     /// the next candidate interaction, without letting the step counter
     /// pass `max_steps` — the same contract as
     /// [`EventSim::advance`](crate::EventSim::advance).
     pub fn advance(&mut self, max_steps: u64) -> EventStep {
-        if self.pairs.is_empty() {
-            return EventStep::Quiescent;
-        }
-        loop {
-            let remaining_budget = max_steps.saturating_sub(self.book.steps);
-            if remaining_budget == 0 {
-                return EventStep::BudgetExhausted;
-            }
-            let pos = self.book.steps % self.m;
-            let r = self.m - pos;
-            let k = self.cand.len() as u64;
-            if k == 0 {
-                // Every effective pair is already scheduled: the rest of
-                // the round is certainly ineffective. When the budget
-                // reaches (or passes) the round boundary, take the whole
-                // round without resolving identities — `reset_round`
-                // would discard them anyway, and drawing them here would
-                // desynchronize the coin stream between a straight run
-                // and one stopped exactly on the boundary.
-                if r <= remaining_budget {
-                    self.book.steps += r;
-                    self.reset_round();
-                    if self.book.steps == max_steps {
-                        return EventStep::BudgetExhausted;
-                    }
-                    continue;
-                }
-                self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
-                return EventStep::BudgetExhausted;
-            }
-            let skipped = hypergeometric_skip(unit_open01(self.rng.next_u64()), r, k);
-            if skipped >= remaining_budget {
-                // The candidate lands past the budget; everything up to
-                // it is ineffective, and the skip law's self-similarity
-                // under truncation makes a later resume exact.
-                self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
-                return EventStep::BudgetExhausted;
-            }
-            self.schedule_skips(skipped);
-            self.book.steps += skipped + 1;
-            return self.apply_candidate(skipped);
-        }
+        advance_rounds(self, max_steps)
+    }
+}
+
+impl<M: EnumerableMachine> RoundPrimitives for RoundSim<M> {
+    fn round_len(&self) -> u64 {
+        self.m
     }
 
-    /// Draws the candidate uniformly, schedules it, and simulates its
-    /// interaction with real coins.
-    fn apply_candidate(&mut self, skipped: u64) -> EventStep {
+    fn clock(&mut self) -> &mut u64 {
+        &mut self.book.steps
+    }
+
+    fn avail(&self) -> u64 {
+        self.cand.len() as u64
+    }
+
+    fn quiescent(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    fn u01(&mut self) -> f64 {
+        unit_open01(self.rng.next_u64())
+    }
+
+    /// Every pair not yet consumed is unscheduled again, so the candidate
+    /// set is exactly the effective set and the anonymous pool its
+    /// complement, less the `pre_scheduled` pool pairs already consumed
+    /// (a quiescent landing, where the effective set is empty).
+    fn start_round(&mut self, pre_scheduled: u64) {
+        debug_assert_eq!(self.book.steps % self.m, pre_scheduled);
+        self.cand.clear();
+        self.ineff_rem.clear();
+        self.sched.clear();
+        for (u, v) in self.pairs.iter() {
+            self.cand.set(u, v, true);
+        }
+        self.u_count = self.m - self.pairs.len() as u64;
+        self.u_rem = self.u_count - pre_scheduled;
+    }
+
+    /// Accounts for `t` skipped ineffective draws: splits them between
+    /// the resolved ineffective set and the anonymous pool by the
+    /// hypergeometric count law, removing the resolved casualties
+    /// uniformly (exchangeable) and decrementing the pool's unscheduled
+    /// count for the rest.
+    fn schedule_skips(&mut self, t: u64) {
+        if t == 0 {
+            return;
+        }
+        let b = self.ineff_rem.len() as u64;
+        debug_assert!(t <= b + self.u_rem);
+        let from_b = if b == 0 {
+            0
+        } else if t == b + self.u_rem {
+            b
+        } else {
+            hypergeometric_count(self.u01(), b, b + self.u_rem, t)
+        };
+        for _ in 0..from_b {
+            let i = self.rng.random_range(0..self.ineff_rem.len());
+            let (u, v) = self.ineff_rem.get(i);
+            self.ineff_rem.set(u, v, false);
+            self.sched.insert(u, v);
+        }
+        self.u_rem -= t - from_b;
+    }
+
+    /// Draws the candidate uniformly over `cand` (the `k` it holds),
+    /// schedules it, and simulates its interaction with real coins.
+    fn apply_candidate(&mut self, skipped: u64, _k: u64) -> EventStep {
         let i = self.rng.random_range(0..self.cand.len());
         // PairSet members are stored (min, max) — the node order the
         // naive ShuffledRounds scheduler presents.
@@ -606,7 +541,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
             // change — but the pair has consumed its occurrence this
             // round.
             if self.book.steps.is_multiple_of(self.m) {
-                self.reset_round();
+                self.start_round(0);
             }
             return EventStep::Candidate {
                 skipped,
@@ -629,7 +564,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
         if self.book.steps.is_multiple_of(self.m) {
             // The candidate was the round's last draw; the next round
             // rebuilds everything from the effective set anyway.
-            self.reset_round();
+            self.start_round(0);
         } else {
             let old_u = std::mem::take(&mut self.old_row_u);
             let old_v = std::mem::take(&mut self.old_row_v);
@@ -657,9 +592,7 @@ impl<M: EnumerableMachine> Primitives for RoundSim<M> {
     }
 
     fn idle_to(&mut self, target: u64) {
-        if target > self.book.steps {
-            self.jump_quiescent_to(target);
-        }
+        idle_rounds_to(self, target);
     }
 
     fn faults(&self) -> Option<&FaultState> {
@@ -753,6 +686,8 @@ impl<M: EnumerableMachine> ExactEngine for RoundSim<M> {
         &self.pop
     }
 }
+
+impl<M: EnumerableMachine> RoundEngine for RoundSim<M> {}
 
 #[cfg(test)]
 mod tests {

@@ -16,9 +16,10 @@
 //! A ShuffledRounds round is a uniform permutation of the `m = n(n−1)/2`
 //! unordered pairs. Mid-round the engine must answer two queries exactly:
 //! how many unscheduled candidates remain (`k`, the hits side of the
-//! [`hypergeometric_skip`] law), and — when skips consume `t` unscheduled
-//! non-candidates — *which* pairs were consumed, because a rejected or
-//! skipped pair cannot recur until the next round. The dense engine
+//! [`hypergeometric_skip`](crate::hypergeometric_skip) law), and — when
+//! skips consume `t` unscheduled non-candidates — *which* pairs were
+//! consumed, because a rejected or skipped pair cannot recur until the
+//! next round. The dense engine
 //! answers with per-pair bits; this engine answers with five strata:
 //!
 //! 1. **Bulk**: pairs of untouched nodes whose round-start class pair is a
@@ -54,7 +55,13 @@
 //! [`Simulation`](crate::Simulation) under
 //! [`ShuffledRounds`](crate::ShuffledRounds) and to
 //! [`RoundSim`](crate::RoundSim), up to f64 rounding of the inversion
-//! draws. Three invariants carry the argument:
+//! draws. The skip loop and the quiescent idle jump are
+//! [`RoundSim`](crate::RoundSim)'s, written once in the
+//! [driver](crate::driver): this engine supplies `k`, the skip
+//! consumption, the round reset and the candidate draw over its strata,
+//! and the candidate draw takes its bulk stratum from the skip's `k`
+//! (skips never touch the candidate strata). Three invariants carry the
+//! argument:
 //!
 //! - **Clean candidate urns**: a candidate urn's membership is exactly
 //!   the untouched nodes of its class (`cnt = |ubucket|`) — members are
@@ -102,8 +109,10 @@ use rand::{Rng, RngExt, SeedableRng};
 
 use crate::bucket::SparsePop;
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::engine::{hypergeometric_count_large, hypergeometric_skip, unit_open01, Bookkeeping};
-use crate::driver::{ExactEngine, Primitives};
+use crate::driver::{
+    advance_rounds, idle_rounds_to, ExactEngine, Primitives, RoundEngine, RoundPrimitives,
+};
+use crate::engine::{hypergeometric_count_large, unit_open01, Bookkeeping};
 use crate::event::EventStep;
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
@@ -171,7 +180,7 @@ struct LogEntry {
 /// [`ShuffledRounds`](crate::ShuffledRounds) scheduler in sparse memory.
 ///
 /// Mirrors [`RoundSim`](crate::RoundSim) — same [`advance`] contract,
-/// same [`ExactEngine`] run loops, same round-denominated accessors — but
+/// same [`ExactEngine`] run loops, same [`RoundEngine`] accessors — but
 /// predicates read a [`SparsePop`] view like
 /// [`BucketSim`](crate::BucketSim)'s, and nothing Θ(n²) is ever
 /// allocated. See the [module docs](self) for the exactness argument.
@@ -181,7 +190,7 @@ struct LogEntry {
 /// # Example
 ///
 /// ```
-/// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundBucketSim};
+/// use netcon_core::{ExactEngine, Link, ProtocolBuilder, RoundBucketSim, RoundEngine};
 ///
 /// let mut b = ProtocolBuilder::new("matching");
 /// let a = b.state("a");
@@ -408,32 +417,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         &self.machine
     }
 
-    /// The number of scheduler draws in one round: every unordered pair
-    /// exactly once, `capacity·(capacity−1)/2`.
-    #[must_use]
-    pub fn pairs_per_round(&self) -> u64 {
-        self.m
-    }
-
-    /// Rounds completed so far, `steps / pairs_per_round()`.
-    #[must_use]
-    pub fn rounds_completed(&self) -> u64 {
-        self.book.steps / self.m
-    }
-
-    /// The 1-based round containing draw `step` (0 for `step = 0`).
-    #[must_use]
-    pub fn round_of(&self, step: u64) -> u64 {
-        step.div_ceil(self.m)
-    }
-
-    /// The round of the most recent edge change — `converged_at` in
-    /// rounds once a run stabilizes (0 if no edge ever changed).
-    #[must_use]
-    pub fn last_output_change_round(&self) -> u64 {
-        self.round_of(self.book.last_output_change)
-    }
-
     /// The number of currently effective pairs, scheduled or not.
     #[must_use]
     pub fn effective_pairs(&self) -> u64 {
@@ -453,7 +436,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// [`RoundSim::is_quiescent`](crate::RoundSim::is_quiescent).
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.avail() == 0 && self.x_sched_cand == 0 && self.cand_sched_urns == 0
+        self.quiescent()
     }
 
     /// Whether the round partition accounts for every unscheduled pair:
@@ -590,12 +573,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             + bytes(&self.nbrs)
     }
 
-    /// One uniform draw on `(0, 1]` from the engine's coin stream.
-    #[inline]
-    fn u01(&mut self) -> f64 {
-        unit_open01(self.rng.next_u64())
-    }
-
     /// Unscheduled bulk pairs: Σ over candidate class pairs of the
     /// untouched-bucket products — O(|Q|²) worst case, O(|sup_pairs|)
     /// always.
@@ -611,106 +588,12 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         }
         total
     }
-
-    /// Unscheduled candidates across all strata — the `hits` side of the
-    /// skip law.
-    fn avail(&self) -> u64 {
-        self.bulk_total() + self.rows_avail + self.x_c_u.len() as u64
-    }
 }
 
 // ---------------------------------------------------------------------
 // Round bookkeeping: touches, urns, the ledger, and explicit pairs.
 // ---------------------------------------------------------------------
 impl<M: EnumerableMachine> RoundBucketSim<M> {
-    /// Rebuilds the round partition at a round boundary. `pre_scheduled`
-    /// is nonzero only when landing a quiescent jump mid-round: that many
-    /// pool pairs are already consumed (a uniform subset — exact, because
-    /// under quiescence no draw is effective and the bulk is empty, so
-    /// the landed round's history is exchangeable).
-    fn start_round(&mut self, pre_scheduled: u64) {
-        for q in 0..self.nq {
-            self.ubuckets[q].clear();
-            self.tbuckets[q].clear();
-            self.touch_log[q].clear();
-            self.cand_urns_by_class[q].clear();
-        }
-        self.urns.clear();
-        self.log.clear();
-        for p in &self.xpairs {
-            self.partner_ends[p.a as usize] = (NIL, NIL);
-            self.partner_ends[p.b as usize] = (NIL, NIL);
-        }
-        self.xpairs.clear();
-        self.partner_next.clear();
-        self.x.clear();
-        self.x_c_u.clear();
-        self.x_nc_u.clear();
-        self.x_sched_cand = 0;
-        self.rows_avail = 0;
-        self.cand_sched_urns = 0;
-        self.seq_next = 1;
-        let n = self.sp.n();
-        for u in 0..n {
-            self.rs_class[u] = self.sp.state_index(u) as u16;
-            self.touched[u] = !self.alive[u];
-            self.reset_dead[u] = !self.alive[u];
-            self.tseq[u] = 0;
-            self.urn_runs[u] = (0, 0);
-            if self.alive[u] {
-                let q = usize::from(self.rs_class[u]);
-                self.upos[u] = self.ubuckets[q].len() as u32;
-                self.ubuckets[q].push(u as u32);
-            }
-        }
-        // A quiescent landing re-anchors every pair in the anonymous
-        // pool: under quiescence every pair is certainly ineffective —
-        // including active edges whose *class* pair is Off-effective (a
-        // stable FT-star's spokes) — so the elapsed prefix is a uniform
-        // subset of all `m` pairs, and the bulk strata (which assume
-        // never-skip-consumed pairs) must stay out of play for the whole
-        // landed round.
-        self.pool_round = pre_scheduled > 0;
-        if self.pool_round {
-            self.pool_cnt = self.m;
-        } else {
-            self.pool_cnt = self.m - self.bulk_total();
-        }
-        self.pool_unc = self.pool_cnt - pre_scheduled;
-        self.pool_cursor = 0;
-        self.anon_nc_unc = self.pool_unc;
-        // Active edges become explicit pairs, in canonical ascending
-        // order. At a plain reset every pull takes a fast path (nothing
-        // is scheduled yet), so this consumes no coins; at a quiescent
-        // landing the pulls draw each pair's scheduled status from the
-        // pool marginals.
-        let mut nbrs = std::mem::take(&mut self.nbrs);
-        for u in 0..n {
-            nbrs.clear();
-            nbrs.extend(self.sp.neighbors(u).filter(|&w| w > u));
-            nbrs.sort_unstable();
-            for &w in &nbrs {
-                self.ensure_touched(u);
-                self.ensure_touched(w);
-                // When the owner's urn over w's class is a candidate urn
-                // (the edge spans an Off-link-effective class pair),
-                // touching w already extracted this pair eagerly.
-                if self.x.contains_key(&pkey(u, w)) {
-                    continue;
-                }
-                let unsched = self.locate_and_pull(u, w);
-                self.insert_explicit(u, w, !unsched);
-            }
-        }
-        self.nbrs = nbrs;
-        debug_assert!(self.pool_invariant_holds());
-        // A quiescent landing must leave the engine quiescent: every
-        // extracted pair is ineffective and no candidate member can
-        // survive the extraction loop (an untouched candidate would be a
-        // genuinely effective pair, contradicting quiescence).
-        debug_assert!(pre_scheduled == 0 || self.is_quiescent());
-    }
-
     /// Inserts `u` into the touched bucket of class `q`.
     fn tbucket_insert(&mut self, u: usize, q: usize) {
         self.tpos[u] = self.tbuckets[q].len() as u32;
@@ -852,38 +735,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             self.anon_nc_unc += unc;
         }
         self.urns.push(urn);
-    }
-
-    /// Consumes `t` skipped occurrences: splits them between the explicit
-    /// non-candidates (resolved pair by pair) and the anonymous mass
-    /// (recorded as one ledger batch).
-    fn schedule_skips(&mut self, t: u64) {
-        if t == 0 {
-            return;
-        }
-        let bx = self.x_nc_u.len() as u64;
-        debug_assert!(t <= bx + self.anon_nc_unc);
-        let from_x = if bx == 0 {
-            0
-        } else if t == bx + self.anon_nc_unc {
-            bx
-        } else {
-            let u = self.u01();
-            hypergeometric_count_large(u, bx, bx + self.anon_nc_unc, t)
-        };
-        for _ in 0..from_x {
-            let i = self.rng.random_range(0..self.x_nc_u.len());
-            let k = self.x_list_remove(false, i);
-            self.xpairs[k].sched = true;
-        }
-        let h = t - from_x;
-        if h > 0 {
-            self.log.push(LogEntry {
-                u_rem: self.anon_nc_unc,
-                h_rem: h,
-            });
-            self.anon_nc_unc -= h;
-        }
     }
 
     /// Brings a non-candidate cohort's unscheduled count up to date by
@@ -1244,7 +1095,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
 }
 
 // ---------------------------------------------------------------------
-// The advance loop.
+// The round clock (`driver::advance_rounds`) and its primitives.
 // ---------------------------------------------------------------------
 impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// Runs until the next *candidate* draw and applies it, without
@@ -1254,60 +1105,220 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// returned [`EventStep`] matches the naive ShuffledRounds loop in
     /// distribution draw for draw.
     pub fn advance(&mut self, max_steps: u64) -> EventStep {
-        if self.is_quiescent() {
-            return EventStep::Quiescent;
-        }
-        loop {
-            let remaining_budget = max_steps.saturating_sub(self.book.steps);
-            if remaining_budget == 0 {
-                return EventStep::BudgetExhausted;
+        advance_rounds(self, max_steps)
+    }
+
+    /// Materializes bulk candidate number `idx` in sup-pair walk order:
+    /// pick the class-pair stratum by cumulative weight, then uniform
+    /// members within it.
+    fn draw_bulk(&mut self, mut idx: u64) -> (usize, usize) {
+        for pi in 0..self.sup_pairs.len() {
+            let (q1, q2) = self.sup_pairs[pi];
+            let (q1, q2) = (usize::from(q1), usize::from(q2));
+            let c1 = self.ubuckets[q1].len() as u64;
+            let w = if q1 == q2 {
+                c1 * c1.saturating_sub(1) / 2
+            } else {
+                c1 * self.ubuckets[q2].len() as u64
+            };
+            if idx >= w {
+                idx -= w;
+                continue;
             }
-            let pos = self.book.steps % self.m;
-            let r = self.m - pos;
-            let k = self.avail();
-            if k == 0 {
-                // Every remaining pair this round is scheduled or
-                // ineffective: burn the round out (or stop mid-burn).
-                // When the budget reaches the boundary, take the whole
-                // round without resolving identities — the round reset
-                // would discard them, and drawing them here would
-                // desynchronize the coin stream between a straight run
-                // and one stopped exactly on the boundary.
-                if r <= remaining_budget {
-                    self.book.steps += r;
-                    self.start_round(0);
-                    if self.book.steps == max_steps {
-                        return EventStep::BudgetExhausted;
-                    }
+            return if q1 == q2 {
+                let i = self.rng.random_range(0..c1) as usize;
+                let mut j = self.rng.random_range(0..c1 - 1) as usize;
+                if j >= i {
+                    j += 1;
+                }
+                (self.ubuckets[q1][i] as usize, self.ubuckets[q1][j] as usize)
+            } else {
+                let i = self.rng.random_range(0..c1) as usize;
+                let c2 = self.ubuckets[q2].len() as u64;
+                let j = self.rng.random_range(0..c2) as usize;
+                (self.ubuckets[q1][i] as usize, self.ubuckets[q2][j] as usize)
+            };
+        }
+        unreachable!("bulk index within bulk_total");
+    }
+
+    /// Materializes candidate-urn row number `idx`: pick the urn by its
+    /// unscheduled weight, then a uniform member — exact because clean
+    /// urns hold every untouched node of the class and the scheduled
+    /// subset is exchangeable. Decrements the urn.
+    fn draw_urn(&mut self, mut idx: u64) -> (usize, usize) {
+        for q in 0..self.nq {
+            for li in 0..self.cand_urns_by_class[q].len() {
+                let (t, i) = self.cand_urns_by_class[q][li];
+                let urn = &mut self.urns[i as usize];
+                if idx >= urn.unc {
+                    idx -= urn.unc;
                     continue;
                 }
-                self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
-                return EventStep::BudgetExhausted;
+                debug_assert_eq!(urn.cnt, self.ubuckets[q].len() as u64, "candidate urns are clean");
+                urn.cnt -= 1;
+                urn.unc -= 1;
+                self.rows_avail -= 1;
+                let j = self.rng.random_range(0..self.ubuckets[q].len());
+                return (t as usize, self.ubuckets[q][j] as usize);
             }
+        }
+        unreachable!("urn index within rows_avail");
+    }
+}
+
+impl<M: EnumerableMachine> RoundPrimitives for RoundBucketSim<M> {
+    fn round_len(&self) -> u64 {
+        self.m
+    }
+
+    fn clock(&mut self) -> &mut u64 {
+        &mut self.book.steps
+    }
+
+    /// Unscheduled candidates across all strata.
+    fn avail(&self) -> u64 {
+        self.bulk_total() + self.rows_avail + self.x_c_u.len() as u64
+    }
+
+    fn quiescent(&self) -> bool {
+        self.avail() == 0 && self.x_sched_cand == 0 && self.cand_sched_urns == 0
+    }
+
+    #[inline]
+    fn u01(&mut self) -> f64 {
+        unit_open01(self.rng.next_u64())
+    }
+
+    /// Rebuilds the round partition at a round boundary. `pre_scheduled`
+    /// is nonzero only when landing a quiescent jump mid-round: that many
+    /// pool pairs are already consumed (a uniform subset — exact, because
+    /// under quiescence no draw is effective and the bulk is empty, so
+    /// the landed round's history is exchangeable).
+    fn start_round(&mut self, pre_scheduled: u64) {
+        for q in 0..self.nq {
+            self.ubuckets[q].clear();
+            self.tbuckets[q].clear();
+            self.touch_log[q].clear();
+            self.cand_urns_by_class[q].clear();
+        }
+        self.urns.clear();
+        self.log.clear();
+        for p in &self.xpairs {
+            self.partner_ends[p.a as usize] = (NIL, NIL);
+            self.partner_ends[p.b as usize] = (NIL, NIL);
+        }
+        self.xpairs.clear();
+        self.partner_next.clear();
+        self.x.clear();
+        self.x_c_u.clear();
+        self.x_nc_u.clear();
+        self.x_sched_cand = 0;
+        self.rows_avail = 0;
+        self.cand_sched_urns = 0;
+        self.seq_next = 1;
+        let n = self.sp.n();
+        for u in 0..n {
+            self.rs_class[u] = self.sp.state_index(u) as u16;
+            self.touched[u] = !self.alive[u];
+            self.reset_dead[u] = !self.alive[u];
+            self.tseq[u] = 0;
+            self.urn_runs[u] = (0, 0);
+            if self.alive[u] {
+                let q = usize::from(self.rs_class[u]);
+                self.upos[u] = self.ubuckets[q].len() as u32;
+                self.ubuckets[q].push(u as u32);
+            }
+        }
+        // A quiescent landing re-anchors every pair in the anonymous
+        // pool: under quiescence every pair is certainly ineffective —
+        // including active edges whose *class* pair is Off-effective (a
+        // stable FT-star's spokes) — so the elapsed prefix is a uniform
+        // subset of all `m` pairs, and the bulk strata (which assume
+        // never-skip-consumed pairs) must stay out of play for the whole
+        // landed round.
+        self.pool_round = pre_scheduled > 0;
+        if self.pool_round {
+            self.pool_cnt = self.m;
+        } else {
+            self.pool_cnt = self.m - self.bulk_total();
+        }
+        self.pool_unc = self.pool_cnt - pre_scheduled;
+        self.pool_cursor = 0;
+        self.anon_nc_unc = self.pool_unc;
+        // Active edges become explicit pairs, in canonical ascending
+        // order. At a plain reset every pull takes a fast path (nothing
+        // is scheduled yet), so this consumes no coins; at a quiescent
+        // landing the pulls draw each pair's scheduled status from the
+        // pool marginals.
+        let mut nbrs = std::mem::take(&mut self.nbrs);
+        for u in 0..n {
+            nbrs.clear();
+            nbrs.extend(self.sp.neighbors(u).filter(|&w| w > u));
+            nbrs.sort_unstable();
+            for &w in &nbrs {
+                self.ensure_touched(u);
+                self.ensure_touched(w);
+                // When the owner's urn over w's class is a candidate urn
+                // (the edge spans an Off-link-effective class pair),
+                // touching w already extracted this pair eagerly.
+                if self.x.contains_key(&pkey(u, w)) {
+                    continue;
+                }
+                let unsched = self.locate_and_pull(u, w);
+                self.insert_explicit(u, w, !unsched);
+            }
+        }
+        self.nbrs = nbrs;
+        debug_assert!(self.pool_invariant_holds());
+        // A quiescent landing must leave the engine quiescent: every
+        // extracted pair is ineffective and no candidate member can
+        // survive the extraction loop (an untouched candidate would be a
+        // genuinely effective pair, contradicting quiescence).
+        debug_assert!(pre_scheduled == 0 || self.is_quiescent());
+    }
+
+    /// Consumes `t` skipped occurrences: splits them between the explicit
+    /// non-candidates (resolved pair by pair) and the anonymous mass
+    /// (recorded as one ledger batch).
+    fn schedule_skips(&mut self, t: u64) {
+        if t == 0 {
+            return;
+        }
+        let bx = self.x_nc_u.len() as u64;
+        debug_assert!(t <= bx + self.anon_nc_unc);
+        let from_x = if bx == 0 {
+            0
+        } else if t == bx + self.anon_nc_unc {
+            bx
+        } else {
             let u = self.u01();
-            let skipped = hypergeometric_skip(u, r, k);
-            if skipped >= remaining_budget {
-                // The next candidate lies beyond the budget; consume the
-                // in-budget skips only. `skipped ≤ r − 1`, so this never
-                // lands exactly on a round boundary.
-                self.schedule_skips(remaining_budget);
-                self.book.steps = max_steps;
-                return EventStep::BudgetExhausted;
-            }
-            self.schedule_skips(skipped);
-            self.book.steps += skipped + 1;
-            return self.apply_candidate(skipped);
+            hypergeometric_count_large(u, bx, bx + self.anon_nc_unc, t)
+        };
+        for _ in 0..from_x {
+            let i = self.rng.random_range(0..self.x_nc_u.len());
+            let k = self.x_list_remove(false, i);
+            self.xpairs[k].sched = true;
+        }
+        let h = t - from_x;
+        if h > 0 {
+            self.log.push(LogEntry {
+                u_rem: self.anon_nc_unc,
+                h_rem: h,
+            });
+            self.anon_nc_unc -= h;
         }
     }
 
     /// Draws the candidate uniformly across the three unscheduled-
     /// candidate strata (bulk products, candidate-urn rows, explicit
     /// pairs), materializes it, and applies the interaction.
-    fn apply_candidate(&mut self, skipped: u64) -> EventStep {
-        let bulk = self.bulk_total();
-        let k = bulk + self.rows_avail + self.x_c_u.len() as u64;
+    fn apply_candidate(&mut self, skipped: u64, k: u64) -> EventStep {
         debug_assert!(k > 0);
+        // Skips never touch the candidate strata, so the bulk is what the
+        // skip's `k` leaves of them.
+        let bulk = k - self.rows_avail - self.x_c_u.len() as u64;
+        debug_assert_eq!(bulk, self.bulk_total());
         let mut idx = self.rng.random_range(0..k);
         let (a, b) = if idx < bulk {
             let (a, b) = self.draw_bulk(idx);
@@ -1380,83 +1391,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             result: StepResult::Effective { pair, edge_changed },
         }
     }
-
-    /// Materializes bulk candidate number `idx` in sup-pair walk order:
-    /// pick the class-pair stratum by cumulative weight, then uniform
-    /// members within it.
-    fn draw_bulk(&mut self, mut idx: u64) -> (usize, usize) {
-        for pi in 0..self.sup_pairs.len() {
-            let (q1, q2) = self.sup_pairs[pi];
-            let (q1, q2) = (usize::from(q1), usize::from(q2));
-            let c1 = self.ubuckets[q1].len() as u64;
-            let w = if q1 == q2 {
-                c1 * c1.saturating_sub(1) / 2
-            } else {
-                c1 * self.ubuckets[q2].len() as u64
-            };
-            if idx >= w {
-                idx -= w;
-                continue;
-            }
-            return if q1 == q2 {
-                let i = self.rng.random_range(0..c1) as usize;
-                let mut j = self.rng.random_range(0..c1 - 1) as usize;
-                if j >= i {
-                    j += 1;
-                }
-                (self.ubuckets[q1][i] as usize, self.ubuckets[q1][j] as usize)
-            } else {
-                let i = self.rng.random_range(0..c1) as usize;
-                let c2 = self.ubuckets[q2].len() as u64;
-                let j = self.rng.random_range(0..c2) as usize;
-                (self.ubuckets[q1][i] as usize, self.ubuckets[q2][j] as usize)
-            };
-        }
-        unreachable!("bulk index within bulk_total");
-    }
-
-    /// Materializes candidate-urn row number `idx`: pick the urn by its
-    /// unscheduled weight, then a uniform member — exact because clean
-    /// urns hold every untouched node of the class and the scheduled
-    /// subset is exchangeable. Decrements the urn.
-    fn draw_urn(&mut self, mut idx: u64) -> (usize, usize) {
-        for q in 0..self.nq {
-            for li in 0..self.cand_urns_by_class[q].len() {
-                let (t, i) = self.cand_urns_by_class[q][li];
-                let urn = &mut self.urns[i as usize];
-                if idx >= urn.unc {
-                    idx -= urn.unc;
-                    continue;
-                }
-                debug_assert_eq!(urn.cnt, self.ubuckets[q].len() as u64, "candidate urns are clean");
-                urn.cnt -= 1;
-                urn.unc -= 1;
-                self.rows_avail -= 1;
-                let j = self.rng.random_range(0..self.ubuckets[q].len());
-                return (t as usize, self.ubuckets[q][j] as usize);
-            }
-        }
-        unreachable!("urn index within rows_avail");
-    }
-
-    /// Advances the clock through quiescent rounds without touching the
-    /// configuration. Landing mid-round hands the already-elapsed draws
-    /// to [`schedule_skips`]; landing in a later round rebuilds the
-    /// partition with the elapsed prefix pre-consumed from the pool.
-    ///
-    /// [`schedule_skips`]: Self::schedule_skips
-    fn jump_quiescent_to(&mut self, target: u64) {
-        debug_assert!(self.is_quiescent() && target >= self.book.steps);
-        let remaining = self.m - self.book.steps % self.m;
-        if target - self.book.steps < remaining {
-            let t = target - self.book.steps;
-            self.schedule_skips(t);
-            self.book.steps = target;
-            return;
-        }
-        self.book.steps = target;
-        self.start_round(target % self.m);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1474,9 +1408,7 @@ impl<M: EnumerableMachine> Primitives for RoundBucketSim<M> {
     }
 
     fn idle_to(&mut self, target: u64) {
-        if target > self.book.steps {
-            self.jump_quiescent_to(target);
-        }
+        idle_rounds_to(self, target);
     }
 
     fn faults(&self) -> Option<&FaultState> {
@@ -1565,6 +1497,8 @@ impl<M: EnumerableMachine> ExactEngine for RoundBucketSim<M> {
         &self.sp
     }
 }
+
+impl<M: EnumerableMachine> RoundEngine for RoundBucketSim<M> {}
 
 #[cfg(test)]
 mod tests {

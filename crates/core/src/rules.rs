@@ -321,19 +321,14 @@ impl ProtocolBuilder {
             }
         }
 
-        // Tabulate the effectiveness bits once: `can_affect` /
-        // `can_affect_edge` become single indexed loads, and the compiled
-        // table shares the same bits.
+        // Tabulate the effectiveness bits once: `can_affect` becomes a
+        // single indexed load, and the compiled table shares the same bits.
         let effects = EffectTable::tabulate(size, |a, b, link| {
             let i = (a * size + b) * 2 + usize::from(link.is_on());
-            let Some(rhs) = &table[i] else {
-                return (false, false);
-            };
             let lhs = (StateId::new(a as u16), StateId::new(b as u16), link);
-            (
-                rhs.outcomes().any(|t| t != lhs),
-                rhs.outcomes().any(|(_, _, l2)| l2 != link),
-            )
+            table[i]
+                .as_ref()
+                .is_some_and(|rhs| rhs.outcomes().any(|t| t != lhs))
         });
 
         let mut crash_notify: Vec<Option<StateId>> = vec![None; size];
@@ -496,10 +491,6 @@ impl Machine for RuleProtocol {
         self.effects.can_affect(a.index(), b.index(), link)
     }
 
-    fn can_affect_edge(&self, a: &StateId, b: &StateId, link: Link) -> bool {
-        self.effects.can_affect_edge(a.index(), b.index(), link)
-    }
-
     fn on_crash_notify(&self, state: &StateId) -> Option<StateId> {
         self.crash_notify[state.index()]
     }
@@ -532,7 +523,6 @@ mod tests {
         assert_eq!((x, y, l), (c, c, ON));
         assert!(p.can_affect(&c, &a, OFF));
         assert!(!p.can_affect(&c, &a, ON));
-        assert!(p.can_affect_edge(&a, &c, OFF));
     }
 
     #[test]

@@ -518,10 +518,17 @@ impl<M: EnumerableMachine> Engine<M> {
         each_arm!(self, sim => sim.run_to(target));
     }
 
+    /// The configuration as predicates read it, borrowed from the
+    /// engine: no copy, no draw.
+    #[must_use]
+    pub fn view(&self) -> EngineView<'_, M> {
+        each_arm!(self, sim => sim.engine_view())
+    }
+
     /// Materializes the dense configuration (Θ(n²) on the sparse arm).
     #[must_use]
     pub fn to_population(&self) -> Population<M::State> {
-        each_arm!(self, sim => sim.engine_view().to_population())
+        self.view().to_population()
     }
 
     /// The fault state, if the engine was built with a [`FaultPlan`]

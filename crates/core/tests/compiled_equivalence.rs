@@ -78,18 +78,14 @@ fn random_population(p: &RuleProtocol, n: usize, seed: u64) -> Population<StateI
     pop
 }
 
-/// `(can_affect, can_affect_edge)` of the triple, derived from the
-/// outcomes [`RuleProtocol::lookup`] lists without reading any stored
-/// effect bit: some outcome differs from the input triple, and some
-/// outcome changes the link. (The §3.1 coin only swaps the outputs of an
-/// equal-state input, which changes neither answer.)
-fn derived_effects(p: &RuleProtocol, a: StateId, b: StateId, link: Link) -> (bool, bool) {
-    p.lookup(a, b, link).map_or((false, false), |rhs| {
-        (
-            rhs.outcomes().any(|t| t != (a, b, link)),
-            rhs.outcomes().any(|(_, _, l2)| l2 != link),
-        )
-    })
+/// `can_affect` of the triple, derived from the outcomes
+/// [`RuleProtocol::lookup`] lists without reading any stored effect bit:
+/// some outcome differs from the input triple. (The §3.1 coin only swaps
+/// the outputs of an equal-state input, which does not change the
+/// answer.)
+fn derived_effects(p: &RuleProtocol, a: StateId, b: StateId, link: Link) -> bool {
+    p.lookup(a, b, link)
+        .is_some_and(|rhs| rhs.outcomes().any(|t| t != (a, b, link)))
 }
 
 /// Checks that `set` holds exactly the pairs whose states and link admit
@@ -103,7 +99,7 @@ fn check_effective_set(
     for u in 0..pop.n() {
         for v in u + 1..pop.n() {
             let link = Link::from(pop.edges().is_active(u, v));
-            let eff = derived_effects(p, *pop.state(u), *pop.state(v), link).0;
+            let eff = derived_effects(p, *pop.state(u), *pop.state(v), link);
             prop_assert_eq!(set.contains(u, v), eff, "pair ({}, {})", u, v);
             expected += usize::from(eff);
         }
@@ -130,7 +126,7 @@ fn check_candidate_weight(
                 continue;
             }
             let link = Link::from(pop.edges().is_active(u, v));
-            expected += u64::from(derived_effects(p, *pop.state(u), *pop.state(v), link).0);
+            expected += u64::from(derived_effects(p, *pop.state(u), *pop.state(v), link));
         }
     }
     prop_assert_eq!(sim.candidate_weight(), expected);
@@ -233,16 +229,13 @@ proptest! {
                     let derived = derived_effects(&p, sa, sb, link);
                     let bit = b * 2 + usize::from(link.is_on());
                     let row_bit = table.affect_row(a).map(|r| r >> bit & 1 == 1);
-                    prop_assert_eq!(row_bit, Some(derived.0));
+                    prop_assert_eq!(row_bit, Some(derived));
                     prop_assert_eq!(
                         derived,
-                        (table.can_affect(a, b, link), table.can_affect_edge(a, b, link)),
+                        table.can_affect(a, b, link),
                         "effect bits disagree at ({}, {}, {})", a, b, link
                     );
-                    prop_assert_eq!(
-                        derived,
-                        (p.can_affect(&sa, &sb, link), p.can_affect_edge(&sa, &sb, link))
-                    );
+                    prop_assert_eq!(derived, p.can_affect(&sa, &sb, link));
                 }
             }
         }

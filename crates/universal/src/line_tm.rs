@@ -286,10 +286,6 @@ impl Machine for LineTm {
             false
         }
     }
-
-    fn can_affect_edge(&self, _a: &NodeState, _b: &NodeState, _link: Link) -> bool {
-        false // the simulation never touches edges
-    }
 }
 
 /// Builds a line population of `space` cells with `bits` written from

@@ -37,7 +37,7 @@ use netcon::core::seeds::derive2;
 use netcon::core::{
     geometric_skip, hypergeometric_count, hypergeometric_skip, unit_open01, BucketSim,
     CompiledTable, EngineView, EventSim, ExactEngine, Link, Population, ProtocolBuilder,
-    RoundBucketSim, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
+    RoundBucketSim, RoundEngine, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
 };
 use netcon::graph::properties::is_maximum_matching;
 use netcon::protocols::{cycle_cover, simple_global_line};
@@ -403,51 +403,70 @@ mod round_counts {
     /// *mid-round* interrupt may land inside a pending skip batch; there
     /// the engines promise truncation self-similarity — the resumed
     /// distribution is exact, checked statistically above — not coin
-    /// identity.)
+    /// identity.) Held on the dissolve table and nine catalogue tables.
     #[test]
     fn stop_resume_at_round_boundaries_is_coin_for_coin_identical() {
-        let p = super::round_counts::dissolve_protocol();
-        let compiled = p.compile();
-        for n in [8usize, 11] {
-            let m = (n as u64) * (n as u64 - 1) / 2;
-            // Every round boundary through the active phase, then deep
-            // into quiescence (the jump path).
-            let stops = [m, 2 * m, 3 * m, 4 * m, 5 * m + 7];
-            let end = 5 * m + 7;
-            type Fp = (u64, u64, u64, u64, Vec<StateId>, Vec<(usize, usize)>);
-            let fp = |pop: &Population<StateId>, steps: u64, eff: u64, ev: u64, lo: u64| -> Fp {
-                let states = (0..pop.n()).map(|u| *pop.state(u)).collect();
-                let edges = pop.edges().active_edges().collect();
-                (steps, eff, ev, lo, states, edges)
-            };
+        use netcon::core::Machine;
+        use netcon::protocols::{
+            c_cliques, fast_global_line, faster_global_line, global_ring, krc, spanning_net,
+        };
+        let tables = [
+            (super::round_counts::dissolve_protocol(), [8usize, 11]),
+            (simple_global_line::protocol(), [8, 11]),
+            (cycle_cover::protocol(), [8, 11]),
+            (krc::protocol(2), [8, 11]),
+            (krc::protocol(3), [8, 11]),
+            (global_ring::protocol(), [8, 11]),
+            (c_cliques::protocol(3), [9, 12]),
+            (spanning_net::protocol(), [8, 11]),
+            (fast_global_line::protocol(), [8, 11]),
+            (faster_global_line::protocol(), [8, 11]),
+        ];
+        type Fp = ([u64; 4], Vec<StateId>, Vec<(usize, usize)>);
+        fn fp(pop: &Population<StateId>, e: &impl ExactEngine) -> Fp {
+            let (steps, eff) = (e.steps(), e.effective_steps());
+            let book = [steps, eff, e.edge_events(), e.last_output_change()];
+            let states = (0..pop.n()).map(|u| *pop.state(u)).collect();
+            (book, states, pop.edges().active_edges().collect())
+        }
+        for (p, sizes) in tables {
+            let (name, compiled) = (p.name().to_owned(), p.compile());
+            for n in sizes {
+                let m = (n as u64) * (n as u64 - 1) / 2;
+                // Every round boundary through 12 rounds, then mid-round
+                // past them (deep into quiescence where a table has
+                // converged: the jump path).
+                let end = 12 * m + 7;
+                let stops: Vec<u64> = (1..=12).map(|r| r * m).chain([end]).collect();
 
-            for seed in 0..8u64 {
-                let s = derive2(47, n as u64, seed);
-                let mut a = RoundSim::new(compiled.clone(), n, s);
-                a.run_to(end);
-                let mut b = RoundSim::new(compiled.clone(), n, s);
-                for &t in &stops {
-                    b.run_to(t);
-                }
-                assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
-                assert_eq!(
-                    fp(a.population(), a.steps(), a.effective_steps(), a.edge_events(), a.last_output_change()),
-                    fp(b.population(), b.steps(), b.effective_steps(), b.edge_events(), b.last_output_change()),
-                    "RoundSim n={n} seed={seed}"
-                );
+                for seed in 0..8u64 {
+                    let s = derive2(47, n as u64, seed);
+                    let mut a = RoundSim::new(compiled.clone(), n, s);
+                    a.run_to(end);
+                    let mut b = RoundSim::new(compiled.clone(), n, s);
+                    for &t in &stops {
+                        b.run_to(t);
+                    }
+                    assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
+                    assert_eq!(
+                        fp(a.population(), &a),
+                        fp(b.population(), &b),
+                        "RoundSim {name} n={n} seed={seed}"
+                    );
 
-                let mut a = RoundBucketSim::new(compiled.clone(), n, s);
-                a.run_to(end);
-                let mut b = RoundBucketSim::new(compiled.clone(), n, s);
-                for &t in &stops {
-                    b.run_to(t);
+                    let mut a = RoundBucketSim::new(compiled.clone(), n, s);
+                    a.run_to(end);
+                    let mut b = RoundBucketSim::new(compiled.clone(), n, s);
+                    for &t in &stops {
+                        b.run_to(t);
+                    }
+                    assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
+                    assert_eq!(
+                        fp(&a.to_population(), &a),
+                        fp(&b.to_population(), &b),
+                        "RoundBucketSim {name} n={n} seed={seed}"
+                    );
                 }
-                assert!(a.pool_invariant_holds() && b.pool_invariant_holds());
-                assert_eq!(
-                    fp(&a.to_population(), a.steps(), a.effective_steps(), a.edge_events(), a.last_output_change()),
-                    fp(&b.to_population(), b.steps(), b.effective_steps(), b.edge_events(), b.last_output_change()),
-                    "RoundBucketSim n={n} seed={seed}"
-                );
             }
         }
     }
