@@ -146,6 +146,24 @@ impl SparsePop {
         Self::new(n, machine.num_states(), machine.state_index(&machine.initial_state()))
     }
 
+    /// The population of a faulted sparse engine: `n` present nodes in
+    /// `machine`'s initial state plus one ghost slot per planned arrival,
+    /// kept out of its bucket (see [`fault`](crate::fault) for the
+    /// ghost-node model).
+    pub(crate) fn initial_faulted<M: EnumerableMachine>(
+        machine: &M,
+        n: usize,
+        plan: FaultPlan,
+    ) -> (Self, FaultState) {
+        assert!(n >= 2, "pairwise interactions need at least 2 processes");
+        let fs = FaultState::new(plan, n);
+        let mut sp = Self::initial(machine, fs.capacity());
+        for ghost in n..fs.capacity() {
+            sp.bucket_remove(ghost);
+        }
+        (sp, fs)
+    }
+
     /// The sparse form of the dense configuration `pop` (one scan of its
     /// active edges).
     pub(crate) fn from_population<M: EnumerableMachine>(
@@ -808,12 +826,8 @@ impl<M: EnumerableMachine> BucketSim<M> {
     /// As [`new`](Self::new) (with the capacity in place of `n`).
     #[must_use]
     pub fn new_faulted(machine: M, n: usize, seed: u64, plan: FaultPlan) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        let fs = FaultState::new(plan, n);
-        let mut sim = Self::new(machine, fs.capacity(), seed);
-        for ghost in n..fs.capacity() {
-            sim.retire(ghost);
-        }
+        let (sp, fs) = SparsePop::initial_faulted(&machine, n, plan);
+        let mut sim = Self::from_sparse(machine, sp, seed);
         sim.faults = Some(fs);
         sim
     }

@@ -1,19 +1,21 @@
-//! Shared engine internals: convergence bookkeeping and the incremental
-//! effective-pair index of the dense event engines.
+//! Shared engine internals: convergence bookkeeping and the dense core
+//! of the dense event engines.
 //!
 //! The engines agree on what they record per interaction — total steps,
 //! effective interactions, edge events, and the steps of the last output
 //! change / last effective interaction — so their loops share one
 //! [`Bookkeeping`] value and one way of turning it into a
-//! [`RunOutcome`](crate::RunOutcome). Likewise, the incremental
-//! maintenance of "which pairs currently have an applicable transition"
-//! — a row rescan per endpoint whose state changed, else one pair — is
-//! one algorithm ([`EffectIndex`]), reused by the samplers of
-//! [`EventSim`](crate::EventSim) and [`RoundSim`](crate::RoundSim).
+//! [`RunOutcome`](crate::RunOutcome). Likewise, the dense configuration
+//! and its incrementally maintained set of "pairs that currently have an
+//! applicable transition" — a row rescan per endpoint whose state
+//! changed, else one pair, and one repair per fault kind — live in one
+//! [`DenseCore`], on which [`EventSim`](crate::EventSim) and
+//! [`RoundSim`](crate::RoundSim) keep only their schedulers' bookkeeping.
 
 use crate::compiled::{EffectTable, EnumerableMachine};
-use crate::sim::RunOutcome;
-use crate::{Link, Machine, Population};
+use crate::fault::{FaultPlan, FaultState};
+use crate::sim::{RunOutcome, StepResult};
+use crate::{EngineView, Link, Machine, Population};
 
 /// Maps a raw 64-bit draw to a uniform value on the half-open unit
 /// interval `(0, 1]` with 53-bit resolution — the draw both event engines
@@ -747,31 +749,19 @@ impl PairSet {
     }
 }
 
-/// Applies a desired-membership bitset row for node `u` to `pairs`: only
-/// the XOR diff against the current row touches the set, in increasing-`v`
-/// order — the word-parallel tail of [`EffectIndex::rescan`], also used
-/// by the event engine to clear a departed node's row.
-///
-/// The increasing-`v` application order is part of the engines'
-/// reproducibility contract: it determines the member order inside
-/// `pairs`, which the samplers index by position.
-pub(crate) fn apply_desired_row(pairs: &mut PairSet, u: usize, desired: &[u64]) {
-    for (k, &want) in desired.iter().enumerate() {
-        let mut changed = want ^ pairs.row_bits(u)[k];
-        while changed != 0 {
-            let b = changed.trailing_zeros() as usize;
-            changed &= changed - 1;
-            let w = k * 64 + b;
-            pairs.set(u, w, want >> b & 1 == 1);
-        }
-    }
-}
-
-/// Dense-index view of a machine's effectiveness relation plus the current
-/// per-node state indices — the incremental core shared by `EventSim` and
-/// `RoundSim`.
+/// The configuration and exact effective-pair set shared by the dense
+/// engines [`EventSim`](crate::EventSim) and [`RoundSim`](crate::RoundSim):
+/// the one place an interaction is applied to a dense configuration and
+/// each fault repair is made to it. The set's member order, which the
+/// samplers index by position, is part of the engines' reproducibility
+/// contract: every row update applies the XOR diff of the desired row
+/// against the current one, in increasing-`v` order.
 #[derive(Debug, Clone)]
-pub(crate) struct EffectIndex {
+pub(crate) struct DenseCore<M: EnumerableMachine> {
+    machine: M,
+    pop: Population<M::State>,
+    /// The exact effective set `E` of the current configuration.
+    pairs: PairSet,
     table: EffectTable,
     /// Dense state index of every node.
     idx: Vec<u16>,
@@ -789,17 +779,14 @@ pub(crate) struct EffectIndex {
     row_words: usize,
 }
 
-impl EffectIndex {
-    /// Builds the index and the initial possibly-effective pair set from
-    /// one desired-membership row per node — the rows
-    /// [`rescan`](Self::rescan) diffs against, so
-    /// `O(n²·|Q|/64 + |E| + members)` for machines with ≤ 32 states.
-    pub fn build<M: EnumerableMachine>(
-        machine: &M,
-        pop: &Population<M::State>,
-        table: EffectTable,
-    ) -> (Self, PairSet) {
+impl<M: EnumerableMachine> DenseCore<M> {
+    /// The core of `pop`, its effective set built from one desired row
+    /// per node (`O(n²·|Q|/64 + |E| + members)` for ≤ 32 states). Panics
+    /// if the population has fewer than 2 nodes.
+    pub fn new(machine: M, pop: Population<M::State>) -> Self {
         let n = pop.n();
+        assert!(n >= 2, "pairwise interactions need at least 2 processes");
+        let table = machine.effect_table();
         let idx: Vec<u16> = (0..n)
             .map(|u| u16::try_from(machine.state_index(pop.state(u))).expect("≤ 65536 states"))
             .collect();
@@ -808,7 +795,10 @@ impl EffectIndex {
         for (u, &s) in idx.iter().enumerate() {
             state_nodes[s as usize * row_words + u / 64] |= 1u64 << (u % 64);
         }
-        let index = Self {
+        let mut core = Self {
+            machine,
+            pop,
+            pairs: PairSet::new(0),
             table,
             idx,
             state_nodes,
@@ -816,121 +806,153 @@ impl EffectIndex {
             scratch: vec![0u64; row_words],
             row_words,
         };
-        let pairs = PairSet::from_rows(n, |u, row| index.desired_row(pop, u, row));
-        (index, pairs)
+        core.pairs = PairSet::from_rows(n, |u, row| core.desired_row(u, row));
+        core
     }
 
-    /// Marks node `x` absent (a ghost): it leaves its per-state node
-    /// bitset so no word-parallel rescan ever proposes a pair with it,
-    /// and the fallback path masks it explicitly. The caller clears
-    /// `x`'s pair row and edges; `idx[x]` is retained (an arrived node
-    /// re-enters with its unchanged initial state).
-    pub fn set_absent(&mut self, x: usize) {
-        let (word, bit) = (x / 64, 1u64 << (x % 64));
-        self.state_nodes[self.idx[x] as usize * self.row_words + word] &= !bit;
-        self.absent[word] |= bit;
+    /// The core of a faulted engine: `n` present nodes in the initial
+    /// state plus one retired ghost slot per planned arrival (the
+    /// [`fault`](crate::fault) ghost-node model). Panics if `n < 2`.
+    pub fn new_faulted(machine: M, n: usize, plan: FaultPlan) -> (Self, FaultState) {
+        assert!(n >= 2, "pairwise interactions need at least 2 processes");
+        let fs = FaultState::new(plan, n);
+        let pop = Population::new(fs.capacity(), machine.initial_state());
+        let mut core = Self::new(machine, pop);
+        for ghost in n..fs.capacity() {
+            core.retire(ghost);
+        }
+        (core, fs)
     }
 
-    /// Marks node `x` present again (an arrival): re-enters its state's
-    /// node bitset. The caller rescans `x`'s pair row afterwards.
-    pub fn set_present(&mut self, x: usize) {
-        let (word, bit) = (x / 64, 1u64 << (x % 64));
-        self.state_nodes[self.idx[x] as usize * self.row_words + word] |= bit;
-        self.absent[word] &= !bit;
+    /// The machine being executed.
+    pub fn machine(&self) -> &M {
+        &self.machine
     }
 
-    /// Whether node `x` is currently marked absent.
-    pub fn is_absent(&self, x: usize) -> bool {
-        self.absent[x / 64] >> (x % 64) & 1 == 1
+    /// The current configuration.
+    pub fn pop(&self) -> &Population<M::State> {
+        &self.pop
     }
 
-    /// Recomputes the membership of every pair incident to `u` — the
-    /// public entry the fault layer uses after an arrival flips `u`
-    /// back to present.
-    pub fn rescan_node<S: Clone>(&mut self, pop: &Population<S>, pairs: &mut PairSet, u: usize) {
-        debug_assert!(!self.is_absent(u), "rescan of an absent node");
-        self.rescan(pop, pairs, u);
+    /// The exact effective pair set.
+    pub fn pairs(&self) -> &PairSet {
+        &self.pairs
     }
 
-    /// The dense state index of node `u`.
-    pub fn state_index(&self, u: usize) -> usize {
-        self.idx[u] as usize
+    /// The configuration as predicates and the fault layer read it.
+    pub fn view<'a>(&'a self, faults: Option<&'a FaultState>) -> EngineView<'a, M> {
+        EngineView::Dense {
+            pop: &self.pop,
+            machine: &self.machine,
+            faults,
+        }
     }
 
-    /// The effect table.
-    pub fn table(&self) -> &EffectTable {
-        &self.table
-    }
-
-    /// Bytes of heap memory held by the index (state indices, per-state
-    /// node bitsets, scratch row, effect table).
+    /// Bytes of heap memory held by the core (heap payloads *inside*
+    /// composite states are not counted).
     pub fn approx_mem_bytes(&self) -> u64 {
-        (self.idx.capacity() * 2
-            + (self.state_nodes.capacity() + self.absent.capacity() + self.scratch.capacity()) * 8)
-            as u64
+        let states = (self.pop.n() * std::mem::size_of::<M::State>()) as u64;
+        self.pairs.approx_mem_bytes()
+            + self.pop.edges().approx_mem_bytes()
+            + states
+            + (self.idx.capacity() * 2
+                + (self.state_nodes.capacity() + self.absent.capacity() + self.scratch.capacity())
+                    * 8) as u64
             + self.table.approx_mem_bytes()
     }
 
-    /// Updates the index after a *state-only* change of node `u` (a
-    /// crash notification): re-derives `u`'s state index and rescans its
-    /// incident pair row. The single-node analogue of
-    /// [`on_interaction`](EffectIndex::on_interaction).
-    pub fn on_state_change<M: EnumerableMachine>(
-        &mut self,
-        machine: &M,
-        pop: &Population<M::State>,
-        pairs: &mut PairSet,
-        u: usize,
-    ) {
-        self.reindex(machine, pop, u);
-        self.rescan(pop, pairs, u);
-    }
-
-    /// Updates the index after an effective interaction between `u` and
-    /// `v`: re-derives both state indices and rescans the pair row of
-    /// each endpoint whose state index changed.
-    ///
-    /// Only the link of `{u, v}` and the two endpoints' states can have
-    /// changed, so a pair `{u, w}` with `w ≠ v` changes membership only if
-    /// `u`'s state did. When it did not, the one pair `{u, v}` is
-    /// reclassified in place of `u`'s rescan — exactly the set operation
-    /// that rescan would have made, in the same order before `v`'s row,
-    /// so the member order (which the samplers index by position) is
-    /// that of rescanning both rows. A link-only step, the bulk of
-    /// Global-Star's, costs one [`PairSet::set`]. Relies on `can_affect`
-    /// being symmetric in its node arguments, which every compiled table
-    /// is by construction.
-    pub fn on_interaction<M: EnumerableMachine>(
-        &mut self,
-        machine: &M,
-        pop: &Population<M::State>,
-        pairs: &mut PairSet,
-        u: usize,
-        v: usize,
-    ) {
-        let u_changed = self.reindex(machine, pop, u);
-        let v_changed = self.reindex(machine, pop, v);
+    /// Applies `interact` to `(u, v)` with real coins from `rng` and
+    /// updates the effective set (a sampled identity changes nothing).
+    /// A pair `{u, w}` with `w ≠ v` can flip only if `u`'s state changed;
+    /// if it did not, the one pair `{u, v}` is reclassified in place of
+    /// `u`'s rescan — the set operation that rescan would make, in the
+    /// same order before `v`'s row — so a link-only step costs one
+    /// [`PairSet::set`]. Relies on `can_affect` being symmetric in its
+    /// node arguments, as every compiled table is.
+    pub fn interact(&mut self, u: usize, v: usize, rng: &mut impl rand::Rng) -> StepResult {
+        let pair = (u, v);
+        let link = Link::from(self.pop.edges().is_active(u, v));
+        let (iu, iv) = (usize::from(self.idx[u]), usize::from(self.idx[v]));
+        let Some((a2, b2, l2)) = self.machine.interact_indexed(iu, iv, link, rng) else {
+            return StepResult::Ineffective { pair };
+        };
+        let edge_changed = l2 != link;
+        if edge_changed {
+            self.pop.edges_mut().set(u, v, l2.is_on());
+        }
+        self.pop.set_state(u, self.machine.state_at(a2));
+        self.pop.set_state(v, self.machine.state_at(b2));
+        let u_changed = self.reindex(u);
+        let v_changed = self.reindex(v);
         if u_changed {
-            self.rescan(pop, pairs, u);
+            self.rescan(u);
         } else {
-            let link = Link::from(pop.edges().is_active(u, v));
-            let eff = self.table.can_affect(self.state_index(u), self.state_index(v), link);
-            pairs.set(u, v, eff);
+            self.pairs.set(u, v, self.table.can_affect(iu, usize::from(self.idx[v]), l2));
         }
         if v_changed {
-            self.rescan(pop, pairs, v);
+            self.rescan(v);
         }
+        StepResult::Effective { pair, edge_changed }
+    }
+
+    /// Retires node `x` (a crash, or a ghost slot at construction): drops
+    /// its active edges, marks it absent and clears its effective row,
+    /// keeping its state index (an arrival re-enters in its unchanged
+    /// initial state). Returns the former neighbours in ascending order.
+    pub fn retire(&mut self, x: usize) -> Vec<usize> {
+        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
+        for &w in &neighbors {
+            self.pop.edges_mut().set(x, w, false);
+        }
+        let (word, bit) = (x / 64, 1u64 << (x % 64));
+        self.state_nodes[usize::from(self.idx[x]) * self.row_words + word] &= !bit;
+        self.absent[word] |= bit;
+        let mut zeros = std::mem::take(&mut self.scratch);
+        zeros.fill(0);
+        self.apply_row(x, &zeros);
+        self.scratch = zeros;
+        neighbors
+    }
+
+    /// Re-admits absent node `x` (an arrival: it holds its initial state
+    /// and no edges) and rescans its effective row.
+    pub fn readmit(&mut self, x: usize) {
+        let (word, bit) = (x / 64, 1u64 << (x % 64));
+        debug_assert!(self.absent[word] & bit != 0, "readmit of a present node");
+        self.state_nodes[usize::from(self.idx[x]) * self.row_words + word] |= bit;
+        self.absent[word] &= !bit;
+        self.rescan(x);
+    }
+
+    /// Moves node `u` to state index `q` (a crash notification) and
+    /// rescans its effective row.
+    pub fn set_state_index(&mut self, u: usize, q: usize) {
+        self.pop.set_state(u, self.machine.state_at(q));
+        self.reindex(u);
+        self.rescan(u);
+    }
+
+    /// Deactivates edge `{u, v}` and reclassifies its pair: `None` if the
+    /// edge was inactive, else whether the pair's membership flipped.
+    pub fn deactivate_edge(&mut self, u: usize, v: usize) -> Option<bool> {
+        if !self.pop.edges().is_active(u, v) {
+            return None;
+        }
+        self.pop.edges_mut().set(u, v, false);
+        // A dead endpoint implies an inactive edge, so both ends are
+        // alive here; only the link of this one pair changed.
+        let (iu, iv) = (usize::from(self.idx[u]), usize::from(self.idx[v]));
+        let eff = self.table.can_affect(iu, iv, Link::Off);
+        let flipped = self.pairs.contains(u, v) != eff;
+        self.pairs.set(u, v, eff);
+        Some(flipped)
     }
 
     /// Re-derives `idx[u]` and keeps the per-state node bitsets in sync;
     /// returns whether the index changed.
-    fn reindex<M: EnumerableMachine>(
-        &mut self,
-        machine: &M,
-        pop: &Population<M::State>,
-        u: usize,
-    ) -> bool {
-        let new = u16::try_from(machine.state_index(pop.state(u))).expect("≤ 65536 states");
+    fn reindex(&mut self, u: usize) -> bool {
+        let new =
+            u16::try_from(self.machine.state_index(self.pop.state(u))).expect("≤ 65536 states");
         let old = self.idx[u];
         if old != new {
             let (word, bit) = (u / 64, 1u64 << (u % 64));
@@ -945,11 +967,24 @@ impl EffectIndex {
     /// XOR diff of its desired row against its current row touches the
     /// set (`O(n·|Q|/64 + degree + changes)` for machines with ≤ 32
     /// states).
-    fn rescan<S: Clone>(&mut self, pop: &Population<S>, pairs: &mut PairSet, u: usize) {
+    fn rescan(&mut self, u: usize) {
         let mut desired = std::mem::take(&mut self.scratch);
-        self.desired_row(pop, u, &mut desired);
-        apply_desired_row(pairs, u, &desired);
+        self.desired_row(u, &mut desired);
+        self.apply_row(u, &desired);
         self.scratch = desired;
+    }
+
+    /// Applies a desired-membership row for node `u`: only the XOR diff
+    /// against the current row touches the set, in increasing-`v` order.
+    fn apply_row(&mut self, u: usize, desired: &[u64]) {
+        for (k, &want) in desired.iter().enumerate() {
+            let mut changed = want ^ self.pairs.row_bits(u)[k];
+            while changed != 0 {
+                let b = changed.trailing_zeros() as usize;
+                changed &= changed - 1;
+                self.pairs.set(u, k * 64 + b, want >> b & 1 == 1);
+            }
+        }
     }
 
     /// Writes into `out` the membership row node `u` should have: bit `w`
@@ -960,7 +995,7 @@ impl EffectIndex {
     /// (edge-blind — absent nodes are in none of them), patched for the
     /// O(degree) active neighbours with the edge-on relation. Larger
     /// machines take one `can_affect` lookup per node.
-    fn desired_row<S: Clone>(&self, pop: &Population<S>, u: usize, out: &mut [u64]) {
+    fn desired_row(&self, u: usize, out: &mut [u64]) {
         let iu = self.idx[u] as usize;
         out.fill(0);
         if let Some(row_mask) = self.table.affect_row(iu) {
@@ -973,7 +1008,7 @@ impl EffectIndex {
                     }
                 }
             }
-            for w in pop.edges().neighbors(u) {
+            for w in self.pop.edges().neighbors(u) {
                 let on = row_mask >> ((usize::from(self.idx[w]) << 1) | 1) & 1 == 1;
                 if on {
                     out[w / 64] |= 1u64 << (w % 64);
@@ -982,8 +1017,9 @@ impl EffectIndex {
                 }
             }
         } else {
-            for (w, active) in pop.edges().row(u) {
-                if !self.is_absent(w)
+            for (w, active) in self.pop.edges().row(u) {
+                let absent = self.absent[w / 64] >> (w % 64) & 1 == 1;
+                if !absent
                     && self
                         .table
                         .can_affect(iu, self.idx[w] as usize, Link::from(active))
@@ -1004,7 +1040,7 @@ pub(crate) mod index_check {
     use crate::{CompiledTable, Link, Machine, Population, ProtocolBuilder, StateId};
 
     /// A 100-state ring table on 300 nodes, three per state: past the
-    /// 32 states of a packed affect row, so [`EffectIndex`](super::EffectIndex)
+    /// 32 states of a packed affect row, so [`DenseCore`](super::DenseCore)
     /// maintains it with the per-pair fallback rescan.
     pub(crate) fn many_states() -> (CompiledTable, Population<StateId>) {
         let mut b = ProtocolBuilder::new("many-states");

@@ -14,6 +14,9 @@
 //!    an endpoint's state changed — so an applied interaction costs one
 //!    pair update plus a word-parallel O(n·|Q|/64) row rescan per endpoint
 //!    whose state changed ([`PairSet`] + [`EffectTable`](crate::EffectTable)).
+//!    The configuration, this set and their fault repairs live in the
+//!    dense core (`DenseCore`) shared with [`RoundSim`](crate::RoundSim);
+//!    this engine adds the skip and the draw below.
 //! 2. With `k = |E|` and `m = n(n−1)/2`, the number of consecutive draws
 //!    that miss `E` is geometric with success probability `p = k/m`
 //!    (states are frozen during misses, so draws are i.i.d.). `EventSim`
@@ -56,10 +59,10 @@ use rand::{RngExt, SeedableRng};
 
 use crate::compiled::EnumerableMachine;
 use crate::driver::{ExactEngine, Primitives};
-use crate::engine::{apply_desired_row, uniform_skip, Bookkeeping, EffectIndex, PairSet};
+use crate::engine::{uniform_skip, Bookkeeping, DenseCore, PairSet};
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
-use crate::{EngineView, Link, Population};
+use crate::{EngineView, Population};
 
 /// The result of one [`EventSim::advance`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,12 +114,9 @@ pub enum EventStep {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventSim<M: EnumerableMachine> {
-    machine: M,
-    pop: Population<M::State>,
+    core: DenseCore<M>,
     rng: SmallRng,
     book: Bookkeeping,
-    pairs: PairSet,
-    index: EffectIndex,
     faults: Option<FaultState>,
 }
 
@@ -156,15 +156,14 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// Panics if the population has fewer than 2 nodes.
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        assert!(pop.n() >= 2, "pairwise interactions need at least 2 processes");
-        let (index, pairs) = EffectIndex::build(&machine, &pop, machine.effect_table());
+        Self::from_core(DenseCore::new(machine, pop), seed)
+    }
+
+    fn from_core(core: DenseCore<M>, seed: u64) -> Self {
         Self {
-            machine,
-            pop,
+            core,
             rng: SmallRng::seed_from_u64(seed),
             book: Bookkeeping::default(),
-            pairs,
-            index,
             faults: None,
         }
     }
@@ -183,12 +182,8 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// Panics if `n < 2`.
     #[must_use]
     pub fn new_faulted(machine: M, n: usize, seed: u64, plan: FaultPlan) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        let fs = FaultState::new(plan, n);
-        let mut sim = Self::new(machine, fs.capacity(), seed);
-        for ghost in n..fs.capacity() {
-            sim.retire(ghost);
-        }
+        let (core, fs) = DenseCore::new_faulted(machine, n, plan);
+        let mut sim = Self::from_core(core, seed);
         sim.faults = Some(fs);
         sim
     }
@@ -196,26 +191,26 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// The current configuration.
     #[must_use]
     pub fn population(&self) -> &Population<M::State> {
-        &self.pop
+        self.core.pop()
     }
 
     /// The machine being executed.
     #[must_use]
     pub fn machine(&self) -> &M {
-        &self.machine
+        self.core.machine()
     }
 
     /// The number of currently possibly-effective pairs.
     #[must_use]
     pub fn effective_pairs(&self) -> usize {
-        self.pairs.len()
+        self.core.pairs().len()
     }
 
     /// The incrementally maintained possibly-effective pair set — what
     /// the candidate draw samples from.
     #[must_use]
     pub fn effective_set(&self) -> &PairSet {
-        &self.pairs
+        self.core.pairs()
     }
 
     /// Bytes of heap memory held by the engine: the pair set (its Θ(n²)
@@ -224,11 +219,7 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// composite states are not counted.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
-        let states = (self.pop.n() * std::mem::size_of::<M::State>()) as u64;
-        self.pairs.approx_mem_bytes()
-            + self.pop.edges().approx_mem_bytes()
-            + states
-            + self.index.approx_mem_bytes()
+        self.core.approx_mem_bytes()
     }
 
     /// A priori estimate of [`approx_mem_bytes`](Self::approx_mem_bytes)
@@ -248,11 +239,11 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// next candidate interaction, without letting the step counter pass
     /// `max_steps`.
     pub fn advance(&mut self, max_steps: u64) -> EventStep {
-        let k = self.pairs.len();
+        let k = self.core.pairs().len();
         if k == 0 {
             return EventStep::Quiescent;
         }
-        let n = self.pop.n();
+        let n = self.core.pop().n();
         let m = n * (n - 1) / 2;
         let remaining = max_steps.saturating_sub(self.book.steps);
         if remaining == 0 {
@@ -265,42 +256,19 @@ impl<M: EnumerableMachine> EventSim<M> {
         self.book.steps += skipped + 1;
 
         // Uniform over *ordered* possibly-effective pairs — the uniform
-        // scheduler's law conditioned on hitting the set.
+        // scheduler's law conditioned on hitting the set. A randomized
+        // rule that samples the identity is still one real step
+        // (exactly what the naive engine would record).
         let r = self.rng.random_range(0..2 * k);
-        let (mut u_n, mut v_n) = self.pairs.get(r / 2);
+        let (mut u, mut v) = self.core.pairs().get(r / 2);
         if r % 2 == 1 {
-            std::mem::swap(&mut u_n, &mut v_n);
+            std::mem::swap(&mut u, &mut v);
         }
-        let pair = (u_n, v_n);
-        let link = Link::from(self.pop.edges().is_active(u_n, v_n));
-
-        let outcome = self.machine.interact_indexed(
-            self.index.state_index(u_n),
-            self.index.state_index(v_n),
-            link,
-            &mut self.rng,
-        );
-        let Some((a2, b2, l2)) = outcome else {
-            // A randomized rule sampled the identity: one real step, no
-            // change (exactly what the naive engine would record).
-            return EventStep::Candidate {
-                skipped,
-                result: StepResult::Ineffective { pair },
-            };
-        };
-        let edge_changed = l2 != link;
-        if edge_changed {
-            self.pop.edges_mut().set(u_n, v_n, l2.is_on());
+        let result = self.core.interact(u, v, &mut self.rng);
+        if let StepResult::Effective { edge_changed, .. } = result {
+            self.book.record_effective(edge_changed);
         }
-        self.pop.set_state(u_n, self.machine.state_at(a2));
-        self.pop.set_state(v_n, self.machine.state_at(b2));
-        self.book.record_effective(edge_changed);
-        self.index
-            .on_interaction(&self.machine, &self.pop, &mut self.pairs, u_n, v_n);
-        EventStep::Candidate {
-            skipped,
-            result: StepResult::Effective { pair, edge_changed },
-        }
+        EventStep::Candidate { skipped, result }
     }
 
     /// Whether no pair of nodes has any effective interaction — O(1): the
@@ -309,14 +277,14 @@ impl<M: EnumerableMachine> EventSim<M> {
     /// O(n²) fallback scan.)
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.pairs.is_empty()
+        self.core.pairs().is_empty()
     }
 
     /// The output graph: active edges restricted to nodes in output
     /// states.
     #[must_use]
     pub fn output_graph(&self) -> netcon_graph::EdgeSet {
-        crate::engine::output_graph(&self.machine, &self.pop)
+        crate::engine::output_graph(self.core.machine(), self.core.pop())
     }
 }
 
@@ -344,53 +312,23 @@ impl<M: EnumerableMachine> Primitives for EventSim<M> {
     }
 
     fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Dense {
-            pop: &self.pop,
-            machine: &self.machine,
-            faults: self.faults.as_ref(),
-        }
+        self.core.view(self.faults.as_ref())
     }
 
-    /// Deactivates `x`'s incident active edges, clears its pair row, and
-    /// marks it absent in the index.
     fn retire(&mut self, x: usize) -> Vec<usize> {
-        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
-        for &w in &neighbors {
-            self.pop.edges_mut().set(x, w, false);
-        }
-        self.index.set_absent(x);
-        let zeros = vec![0u64; self.pairs.row_bits(x).len()];
-        apply_desired_row(&mut self.pairs, x, &zeros);
-        neighbors
+        self.core.retire(x)
     }
 
     fn readmit(&mut self, x: usize) {
-        self.index.set_present(x);
-        self.index.rescan_node(&self.pop, &mut self.pairs, x);
+        self.core.readmit(x);
     }
 
-    /// A state-only change, so only `u`'s pair row needs rescanning.
     fn set_state_index(&mut self, u: usize, q: usize) {
-        self.pop.set_state(u, self.machine.state_at(q));
-        self.index
-            .on_state_change(&self.machine, &self.pop, &mut self.pairs, u);
+        self.core.set_state_index(u, q);
     }
 
     fn deactivate_edge(&mut self, u: usize, v: usize) -> bool {
-        if !self.pop.edges().is_active(u, v) {
-            return false;
-        }
-        self.pop.edges_mut().set(u, v, false);
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let eff = self.index.table().can_affect(
-            self.index.state_index(a),
-            self.index.state_index(b),
-            Link::Off,
-        );
-        self.pairs.set(a, b, eff);
-        true
+        self.core.deactivate_edge(u, v).is_some()
     }
 
     fn record_fault_edges(&mut self, k: usize) {
@@ -402,7 +340,7 @@ impl<M: EnumerableMachine> ExactEngine for EventSim<M> {
     type Config = Population<M::State>;
 
     fn config(&self) -> &Population<M::State> {
-        &self.pop
+        self.core.pop()
     }
 }
 
@@ -412,7 +350,7 @@ mod tests {
     use crate::driver::contract::{self, Arm};
     use crate::engine::index_check;
     use crate::RunOutcome;
-    use crate::{ProtocolBuilder, RuleProtocol, Simulation};
+    use crate::{Link, ProtocolBuilder, RuleProtocol, Simulation};
     use netcon_graph::properties::is_maximum_matching;
 
     const OFF: Link = Link::Off;
@@ -455,12 +393,12 @@ mod tests {
         // `can_affect` pass over all pairs.
         let (p, pop) = index_check::many_states();
         let mut sim = EventSim::from_population(p, pop, 42);
-        index_check::assert_exact(&sim.machine, &sim.pop, &sim.pairs);
+        index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
         for _ in 0..200 {
             if sim.advance(u64::MAX) == EventStep::Quiescent {
                 break;
             }
-            index_check::assert_exact(&sim.machine, &sim.pop, &sim.pairs);
+            index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
         }
         assert!(sim.effective_steps() > 0);
     }

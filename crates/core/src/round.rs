@@ -66,17 +66,19 @@
 //! `tests/engine_equivalence.rs`; `docs/engines.md` consolidates the
 //! argument.
 //!
-//! The effective set itself is maintained by the same
-//! `Bookkeeping`/`EffectIndex` machinery as `EventSim` (word-parallel
-//! desired-row rescans of the endpoints whose state changed);
-//! reclassification rides the XOR diff of the two touched [`PairSet`]
-//! rows. Pairs are presented to `interact` as `(min, max)` — the order
-//! the naive scheduler uses — which is why the
-//! engine, like [`BucketSim`](crate::BucketSim), requires `can_affect`
-//! to be symmetric in its node arguments.
+//! The configuration and its effective set live in the dense core
+//! (`DenseCore`) that `EventSim` runs on too: it applies every
+//! interaction and every fault repair (word-parallel desired-row rescans
+//! of the endpoints whose state changed). This engine snapshots the
+//! touched rows before each call into the core and reclassifies the
+//! round partition along the XOR diff of each against the updated
+//! [`PairSet`] row. Pairs are presented to `interact` as `(min, max)` —
+//! the order the naive scheduler uses — which is why the engine, like
+//! [`BucketSim`](crate::BucketSim), requires `can_affect` to be
+//! symmetric in its node arguments.
 //!
 //! Memory: three dense [`PairSet`]s (candidates, resolved-ineffective,
-//! and the shared effective index) plus a scheduled-pair bitset —
+//! and the core's effective set) plus a scheduled-pair bitset —
 //! ≈ `13n²` bytes, about 3× [`EventSim`](crate::EventSim)
 //! ([`RoundSim::dense_mem_estimate`] is the a-priori figure the engine
 //! selector weighs). Beyond the budget,
@@ -91,13 +93,11 @@ use crate::compiled::EnumerableMachine;
 use crate::driver::{
     advance_rounds, idle_rounds_to, ExactEngine, Primitives, RoundEngine, RoundPrimitives,
 };
-use crate::engine::{
-    apply_desired_row, hypergeometric_count, unit_open01, Bookkeeping, EffectIndex, PairSet,
-};
+use crate::engine::{hypergeometric_count, unit_open01, Bookkeeping, DenseCore, PairSet};
 use crate::event::EventStep;
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::StepResult;
-use crate::{EngineView, Link, Population};
+use crate::{EngineView, Population};
 
 /// Membership bitset over unordered pairs (one canonical bit per pair)
 /// plus a member list for O(members) clearing: the round's
@@ -184,14 +184,11 @@ impl SchedSet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoundSim<M: EnumerableMachine> {
-    machine: M,
-    pop: Population<M::State>,
+    /// The configuration and its exact effective set `E`.
+    core: DenseCore<M>,
     rng: SmallRng,
     book: Bookkeeping,
-    /// The exact effective set `E` for the current configuration,
-    /// maintained by the shared [`EffectIndex`].
-    pairs: PairSet,
-    index: EffectIndex,
+    faults: Option<FaultState>,
     /// `A`: effective and not yet scheduled this round.
     cand: PairSet,
     /// `B`: resolved, currently ineffective, not yet scheduled.
@@ -204,11 +201,11 @@ pub struct RoundSim<M: EnumerableMachine> {
     u_rem: u64,
     /// Pairs per round, `n(n−1)/2`.
     m: u64,
-    /// Scratch copies of the two touched `pairs` rows (pre-interaction),
-    /// diffed against the updated rows to find reclassification work.
+    /// Scratch copies of the two touched effective-set rows (before an
+    /// interaction or a repair), diffed against the updated rows to find
+    /// reclassification work.
     old_row_u: Vec<u64>,
     old_row_v: Vec<u64>,
-    faults: Option<FaultState>,
 }
 
 impl<M: EnumerableMachine> RoundSim<M> {
@@ -248,22 +245,22 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// As [`new`](Self::new).
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
-        let n = pop.n();
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        let (index, pairs) = EffectIndex::build(&machine, &pop, machine.effect_table());
+        Self::from_core(DenseCore::new(machine, pop), seed)
+    }
+
+    fn from_core(core: DenseCore<M>, seed: u64) -> Self {
+        let n = core.pop().n();
         let m = (n as u64) * (n as u64 - 1) / 2;
         let row_words = n.div_ceil(64);
         // Round one starts with every pair unscheduled: the candidates are
         // the effective set itself, and the anonymous pool its complement.
-        let u_count = m - pairs.len() as u64;
+        let u_count = m - core.pairs().len() as u64;
         Self {
-            machine,
-            pop,
+            cand: core.pairs().clone(),
+            core,
             rng: SmallRng::seed_from_u64(seed),
             book: Bookkeeping::default(),
-            cand: pairs.clone(),
-            pairs,
-            index,
+            faults: None,
             ineff_rem: PairSet::new(n),
             sched: SchedSet::new(n),
             u_count,
@@ -271,7 +268,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
             m,
             old_row_u: vec![0; row_words],
             old_row_v: vec![0; row_words],
-            faults: None,
         }
     }
 
@@ -288,17 +284,8 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// As [`new`](Self::new) (with the capacity in place of `n`).
     #[must_use]
     pub fn new_faulted(machine: M, n: usize, seed: u64, plan: FaultPlan) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        let fs = FaultState::new(plan, n);
-        let mut sim = Self::new(machine, fs.capacity(), seed);
-        // Detach the ghost rows from the effective set, then rebuild the
-        // round partition from the corrected set (steps is still 0).
-        let zeros = vec![0u64; sim.old_row_u.len()];
-        for ghost in n..fs.capacity() {
-            sim.index.set_absent(ghost);
-            apply_desired_row(&mut sim.pairs, ghost, &zeros);
-        }
-        sim.start_round(0);
+        let (core, fs) = DenseCore::new_faulted(machine, n, plan);
+        let mut sim = Self::from_core(core, seed);
         sim.faults = Some(fs);
         sim
     }
@@ -306,26 +293,26 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// The current configuration.
     #[must_use]
     pub fn population(&self) -> &Population<M::State> {
-        &self.pop
+        self.core.pop()
     }
 
     /// The machine being executed.
     #[must_use]
     pub fn machine(&self) -> &M {
-        &self.machine
+        self.core.machine()
     }
 
     /// The number of currently effective pairs (scheduled or not).
     #[must_use]
     pub fn effective_pairs(&self) -> usize {
-        self.pairs.len()
+        self.core.pairs().len()
     }
 
     /// The incrementally maintained effective pair set (scheduled or
     /// not) — what each round's candidate set starts from.
     #[must_use]
     pub fn effective_set(&self) -> &PairSet {
-        &self.pairs
+        self.core.pairs()
     }
 
     /// The number of effective pairs not yet scheduled this round — the
@@ -346,20 +333,16 @@ impl<M: EnumerableMachine> RoundSim<M> {
             == self.m - self.book.steps % self.m
     }
 
-    /// Bytes of heap memory held by the engine: the effective index and
-    /// its pair set, the two round-bookkeeping pair sets, the scheduled
-    /// bitset, the dense edge set, and the node states. Heap payloads
-    /// *inside* composite states are not counted.
+    /// Bytes of heap memory held by the engine: the effective set, its
+    /// index, the dense edge set and the node states, plus the two
+    /// round-bookkeeping pair sets and the scheduled bitset. Heap
+    /// payloads *inside* composite states are not counted.
     #[must_use]
     pub fn approx_mem_bytes(&self) -> u64 {
-        let states = (self.pop.n() * std::mem::size_of::<M::State>()) as u64;
-        self.pairs.approx_mem_bytes()
+        self.core.approx_mem_bytes()
             + self.cand.approx_mem_bytes()
             + self.ineff_rem.approx_mem_bytes()
             + self.sched.approx_mem_bytes()
-            + self.pop.edges().approx_mem_bytes()
-            + states
-            + self.index.approx_mem_bytes()
             + ((self.old_row_u.capacity() + self.old_row_v.capacity()) * 8) as u64
     }
 
@@ -388,7 +371,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// states.
     #[must_use]
     pub fn output_graph(&self) -> netcon_graph::EdgeSet {
-        crate::engine::output_graph(&self.machine, &self.pop)
+        crate::engine::output_graph(self.core.machine(), self.core.pop())
     }
 
     /// Reclassifies pair `{a, w}` after its effectiveness flipped to
@@ -430,7 +413,7 @@ impl<M: EnumerableMachine> RoundSim<M> {
     /// masks out the partner handled by the other row.
     fn reclass_row(&mut self, a: usize, old: &[u64], skip: Option<usize>) {
         for word in 0..old.len() {
-            let mut changed = old[word] ^ self.pairs.row_bits(a)[word];
+            let mut changed = old[word] ^ self.core.pairs().row_bits(a)[word];
             if let Some(s) = skip {
                 if s / 64 == word {
                     changed &= !(1u64 << (s % 64));
@@ -440,10 +423,23 @@ impl<M: EnumerableMachine> RoundSim<M> {
                 let bit = changed.trailing_zeros() as usize;
                 changed &= changed - 1;
                 let w = word * 64 + bit;
-                let now_eff = self.pairs.contains(a, w);
+                let now_eff = self.core.pairs().contains(a, w);
                 self.reclass_pair(a, w, now_eff);
             }
         }
+    }
+
+    /// Runs `repair`, a core repair that can change only `u`'s effective
+    /// row, then reclassifies exactly the pairs it flipped (scheduled
+    /// pairs stay frozen, ineff→eff flips resolve against the pool by the
+    /// urn draw).
+    fn repair_row<R>(&mut self, u: usize, repair: impl FnOnce(&mut DenseCore<M>) -> R) -> R {
+        self.old_row_u.copy_from_slice(self.core.pairs().row_bits(u));
+        let out = repair(&mut self.core);
+        let old = std::mem::take(&mut self.old_row_u);
+        self.reclass_row(u, &old, None);
+        self.old_row_u = old;
+        out
     }
 
     /// Skips the hypergeometric number of ineffective draws and simulates
@@ -469,7 +465,7 @@ impl<M: EnumerableMachine> RoundPrimitives for RoundSim<M> {
     }
 
     fn quiescent(&self) -> bool {
-        self.pairs.is_empty()
+        self.core.pairs().is_empty()
     }
 
     fn u01(&mut self) -> f64 {
@@ -485,10 +481,10 @@ impl<M: EnumerableMachine> RoundPrimitives for RoundSim<M> {
         self.cand.clear();
         self.ineff_rem.clear();
         self.sched.clear();
-        for (u, v) in self.pairs.iter() {
+        for (u, v) in self.core.pairs().iter() {
             self.cand.set(u, v, true);
         }
-        self.u_count = self.m - self.pairs.len() as u64;
+        self.u_count = self.m - self.core.pairs().len() as u64;
         self.u_rem = self.u_count - pre_scheduled;
     }
 
@@ -528,44 +524,21 @@ impl<M: EnumerableMachine> RoundPrimitives for RoundSim<M> {
         let (u, v) = self.cand.get(i);
         self.cand.set(u, v, false);
         self.sched.insert(u, v);
-        let pair = (u, v);
-        let link = Link::from(self.pop.edges().is_active(u, v));
-        let outcome = self.machine.interact_indexed(
-            self.index.state_index(u),
-            self.index.state_index(v),
-            link,
-            &mut self.rng,
-        );
-        let Some((a2, b2, l2)) = outcome else {
-            // A randomized rule sampled the identity: one real step, no
-            // change — but the pair has consumed its occurrence this
-            // round.
-            if self.book.steps.is_multiple_of(self.m) {
-                self.start_round(0);
-            }
-            return EventStep::Candidate {
-                skipped,
-                result: StepResult::Ineffective { pair },
-            };
-        };
-        let edge_changed = l2 != link;
-        if edge_changed {
-            self.pop.edges_mut().set(u, v, l2.is_on());
+        // Snapshot the two touched effective-set rows (they change only
+        // in the core's rescan), then reclassify exactly the flipped
+        // pairs. A randomized rule that samples the identity changes
+        // nothing, but the pair has consumed its occurrence this round.
+        self.old_row_u.copy_from_slice(self.core.pairs().row_bits(u));
+        self.old_row_v.copy_from_slice(self.core.pairs().row_bits(v));
+        let result = self.core.interact(u, v, &mut self.rng);
+        if let StepResult::Effective { edge_changed, .. } = result {
+            self.book.record_effective(edge_changed);
         }
-        self.pop.set_state(u, self.machine.state_at(a2));
-        self.pop.set_state(v, self.machine.state_at(b2));
-        self.book.record_effective(edge_changed);
-        // Snapshot the two touched effective-set rows, let the shared
-        // index rescan them, then reclassify exactly the flipped pairs.
-        self.old_row_u.copy_from_slice(self.pairs.row_bits(u));
-        self.old_row_v.copy_from_slice(self.pairs.row_bits(v));
-        self.index
-            .on_interaction(&self.machine, &self.pop, &mut self.pairs, u, v);
         if self.book.steps.is_multiple_of(self.m) {
             // The candidate was the round's last draw; the next round
             // rebuilds everything from the effective set anyway.
             self.start_round(0);
-        } else {
+        } else if matches!(result, StepResult::Effective { .. }) {
             let old_u = std::mem::take(&mut self.old_row_u);
             let old_v = std::mem::take(&mut self.old_row_v);
             self.reclass_row(u, &old_u, None);
@@ -573,10 +546,7 @@ impl<M: EnumerableMachine> RoundPrimitives for RoundSim<M> {
             self.old_row_u = old_u;
             self.old_row_v = old_v;
         }
-        EventStep::Candidate {
-            skipped,
-            result: StepResult::Effective { pair, edge_changed },
-        }
+        EventStep::Candidate { skipped, result }
     }
 }
 
@@ -604,74 +574,35 @@ impl<M: EnumerableMachine> Primitives for RoundSim<M> {
     }
 
     fn engine_view(&self) -> EngineView<'_, M> {
-        EngineView::Dense {
-            pop: &self.pop,
-            machine: &self.machine,
-            faults: self.faults.as_ref(),
-        }
+        self.core.view(self.faults.as_ref())
     }
 
     // Ghost pairs never flip: they stay in the anonymous pool for the
     // rest of the round (they are certainly ineffective, which is all the
     // pool records), so the pool does *not* shrink on a crash —
-    // `pool_invariant_holds` is preserved.
+    // `pool_invariant_holds` is preserved. A crash's flips are all
+    // eff→ineff (cand → resolved-ineffective, scheduled pairs frozen);
+    // an arrival's are all ineff→eff, resolved against the pool by the
+    // urn draw (an arriving pair is exchangeable with any other pool
+    // member: it has been ineffective all round).
     fn retire(&mut self, x: usize) -> Vec<usize> {
-        // Detach x's effective-set row (every flip is eff→ineff:
-        // cand → resolved-ineffective, scheduled pairs frozen)…
-        let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
-        self.index.set_absent(x);
-        let zeros = vec![0u64; old.len()];
-        apply_desired_row(&mut self.pairs, x, &zeros);
-        self.reclass_row(x, &old, None);
-        // …then drop its active edges. The incident pairs are already
-        // out of the effective set, so no further flips.
-        let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
-        for &w in &neighbors {
-            self.pop.edges_mut().set(x, w, false);
-        }
-        neighbors
+        self.repair_row(x, |core| core.retire(x))
     }
 
-    /// Re-admits x and rescans its row; every flip is ineff→eff, resolved
-    /// against the pool by the urn draw (an arriving pair is
-    /// exchangeable with any other pool member: it has been ineffective
-    /// all round).
     fn readmit(&mut self, x: usize) {
-        let old: Vec<u64> = self.pairs.row_bits(x).to_vec();
-        self.index.set_present(x);
-        self.index.rescan_node(&self.pop, &mut self.pairs, x);
-        self.reclass_row(x, &old, None);
+        self.repair_row(x, |core| core.readmit(x));
     }
 
-    /// A state-only change handled like any mid-round flip: rescan the
-    /// row, then reclassify exactly the diff (scheduled pairs stay
-    /// frozen, ineff→eff flips resolve against the pool by the urn draw).
     fn set_state_index(&mut self, u: usize, q: usize) {
-        let old: Vec<u64> = self.pairs.row_bits(u).to_vec();
-        self.pop.set_state(u, self.machine.state_at(q));
-        self.index
-            .on_state_change(&self.machine, &self.pop, &mut self.pairs, u);
-        self.reclass_row(u, &old, None);
+        self.repair_row(u, |core| core.set_state_index(u, q));
     }
 
     fn deactivate_edge(&mut self, u: usize, v: usize) -> bool {
-        if !self.pop.edges().is_active(u, v) {
-            return false;
+        let flipped = self.core.deactivate_edge(u, v);
+        if flipped == Some(true) {
+            self.reclass_pair(u, v, self.core.pairs().contains(u, v));
         }
-        self.pop.edges_mut().set(u, v, false);
-        // A dead endpoint implies an inactive edge, so both ends are
-        // alive here; only the link of this one pair changed.
-        let (a, b) = (u.min(v), u.max(v));
-        let now_eff = self.index.table().can_affect(
-            self.index.state_index(a),
-            self.index.state_index(b),
-            Link::Off,
-        );
-        if self.pairs.contains(a, b) != now_eff {
-            self.pairs.set(a, b, now_eff);
-            self.reclass_pair(a, b, now_eff);
-        }
-        true
+        flipped.is_some()
     }
 
     fn record_fault_edges(&mut self, k: usize) {
@@ -683,7 +614,7 @@ impl<M: EnumerableMachine> ExactEngine for RoundSim<M> {
     type Config = Population<M::State>;
 
     fn config(&self) -> &Population<M::State> {
-        &self.pop
+        self.core.pop()
     }
 }
 
@@ -695,7 +626,7 @@ mod tests {
     use crate::driver::contract::{self, Arm};
     use crate::engine::index_check;
     use crate::RunOutcome;
-    use crate::{CompiledTable, ProtocolBuilder, RuleProtocol, ShuffledRounds, Simulation};
+    use crate::{CompiledTable, Link, ProtocolBuilder, RuleProtocol, ShuffledRounds, Simulation};
     use netcon_graph::properties::is_maximum_matching;
 
     const OFF: Link = Link::Off;
@@ -775,12 +706,12 @@ mod tests {
         // a from-scratch `can_affect` pass over all pairs.
         let (p, pop) = index_check::many_states();
         let mut sim = RoundSim::from_population(p, pop, 42);
-        index_check::assert_exact(&sim.machine, &sim.pop, &sim.pairs);
+        index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
         for _ in 0..200 {
             if sim.advance(u64::MAX) == EventStep::Quiescent {
                 break;
             }
-            index_check::assert_exact(&sim.machine, &sim.pop, &sim.pairs);
+            index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
         }
         assert!(sim.effective_steps() > 0);
     }

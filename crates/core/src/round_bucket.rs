@@ -308,7 +308,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     #[must_use]
     pub fn new(machine: M, n: usize, seed: u64) -> Self {
         let sp = SparsePop::initial(&machine, n);
-        Self::from_sparse(machine, sp, seed)
+        Self::from_sparse(machine, sp, seed, None)
     }
 
     /// Creates a sparse round simulation from an explicit dense
@@ -320,7 +320,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     #[must_use]
     pub fn from_population(machine: M, pop: Population<M::State>, seed: u64) -> Self {
         let sp = SparsePop::from_population(&machine, &pop);
-        Self::from_sparse(machine, sp, seed)
+        Self::from_sparse(machine, sp, seed, None)
     }
 
     /// Creates a faulted sparse round simulation: `n` live nodes plus one
@@ -335,19 +335,13 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// As [`new`](Self::new) (with the capacity in place of `n`).
     #[must_use]
     pub fn new_faulted(machine: M, n: usize, seed: u64, plan: FaultPlan) -> Self {
-        assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        let fs = FaultState::new(plan, n);
-        let mut sim = Self::new(machine, fs.capacity(), seed);
-        for ghost in n..fs.capacity() {
-            sim.alive[ghost] = false;
-            sim.sp.bucket_remove(ghost);
-        }
-        sim.start_round(0);
-        sim.faults = Some(fs);
-        sim
+        let (sp, fs) = SparsePop::initial_faulted(&machine, n, plan);
+        Self::from_sparse(machine, sp, seed, Some(fs))
     }
 
-    fn from_sparse(machine: M, sp: SparsePop, seed: u64) -> Self {
+    /// The engine over `sp`, whose ghost slots (if `faults` is given) are
+    /// already out of their buckets; builds the first round.
+    fn from_sparse(machine: M, sp: SparsePop, seed: u64, faults: Option<FaultState>) -> Self {
         let table = machine.effect_table();
         let nq = table.size();
         let mut sup_pairs = Vec::new();
@@ -369,8 +363,10 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             sup_pairs,
             nq,
             m,
-            faults: None,
-            alive: vec![true; n],
+            alive: (0..n)
+                .map(|u| faults.as_ref().is_none_or(|fs| fs.is_alive(u)))
+                .collect(),
+            faults,
             rs_class: vec![0; n],
             touched: vec![false; n],
             reset_dead: vec![false; n],

@@ -2,9 +2,10 @@
 //! number of heap allocations one decision makes does not grow with the
 //! population. A counting global allocator (which is why this test has a
 //! binary of its own) tallies the allocations of one `CrashMaxDegree`
-//! decision against a stabilized FT-Global-Star on `EventSim` and on
-//! `BucketSim`, at n = 64 and at n = 1 024. A decision that copied the
-//! configuration would pay about two allocations per node.
+//! decision against a stabilized FT-Global-Star on `EventSim`, on
+//! `BucketSim` and on `RoundSim`, at n = 64 and at n = 1 024. A decision
+//! that copied the configuration would pay about two allocations per
+//! node, and so would a repair that copied a row per notified spoke.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,8 +60,9 @@ static GLOBAL: Counting = Counting;
 const DECISION: u64 = 1 << 40;
 
 /// The allocations of one max-degree crash decision on a stabilized
-/// FT-Global-Star of `n` nodes, on the engine `budget` selects.
-fn decision_allocations(n: usize, budget: u64) -> u64 {
+/// FT-Global-Star of `n` nodes, on the engine `budget` and `scheduler`
+/// select, which must be `engine`.
+fn decision_allocations(n: usize, engine: &str, budget: u64, scheduler: SchedulerKind) -> u64 {
     let adversary = AdversaryPlan::new(Cadence::burst(vec![DECISION]))
         .policy(AdversaryPolicy::CrashMaxDegree)
         .min_alive(2);
@@ -70,9 +72,10 @@ fn decision_allocations(n: usize, budget: u64) -> u64 {
         n,
         11,
         budget,
-        SchedulerKind::Uniform,
+        scheduler,
         plan,
     );
+    assert_eq!(eng.kind(), engine);
     let out = eng.run_until(ft_star::is_stable_view, DECISION - 1);
     assert!(out.stabilized(), "n = {n}: {out:?}");
     let before = ALLOCATIONS.with(Cell::get);
@@ -94,9 +97,14 @@ fn decision_allocations(n: usize, budget: u64) -> u64 {
 
 #[test]
 fn decision_allocations_do_not_grow_with_n() {
-    for (engine, budget) in [("event-dense", u64::MAX), ("bucket-sparse", 0)] {
-        let small = decision_allocations(64, budget);
-        let large = decision_allocations(1_024, budget);
+    let arms = [
+        ("event-dense", u64::MAX, SchedulerKind::Uniform),
+        ("bucket-sparse", 0, SchedulerKind::Uniform),
+        ("round-dense", u64::MAX, SchedulerKind::ShuffledRounds),
+    ];
+    for (engine, budget, scheduler) in arms {
+        let small = decision_allocations(64, engine, budget, scheduler);
+        let large = decision_allocations(1_024, engine, budget, scheduler);
         assert!(
             large <= small,
             "{engine}: {small} allocations at n = 64, {large} at n = 1024"

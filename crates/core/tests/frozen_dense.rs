@@ -1,13 +1,13 @@
 //! Frozen trajectories of the dense exact engines.
 //!
-//! `EventSim` and `RoundSim` share one incremental effective-pair index
-//! (`EffectIndex`), whose member order decides which pair every sampled
-//! position names. These tests pin
-//! `(steps, effective_steps, edge_events, last_output_change, population
-//! hash)` of fixed-seed runs on both engines to constants recorded before
-//! that index learned to skip the rescans of unchanged nodes and to build
-//! its initial set word-parallel — so any change to the index that moves
-//! a single member, coin, edge or stopping step fails here.
+//! `EventSim` and `RoundSim` share one dense core (`DenseCore`: the
+//! configuration and its incremental effective-pair set), whose member
+//! order decides which pair every sampled position names. These tests
+//! pin `(steps, effective_steps, edge_events, last_output_change,
+//! population hash)` of fixed-seed runs on both engines to constants
+//! recorded before that set learned to skip the rescans of unchanged
+//! nodes and to build itself word-parallel — so any change to the core
+//! that moves a single member, coin, edge or stopping step fails here.
 //!
 //! Coverage: Global-Star at n = 64 (almost every effective step only
 //! toggles a link); FT-Global-Star under Poisson churn and under

@@ -403,24 +403,38 @@ mod round_counts {
     /// *mid-round* interrupt may land inside a pending skip batch; there
     /// the engines promise truncation self-similarity — the resumed
     /// distribution is exact, checked statistically above — not coin
-    /// identity.) Held on the dissolve table and nine catalogue tables.
+    /// identity.) Held on the dissolve table and eleven catalogue tables;
+    /// Graph-Replication starts from its input graph.
     #[test]
     fn stop_resume_at_round_boundaries_is_coin_for_coin_identical() {
         use netcon::core::Machine;
         use netcon::protocols::{
-            c_cliques, fast_global_line, faster_global_line, global_ring, krc, spanning_net,
+            c_cliques, fast_global_line, faster_global_line, global_ring, krc, replication,
+            spanning_net,
         };
-        let tables = [
-            (super::round_counts::dissolve_protocol(), [8usize, 11]),
-            (simple_global_line::protocol(), [8, 11]),
-            (cycle_cover::protocol(), [8, 11]),
-            (krc::protocol(2), [8, 11]),
-            (krc::protocol(3), [8, 11]),
-            (global_ring::protocol(), [8, 11]),
-            (c_cliques::protocol(3), [9, 12]),
-            (spanning_net::protocol(), [8, 11]),
-            (fast_global_line::protocol(), [8, 11]),
-            (faster_global_line::protocol(), [8, 11]),
+        /// Graph-Replication's start: a path on the first `n / 2` nodes
+        /// as the input graph, the other nodes its replica side.
+        fn replication_start(n: usize) -> Population<StateId> {
+            let mut g1 = netcon::graph::EdgeSet::new(n / 2);
+            for u in 1..n / 2 {
+                g1.activate(u - 1, u);
+            }
+            replication::initial_population(&g1, n - n / 2)
+        }
+        type Start = Option<fn(usize) -> Population<StateId>>;
+        let tables: [(RuleProtocol, [usize; 2], Start); 12] = [
+            (super::round_counts::dissolve_protocol(), [8, 11], None),
+            (simple_global_line::protocol(), [8, 11], None),
+            (cycle_cover::protocol(), [8, 11], None),
+            (krc::protocol(2), [8, 11], None),
+            (krc::protocol(3), [8, 11], None),
+            (global_ring::protocol(), [8, 11], None),
+            (c_cliques::protocol(3), [9, 12], None),
+            (c_cliques::protocol(4), [8, 12], None),
+            (spanning_net::protocol(), [8, 11], None),
+            (fast_global_line::protocol(), [8, 11], None),
+            (faster_global_line::protocol(), [8, 11], None),
+            (replication::protocol(), [8, 11], Some(replication_start)),
         ];
         type Fp = ([u64; 4], Vec<StateId>, Vec<(usize, usize)>);
         fn fp(pop: &Population<StateId>, e: &impl ExactEngine) -> Fp {
@@ -429,9 +443,18 @@ mod round_counts {
             let states = (0..pop.n()).map(|u| *pop.state(u)).collect();
             (book, states, pop.edges().active_edges().collect())
         }
-        for (p, sizes) in tables {
+        for (p, sizes, start) in tables {
             let (name, compiled) = (p.name().to_owned(), p.compile());
             for n in sizes {
+                let start = start.map(|f| f(n));
+                let round = |s| match &start {
+                    Some(pop) => RoundSim::from_population(compiled.clone(), pop.clone(), s),
+                    None => RoundSim::new(compiled.clone(), n, s),
+                };
+                let round_bucket = |s| match &start {
+                    Some(pop) => RoundBucketSim::from_population(compiled.clone(), pop.clone(), s),
+                    None => RoundBucketSim::new(compiled.clone(), n, s),
+                };
                 let m = (n as u64) * (n as u64 - 1) / 2;
                 // Every round boundary through 12 rounds, then mid-round
                 // past them (deep into quiescence where a table has
@@ -441,9 +464,9 @@ mod round_counts {
 
                 for seed in 0..8u64 {
                     let s = derive2(47, n as u64, seed);
-                    let mut a = RoundSim::new(compiled.clone(), n, s);
+                    let mut a = round(s);
                     a.run_to(end);
-                    let mut b = RoundSim::new(compiled.clone(), n, s);
+                    let mut b = round(s);
                     for &t in &stops {
                         b.run_to(t);
                     }
@@ -454,9 +477,9 @@ mod round_counts {
                         "RoundSim {name} n={n} seed={seed}"
                     );
 
-                    let mut a = RoundBucketSim::new(compiled.clone(), n, s);
+                    let mut a = round_bucket(s);
                     a.run_to(end);
-                    let mut b = RoundBucketSim::new(compiled.clone(), n, s);
+                    let mut b = round_bucket(s);
                     for &t in &stops {
                         b.run_to(t);
                     }
@@ -1240,12 +1263,51 @@ mod fault_bookkeeping {
         exact
     }
 
+    /// Matching over `s0` in a 40-state table: past the 32 states of a
+    /// packed affect row, so the dense engines repair their effective
+    /// sets with the per-pair fallback rescan, whose only guard against
+    /// a ghost partner is the absent mask — and the initial state pairs
+    /// with itself, so a ghost in it would be a candidate.
+    fn many_state_matching() -> netcon::core::CompiledTable {
+        let mut b = ProtocolBuilder::new("many-state-matching");
+        let ids: Vec<_> = (0..40).map(|i| b.state(format!("s{i}"))).collect();
+        b.initial(ids[0]);
+        b.rule((ids[0], ids[0], Link::Off), (ids[1], ids[1], Link::On));
+        b.build().expect("valid").compile()
+    }
+
+    /// An arrival rescans the arriving node's row while the other ghost
+    /// slot is still absent: on the > 32-state fallback path the absent
+    /// mask alone keeps the pair with that ghost out of the set. (Only
+    /// the arrival due at draw 0 is applied: the second arrival's own
+    /// rescan would restore the pair the first one wrongly added.)
+    #[test]
+    fn many_state_arrival_leaves_the_other_ghost_out() {
+        let plan = FaultPlan::new(1)
+            .at(0, FaultEvent::Arrive)
+            .at(1_000, FaultEvent::Arrive);
+        let mut ev = EventSim::new_faulted(many_state_matching(), 8, 5, plan.clone());
+        ev.run_faulted_to(0);
+        let mut rs = RoundSim::new_faulted(many_state_matching(), 8, 5, plan);
+        rs.run_faulted_to(0);
+        for (engine, pairs, fs) in [
+            ("EventSim", ev.effective_pairs(), ev.fault_state()),
+            ("RoundSim", rs.effective_pairs(), rs.fault_state()),
+        ] {
+            let alive = fs.expect("faulted").alive_count();
+            assert_eq!(alive, 9, "{engine}");
+            assert_eq!(pairs, alive * (alive - 1) / 2, "{engine}");
+        }
+        assert!(rs.pool_invariant_holds());
+    }
+
     proptest! {
         /// After an arbitrary interleaving of steps, crashes, arrivals,
         /// and edge deletions, every engine's candidate structure equals
         /// a brute-force recomputation over the alive population — and
         /// RoundSim's lazy pool partition still accounts for every pair
-        /// of the current round.
+        /// of the current round. On matching, and on a 40-state matching
+        /// that takes the dense engines' per-pair fallback rescan.
         #[test]
         fn candidate_structures_track_faults_exactly(
             n in 4usize..14,
@@ -1253,49 +1315,50 @@ mod fault_bookkeeping {
             plan_seed in any::<u64>(),
             choices in proptest::collection::vec((0u64..220, any::<u8>()), 0..6),
         ) {
-            let p = super::matching_protocol().compile();
-            let plan = plan_from(&choices, plan_seed);
+            for p in [super::matching_protocol().compile(), many_state_matching()] {
+                let plan = plan_from(&choices, plan_seed);
 
-            let mut ev = EventSim::new_faulted(p.clone(), n, seed, plan.clone());
-            let mut bu = BucketSim::new_faulted(p.clone(), n, seed, plan.clone());
-            let mut rs = RoundSim::new_faulted(p.clone(), n, seed, plan.clone());
-            let mut rb = RoundBucketSim::new_faulted(p.clone(), n, seed, plan);
+                let mut ev = EventSim::new_faulted(p.clone(), n, seed, plan.clone());
+                let mut bu = BucketSim::new_faulted(p.clone(), n, seed, plan.clone());
+                let mut rs = RoundSim::new_faulted(p.clone(), n, seed, plan.clone());
+                let mut rb = RoundBucketSim::new_faulted(p.clone(), n, seed, plan);
 
-            for target in [120u64, 260] {
-                ev.run_faulted_to(target);
-                bu.run_faulted_to(target);
-                rs.run_faulted_to(target);
-                rb.run_faulted_to(target);
+                for target in [120u64, 260] {
+                    ev.run_faulted_to(target);
+                    bu.run_faulted_to(target);
+                    rs.run_faulted_to(target);
+                    rb.run_faulted_to(target);
 
-                let exact_e =
-                    brute(&p, ev.population(), ev.fault_state().expect("faulted"));
-                prop_assert_eq!(2 * ev.effective_pairs() as u64, exact_e);
+                    let exact_e =
+                        brute(&p, ev.population(), ev.fault_state().expect("faulted"));
+                    prop_assert_eq!(2 * ev.effective_pairs() as u64, exact_e);
 
-                let bp = bu.to_population();
-                let bfs = bu.fault_state().expect("faulted").clone();
-                let exact_b = brute(&p, &bp, &bfs);
-                prop_assert_eq!(bu.candidate_weight(), exact_b);
-                prop_assert!(bu.adjacency_consistent());
-                prop_assert!(bu.buckets_consistent());
+                    let bp = bu.to_population();
+                    let bfs = bu.fault_state().expect("faulted").clone();
+                    let exact_b = brute(&p, &bp, &bfs);
+                    prop_assert_eq!(bu.candidate_weight(), exact_b);
+                    prop_assert!(bu.adjacency_consistent());
+                    prop_assert!(bu.buckets_consistent());
 
-                let exact_r =
-                    brute(&p, rs.population(), rs.fault_state().expect("faulted"));
-                prop_assert_eq!(2 * rs.effective_pairs() as u64, exact_r);
-                prop_assert!(rs.pool_invariant_holds());
+                    let exact_r =
+                        brute(&p, rs.population(), rs.fault_state().expect("faulted"));
+                    prop_assert_eq!(2 * rs.effective_pairs() as u64, exact_r);
+                    prop_assert!(rs.pool_invariant_holds());
 
-                // The sparse round engine's counted strata must add up to
-                // the same exact candidate count, its unscheduled slice
-                // can never exceed it, and the per-round pool partition
-                // must account for every remaining pair.
-                let rbp = rb.to_population();
-                let rbfs = rb.fault_state().expect("faulted").clone();
-                let exact_q = brute(&p, &rbp, &rbfs);
-                prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
-                prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
-                prop_assert!(rb.pool_invariant_holds());
-                prop_assert!(rb.round_arenas_consistent());
-                prop_assert!(rb.view().adjacency_consistent(&[]));
-                prop_assert!(rb.view().buckets_consistent(|u| rbfs.is_alive(u)));
+                    // The sparse round engine's counted strata must add up to
+                    // the same exact candidate count, its unscheduled slice
+                    // can never exceed it, and the per-round pool partition
+                    // must account for every remaining pair.
+                    let rbp = rb.to_population();
+                    let rbfs = rb.fault_state().expect("faulted").clone();
+                    let exact_q = brute(&p, &rbp, &rbfs);
+                    prop_assert_eq!(2 * rb.effective_pairs(), exact_q);
+                    prop_assert!(rb.unscheduled_candidates() <= rb.effective_pairs());
+                    prop_assert!(rb.pool_invariant_holds());
+                    prop_assert!(rb.round_arenas_consistent());
+                    prop_assert!(rb.view().adjacency_consistent(&[]));
+                    prop_assert!(rb.view().buckets_consistent(|u| rbfs.is_alive(u)));
+                }
             }
         }
 
