@@ -12,10 +12,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netcon_analysis::knee::periodic_adversary_plan;
+use netcon_core::testing::{hypergeometric_skip, unit_open01};
 use netcon_core::{
-    hypergeometric_skip, unit_open01, AdversaryPolicy, BucketSim, CompiledTable, Engine,
-    EngineView, EventSim, ExactEngine, Population, RoundBucketSim, RoundSim, RuleProtocol,
-    SchedulerKind, ShuffledRounds, Simulation, StateId,
+    AdversaryPolicy, BucketSim, CompiledTable, Engine, EngineView, EventSim, ExactEngine,
+    Population, RoundBucketSim, RoundSim, RuleProtocol, SchedulerKind, ShuffledRounds, Simulation,
+    StateId,
 };
 use netcon_graph::properties::is_spanning_star;
 use netcon_processes::Process;

@@ -23,12 +23,18 @@
 //! always regenerated live, from the same [`netcon_bench::frontier`]
 //! sweeps their bench targets print.
 //!
-//! `--check <baseline.json>` compares this run's per-bench wall-clock
-//! against the baseline's `benches` section and exits non-zero when any
-//! target regressed by more than `NETCON_BENCH_TOLERANCE` × (default
-//! 2.5×, small-time floor 0.1 s); the failure message names every
-//! offending target with both wall times, the measured ratio, and the
-//! active tolerance. The gate only fires when the two runs used the same
+//! `engine_micro`'s output is captured, echoed, and parsed into the
+//! `engine_micro` section: one mean ns/iter per micro-bench.
+//!
+//! `--check <baseline.json>` compares this run against the baseline's
+//! `benches` wall-clocks and `engine_micro` ns/iter, and exits non-zero
+//! when any target or micro-bench regressed by more than
+//! `NETCON_BENCH_TOLERANCE` × (default 2.5×; walls have a small-time
+//! floor of 0.1 s); the failure message names every offender with both
+//! figures, the measured ratio, and the active tolerance.
+//! `engine_micro`'s own wall is recorded but not gated: each of its
+//! benches runs for a fixed budget, so that wall counts benches, not
+//! speed. The gate only fires when the two runs used the same
 //! `bench_scale_pct` — comparing a smoke run against a full-scale record
 //! would be noise.
 //!
@@ -44,7 +50,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use netcon_analysis::knee::detect_knee;
@@ -53,10 +59,8 @@ use netcon_bench::frontier::{
     sweep_trials, ADVERSARY_HORIZON, ADVERSARY_MIN_ALIVE, ADVERSARY_N, CHURN_RATE,
     FRONTIER_SIZES, LINE_CHURN_HORIZON, MATCHING_BURST, STAR_CHURN_HORIZON, STAR_SPOKES,
 };
-use netcon_bench::harness::scale;
-use netcon_bench::speedup::{
-    bucket_stats, compare_engines, compare_round_engines, Comparison,
-};
+use netcon_bench::harness::{knob, scale, switch};
+use netcon_bench::speedup::{bucket_stats, compare_engines, compare_round_engines, Comparison};
 use netcon_core::{
     BucketSim, CompiledTable, EngineView, EventSim, ExactEngine, RoundSim, Simulation,
 };
@@ -103,51 +107,79 @@ fn carry_forward_section(out_path: &Path, key: &str) -> Option<String> {
     None
 }
 
-/// Reads environment knob `name`: `None` when unset, a panic naming the
-/// variable and its value when set but malformed.
-fn knob<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let v = std::env::var_os(name)?;
-    let parsed = v.to_str().and_then(|s| s.parse().ok());
-    let ty = std::any::type_name::<T>();
-    Some(parsed.unwrap_or_else(|| panic!("{name}={v:?} is not a valid {ty}")))
+/// The bench target whose per-bench figures are recorded and gated
+/// instead of its wall-clock.
+const MICRO: &str = "engine_micro";
+
+/// The `(id, ns/iter)` rows of the criterion stand-in's output: its
+/// `bench <id> <ns> ns/iter (<k> iters)` lines.
+///
+/// # Panics
+///
+/// Panics on a `bench ` line of any other shape, so a format change
+/// cannot empty the gate unseen.
+fn micro_rows(stdout: &str) -> Vec<(String, f64)> {
+    let rows = stdout.lines().filter_map(|line| {
+        let mut t = line.strip_prefix("bench ")?.split_whitespace();
+        let (id, ns, unit) = (
+            t.next(),
+            t.next().and_then(|ns| ns.parse::<f64>().ok()),
+            t.next(),
+        );
+        Some(match (id, ns, unit) {
+            (Some(id), Some(ns), Some("ns/iter")) if ns.is_finite() => (id.to_owned(), ns),
+            _ => panic!("{MICRO} printed a malformed bench line: {line:?}"),
+        })
+    });
+    rows.collect()
 }
 
-/// Parses the `benches` array of a perf_smoke JSON (our own format: one
-/// `{ "name": …, "wall_s": … }` object per line) plus its
-/// `bench_scale_pct`.
-fn parse_baseline(text: &str) -> (Option<String>, Vec<(String, f64)>) {
-    let scale_pct = text
-        .find("\"bench_scale_pct\"")
-        .and_then(|i| text[i..].split('"').nth(3).map(str::to_owned));
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let Some(ni) = line.find("\"name\": \"") else { continue };
-        let rest = &line[ni + 9..];
-        let Some(name) = rest.split('"').next() else { continue };
-        let Some(wi) = line.find("\"wall_s\": ") else { continue };
-        let wall: f64 = line[wi + 10..]
-            .trim_end_matches(|c: char| c == '}' || c == ',' || c.is_whitespace())
-            .parse()
-            .unwrap_or(f64::NAN);
-        if wall.is_finite() {
-            rows.push((name.to_owned(), wall));
-        }
+/// One `{ "<key>": "<id>", "<value>": <number> }` row line.
+fn parse_row(line: &str, key: &str, value: &str) -> Option<(String, f64)> {
+    let rest = line.strip_prefix(&format!("{{ \"{key}\": \""))?;
+    let (id, rest) = rest.split_once('"')?;
+    let num = rest.strip_prefix(&format!(", \"{value}\": "))?;
+    let num = num.trim_end_matches(',').strip_suffix('}')?.trim();
+    let x: f64 = num.parse().ok()?;
+    x.is_finite().then(|| (id.to_owned(), x))
+}
+
+/// The row lines of the section opened by the line `header`, up to its
+/// first `]`, parsed by [`parse_row`]; empty when the section is absent.
+/// A row that does not parse is an error, not a missing baseline.
+fn section_rows(
+    text: &str,
+    header: &str,
+    key: &str,
+    value: &str,
+) -> Result<Vec<(String, f64)>, String> {
+    let mut lines = text.lines().map(str::trim).skip_while(|l| *l != header);
+    if lines.next().is_none() {
+        return Ok(Vec::new());
     }
-    (scale_pct, rows)
+    lines
+        .take_while(|l| !l.starts_with(']'))
+        .filter(|l| l.starts_with('{'))
+        .map(|l| parse_row(l, key, value).ok_or_else(|| format!("malformed baseline row: {l}")))
+        .collect()
 }
 
-/// The regression gate: every target present in both runs must stay
-/// within `tolerance ×` of the baseline (with a 0.1 s floor so
-/// micro-targets cannot flake the gate on scheduler noise).
-fn check_against_baseline(
-    baseline_path: &Path,
+/// The regression gate over a baseline record's text: every target in
+/// both runs must stay within `tolerance ×` of its baseline wall (with a
+/// 0.1 s floor so sub-second targets cannot flake the gate on scheduler
+/// noise), and every `engine_micro` bench within `tolerance ×` of its
+/// baseline ns/iter. Targets and benches the baseline lacks are
+/// reported, not failed.
+fn gate(
+    text: &str,
     current_scale: &str,
     rows: &[(String, f64)],
+    micro: &[(String, f64)],
 ) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-    let (base_scale, baseline) = parse_baseline(&text);
-    let base_scale = base_scale.unwrap_or_default();
+    let base_scale = text
+        .find("\"bench_scale_pct\"")
+        .and_then(|i| text[i..].split('"').nth(3))
+        .unwrap_or_default();
     if base_scale != current_scale {
         println!(
             "--check: baseline scale {base_scale}% != current {current_scale}%; \
@@ -155,34 +187,90 @@ fn check_against_baseline(
         );
         return Ok(());
     }
+    let base_rows = section_rows(text, "\"benches\": [", "name", "wall_s")?;
+    let base_micro = section_rows(text, &format!("\"{MICRO}\": {{"), "id", "ns_per_iter")?;
     let tolerance: f64 = knob("NETCON_BENCH_TOLERANCE").unwrap_or(2.5);
+    println!("tolerance {tolerance}x");
     let mut failures = Vec::new();
-    println!("\n--check against {} (tolerance {tolerance}x):", baseline_path.display());
-    for (name, wall) in rows {
-        let Some((_, base)) = baseline.iter().find(|(b, _)| b == name) else {
-            println!("  {name:<24} {wall:>8.3}s (new target, no baseline)");
-            continue;
+    let mut judge = |label: &str, now: f64, base: Option<f64>, floor: f64, unit: &str| {
+        let Some(base) = base else {
+            println!("  {label:<56} {now:>14.3} {unit} (new, no baseline)");
+            return;
         };
-        let floor = base.max(0.1);
-        let ratio = wall / floor;
-        let verdict = if *wall > tolerance * floor { "REGRESSED" } else { "ok" };
-        println!("  {name:<24} {wall:>8.3}s vs {base:>8.3}s ({ratio:>5.2}x) {verdict}");
-        if *wall > tolerance * floor {
+        let ratio = now / base.max(floor);
+        let regressed = ratio > tolerance;
+        let verdict = if regressed { "REGRESSED" } else { "ok" };
+        println!("  {label:<56} {now:>14.3} {unit} vs {base:>14.3} ({ratio:>5.2}x) {verdict}");
+        if regressed {
+            let over = if floor > 0.0 {
+                format!(" over max(baseline, {floor} {unit})")
+            } else {
+                String::new()
+            };
             failures.push(format!(
-                "{name}: current {wall:.3}s vs baseline {base:.3}s \
-                 ({ratio:.2}x, tolerance {tolerance}x over max(baseline, 0.1s))"
+                "{label}: current {now:.3} {unit} vs baseline {base:.3} {unit} \
+                 ({ratio:.2}x, tolerance {tolerance}x{over})"
             ));
         }
+    };
+    let lookup = |rows: &[(String, f64)], id: &str| rows.iter().find(|(b, _)| b == id).map(|r| r.1);
+    for (name, wall) in rows {
+        if name == MICRO {
+            println!("  {name:<56} {wall:>14.3} s (not gated: its benches are)");
+        } else {
+            judge(name, *wall, lookup(&base_rows, name), 0.1, "s");
+        }
+    }
+    for (id, ns) in micro {
+        judge(
+            &format!("{MICRO} {id}"),
+            *ns,
+            lookup(&base_micro, id),
+            0.0,
+            "ns/iter",
+        );
     }
     if failures.is_empty() {
         Ok(())
     } else {
         Err(format!(
-            "{} target(s) regressed beyond {tolerance}x:\n  {}",
+            "{} regressed beyond {tolerance}x:\n  {}",
             failures.len(),
             failures.join("\n  ")
         ))
     }
+}
+
+/// [`gate`] against the baseline file at `baseline_path`.
+fn check_against_baseline(
+    baseline_path: &Path,
+    current_scale: &str,
+    rows: &[(String, f64)],
+    micro: &[(String, f64)],
+) -> Result<(), String> {
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
+    println!("\n--check against {}:", baseline_path.display());
+    gate(&text, current_scale, rows, micro).map_err(|e| format!("{}: {e}", baseline_path.display()))
+}
+
+/// The `engine_micro` section: one mean ns/iter per micro-bench.
+fn micro_section(micro: &[(String, f64)]) -> String {
+    let mut s = format!("  \"{MICRO}\": {{\n");
+    let _ = writeln!(
+        s,
+        "    \"note\": \"mean ns/iter of each {MICRO} bench (criterion stand-in); regenerated live on every run, gated per bench by --check\","
+    );
+    s.push_str("    \"rows\": [\n");
+    for (i, (id, ns)) in micro.iter().enumerate() {
+        let comma = if i + 1 < micro.len() { "," } else { "" };
+        let _ = writeln!(
+            s,
+            "      {{ \"id\": \"{id}\", \"ns_per_iter\": {ns:.1} }}{comma}"
+        );
+    }
+    s.push_str("    ]\n  }");
+    s
 }
 
 fn json_engine(out: &mut String, key: &str, c: &Comparison) {
@@ -583,7 +671,16 @@ fn main() {
             check,
         )
     };
+    // Every knob is read before any bench runs, so a malformed one fails
+    // at once rather than after the suite.
     let scale_pct: usize = knob("NETCON_BENCH_SCALE").unwrap_or(100);
+    let [regen_frontier, regen_round_frontier, regen_mega_frontier] = [
+        "NETCON_FRONTIER",
+        "NETCON_ROUND_FRONTIER",
+        "NETCON_MEGA_FRONTIER",
+    ]
+    .map(switch);
+    let ref_trials: usize = knob("NETCON_NAIVE_TRIALS_256").unwrap_or(0);
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let bench_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("benches");
 
@@ -597,14 +694,25 @@ fn main() {
     assert!(status.success(), "bench warm build failed");
 
     let mut rows = Vec::new();
+    let mut micro = Vec::new();
     for name in bench_targets(&bench_dir) {
         println!("==> cargo bench --bench {name}");
+        let mut bench = Command::new(&cargo);
+        bench.args(["bench", "-p", "netcon-bench", "--bench", &name]);
         let t0 = Instant::now();
-        let status = Command::new(&cargo)
-            .args(["bench", "-p", "netcon-bench", "--bench", &name])
-            .status()
-            .expect("failed to spawn cargo bench");
+        let (status, stdout) = if name == MICRO {
+            let out = bench.stderr(Stdio::inherit()).output();
+            let out = out.expect("failed to spawn cargo bench");
+            (out.status, Some(out.stdout))
+        } else {
+            (bench.status().expect("failed to spawn cargo bench"), None)
+        };
         let wall = t0.elapsed().as_secs_f64();
+        if let Some(stdout) = stdout {
+            let stdout = String::from_utf8_lossy(&stdout);
+            print!("{stdout}");
+            micro = micro_rows(&stdout);
+        }
         assert!(status.success(), "bench target {name} failed");
         rows.push((name, wall));
     }
@@ -651,17 +759,17 @@ fn main() {
         carry_forward_section(&out_path, key)
             .or_else(|| check_path.as_deref().and_then(|p| carry_forward_section(p, key)))
     };
-    let frontier = if std::env::var("NETCON_FRONTIER").is_ok_and(|v| v == "1") {
+    let frontier = if regen_frontier {
         Some(scaling_frontier_section())
     } else {
         carry("scaling_frontier")
     };
-    let round_frontier = if std::env::var("NETCON_ROUND_FRONTIER").is_ok_and(|v| v == "1") {
+    let round_frontier = if regen_round_frontier {
         Some(round_frontier_section())
     } else {
         carry("round_frontier")
     };
-    let mega_frontier = if std::env::var("NETCON_MEGA_FRONTIER").is_ok_and(|v| v == "1") {
+    let mega_frontier = if regen_mega_frontier {
         Some(mega_frontier_section())
     } else {
         carry("mega_frontier")
@@ -671,7 +779,6 @@ fn main() {
     // (k ≥ 100; ≈ 25 min at 1000) regenerates it; otherwise any section
     // already present in the output file is carried forward, so quick
     // re-runs don't destroy the expensive record.
-    let ref_trials: usize = knob("NETCON_NAIVE_TRIALS_256").unwrap_or(0);
     let large_sample = if ref_trials >= 100 {
         println!("==> large-sample agreement ({ref_trials} naive trials at n = 256)");
         let ls = compare_engines(
@@ -729,6 +836,8 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    json.push_str(&micro_section(&micro));
+    json.push_str(",\n");
     json.push_str("  \"engine_speedup\": {\n");
     json_engine(&mut json, "simple_global_line_n256", &simple);
     json.push_str(",\n");
@@ -773,10 +882,78 @@ fn main() {
     );
 
     if let Some(baseline) = check_path {
-        if let Err(msg) = check_against_baseline(&baseline, &scale_pct.to_string(), &rows) {
+        if let Err(msg) = check_against_baseline(&baseline, &scale_pct.to_string(), &rows, &micro) {
             eprintln!("\nREGRESSION GATE FAILED\n{msg}");
             std::process::exit(1);
         }
         println!("regression gate passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{gate, micro_rows};
+
+    const BASELINE: &str = r#"{
+  "bench_scale_pct": "1",
+  "benches": [
+    { "name": "engine_micro", "wall_s": 1.840 },
+    { "name": "fig1", "wall_s": 0.025 }
+  ],
+  "engine_micro": {
+    "note": "n/a",
+    "rows": [
+      { "id": "event/advance", "ns_per_iter": 100.0 },
+      { "id": "round/advance", "ns_per_iter": 2.000e9 }
+    ]
+  }
+}"#;
+
+    fn rows(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|&(id, x)| (id.to_owned(), x)).collect()
+    }
+
+    #[test]
+    fn stand_in_bench_lines_parse_and_other_lines_are_skipped() {
+        let out = "running\nbench event/advance                 123.4 ns/iter (10 iters)\n\
+                   bench round/advance          1.234e9 ns/iter (2 iters)\n";
+        assert_eq!(
+            micro_rows(out),
+            rows(&[("event/advance", 123.4), ("round/advance", 1.234e9)])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed bench line")]
+    fn a_malformed_bench_line_fails_loudly() {
+        let _ = micro_rows("bench event/advance fast\n");
+    }
+
+    #[test]
+    fn micro_benches_are_gated_and_the_micro_wall_is_not() {
+        let walls = rows(&[("engine_micro", 9.0), ("fig1", 0.03)]);
+        let micro = rows(&[
+            ("event/advance", 120.0),
+            ("round/advance", 2.1e9),
+            ("new/bench", 1.0),
+        ]);
+        assert_eq!(gate(BASELINE, "1", &walls, &micro), Ok(()));
+    }
+
+    #[test]
+    fn a_slower_micro_bench_fails_by_name() {
+        let micro = rows(&[("event/advance", 300.0), ("round/advance", 2.0e9)]);
+        let err = gate(BASELINE, "1", &[], &micro).unwrap_err();
+        assert!(err.contains("engine_micro event/advance"), "{err}");
+        assert!(!err.contains("round/advance"), "{err}");
+    }
+
+    #[test]
+    fn a_malformed_baseline_row_fails_the_check() {
+        let broken = BASELINE.replace("\"wall_s\": 0.025", "\"wall_s\": fast");
+        let err = gate(&broken, "1", &rows(&[("fig1", 0.03)]), &[]).unwrap_err();
+        assert!(err.contains("malformed baseline row"), "{err}");
+        let broken = BASELINE.replace("\"ns_per_iter\": 100.0", "\"ns\": 100.0");
+        assert!(gate(&broken, "1", &[], &[]).is_err());
     }
 }

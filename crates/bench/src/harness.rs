@@ -43,13 +43,41 @@ pub fn fits(table: &SweepTable) -> (PowerLawFit, PowerLawFit) {
 /// Panics if `NETCON_BENCH_SCALE` is set but is not a whole percentage.
 #[must_use]
 pub fn scale(trials: usize) -> usize {
-    let pct: usize = parse_knob("NETCON_BENCH_SCALE", std::env::var_os("NETCON_BENCH_SCALE"))
-        .unwrap_or(100);
+    let pct: usize = knob("NETCON_BENCH_SCALE").unwrap_or(100);
     (trials * pct / 100).max(2)
 }
 
-/// An environment knob's raw value parsed as a `T`: `None` when unset, a
-/// panic naming the variable and its value when set but malformed.
+/// Reads environment knob `name` as a `T`: `None` when unset.
+///
+/// # Panics
+///
+/// Panics naming the variable and its value when it is set but malformed.
+#[must_use]
+pub fn knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    parse_knob(name, std::env::var_os(name))
+}
+
+/// Reads the `0`/`1` switch `name`: on only when set to `1`.
+///
+/// # Panics
+///
+/// Panics naming the variable when it is set to anything but `0` or `1`,
+/// so a `true` or `yes` cannot silently leave a switch off.
+#[must_use]
+pub fn switch(name: &str) -> bool {
+    parse_switch(name, std::env::var_os(name))
+}
+
+/// [`switch`] over the variable's raw value.
+fn parse_switch(name: &str, value: Option<std::ffi::OsString>) -> bool {
+    match parse_knob::<String>(name, value).as_deref() {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(v) => panic!("{name}={v:?} is not a switch; set it to 0 or 1"),
+    }
+}
+
+/// [`knob`] over the variable's raw value.
 fn parse_knob<T: std::str::FromStr>(name: &str, value: Option<std::ffi::OsString>) -> Option<T> {
     let v = value?;
     let parsed = v.to_str().and_then(|s| s.parse().ok());
@@ -59,7 +87,7 @@ fn parse_knob<T: std::str::FromStr>(name: &str, value: Option<std::ffi::OsString
 
 #[cfg(test)]
 mod tests {
-    use super::parse_knob;
+    use super::{parse_knob, parse_switch};
 
     #[test]
     fn knobs_default_when_unset_and_parse_when_set() {
@@ -71,5 +99,18 @@ mod tests {
     #[should_panic(expected = "SCALE=\"1%\" is not a valid usize")]
     fn malformed_knobs_fail_loudly() {
         parse_knob::<usize>("SCALE", Some("1%".into()));
+    }
+
+    #[test]
+    fn switches_are_off_unless_set_to_one() {
+        assert!(!parse_switch("NETCON_FRONTIER", None));
+        assert!(!parse_switch("NETCON_FRONTIER", Some("0".into())));
+        assert!(parse_switch("NETCON_FRONTIER", Some("1".into())));
+    }
+
+    #[test]
+    #[should_panic(expected = "NETCON_FRONTIER=\"true\" is not a switch; set it to 0 or 1")]
+    fn a_malformed_switch_fails_loudly() {
+        let _ = parse_switch("NETCON_FRONTIER", Some("true".into()));
     }
 }

@@ -22,7 +22,7 @@
 //!    that miss `E` is geometric with `p = K / n(n−1)` — states are frozen
 //!    during misses, exactly the argument of the dense engine. The count
 //!    comes from the same inversion draw
-//!    ([`geometric_skip`](crate::geometric_skip)).
+//!    ([`geometric_skip`](crate::engine::geometric_skip)).
 //! 3. The hit is then drawn uniformly from `E`: an off bucket with
 //!    probability proportional to its weight (one cumulative-weight
 //!    search over ≤ |Q|² integers), then a uniform member from each
@@ -221,7 +221,7 @@ impl SparsePop {
 
     /// The nodes currently in state `s` (arbitrary order).
     #[must_use]
-    pub fn nodes_index(&self, s: usize) -> &[u32] {
+    pub(crate) fn nodes_index(&self, s: usize) -> &[u32] {
         &self.buckets[s]
     }
 
@@ -317,7 +317,7 @@ impl SparsePop {
     ///
     /// Panics if `u == v` or either endpoint is out of range.
     #[must_use]
-    pub fn is_active(&self, u: usize, v: usize) -> bool {
+    pub(crate) fn is_active(&self, u: usize, v: usize) -> bool {
         assert!(u != v, "self-loops are not part of the model");
         let (a, b) = if self.deg[u] <= self.deg[v] { (u, v) } else { (v, u) };
         self.row(a).iter().any(|&(to, _)| to as usize == b)
@@ -326,7 +326,7 @@ impl SparsePop {
     /// Materializes the dense active-edge set — Θ(n²) bits; for
     /// inspection and small-n testing, not for the 100k-node frontier.
     #[must_use]
-    pub fn to_edgeset(&self) -> netcon_graph::EdgeSet {
+    pub(crate) fn to_edgeset(&self) -> netcon_graph::EdgeSet {
         let mut es = netcon_graph::EdgeSet::new(self.n());
         for u in 0..self.n() {
             for w in self.neighbors(u).filter(|&w| w > u) {
@@ -517,7 +517,7 @@ impl SparsePop {
     /// Bytes of heap memory held by the configuration: the flat
     /// per-node arrays, the bucket lists, and the hubs' heap rows.
     #[must_use]
-    pub fn approx_mem_bytes(&self) -> u64 {
+    pub(crate) fn approx_mem_bytes(&self) -> u64 {
         fn bytes<T>(v: &Vec<T>) -> u64 {
             (v.capacity() * size_of::<T>()) as u64
         }
@@ -700,15 +700,15 @@ enum EndgameEvent {
 /// configurations.
 const ENDGAME_RETRY: u128 = 64;
 
-/// The sparse state-bucketed event-driven engine (see the
-/// [module docs](self) for the exactness argument).
+/// The sparse state-bucketed event-driven engine (the exactness
+/// argument heads its source file, `src/bucket.rs`).
 ///
 /// Mirrors [`EventSim`](crate::EventSim) — [`advance`] returns the same
 /// [`EventStep`], and the shared [`ExactEngine`] driver runs it — except
 /// that stability predicates receive a [`SparsePop`] view instead of a
 /// dense [`Population`]: no Θ(n²) structure is ever built. Its
 /// `run_until_edges` also batches the walker endgame of the
-/// line-building constructors (see the [module docs](self)).
+/// line-building constructors (the endgame law heads `src/walk.rs`).
 ///
 /// [`advance`]: Self::advance
 ///
@@ -918,12 +918,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
     #[must_use]
     pub fn view(&self) -> &SparsePop {
         &self.sp
-    }
-
-    /// The machine being executed.
-    #[must_use]
-    pub fn machine(&self) -> &M {
-        &self.machine
     }
 
     /// The exact step count: the batched endgame advances the clock by

@@ -168,7 +168,7 @@ impl EffectTable {
 
     /// The number of states `|Q|` the table was built over.
     #[must_use]
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
@@ -186,7 +186,7 @@ impl EffectTable {
     /// bucket would count the whole off-link bulk of the class pair).
     #[inline]
     #[must_use]
-    pub fn on_link_only(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn on_link_only(&self, a: usize, b: usize) -> bool {
         self.can_affect(a, b, Link::On) && !self.can_affect(a, b, Link::Off)
     }
 
@@ -205,7 +205,7 @@ impl EffectTable {
 
     /// Bytes of heap memory held by the table.
     #[must_use]
-    pub fn approx_mem_bytes(&self) -> u64 {
+    pub(crate) fn approx_mem_bytes(&self) -> u64 {
         ((self.affect.capacity() + self.affect_rows.capacity()) * 8) as u64
     }
 }

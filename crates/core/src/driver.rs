@@ -122,7 +122,7 @@ pub(crate) trait Primitives: Sized {
 }
 
 /// The run loops of the exact skip-sampling engines, written once over
-/// each engine's primitives; see the [module docs](self).
+/// each engine's primitives; their contract heads `src/driver.rs`.
 ///
 /// Every method has the semantics of the naive
 /// [`Simulation`](crate::Simulation)'s method of the same name and the

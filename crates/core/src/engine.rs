@@ -5,7 +5,7 @@
 //! effective interactions, edge events, and the steps of the last output
 //! change / last effective interaction — so their loops share one
 //! [`Bookkeeping`] value and one way of turning it into a
-//! [`RunOutcome`](crate::RunOutcome). Likewise, the dense configuration
+//! [`RunOutcome`]. Likewise, the dense configuration
 //! and its incrementally maintained set of "pairs that currently have an
 //! applicable transition" — a row rescan per endpoint whose state
 //! changed, else one pair, and one repair per fault kind — live in one
@@ -15,7 +15,7 @@
 use crate::compiled::{EffectTable, EnumerableMachine};
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::{RunOutcome, StepResult};
-use crate::{EngineView, Link, Machine, Population};
+use crate::{EngineView, Link, Population};
 
 /// Maps a raw 64-bit draw to a uniform value on the half-open unit
 /// interval `(0, 1]` with 53-bit resolution — the draw both event engines
@@ -513,40 +513,24 @@ pub fn hypergeometric_count_large(u01: f64, marked: u64, total: u64, draws: u64)
     invert_pmf_window(u01, marked, total, draws, wlo, whi, mode)
 }
 
-/// The output graph of a configuration: active edges restricted to nodes
-/// in output states (`G(C)` in §3.1). Shared by both engines'
-/// `output_graph` methods.
-pub(crate) fn output_graph<M: Machine>(
-    machine: &M,
-    pop: &Population<M::State>,
-) -> netcon_graph::EdgeSet {
-    let mut out = netcon_graph::EdgeSet::new(pop.n());
-    for (u, v) in pop.edges().active_edges() {
-        if machine.is_output(pop.state(u)) && machine.is_output(pop.state(v)) {
-            out.activate(u, v);
-        }
-    }
-    out
-}
-
 /// The per-run counters every engine maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Bookkeeping {
     /// Scheduler-selected interactions so far (including ineffective ones).
-    pub steps: u64,
+    pub(crate) steps: u64,
     /// Effective interactions so far.
-    pub effective_steps: u64,
+    pub(crate) effective_steps: u64,
     /// Edge activations/deactivations so far.
-    pub edge_events: u64,
+    pub(crate) edge_events: u64,
     /// Step of the most recent edge change (0 if none yet).
-    pub last_output_change: u64,
+    pub(crate) last_output_change: u64,
     /// Step of the most recent effective interaction (0 if none yet).
-    pub last_effective: u64,
+    pub(crate) last_effective: u64,
 }
 
 impl Bookkeeping {
     /// Records an effective interaction at the current `steps` count.
-    pub fn record_effective(&mut self, edge_changed: bool) {
+    pub(crate) fn record_effective(&mut self, edge_changed: bool) {
         self.record_edge_changes(usize::from(edge_changed));
         self.effective_steps += 1;
         self.last_effective = self.steps;
@@ -554,7 +538,7 @@ impl Bookkeeping {
 
     /// Records `k` edge changes (an interaction's, or a fault's
     /// deletions) at the current `steps` count.
-    pub fn record_edge_changes(&mut self, k: usize) {
+    pub(crate) fn record_edge_changes(&mut self, k: usize) {
         if k > 0 {
             self.edge_events += k as u64;
             self.last_output_change = self.steps;
@@ -562,7 +546,7 @@ impl Bookkeeping {
     }
 
     /// The [`RunOutcome`] for a stable predicate observed right now.
-    pub fn stabilized_now(&self) -> RunOutcome {
+    pub(crate) fn stabilized_now(&self) -> RunOutcome {
         RunOutcome::Stabilized {
             detected_at: self.steps,
             converged_at: self.last_output_change,
@@ -601,7 +585,7 @@ impl PairSet {
     ///
     /// Panics if `n > 65535` (members are packed into `u16` halves).
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n <= usize::from(u16::MAX), "PairSet packs nodes into u16");
         let row_words = n.div_ceil(64);
         Self {
@@ -653,7 +637,7 @@ impl PairSet {
     /// The membership bitset row of node `u` (bit `v` ⇔ `{u, v}` is a
     /// member).
     #[must_use]
-    pub fn row_bits(&self, u: usize) -> &[u64] {
+    pub(crate) fn row_bits(&self, u: usize) -> &[u64] {
         &self.rows[u * self.row_words..(u + 1) * self.row_words]
     }
 
@@ -677,7 +661,7 @@ impl PairSet {
 
     /// Inserts or removes `{u, v}` according to `member` (no-ops when the
     /// membership already matches).
-    pub fn set(&mut self, u: usize, v: usize, member: bool) {
+    pub(crate) fn set(&mut self, u: usize, v: usize, member: bool) {
         debug_assert!(u != v && u < self.n && v < self.n);
         let i = u * self.n + v;
         let p = self.pos[i];
@@ -714,13 +698,13 @@ impl PairSet {
     ///
     /// Panics if `i >= len()`.
     #[must_use]
-    pub fn get(&self, i: usize) -> (usize, usize) {
+    pub(crate) fn get(&self, i: usize) -> (usize, usize) {
         let packed = self.members[i];
         ((packed >> 16) as usize, (packed & 0xFFFF) as usize)
     }
 
     /// Iterates the member pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.members
             .iter()
             .map(|&p| ((p >> 16) as usize, (p & 0xFFFF) as usize))
@@ -729,7 +713,7 @@ impl PairSet {
     /// Removes every member in O(members) — the per-round reset of the
     /// [`RoundSim`](crate::RoundSim) bookkeeping sets (the Θ(n²) position
     /// matrix is only ever touched where members actually lived).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for i in 0..self.members.len() {
             let packed = self.members[i];
             let (u, v) = ((packed >> 16) as usize, (packed & 0xFFFF) as usize);
@@ -744,7 +728,7 @@ impl PairSet {
     /// Bytes of heap memory held by this set (position matrix, membership
     /// bitset, member vector) — the Θ(n²) bulk of the dense event engine.
     #[must_use]
-    pub fn approx_mem_bytes(&self) -> u64 {
+    pub(crate) fn approx_mem_bytes(&self) -> u64 {
         (self.pos.capacity() * 4 + self.rows.capacity() * 8 + self.members.capacity() * 4) as u64
     }
 }
@@ -783,7 +767,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
     /// The core of `pop`, its effective set built from one desired row
     /// per node (`O(n²·|Q|/64 + |E| + members)` for ≤ 32 states). Panics
     /// if the population has fewer than 2 nodes.
-    pub fn new(machine: M, pop: Population<M::State>) -> Self {
+    pub(crate) fn new(machine: M, pop: Population<M::State>) -> Self {
         let n = pop.n();
         assert!(n >= 2, "pairwise interactions need at least 2 processes");
         let table = machine.effect_table();
@@ -813,7 +797,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
     /// The core of a faulted engine: `n` present nodes in the initial
     /// state plus one retired ghost slot per planned arrival (the
     /// [`fault`](crate::fault) ghost-node model). Panics if `n < 2`.
-    pub fn new_faulted(machine: M, n: usize, plan: FaultPlan) -> (Self, FaultState) {
+    pub(crate) fn new_faulted(machine: M, n: usize, plan: FaultPlan) -> (Self, FaultState) {
         assert!(n >= 2, "pairwise interactions need at least 2 processes");
         let fs = FaultState::new(plan, n);
         let pop = Population::new(fs.capacity(), machine.initial_state());
@@ -824,23 +808,18 @@ impl<M: EnumerableMachine> DenseCore<M> {
         (core, fs)
     }
 
-    /// The machine being executed.
-    pub fn machine(&self) -> &M {
-        &self.machine
-    }
-
     /// The current configuration.
-    pub fn pop(&self) -> &Population<M::State> {
+    pub(crate) fn pop(&self) -> &Population<M::State> {
         &self.pop
     }
 
     /// The exact effective pair set.
-    pub fn pairs(&self) -> &PairSet {
+    pub(crate) fn pairs(&self) -> &PairSet {
         &self.pairs
     }
 
     /// The configuration as predicates and the fault layer read it.
-    pub fn view<'a>(&'a self, faults: Option<&'a FaultState>) -> EngineView<'a, M> {
+    pub(crate) fn view<'a>(&'a self, faults: Option<&'a FaultState>) -> EngineView<'a, M> {
         EngineView::Dense {
             pop: &self.pop,
             machine: &self.machine,
@@ -850,7 +829,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
 
     /// Bytes of heap memory held by the core (heap payloads *inside*
     /// composite states are not counted).
-    pub fn approx_mem_bytes(&self) -> u64 {
+    pub(crate) fn approx_mem_bytes(&self) -> u64 {
         let states = (self.pop.n() * std::mem::size_of::<M::State>()) as u64;
         self.pairs.approx_mem_bytes()
             + self.pop.edges().approx_mem_bytes()
@@ -869,7 +848,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
     /// same order before `v`'s row — so a link-only step costs one
     /// [`PairSet::set`]. Relies on `can_affect` being symmetric in its
     /// node arguments, as every compiled table is.
-    pub fn interact(&mut self, u: usize, v: usize, rng: &mut impl rand::Rng) -> StepResult {
+    pub(crate) fn interact(&mut self, u: usize, v: usize, rng: &mut impl rand::Rng) -> StepResult {
         let pair = (u, v);
         let link = Link::from(self.pop.edges().is_active(u, v));
         let (iu, iv) = (usize::from(self.idx[u]), usize::from(self.idx[v]));
@@ -899,7 +878,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
     /// its active edges, marks it absent and clears its effective row,
     /// keeping its state index (an arrival re-enters in its unchanged
     /// initial state). Returns the former neighbours in ascending order.
-    pub fn retire(&mut self, x: usize) -> Vec<usize> {
+    pub(crate) fn retire(&mut self, x: usize) -> Vec<usize> {
         let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
         for &w in &neighbors {
             self.pop.edges_mut().set(x, w, false);
@@ -916,7 +895,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
 
     /// Re-admits absent node `x` (an arrival: it holds its initial state
     /// and no edges) and rescans its effective row.
-    pub fn readmit(&mut self, x: usize) {
+    pub(crate) fn readmit(&mut self, x: usize) {
         let (word, bit) = (x / 64, 1u64 << (x % 64));
         debug_assert!(self.absent[word] & bit != 0, "readmit of a present node");
         self.state_nodes[usize::from(self.idx[x]) * self.row_words + word] |= bit;
@@ -926,7 +905,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
 
     /// Moves node `u` to state index `q` (a crash notification) and
     /// rescans its effective row.
-    pub fn set_state_index(&mut self, u: usize, q: usize) {
+    pub(crate) fn set_state_index(&mut self, u: usize, q: usize) {
         self.pop.set_state(u, self.machine.state_at(q));
         self.reindex(u);
         self.rescan(u);
@@ -934,7 +913,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
 
     /// Deactivates edge `{u, v}` and reclassifies its pair: `None` if the
     /// edge was inactive, else whether the pair's membership flipped.
-    pub fn deactivate_edge(&mut self, u: usize, v: usize) -> Option<bool> {
+    pub(crate) fn deactivate_edge(&mut self, u: usize, v: usize) -> Option<bool> {
         if !self.pop.edges().is_active(u, v) {
             return None;
         }
@@ -1036,8 +1015,8 @@ impl<M: EnumerableMachine> DenseCore<M> {
 /// unit tests.
 #[cfg(test)]
 pub(crate) mod index_check {
-    use super::PairSet;
-    use crate::{CompiledTable, Link, Machine, Population, ProtocolBuilder, StateId};
+    use super::DenseCore;
+    use crate::{CompiledTable, EnumerableMachine, Link, Population, ProtocolBuilder, StateId};
 
     /// A 100-state ring table on 300 nodes, three per state: past the
     /// 32 states of a packed affect row, so [`DenseCore`](super::DenseCore)
@@ -1058,13 +1037,10 @@ pub(crate) mod index_check {
         (b.build().expect("valid").compile(), pop)
     }
 
-    /// Asserts that `pairs` holds exactly the pairs `machine.can_affect`
-    /// accepts in `pop`, recomputed over all `n(n−1)/2` pairs.
-    pub(crate) fn assert_exact<M: Machine>(
-        machine: &M,
-        pop: &Population<M::State>,
-        pairs: &PairSet,
-    ) {
+    /// Asserts that the core's effective set holds exactly the pairs
+    /// `can_affect` accepts, recomputed over all `n(n−1)/2` pairs.
+    pub(crate) fn assert_exact<M: EnumerableMachine>(core: &DenseCore<M>) {
+        let (machine, pop, pairs) = (&core.machine, &core.pop, &core.pairs);
         let mut expected = 0;
         for u in 0..pop.n() {
             for v in u + 1..pop.n() {

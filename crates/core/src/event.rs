@@ -89,7 +89,7 @@ pub enum EventStep {
 /// Runs through the shared [`ExactEngine`] driver (`run_until`,
 /// `run_until_edges`, `run_to`, the faulted runs) with output distribution
 /// identical to [`Simulation`](crate::Simulation); see the
-/// [module docs](self) for the exactness argument. There is no
+/// exactness argument in `src/event.rs`. There is no
 /// scheduler parameter: the geometric skip law is specific to the uniform
 /// scheduler, which is also the one all running-time claims in the paper
 /// are stated for.
@@ -194,12 +194,6 @@ impl<M: EnumerableMachine> EventSim<M> {
         self.core.pop()
     }
 
-    /// The machine being executed.
-    #[must_use]
-    pub fn machine(&self) -> &M {
-        self.core.machine()
-    }
-
     /// The number of currently possibly-effective pairs.
     #[must_use]
     pub fn effective_pairs(&self) -> usize {
@@ -207,7 +201,9 @@ impl<M: EnumerableMachine> EventSim<M> {
     }
 
     /// The incrementally maintained possibly-effective pair set — what
-    /// the candidate draw samples from.
+    /// the candidate draw samples from; for the brute-force checks of
+    /// the equivalence suite.
+    #[doc(hidden)]
     #[must_use]
     pub fn effective_set(&self) -> &PairSet {
         self.core.pairs()
@@ -278,13 +274,6 @@ impl<M: EnumerableMachine> EventSim<M> {
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         self.core.pairs().is_empty()
-    }
-
-    /// The output graph: active edges restricted to nodes in output
-    /// states.
-    #[must_use]
-    pub fn output_graph(&self) -> netcon_graph::EdgeSet {
-        crate::engine::output_graph(self.core.machine(), self.core.pop())
     }
 }
 
@@ -393,12 +382,12 @@ mod tests {
         // `can_affect` pass over all pairs.
         let (p, pop) = index_check::many_states();
         let mut sim = EventSim::from_population(p, pop, 42);
-        index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
+        index_check::assert_exact(&sim.core);
         for _ in 0..200 {
             if sim.advance(u64::MAX) == EventStep::Quiescent {
                 break;
             }
-            index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
+            index_check::assert_exact(&sim.core);
         }
         assert!(sim.effective_steps() > 0);
     }
@@ -501,20 +490,6 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn tiny_population_rejected() {
         let _ = EventSim::new(matching_protocol().compile(), 1, 0);
-    }
-
-    #[test]
-    fn output_graph_respects_output_states() {
-        let mut b = ProtocolBuilder::new("half-out");
-        let a = b.state("a");
-        let m = b.state("b");
-        b.rule((a, a, OFF), (m, m, ON));
-        b.output_states(&[a]);
-        let p = b.build().expect("valid");
-        let mut sim = EventSim::new(p.compile(), 10, 11);
-        sim.run_until_edges(|p| is_maximum_matching(p.edges()), 100_000);
-        assert_eq!(sim.output_graph().active_count(), 0);
-        assert!(sim.population().edges().active_count() > 0);
     }
 
     #[test]

@@ -15,48 +15,55 @@
 //! induced by the active edges (restricted to nodes in output states), and
 //! an execution *stabilizes* when the output graph stops changing forever.
 //!
-//! This crate provides the executable model:
+//! # The public API
 //!
-//! * [`StateId`] and [`Link`] — node-state and edge-state value types;
-//! * [`rules`] — declarative rule tables ([`ProtocolBuilder`],
-//!   [`RuleProtocol`]) mirroring the paper's protocol listings, including
-//!   the ½/½ randomized transitions of the `PREL` extension;
-//! * [`Machine`] — the generic interaction interface, so composite-state
-//!   constructions (Turing-machine simulations, supernodes) can share the
-//!   naive engine with flat rule tables;
-//! * [`Population`] — node states plus the active-edge set;
-//! * [`scheduler`] — the uniform random scheduler used by all running-time
-//!   analyses, plus fair deterministic adversaries for correctness testing;
-//! * [`sim`] — the naive step loop with the paper-exact symmetry-breaking
-//!   coin, convergence bookkeeping, and quiescence checks;
-//! * [`compiled`] — [`CompiledTable`], the flat allocation-free lowering
-//!   of a [`RuleProtocol`] and the only machine the skip engines take
-//!   (through the sealed [`EnumerableMachine`], dense state indices);
-//! * [`event`] — [`EventSim`], the exact event-driven engine that skips
-//!   ineffective interactions via geometric jumps while preserving every
-//!   measured distribution of the naive loop;
-//! * [`bucket`] — [`BucketSim`], the sparse state-bucketed event engine:
-//!   the same distribution in O(n + |Q|²) memory, for populations the
-//!   dense pair set cannot touch (n ≥ 100 000);
-//! * [`round`] — [`RoundSim`], the exact event-driven ShuffledRounds
-//!   engine: hypergeometric within-round skips plus lazily-resolved
-//!   skipped-pair identities, for experiments that measure parallel
-//!   time in rounds;
-//! * [`round_bucket`] — [`RoundBucketSim`], the sparse exact
-//!   ShuffledRounds engine: the same round law in O(n + |Q|²) memory via
-//!   counted cohorts of scheduled identities, for round-denominated
-//!   sweeps at n ≥ 100 000;
-//! * [`select`] — [`Engine::auto`] / [`Engine::auto_for`], which pick an
-//!   engine for a scheduler family by a memory budget and run predicates
-//!   over a representation-neutral [`EngineView`];
-//! * [`fault`] — [`FaultPlan`] / [`FaultState`] / [`ChurnPlan`], the
-//!   deterministic seed-derived fault/churn layer (crashes, arrivals,
-//!   edge deletions, sustained Poisson churn, crash notifications)
-//!   shared by all five engines with exact candidate reclassification;
-//! * [`fault::adversary`] — [`AdversaryPlan`] / [`AdversaryPolicy`] /
-//!   [`Cadence`], the configuration-adaptive worst-case layer: targeted
-//!   damage decided at scheduled draws against the live configuration,
-//!   applied through the same resolved-fault path on every engine.
+//! Everything a caller needs is re-exported at the crate root; the
+//! remaining public modules group the model's parts.
+//!
+//! * The model: [`StateId`], [`Link`], [`Population`] (node states plus
+//!   the active-edge set) and [`Machine`], the generic interaction
+//!   interface that composite-state constructions (Turing-machine
+//!   simulations, supernodes) share with flat rule tables.
+//! * Rule tables, [`rules`]: [`ProtocolBuilder`], [`RuleProtocol`],
+//!   [`Rule`], [`RuleRhs`] and [`ProtocolError`], mirroring the paper's
+//!   protocol listings, including the ½/½ randomized transitions of the
+//!   `PREL` extension. [`compiled`] lowers them to [`CompiledTable`], the
+//!   only machine the skip engines take (through the sealed
+//!   [`EnumerableMachine`]; [`EffectTable`] holds its effect bits).
+//! * Schedulers, [`scheduler`]: [`Scheduler`], the uniform random
+//!   [`Uniform`] that all running-time analyses use, and the fair
+//!   [`RoundRobin`] and [`ShuffledRounds`].
+//! * The naive step loop, [`sim`]: [`Simulation`], with the paper-exact
+//!   symmetry-breaking coin, [`StepResult`] and [`RunOutcome`].
+//! * The exact skip engines, written once over the sealed run loops
+//!   [`ExactEngine`] and [`RoundEngine`]; [`EventStep`] is one step's
+//!   result.
+//!   - [`EventSim`]: uniform scheduler, geometric skips over a dense
+//!     pair set.
+//!   - [`BucketSim`]: the same law in O(n + |Q|²) memory by state
+//!     class, read through [`SparsePop`], for n ≥ 100 000.
+//!   - [`RoundSim`]: ShuffledRounds, hypergeometric within-round skips
+//!     and lazily resolved skipped-pair identities, for parallel time in
+//!     rounds.
+//!   - [`RoundBucketSim`]: the same round law in O(n + |Q|²) memory via
+//!     counted cohorts of scheduled identities.
+//! * Engine selection, [`select`]: [`Engine::auto`] / [`Engine::auto_for`]
+//!   pick an engine for a [`SchedulerKind`] by a memory budget, and
+//!   predicates read the representation-neutral [`EngineView`].
+//! * Faults, [`fault`]: [`FaultPlan`], [`FaultEvent`], [`FaultState`] and
+//!   [`ChurnPlan`] (crashes, arrivals, edge deletions, Poisson churn,
+//!   crash notifications), executed exactly by all five engines;
+//!   [`fault::adversary`] adds [`AdversaryPlan`], [`AdversaryPolicy`] and
+//!   [`Cadence`], targeted damage decided against the live
+//!   configuration.
+//! * [`seeds`], the seed-derivation functions every sweep uses, and
+//!   [`testing`], the convergence assertions shared by test suites.
+//!
+//! The engines' internals (samplers, candidate structures, the shared
+//! driver) are crate-private. Their exactness arguments head their
+//! source files under `crates/core/src` (`event.rs`, `bucket.rs`,
+//! `round.rs`, `round_bucket.rs`, `driver.rs` and `walk.rs`), and the
+//! top-level `docs/engines.md` consolidates them.
 //!
 //! # Choosing an engine
 //!
@@ -96,37 +103,46 @@
 //! assert!(outcome.stabilized());
 //! # Ok::<(), netcon_core::ProtocolError>(())
 //! ```
+//!
+//! # Internals are not paths
+//!
+//! The engines' modules are private, so neither their samplers nor
+//! their module paths can be named:
+//!
+//! ```compile_fail
+//! use netcon_core::walk::sample_gamma;
+//! ```
+//!
+//! ```compile_fail
+//! use netcon_core::bucket::BucketSim;
+//! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod bucket;
+mod driver;
 mod engine;
+mod event;
 mod machine;
 mod population;
+mod round;
+mod round_bucket;
 mod state;
+mod walk;
 
-pub mod bucket;
 pub mod compiled;
-pub mod driver;
-pub mod event;
 pub mod fault;
-pub mod round;
-pub mod round_bucket;
 pub mod rules;
 pub mod scheduler;
 pub mod seeds;
 pub mod select;
 pub mod sim;
 pub mod testing;
-pub mod walk;
 
 pub use bucket::{BucketSim, SparsePop};
 pub use compiled::{CompiledTable, EffectTable, EnumerableMachine};
 pub use driver::{ExactEngine, RoundEngine};
-pub use engine::{
-    geometric_skip, hypergeometric_count, hypergeometric_count_large, hypergeometric_skip,
-    unit_open01, PairSet,
-};
 pub use event::{EventSim, EventStep};
 pub use fault::adversary::{AdversaryPlan, AdversaryPolicy, Cadence};
 pub use fault::{ChurnPlan, FaultEvent, FaultPlan, FaultState};

@@ -24,7 +24,7 @@
 //!    so `k` is constant between candidates). The number of draws before
 //!    the next candidate is negative hypergeometric —
 //!    `P(skips ≥ t) = ∏_{i<t} (r−k−i)/(r−i)` — sampled in one inversion
-//!    draw by [`hypergeometric_skip`](crate::hypergeometric_skip), and
+//!    draw by [`hypergeometric_skip`](crate::engine::hypergeometric_skip), and
 //!    the candidate itself is uniform among the `k` (independent of the
 //!    skip count, by permutation symmetry). When `k = 0` the rest of the
 //!    round is certainly ineffective and is consumed in one jump. The
@@ -151,7 +151,7 @@ impl SchedSet {
 /// [`EventStep`], and the shared [`ExactEngine`] driver runs it — with
 /// identical output distribution to
 /// [`Simulation`](crate::Simulation) under `ShuffledRounds` (see the
-/// [module docs](self) for the exactness argument), plus round-level
+/// exactness argument in `src/round.rs`), plus round-level
 /// bookkeeping: the [`RoundEngine`] accessors
 /// ([`rounds_completed`](RoundEngine::rounds_completed),
 /// [`round_of`](RoundEngine::round_of),
@@ -296,12 +296,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
         self.core.pop()
     }
 
-    /// The machine being executed.
-    #[must_use]
-    pub fn machine(&self) -> &M {
-        self.core.machine()
-    }
-
     /// The number of currently effective pairs (scheduled or not).
     #[must_use]
     pub fn effective_pairs(&self) -> usize {
@@ -309,17 +303,12 @@ impl<M: EnumerableMachine> RoundSim<M> {
     }
 
     /// The incrementally maintained effective pair set (scheduled or
-    /// not) — what each round's candidate set starts from.
+    /// not) — what each round's candidate set starts from; for the
+    /// brute-force checks of the equivalence suite.
+    #[doc(hidden)]
     #[must_use]
     pub fn effective_set(&self) -> &PairSet {
         self.core.pairs()
-    }
-
-    /// The number of effective pairs not yet scheduled this round — the
-    /// `hits` side of the next hypergeometric skip.
-    #[must_use]
-    pub fn unscheduled_candidates(&self) -> usize {
-        self.cand.len()
     }
 
     /// Whether the round partition accounts for every unscheduled pair:
@@ -365,13 +354,6 @@ impl<M: EnumerableMachine> RoundSim<M> {
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         self.quiescent()
-    }
-
-    /// The output graph: active edges restricted to nodes in output
-    /// states.
-    #[must_use]
-    pub fn output_graph(&self) -> netcon_graph::EdgeSet {
-        crate::engine::output_graph(self.core.machine(), self.core.pop())
     }
 
     /// Reclassifies pair `{a, w}` after its effectiveness flipped to
@@ -706,12 +688,12 @@ mod tests {
         // a from-scratch `can_affect` pass over all pairs.
         let (p, pop) = index_check::many_states();
         let mut sim = RoundSim::from_population(p, pop, 42);
-        index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
+        index_check::assert_exact(&sim.core);
         for _ in 0..200 {
             if sim.advance(u64::MAX) == EventStep::Quiescent {
                 break;
             }
-            index_check::assert_exact(sim.machine(), sim.population(), sim.effective_set());
+            index_check::assert_exact(&sim.core);
         }
         assert!(sim.effective_steps() > 0);
     }

@@ -16,7 +16,7 @@
 //! A ShuffledRounds round is a uniform permutation of the `m = n(n−1)/2`
 //! unordered pairs. Mid-round the engine must answer two queries exactly:
 //! how many unscheduled candidates remain (`k`, the hits side of the
-//! [`hypergeometric_skip`](crate::hypergeometric_skip) law), and — when
+//! [`hypergeometric_skip`](crate::engine::hypergeometric_skip) law), and — when
 //! skips consume `t` unscheduled non-candidates — *which* pairs were
 //! consumed, because a rejected or skipped pair cannot recur until the
 //! next round. The dense engine
@@ -183,9 +183,9 @@ struct LogEntry {
 /// same [`ExactEngine`] run loops, same [`RoundEngine`] accessors — but
 /// predicates read a [`SparsePop`] view like
 /// [`BucketSim`](crate::BucketSim)'s, and nothing Θ(n²) is ever
-/// allocated. See the [module docs](self) for the exactness argument.
+/// allocated. The exactness argument heads `src/round_bucket.rs`.
 ///
-/// [`advance`]: Self::advance
+/// [`advance`]: crate::RoundSim::advance
 ///
 /// # Example
 ///
@@ -407,12 +407,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         &self.sp
     }
 
-    /// The machine being executed.
-    #[must_use]
-    pub fn machine(&self) -> &M {
-        &self.machine
-    }
-
     /// The number of currently effective pairs, scheduled or not.
     #[must_use]
     pub fn effective_pairs(&self) -> u64 {
@@ -431,7 +425,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// scheduler-independent, so this is the same predicate as
     /// [`RoundSim::is_quiescent`](crate::RoundSim::is_quiescent).
     #[must_use]
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.quiescent()
     }
 
@@ -536,7 +530,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// partner arenas, and the effect table — O(n + |Q|² + touched),
     /// against the dense round engine's ≈ `13n²`.
     #[must_use]
-    pub fn approx_mem_bytes(&self) -> u64 {
+    pub(crate) fn approx_mem_bytes(&self) -> u64 {
         fn bytes<T>(v: &Vec<T>) -> u64 {
             (v.capacity() * size_of::<T>()) as u64
         }
@@ -1100,7 +1094,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// non-candidates consume their round occurrences exactly, and the
     /// returned [`EventStep`] matches the naive ShuffledRounds loop in
     /// distribution draw for draw.
-    pub fn advance(&mut self, max_steps: u64) -> EventStep {
+    pub(crate) fn advance(&mut self, max_steps: u64) -> EventStep {
         advance_rounds(self, max_steps)
     }
 

@@ -470,7 +470,14 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
     /// states. When `Q_out = Q` this is just the active-edge set.
     #[must_use]
     pub fn output_graph(&self) -> netcon_graph::EdgeSet {
-        crate::engine::output_graph(&self.machine, &self.pop)
+        let (machine, pop) = (&self.machine, &self.pop);
+        let mut out = netcon_graph::EdgeSet::new(pop.n());
+        for (u, v) in pop.edges().active_edges() {
+            if machine.is_output(pop.state(u)) && machine.is_output(pop.state(v)) {
+                out.activate(u, v);
+            }
+        }
+        out
     }
 
     /// Bytes of heap memory held by the engine: node states and the

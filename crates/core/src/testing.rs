@@ -10,6 +10,17 @@ use crate::{
     Simulation, Uniform,
 };
 
+// The skip samplers, the endgame laws and the dense effective-pair set,
+// for the equivalence suites' coin-level and brute-force checks and
+// `engine_micro`; not part of the API.
+#[doc(hidden)]
+pub use crate::engine::{
+    geometric_skip, hypergeometric_count, hypergeometric_count_large, hypergeometric_skip,
+    unit_open01, PairSet,
+};
+#[doc(hidden)]
+pub use crate::walk::{exit_cdf, sample_absorption, survival, time_cap};
+
 /// A generous-but-finite step budget for convergence tests at population
 /// size `n`.
 ///
@@ -78,8 +89,8 @@ pub fn assert_stabilizes_event<M: EnumerableMachine>(
     max_steps: u64,
     extra: u64,
 ) -> EventSim<M> {
+    let name = machine.name().to_owned();
     let mut sim = EventSim::new(machine, n, seed);
-    let name = sim.machine().name().to_owned();
     let outcome = sim.run_until(stable, max_steps);
     assert!(
         matches!(outcome, RunOutcome::Stabilized { .. }),

@@ -45,7 +45,7 @@ pub fn time_cap(len: usize) -> u64 {
 /// Exact exit-side sample: `true` means the walker exits at `0`, with
 /// probability `(L−z)/L` (gambler's ruin, an exact rational sampled from
 /// an integer draw — no floating point involved).
-pub fn sample_exit0(rng: &mut SmallRng, z: usize, len: usize) -> bool {
+pub(crate) fn sample_exit0(rng: &mut SmallRng, z: usize, len: usize) -> bool {
     debug_assert!(z >= 1 && z < len);
     (rng.random_range(0..len as u64) as usize) < len - z
 }
@@ -93,8 +93,8 @@ pub fn survival(z: usize, len: usize, t: u64) -> f64 {
 /// Short paths (`L ≤ 64`) are simulated directly: the expected `O(L²)`
 /// coin flips undercut the spectral bisection's constant, and a direct
 /// simulation is exact by construction. Longer paths use the exact
-/// gambler's-ruin side draw ([`sample_exit0`]) followed by the
-/// conditional CDF inversion ([`sample_time_given_exit`]); the joint law
+/// gambler's-ruin side draw (`sample_exit0`) followed by the
+/// conditional CDF inversion (`sample_time_given_exit`); the joint law
 /// is identical either way.
 pub fn sample_absorption(rng: &mut SmallRng, z: usize, len: usize) -> (bool, u64) {
     debug_assert!(z >= 1 && z < len);
@@ -120,7 +120,7 @@ pub fn sample_absorption(rng: &mut SmallRng, z: usize, len: usize) -> (bool, u64
 /// bisection: the minimal `t` with `G_E(t) ≥ u·G_E(cap)`. The returned
 /// time has the correct parity (`t ≡ z (mod 2)` for exit `0`,
 /// `t ≡ L−z (mod 2)` for exit `L`) because the CDF is flat off-parity.
-pub fn sample_time_given_exit(rng: &mut SmallRng, z: usize, len: usize, exit0: bool) -> u64 {
+pub(crate) fn sample_time_given_exit(rng: &mut SmallRng, z: usize, len: usize, exit0: bool) -> u64 {
     let cap = time_cap(len);
     let total = exit_cdf(z, len, exit0, cap);
     let target = unit_open01(rng.next_u64()) * total;
@@ -140,7 +140,7 @@ pub fn sample_time_given_exit(rng: &mut SmallRng, z: usize, len: usize, exit0: b
 /// committed to absorb at side `exit0` after `rem` further steps:
 /// `w[x] = Pʲ(z, x) · f_E(x, rem)`.
 #[must_use]
-pub fn bridge_weights_with_future(
+pub(crate) fn bridge_weights_with_future(
     z: usize,
     len: usize,
     j: u64,
@@ -159,7 +159,7 @@ pub fn bridge_weights_with_future(
 /// Samples an index proportional to non-negative `weights` (linear CDF
 /// inversion on a single uniform). Returns the last positive-weight
 /// index if rounding pushes the target past the total.
-pub fn sample_weighted(rng: &mut SmallRng, weights: &[f64]) -> usize {
+pub(crate) fn sample_weighted(rng: &mut SmallRng, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
     debug_assert!(total > 0.0, "weighted sample over empty support");
     let target = unit_open01(rng.next_u64()) * total;
@@ -183,7 +183,7 @@ pub fn sample_weighted(rng: &mut SmallRng, weights: &[f64]) -> usize {
 /// walker is already absorbed (`r == 0`), from anywhere else `r == 0` is
 /// impossible.
 #[must_use]
-pub fn hit_pmf(x: usize, len: usize, exit0: bool, r: u64) -> f64 {
+pub(crate) fn hit_pmf(x: usize, len: usize, exit0: bool, r: u64) -> f64 {
     let exit_at = if exit0 { 0 } else { len };
     if x == exit_at {
         return if r == 0 { 1.0 } else { 0.0 };
@@ -199,7 +199,7 @@ pub fn hit_pmf(x: usize, len: usize, exit0: bool, r: u64) -> f64 {
 /// commitment to absorb at side `exit0` in exactly `rem` more steps
 /// moves to `x−1` with probability `f_E(x−1, rem−1) / (f_E(x−1, rem−1) +
 /// f_E(x+1, rem−1))`. Consumes one uniform; returns the new position.
-pub fn h_step(rng: &mut SmallRng, x: usize, len: usize, exit0: bool, rem: u64) -> usize {
+pub(crate) fn h_step(rng: &mut SmallRng, x: usize, len: usize, exit0: bool, rem: u64) -> usize {
     debug_assert!(x >= 1 && x < len && rem >= 1);
     let wl = hit_weight_after(x - 1, len, exit0, rem - 1);
     let wr = hit_weight_after(x + 1, len, exit0, rem - 1);
@@ -219,7 +219,7 @@ fn hit_weight_after(x: usize, len: usize, exit0: bool, rem: u64) -> f64 {
 
 /// `Pᵗ(z, x)` for a single target position.
 #[must_use]
-pub fn propagator(z: usize, len: usize, t: u64, x: usize) -> f64 {
+pub(crate) fn propagator(z: usize, len: usize, t: u64, x: usize) -> f64 {
     if x == 0 || x == len {
         return 0.0;
     }
@@ -368,7 +368,7 @@ fn dp_evolve(z: usize, len: usize, t: u64) -> (Vec<f64>, f64, f64) {
 
 /// A standard normal via the polar (Marsaglia) method. Consumes a
 /// variable, seed-determined number of uniforms.
-pub fn standard_normal(rng: &mut SmallRng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut SmallRng) -> f64 {
     loop {
         let v1 = 2.0 * unit_open01(rng.next_u64()) - 1.0;
         let v2 = 2.0 * unit_open01(rng.next_u64()) - 1.0;
@@ -381,7 +381,7 @@ pub fn standard_normal(rng: &mut SmallRng) -> f64 {
 
 /// Gamma(shape, 1) for `shape ≥ 1` via Marsaglia–Tsang squeeze-rejection
 /// (exact up to `f64` rounding; valid for arbitrarily large shapes).
-pub fn sample_gamma(rng: &mut SmallRng, shape: f64) -> f64 {
+pub(crate) fn sample_gamma(rng: &mut SmallRng, shape: f64) -> f64 {
     debug_assert!(shape >= 1.0);
     let d = shape - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
@@ -404,7 +404,7 @@ pub fn sample_gamma(rng: &mut SmallRng, shape: f64) -> f64 {
 }
 
 /// Beta(a, b) for `a, b ≥ 1` via the two-gamma construction.
-pub fn sample_beta(rng: &mut SmallRng, a: f64, b: f64) -> f64 {
+pub(crate) fn sample_beta(rng: &mut SmallRng, a: f64, b: f64) -> f64 {
     let x = sample_gamma(rng, a);
     let y = sample_gamma(rng, b);
     x / (x + y)
@@ -413,7 +413,7 @@ pub fn sample_beta(rng: &mut SmallRng, a: f64, b: f64) -> f64 {
 /// Binomial(n, p), exact for arbitrarily large `n` via the recursive
 /// beta-split (the median-order-statistic reduction): `O(log n)` gamma
 /// draws, then a direct Bernoulli count on the small remainder.
-pub fn sample_binomial(rng: &mut SmallRng, mut n: u64, mut p: f64) -> u64 {
+pub(crate) fn sample_binomial(rng: &mut SmallRng, mut n: u64, mut p: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p));
     let mut acc = 0u64;
     while n > 64 {
@@ -458,7 +458,7 @@ pub(crate) fn sample_binomial_u128(rng: &mut SmallRng, n: u128, p: f64) -> u128 
 /// Poisson(λ), exact for arbitrarily large `λ` via the gamma-splitting
 /// recursion (Ahrens–Dieter): `O(log λ)` gamma draws plus a small
 /// product-of-uniforms remainder.
-pub fn sample_poisson(rng: &mut SmallRng, mut lambda: f64) -> u128 {
+pub(crate) fn sample_poisson(rng: &mut SmallRng, mut lambda: f64) -> u128 {
     debug_assert!(lambda >= 0.0 && lambda.is_finite());
     let mut acc: u128 = 0;
     while lambda > 32.0 {

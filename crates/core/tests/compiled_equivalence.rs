@@ -8,9 +8,10 @@
 
 use std::ops::Range;
 
+use netcon_core::testing::PairSet;
 use netcon_core::{
-    BucketSim, CompiledTable, EnumerableMachine, EventSim, EventStep, Link, Machine, PairSet,
-    Population, ProtocolBuilder, RoundSim, RuleProtocol, Simulation, StateId,
+    BucketSim, CompiledTable, EnumerableMachine, EventSim, EventStep, Link, Machine, Population,
+    ProtocolBuilder, RoundSim, RuleProtocol, Simulation, StateId,
 };
 use netcon_processes::Process;
 use proptest::prelude::*;

@@ -34,9 +34,11 @@
 //! the identical round count on every seed.
 
 use netcon::core::seeds::derive2;
+use netcon::core::testing::{
+    geometric_skip, hypergeometric_count, hypergeometric_skip, unit_open01,
+};
 use netcon::core::{
-    geometric_skip, hypergeometric_count, hypergeometric_skip, unit_open01, BucketSim,
-    CompiledTable, EngineView, EventSim, ExactEngine, Link, Population, ProtocolBuilder,
+    BucketSim, CompiledTable, EngineView, EventSim, ExactEngine, Link, Population, ProtocolBuilder,
     RoundBucketSim, RoundEngine, RoundSim, RuleProtocol, ShuffledRounds, Simulation, StateId,
 };
 use netcon::graph::properties::is_maximum_matching;
@@ -1641,7 +1643,7 @@ mod skip_schedule {
 // ---------------------------------------------------------------------
 
 mod sampler_identity {
-    use netcon::core::{
+    use netcon::core::testing::{
         hypergeometric_count, hypergeometric_count_large, hypergeometric_skip, unit_open01,
     };
     use proptest::prelude::*;
@@ -2002,7 +2004,7 @@ mod sampler_identity {
 
 mod endgame {
     use netcon::core::seeds::derive2;
-    use netcon::core::walk::{exit_cdf, sample_absorption, survival, time_cap};
+    use netcon::core::testing::{exit_cdf, sample_absorption, survival, time_cap};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
