@@ -110,8 +110,21 @@ pub fn repair_time(
     stable: impl Fn(&EngineView<'_, CompiledTable>, &FaultState) -> bool,
     max_steps: u64,
 ) -> RepairResult {
-    let name = protocol.name();
-    let mut eng = Engine::auto_faulted(protocol.compile(), n, seed, severity.plan(seed));
+    repair_time_of(protocol.compile(), n, seed, severity, stable, max_steps)
+}
+
+/// [`repair_time`] of an already compiled protocol, so a sweep compiles
+/// it once.
+pub(crate) fn repair_time_of(
+    table: CompiledTable,
+    n: usize,
+    seed: u64,
+    severity: FaultSeverity,
+    stable: impl Fn(&EngineView<'_, CompiledTable>, &FaultState) -> bool,
+    max_steps: u64,
+) -> RepairResult {
+    let name = table.name().to_owned();
+    let mut eng = Engine::auto_faulted(table, n, seed, severity.plan(seed));
     let fs0 = eng.fault_state().expect("faulted engine").clone();
     let converged_at = eng
         .run_until(|v| stable(v, &fs0), max_steps)
@@ -151,8 +164,9 @@ pub fn sweep_repair_time<P>(
 where
     P: Fn(&EngineView<'_, CompiledTable>, &FaultState) -> bool + Sync,
 {
+    let table = protocol.compile();
     sweep(cfg, |n, seed| {
-        repair_time(protocol, n, seed, severity, &stable, max_steps).repair as f64
+        repair_time_of(table.clone(), n, seed, severity, &stable, max_steps).repair as f64
     })
 }
 

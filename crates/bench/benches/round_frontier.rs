@@ -29,10 +29,9 @@ use std::time::Instant;
 use netcon_analysis::sweep::{sweep_rounds_to_converge, SweepConfig};
 use netcon_analysis::table::TextTable;
 use netcon_bench::harness::{fits, fmt_fit, scale, sweep_rows};
-use netcon_core::seeds::derive2;
+use netcon_bench::speedup::compare_round_engines;
 use netcon_core::{
-    CompiledTable, Engine, EnumerableMachine, ExactEngine, Link, ProtocolBuilder, RoundSim,
-    SchedulerKind, ShuffledRounds, Simulation,
+    CompiledTable, Engine, EnumerableMachine, Link, ProtocolBuilder, RoundSim, SchedulerKind,
 };
 use netcon_protocols::{cycle_cover, simple_global_line};
 
@@ -92,53 +91,34 @@ fn main() {
     // must agree (the engines are distribution-identical); the wall gap
     // is the point of the engine.
     let n = 64;
-    let trials = scale(20).max(2) as u64;
-    let p = simple_global_line::protocol();
-    let compiled = p.compile();
-    let m = (n as u64) * (n as u64 - 1) / 2;
-
-    let t0 = Instant::now();
-    let mut round_rounds = 0.0f64;
-    for t in 0..trials {
-        let mut sim = RoundSim::new(compiled.clone(), n, derive2(7, n as u64, t));
-        let out = sim.run_until(simple_global_line::is_stable, u64::MAX);
-        round_rounds +=
-            out.converged_at().expect("stabilizes").div_ceil(m) as f64 / trials as f64;
-    }
-    let round_wall = t0.elapsed().as_secs_f64();
-
-    let naive_trials = scale(4).clamp(2, 8) as u64;
-    let t0 = Instant::now();
-    let mut naive_rounds = 0.0f64;
-    for t in 0..naive_trials {
-        let mut sim = Simulation::with_scheduler(
-            p.clone(),
-            n,
-            derive2(7, n as u64, t),
-            ShuffledRounds::new(),
-        );
-        let out = sim.run_until(simple_global_line::is_stable, u64::MAX);
-        naive_rounds +=
-            out.converged_at().expect("stabilizes").div_ceil(m) as f64 / naive_trials as f64;
-    }
-    let naive_wall = t0.elapsed().as_secs_f64();
-
-    let speedup =
-        (naive_wall / naive_trials as f64) / (round_wall / trials as f64).max(1e-12);
+    let trials = scale(20).max(2);
+    let naive_trials = scale(4).clamp(2, 8);
+    let c = compare_round_engines(
+        &simple_global_line::protocol(),
+        simple_global_line::is_stable,
+        n,
+        trials,
+        naive_trials,
+        7,
+    );
+    let (round_rounds, naive_rounds) = (c.round_mean_rounds, c.naive_mean_rounds);
     let mut t = TextTable::new(&["engine", "trials", "mean rounds", "wall/trial"]);
     t.row(&[
         "RoundSim",
         &trials.to_string(),
         &format!("{round_rounds:.1}"),
-        &format!("{:.4}s", round_wall / trials as f64),
+        &format!("{:.4}s", c.round.wall_s / trials as f64),
     ]);
     t.row(&[
         "naive ShuffledRounds",
         &naive_trials.to_string(),
         &format!("{naive_rounds:.1}"),
-        &format!("{:.4}s", naive_wall / naive_trials as f64),
+        &format!("{:.4}s", c.naive.wall_s / naive_trials as f64),
     ]);
-    println!("--- Simple-Global-Line n = {n}: RoundSim vs naive ({speedup:.0}x/trial) ---");
+    println!(
+        "--- Simple-Global-Line n = {n}: RoundSim vs naive ({:.0}x/trial) ---",
+        c.speedup
+    );
     println!("{}", t.render());
     let rel = (round_rounds - naive_rounds).abs() / naive_rounds.max(1.0);
     assert!(

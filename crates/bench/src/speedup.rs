@@ -6,7 +6,7 @@ use std::time::Instant;
 use netcon_core::seeds::derive2;
 use netcon_core::{
     BucketSim, CompiledTable, EngineView, EventSim, ExactEngine, Population, RoundSim,
-    RuleProtocol, ShuffledRounds, Simulation, StateId,
+    RuleProtocol, RunOutcome, ShuffledRounds, Simulation, StateId,
 };
 
 /// Per-engine aggregates over a trial set.
@@ -68,6 +68,28 @@ fn stats_of(samples: &[(f64, f64, f64)], wall_s: f64) -> EngineStats {
     }
 }
 
+/// Runs `trials` trials of one engine on `n` nodes, trial `t` seeded
+/// `derive2(base_seed, n, t)`: `trial(seed)` runs one to stability and
+/// returns its outcome, steps and effective steps. Returns the engine's
+/// aggregates and each trial's `converged_at`.
+fn run_trials(
+    n: usize,
+    trials: usize,
+    base_seed: u64,
+    mut trial: impl FnMut(u64) -> (RunOutcome, u64, u64),
+) -> (EngineStats, Vec<f64>) {
+    let t0 = Instant::now();
+    let samples: Vec<(f64, f64, f64)> = (0..trials)
+        .map(|t| {
+            let (out, steps, effective) = trial(derive2(base_seed, n as u64, t as u64));
+            let converged = out.converged_at().expect("stabilizes");
+            (converged as f64, steps as f64, effective as f64)
+        })
+        .collect();
+    let stats = stats_of(&samples, t0.elapsed().as_secs_f64());
+    (stats, samples.iter().map(|s| s.0).collect())
+}
+
 /// Runs `event_trials` event-driven and `naive_trials` naive executions of
 /// `protocol` to `stable` on `n` nodes, sharing the seed stream
 /// (`derive2(base_seed, n, trial)`), and reports the head-to-head record.
@@ -86,32 +108,14 @@ pub fn compare_engines(
     base_seed: u64,
 ) -> Comparison {
     let compiled = protocol.compile();
-    let mut event_samples = Vec::with_capacity(event_trials);
-    let t0 = Instant::now();
-    for t in 0..event_trials {
-        let mut sim = EventSim::new(compiled.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(stable, u64::MAX);
-        event_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let event = stats_of(&event_samples, t0.elapsed().as_secs_f64());
-
-    let mut naive_samples = Vec::with_capacity(naive_trials);
-    let t0 = Instant::now();
-    for t in 0..naive_trials {
-        let mut sim =
-            Simulation::new(protocol.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(stable, u64::MAX);
-        naive_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let naive = stats_of(&naive_samples, t0.elapsed().as_secs_f64());
+    let (event, _) = run_trials(n, event_trials, base_seed, |seed| {
+        let mut sim = EventSim::new(compiled.clone(), n, seed);
+        (sim.run_until(stable, u64::MAX), sim.steps(), sim.effective_steps())
+    });
+    let (naive, _) = run_trials(n, naive_trials, base_seed, |seed| {
+        let mut sim = Simulation::new(protocol.clone(), n, seed);
+        (sim.run_until(stable, u64::MAX), sim.steps(), sim.effective_steps())
+    });
 
     Comparison {
         n,
@@ -164,42 +168,23 @@ pub fn compare_round_engines(
 ) -> RoundComparison {
     let compiled = protocol.compile();
     let pairs_per_round = (n as u64) * (n as u64 - 1) / 2;
-    let rounds_of = |converged: f64| (converged as u64).div_ceil(pairs_per_round) as f64;
-
-    let mut round_samples = Vec::with_capacity(round_trials);
-    let t0 = Instant::now();
-    for t in 0..round_trials {
-        let mut sim = RoundSim::new(compiled.clone(), n, derive2(base_seed, n as u64, t as u64));
-        let out = sim.run_until(stable, u64::MAX);
-        round_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let round = stats_of(&round_samples, t0.elapsed().as_secs_f64());
-    let round_mean_rounds =
-        round_samples.iter().map(|s| rounds_of(s.0)).sum::<f64>() / round_trials as f64;
-
-    let mut naive_samples = Vec::with_capacity(naive_trials);
-    let t0 = Instant::now();
-    for t in 0..naive_trials {
-        let mut sim = Simulation::with_scheduler(
-            protocol.clone(),
-            n,
-            derive2(base_seed, n as u64, t as u64),
-            ShuffledRounds::new(),
-        );
-        let out = sim.run_until(stable, u64::MAX);
-        naive_samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
-    }
-    let naive = stats_of(&naive_samples, t0.elapsed().as_secs_f64());
-    let naive_mean_rounds =
-        naive_samples.iter().map(|s| rounds_of(s.0)).sum::<f64>() / naive_trials as f64;
+    let mean_rounds = |converged: &[f64]| {
+        converged
+            .iter()
+            .map(|&c| (c as u64).div_ceil(pairs_per_round) as f64)
+            .sum::<f64>()
+            / converged.len() as f64
+    };
+    let (round, converged) = run_trials(n, round_trials, base_seed, |seed| {
+        let mut sim = RoundSim::new(compiled.clone(), n, seed);
+        (sim.run_until(stable, u64::MAX), sim.steps(), sim.effective_steps())
+    });
+    let round_mean_rounds = mean_rounds(&converged);
+    let (naive, converged) = run_trials(n, naive_trials, base_seed, |seed| {
+        let mut sim = Simulation::with_scheduler(protocol.clone(), n, seed, ShuffledRounds::new());
+        (sim.run_until(stable, u64::MAX), sim.steps(), sim.effective_steps())
+    });
+    let naive_mean_rounds = mean_rounds(&converged);
 
     RoundComparison {
         n,
@@ -229,21 +214,15 @@ pub fn bucket_stats(
     base_seed: u64,
 ) -> (EngineStats, u64) {
     let compiled = protocol.compile();
-    let mut samples = Vec::with_capacity(trials);
     let mut mem = 0u64;
-    let t0 = Instant::now();
-    for t in 0..trials {
-        let mut sim = BucketSim::new(compiled.clone(), n, derive2(base_seed, n as u64, t as u64));
+    let (stats, _) = run_trials(n, trials, base_seed, |seed| {
+        let mut sim = BucketSim::new(compiled.clone(), n, seed);
         let out = sim.run_until(
             |sp| stable(&EngineView::Sparse { sp, machine: &compiled }),
             u64::MAX,
         );
-        samples.push((
-            out.converged_at().expect("stabilizes") as f64,
-            sim.steps() as f64,
-            sim.effective_steps() as f64,
-        ));
         mem = sim.approx_mem_bytes();
-    }
-    (stats_of(&samples, t0.elapsed().as_secs_f64()), mem)
+        (out, sim.steps(), sim.effective_steps())
+    });
+    (stats, mem)
 }

@@ -74,7 +74,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-use crate::compiled::{EffectTable, EnumerableMachine};
+use crate::compiled::EnumerableMachine;
 use crate::engine::{uniform_skip, unit_open01, Bookkeeping};
 use crate::driver::{next_probe, run_until_with, ExactEngine, Primitives};
 use crate::event::EventStep;
@@ -735,7 +735,6 @@ pub struct BucketSim<M: EnumerableMachine> {
     sp: SparsePop,
     rng: SmallRng,
     book: WideBook,
-    table: EffectTable,
     /// Ordered state pairs `(s, t)` with `can_affect(s, t, Off)` — the
     /// off buckets, fixed at construction.
     off_pairs: Vec<(u16, u16)>,
@@ -846,7 +845,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
 
     fn from_sparse(machine: M, sp: SparsePop, seed: u64) -> Self {
         let table = machine.effect_table();
-        let size = table.size();
+        let size = machine.num_states();
         let mut off_pairs = Vec::new();
         for s in 0..size {
             for t in 0..size {
@@ -880,7 +879,6 @@ impl<M: EnumerableMachine> BucketSim<M> {
             sp,
             rng: SmallRng::seed_from_u64(seed),
             book: WideBook::default(),
-            table,
             off_pairs,
             dead_cells,
             cum,
@@ -981,7 +979,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             (v.capacity() * size_of::<T>()) as u64
         }
         self.sp.approx_mem_bytes()
-            + self.table.approx_mem_bytes()
+            + self.machine.effect_table().approx_mem_bytes()
             + bytes(&self.off_pairs)
             + bytes(&self.cum)
             + bytes(&self.on_list)
@@ -1032,7 +1030,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     fn write_edge(&mut self, u: usize, v: usize, on: bool) {
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
         if self.tallied[su] && self.tallied[sv] {
-            let cell = su.min(sv) * self.table.size() + su.max(sv);
+            let cell = su.min(sv) * self.machine.num_states() + su.max(sv);
             if on {
                 self.tally[cell] += 1;
             } else {
@@ -1058,7 +1056,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
         }
         let (was, now) = (self.tallied[old], self.tallied[q]);
         if was || now {
-            let size = self.table.size();
+            let size = self.machine.num_states();
             for &(w, _) in self.sp.row(u) {
                 let sw = self.sp.state_index(w as usize);
                 if !self.tallied[sw] {
@@ -1120,7 +1118,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
         if !self.on_pairs {
             return;
         }
-        let row = self.sp.state_index(u) * self.table.size();
+        let row = self.sp.state_index(u) * self.machine.num_states();
         for i in 0..self.sp.degree(u) {
             let (to, on_pos) = self.sp.row(u)[i];
             let w = to as usize;
@@ -1170,7 +1168,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
     fn off_candidate_at(&mut self, r: u64) -> (usize, usize, Link) {
         let b = self.cum.partition_point(|&c| c <= r);
         let (s, t) = (usize::from(self.off_pairs[b].0), usize::from(self.off_pairs[b].1));
-        let redraw = !self.table.can_affect(s, t, Link::On);
+        let redraw = !self.machine.effect_table().can_affect(s, t, Link::On);
         loop {
             let bs = &self.sp.buckets[s];
             let (u, v) = if s == t {
@@ -1232,7 +1230,10 @@ impl<M: EnumerableMachine> BucketSim<M> {
         debug_assert_eq!(link, Link::from(self.sp.is_active(u, v)), "a redirect stays on the path");
         let pair = (u, v);
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
-        debug_assert!(self.table.can_affect(su, sv, link), "every candidate is effective");
+        debug_assert!(
+            self.machine.effect_table().can_affect(su, sv, link),
+            "every candidate is effective"
+        );
         let Some(outcome) = self.machine.interact_indexed(su, sv, link, &mut self.rng) else {
             // A randomized rule sampled the identity: one real
             // ineffective step, as the naive engine records it.
@@ -1387,7 +1388,10 @@ impl<M: EnumerableMachine> BucketSim<M> {
             "off-isolation keeps externals off walker paths"
         );
         let (su, sv) = (self.sp.state_index(u), self.sp.state_index(v));
-        debug_assert!(self.table.can_affect(su, sv, link), "every candidate is effective");
+        debug_assert!(
+            self.machine.effect_table().can_affect(su, sv, link),
+            "every candidate is effective"
+        );
         let Some(outcome) = self.machine.interact_indexed(su, sv, link, &mut self.rng) else {
             // A randomized rule sampled the identity: one ordinary
             // ineffective step.
@@ -1624,7 +1628,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
             if fwd != Some((si, s_w, Link::On)) || rev != Some((s_w, si, Link::On)) {
                 return None;
             }
-            if self.table.can_affect(si, si, Link::On) {
+            if self.machine.effect_table().can_affect(si, si, Link::On) {
                 return None;
             }
         }
@@ -1637,7 +1641,7 @@ impl<M: EnumerableMachine> BucketSim<M> {
                 return None;
             }
             if let Some(si) = s_int {
-                if self.table.can_affect(si, e, Link::On) {
+                if self.machine.effect_table().can_affect(si, e, Link::On) {
                     return None;
                 }
             }
@@ -1645,13 +1649,13 @@ impl<M: EnumerableMachine> BucketSim<M> {
         // Off-link isolation for every state on the path: no off rule
         // may ever select a path node, whatever states the rest of the
         // population reaches (`can_affect` is symmetric).
-        let size = self.table.size();
+        let size = self.machine.num_states();
         for s in [Some(s_w), s_int, Some(states[0]), Some(states[len])]
             .into_iter()
             .flatten()
         {
             for x in 0..size {
-                if self.table.can_affect(s, x, Link::Off) {
+                if self.machine.effect_table().can_affect(s, x, Link::Off) {
                     return None;
                 }
             }

@@ -17,10 +17,11 @@
 //!   are generic over. [`CompiledTable`] is its only implementor, so an
 //!   engine never sees a second δ path.
 //! * [`EffectTable`] — precomputed `can_affect` bits over all
-//!   `(a_idx, b_idx, link)` triples, the lookup the incremental
-//!   effective-pair maintenance performs O(n) times per effective
-//!   interaction. [`RuleProtocol`] tabulates it once at build time and
-//!   its compiled table shares a copy.
+//!   `(a_idx, b_idx, link)` triples, one word-aligned row per left state:
+//!   the lookup the incremental effective-pair maintenance performs per
+//!   effective interaction. [`RuleProtocol`] tabulates it once at build
+//!   time; its compiled table keeps a copy, and every engine reads that
+//!   one through [`EnumerableMachine::effect_table`].
 
 use rand::{Rng, RngExt};
 
@@ -58,30 +59,23 @@ impl sealed::Sealed for CompiledTable {}
 ///
 /// # Contract
 ///
-/// `state_index` and `state_at` are mutually inverse bijections, and
-/// `num_states` does not change over the machine's lifetime. The indexed
-/// methods agree with their state-typed [`Machine`] counterparts and
-/// consume randomness identically (the engines rely on this for
-/// reproducibility across representations).
+/// States are [`StateId`]s, whose [`index`](StateId::index) is their
+/// dense index, and `num_states` does not change over the machine's
+/// lifetime. The indexed methods agree with their state-typed
+/// [`Machine`] counterparts and consume randomness identically (the
+/// engines rely on this for reproducibility across representations).
 ///
 /// The trait is not object-safe (`interact_indexed` is generic over the
 /// generator precisely so compiled hot loops avoid `dyn Rng`).
-pub trait EnumerableMachine: Machine + sealed::Sealed {
+pub trait EnumerableMachine: Machine<State = StateId> + sealed::Sealed {
     /// The number of states `|Q|`.
     fn num_states(&self) -> usize;
 
     /// The dense index of `state` in `0..num_states()`.
     fn state_index(&self, state: &Self::State) -> usize;
 
-    /// The state with the given dense index.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `index >= num_states()`.
-    fn state_at(&self, index: usize) -> Self::State;
-
-    /// A copy of the machine's effect table.
-    fn effect_table(&self) -> EffectTable;
+    /// The machine's effect table.
+    fn effect_table(&self) -> &EffectTable;
 
     /// [`Machine::on_crash_notify`] over dense indices.
     fn notify_indexed(&self, state: usize) -> Option<usize>;
@@ -114,19 +108,18 @@ pub trait EnumerableMachine: Machine + sealed::Sealed {
 /// Precomputed `can_affect` bits over every `(a_idx, b_idx, link)`
 /// triple of a rule table.
 ///
-/// `2·|Q|²` bits; tabulated once when [`ProtocolBuilder::build`]
-/// validates the rules, then answering in one shift-and-mask.
+/// One row of `⌈2|Q|/64⌉` words per left state `a`, bit `b·2 + link`
+/// of which is `can_affect(a, b, link)`; tabulated once when
+/// [`ProtocolBuilder::build`] validates the rules, then answering in one
+/// shift-and-mask.
 ///
 /// [`ProtocolBuilder::build`]: crate::ProtocolBuilder::build
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EffectTable {
     size: usize,
-    affect: Vec<u64>,
-    /// For machines with ≤ 32 states: `affect_rows[a] >> (b·2 + link) & 1`
-    /// is `can_affect(a, b, link)` — one register row per left state, so
-    /// the engine's per-node rescan tests membership without memory
-    /// traffic. Empty for larger machines.
-    affect_rows: Vec<u64>,
+    /// Words per row.
+    row_words: usize,
+    rows: Vec<u64>,
 }
 
 impl EffectTable {
@@ -136,48 +129,35 @@ impl EffectTable {
         size: usize,
         mut affects: impl FnMut(usize, usize, Link) -> bool,
     ) -> Self {
-        let words = (size * size * 2).div_ceil(64);
-        let mut t = Self {
-            size,
-            affect: vec![0; words],
-            affect_rows: if size <= 32 { vec![0; size] } else { Vec::new() },
-        };
+        let row_words = (size * 2).div_ceil(64);
+        let mut rows = vec![0; size * row_words];
         for a in 0..size {
             for b in 0..size {
                 for link in [Link::Off, Link::On] {
-                    let i = slot(size, a, b, link);
                     if affects(a, b, link) {
-                        t.affect[i / 64] |= 1 << (i % 64);
-                        if size <= 32 {
-                            t.affect_rows[a] |= 1 << (b * 2 + usize::from(link.is_on()));
-                        }
+                        let i = b * 2 + usize::from(link.is_on());
+                        rows[a * row_words + i / 64] |= 1 << (i % 64);
                     }
                 }
             }
         }
-        t
+        Self { size, row_words, rows }
     }
 
-    /// The `can_affect` mask over `(b, link)` for left state `a`, when the
-    /// machine has ≤ 32 states (bit `b·2 + link`); `None` otherwise.
+    /// The `can_affect` row of left state `a`: bit `b·2 + link` of the
+    /// `⌈2|Q|/64⌉` words.
     #[inline]
     #[must_use]
-    pub fn affect_row(&self, a: usize) -> Option<u64> {
-        self.affect_rows.get(a).copied()
-    }
-
-    /// The number of states `|Q|` the table was built over.
-    #[must_use]
-    pub(crate) fn size(&self) -> usize {
-        self.size
+    pub fn affect_row(&self, a: usize) -> &[u64] {
+        &self.rows[a * self.row_words..(a + 1) * self.row_words]
     }
 
     /// Whether an interaction on the triple could change anything.
     #[inline]
     #[must_use]
     pub fn can_affect(&self, a: usize, b: usize, link: Link) -> bool {
-        let i = slot(self.size, a, b, link);
-        self.affect[i / 64] >> (i % 64) & 1 == 1
+        let i = b * 2 + usize::from(link.is_on());
+        self.rows[a * self.row_words + i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Whether the pair could be affected over an **active** edge but not
@@ -206,7 +186,7 @@ impl EffectTable {
     /// Bytes of heap memory held by the table.
     #[must_use]
     pub(crate) fn approx_mem_bytes(&self) -> u64 {
-        ((self.affect.capacity() + self.affect_rows.capacity()) * 8) as u64
+        (self.rows.capacity() * 8) as u64
     }
 }
 
@@ -372,17 +352,6 @@ impl CompiledTable {
             .position(|n| n == name)
             .map(|i| StateId::new(i as u16))
     }
-
-    /// The paper name of a state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a state of this protocol.
-    #[must_use]
-    pub fn state_name(&self, s: StateId) -> &str {
-        &self.state_names[s.index()]
-    }
-
 }
 
 impl Machine for CompiledTable {
@@ -425,8 +394,9 @@ impl EnumerableMachine for CompiledTable {
         self.size
     }
 
-    fn effect_table(&self) -> EffectTable {
-        self.effects.clone()
+    #[inline]
+    fn effect_table(&self) -> &EffectTable {
+        &self.effects
     }
 
     fn notify_indexed(&self, state: usize) -> Option<usize> {
@@ -435,10 +405,6 @@ impl EnumerableMachine for CompiledTable {
 
     fn state_index(&self, state: &StateId) -> usize {
         state.index()
-    }
-
-    fn state_at(&self, index: usize) -> StateId {
-        StateId::new(u16::try_from(index).expect("CompiledTable has ≤ 65536 states"))
     }
 
     fn is_certain(&self, a: usize, b: usize, link: Link) -> bool {
@@ -622,9 +588,7 @@ mod tests {
         assert_eq!(c.name(), p.name());
         assert_eq!(c.initial_state(), p.initial_state());
         assert_eq!(c.state("l"), p.state("l"));
-        assert_eq!(c.state_name(StateId::new(1)), "q1");
         assert_eq!(c.num_states(), 3);
-        assert_eq!(c.state_at(2), StateId::new(2));
         assert_eq!(c.state_index(&StateId::new(2)), 2);
     }
 
@@ -677,13 +641,14 @@ mod tests {
     #[test]
     fn effect_table_matches_machine_queries() {
         let p = line_protocol();
-        let t = p.compile().effect_table();
-        assert_eq!(&t, p.effects());
+        let c = p.compile();
+        let t = c.effect_table();
+        assert_eq!(t, p.effects());
         assert!(t.is_symmetric());
         let (q0, q1, l) = (0, 1, 2);
         assert!(t.can_affect(q0, q0, OFF));
         assert!(t.can_affect(l, q0, OFF) && t.can_affect(q0, l, OFF));
         assert!(!t.can_affect(q0, q0, ON) && !t.can_affect(q1, l, OFF));
-        assert_eq!(t.affect_row(q1), Some(0));
+        assert_eq!(t.affect_row(q1), [0]);
     }
 }

@@ -12,10 +12,10 @@
 //! [`DenseCore`], on which [`EventSim`](crate::EventSim) and
 //! [`RoundSim`](crate::RoundSim) keep only their schedulers' bookkeeping.
 
-use crate::compiled::{EffectTable, EnumerableMachine};
+use crate::compiled::EnumerableMachine;
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::{RunOutcome, StepResult};
-use crate::{EngineView, Link, Population};
+use crate::{EngineView, Link, Population, StateId};
 
 /// Maps a raw 64-bit draw to a uniform value on the half-open unit
 /// interval `(0, 1]` with 53-bit resolution — the draw both event engines
@@ -746,18 +746,11 @@ pub(crate) struct DenseCore<M: EnumerableMachine> {
     pop: Population<M::State>,
     /// The exact effective set `E` of the current configuration.
     pairs: PairSet,
-    table: EffectTable,
-    /// Dense state index of every node.
-    idx: Vec<u16>,
-    /// One node bitset per state (bit `u` of row `s` ⇔ `idx[u] == s`),
-    /// `row_words` words each — the input of the word-parallel rescan.
+    /// One node bitset per state (bit `u` of row `s` ⇔ node `u` is
+    /// present in state `s`), `row_words` words each — the input of the
+    /// word-parallel rescan. Absent nodes (crashed or not yet arrived)
+    /// are in no row and hold no active edges, so no rescan names them.
     state_nodes: Vec<u64>,
-    /// Ghost mask for faulted runs: bit `u` set ⇔ node `u` is absent
-    /// (crashed or not yet arrived) and must never be a candidate. The
-    /// word-parallel rescan excludes absent nodes automatically (they
-    /// are cleared from `state_nodes` and hold no active edges); the
-    /// per-pair fallback for > 32-state machines consults this mask.
-    absent: Vec<u64>,
     /// Scratch row for the desired-membership mask.
     scratch: Vec<u64>,
     row_words: usize,
@@ -765,28 +758,21 @@ pub(crate) struct DenseCore<M: EnumerableMachine> {
 
 impl<M: EnumerableMachine> DenseCore<M> {
     /// The core of `pop`, its effective set built from one desired row
-    /// per node (`O(n²·|Q|/64 + |E| + members)` for ≤ 32 states). Panics
-    /// if the population has fewer than 2 nodes.
+    /// per node (`O(n²·|Q|/64 + |E| + members)`). Panics if the
+    /// population has fewer than 2 nodes.
     pub(crate) fn new(machine: M, pop: Population<M::State>) -> Self {
         let n = pop.n();
         assert!(n >= 2, "pairwise interactions need at least 2 processes");
-        let table = machine.effect_table();
-        let idx: Vec<u16> = (0..n)
-            .map(|u| u16::try_from(machine.state_index(pop.state(u))).expect("≤ 65536 states"))
-            .collect();
         let row_words = n.div_ceil(64);
-        let mut state_nodes = vec![0u64; table.size() * row_words];
-        for (u, &s) in idx.iter().enumerate() {
-            state_nodes[s as usize * row_words + u / 64] |= 1u64 << (u % 64);
+        let mut state_nodes = vec![0u64; machine.num_states() * row_words];
+        for (u, s) in pop.states().iter().enumerate() {
+            state_nodes[s.index() * row_words + u / 64] |= 1u64 << (u % 64);
         }
         let mut core = Self {
             machine,
             pop,
             pairs: PairSet::new(0),
-            table,
-            idx,
             state_nodes,
-            absent: vec![0u64; row_words],
             scratch: vec![0u64; row_words],
             row_words,
         };
@@ -834,10 +820,8 @@ impl<M: EnumerableMachine> DenseCore<M> {
         self.pairs.approx_mem_bytes()
             + self.pop.edges().approx_mem_bytes()
             + states
-            + (self.idx.capacity() * 2
-                + (self.state_nodes.capacity() + self.absent.capacity() + self.scratch.capacity())
-                    * 8) as u64
-            + self.table.approx_mem_bytes()
+            + ((self.state_nodes.capacity() + self.scratch.capacity()) * 8) as u64
+            + self.machine.effect_table().approx_mem_bytes()
     }
 
     /// Applies `interact` to `(u, v)` with real coins from `rng` and
@@ -851,7 +835,7 @@ impl<M: EnumerableMachine> DenseCore<M> {
     pub(crate) fn interact(&mut self, u: usize, v: usize, rng: &mut impl rand::Rng) -> StepResult {
         let pair = (u, v);
         let link = Link::from(self.pop.edges().is_active(u, v));
-        let (iu, iv) = (usize::from(self.idx[u]), usize::from(self.idx[v]));
+        let (iu, iv) = (self.pop.state(u).index(), self.pop.state(v).index());
         let Some((a2, b2, l2)) = self.machine.interact_indexed(iu, iv, link, rng) else {
             return StepResult::Ineffective { pair };
         };
@@ -859,14 +843,12 @@ impl<M: EnumerableMachine> DenseCore<M> {
         if edge_changed {
             self.pop.edges_mut().set(u, v, l2.is_on());
         }
-        self.pop.set_state(u, self.machine.state_at(a2));
-        self.pop.set_state(v, self.machine.state_at(b2));
-        let u_changed = self.reindex(u);
-        let v_changed = self.reindex(v);
+        let u_changed = self.move_node(u, a2);
+        let v_changed = self.move_node(v, b2);
         if u_changed {
             self.rescan(u);
         } else {
-            self.pairs.set(u, v, self.table.can_affect(iu, usize::from(self.idx[v]), l2));
+            self.pairs.set(u, v, self.machine.effect_table().can_affect(iu, b2, l2));
         }
         if v_changed {
             self.rescan(v);
@@ -875,17 +857,17 @@ impl<M: EnumerableMachine> DenseCore<M> {
     }
 
     /// Retires node `x` (a crash, or a ghost slot at construction): drops
-    /// its active edges, marks it absent and clears its effective row,
-    /// keeping its state index (an arrival re-enters in its unchanged
-    /// initial state). Returns the former neighbours in ascending order.
+    /// its active edges, takes it out of its state's node bitset and
+    /// clears its effective row, keeping its state index (an arrival
+    /// re-enters in its unchanged initial state). Returns the former
+    /// neighbours in ascending order.
     pub(crate) fn retire(&mut self, x: usize) -> Vec<usize> {
         let neighbors: Vec<usize> = self.pop.edges().neighbors(x).collect();
         for &w in &neighbors {
             self.pop.edges_mut().set(x, w, false);
         }
-        let (word, bit) = (x / 64, 1u64 << (x % 64));
-        self.state_nodes[usize::from(self.idx[x]) * self.row_words + word] &= !bit;
-        self.absent[word] |= bit;
+        let word = self.pop.state(x).index() * self.row_words + x / 64;
+        self.state_nodes[word] &= !(1u64 << (x % 64));
         let mut zeros = std::mem::take(&mut self.scratch);
         zeros.fill(0);
         self.apply_row(x, &zeros);
@@ -896,18 +878,16 @@ impl<M: EnumerableMachine> DenseCore<M> {
     /// Re-admits absent node `x` (an arrival: it holds its initial state
     /// and no edges) and rescans its effective row.
     pub(crate) fn readmit(&mut self, x: usize) {
-        let (word, bit) = (x / 64, 1u64 << (x % 64));
-        debug_assert!(self.absent[word] & bit != 0, "readmit of a present node");
-        self.state_nodes[usize::from(self.idx[x]) * self.row_words + word] |= bit;
-        self.absent[word] &= !bit;
+        let (word, bit) = (self.pop.state(x).index() * self.row_words + x / 64, 1u64 << (x % 64));
+        debug_assert!(self.state_nodes[word] & bit == 0, "readmit of a present node");
+        self.state_nodes[word] |= bit;
         self.rescan(x);
     }
 
     /// Moves node `u` to state index `q` (a crash notification) and
     /// rescans its effective row.
     pub(crate) fn set_state_index(&mut self, u: usize, q: usize) {
-        self.pop.set_state(u, self.machine.state_at(q));
-        self.reindex(u);
+        self.move_node(u, q);
         self.rescan(u);
     }
 
@@ -920,32 +900,29 @@ impl<M: EnumerableMachine> DenseCore<M> {
         self.pop.edges_mut().set(u, v, false);
         // A dead endpoint implies an inactive edge, so both ends are
         // alive here; only the link of this one pair changed.
-        let (iu, iv) = (usize::from(self.idx[u]), usize::from(self.idx[v]));
-        let eff = self.table.can_affect(iu, iv, Link::Off);
+        let (iu, iv) = (self.pop.state(u).index(), self.pop.state(v).index());
+        let eff = self.machine.effect_table().can_affect(iu, iv, Link::Off);
         let flipped = self.pairs.contains(u, v) != eff;
         self.pairs.set(u, v, eff);
         Some(flipped)
     }
 
-    /// Re-derives `idx[u]` and keeps the per-state node bitsets in sync;
-    /// returns whether the index changed.
-    fn reindex(&mut self, u: usize) -> bool {
-        let new =
-            u16::try_from(self.machine.state_index(self.pop.state(u))).expect("≤ 65536 states");
-        let old = self.idx[u];
+    /// Moves node `u` to state index `new`, keeping the per-state node
+    /// bitsets in sync; returns whether its state changed.
+    fn move_node(&mut self, u: usize, new: usize) -> bool {
+        let old = self.pop.state(u).index();
         if old != new {
             let (word, bit) = (u / 64, 1u64 << (u % 64));
-            self.state_nodes[old as usize * self.row_words + word] &= !bit;
-            self.state_nodes[new as usize * self.row_words + word] |= bit;
-            self.idx[u] = new;
+            self.state_nodes[old * self.row_words + word] &= !bit;
+            self.state_nodes[new * self.row_words + word] |= bit;
+            self.pop.set_state(u, StateId::new(new as u16));
         }
         old != new
     }
 
     /// Recomputes the membership of every pair incident to `u`: only the
     /// XOR diff of its desired row against its current row touches the
-    /// set (`O(n·|Q|/64 + degree + changes)` for machines with ≤ 32
-    /// states).
+    /// set (`O(n·|Q|/64 + degree + changes)`).
     fn rescan(&mut self, u: usize) {
         let mut desired = std::mem::take(&mut self.scratch);
         self.desired_row(u, &mut desired);
@@ -969,42 +946,31 @@ impl<M: EnumerableMachine> DenseCore<M> {
     /// Writes into `out` the membership row node `u` should have: bit `w`
     /// set ⇔ `{u, w}` can be effective and `w` is present.
     ///
-    /// For machines with ≤ 32 states it is *word-parallel*: the OR of the
-    /// node bitsets of the states `u`'s state is effective against
-    /// (edge-blind — absent nodes are in none of them), patched for the
-    /// O(degree) active neighbours with the edge-on relation. Larger
-    /// machines take one `can_affect` lookup per node.
+    /// It is *word-parallel*: the OR of the node bitsets of the states
+    /// named by the set off-link bits of `u`'s effect row (edge-blind —
+    /// absent nodes are in none of them), patched for the O(degree)
+    /// active neighbours with the edge-on relation.
     fn desired_row(&self, u: usize, out: &mut [u64]) {
-        let iu = self.idx[u] as usize;
+        let table = self.machine.effect_table();
+        let iu = self.pop.state(u).index();
+        let wpr = self.row_words;
         out.fill(0);
-        if let Some(row_mask) = self.table.affect_row(iu) {
-            let wpr = self.row_words;
-            for s in 0..self.table.size() {
-                if row_mask >> (s << 1) & 1 == 1 {
-                    let row = &self.state_nodes[s * wpr..(s + 1) * wpr];
-                    for (d, &w) in out.iter_mut().zip(row) {
-                        *d |= w;
-                    }
+        for (k, &word) in table.affect_row(iu).iter().enumerate() {
+            // Bit `s·2` of the row is `can_affect(iu, s, Off)`.
+            let mut off = word & 0x5555_5555_5555_5555;
+            while off != 0 {
+                let s = k * 32 + off.trailing_zeros() as usize / 2;
+                off &= off - 1;
+                for (d, &w) in out.iter_mut().zip(&self.state_nodes[s * wpr..(s + 1) * wpr]) {
+                    *d |= w;
                 }
             }
-            for w in self.pop.edges().neighbors(u) {
-                let on = row_mask >> ((usize::from(self.idx[w]) << 1) | 1) & 1 == 1;
-                if on {
-                    out[w / 64] |= 1u64 << (w % 64);
-                } else {
-                    out[w / 64] &= !(1u64 << (w % 64));
-                }
-            }
-        } else {
-            for (w, active) in self.pop.edges().row(u) {
-                let absent = self.absent[w / 64] >> (w % 64) & 1 == 1;
-                if !absent
-                    && self
-                        .table
-                        .can_affect(iu, self.idx[w] as usize, Link::from(active))
-                {
-                    out[w / 64] |= 1u64 << (w % 64);
-                }
+        }
+        for w in self.pop.edges().neighbors(u) {
+            if table.can_affect(iu, self.pop.state(w).index(), Link::On) {
+                out[w / 64] |= 1u64 << (w % 64);
+            } else {
+                out[w / 64] &= !(1u64 << (w % 64));
             }
         }
         out[u / 64] &= !(1u64 << (u % 64));
@@ -1018,9 +984,9 @@ pub(crate) mod index_check {
     use super::DenseCore;
     use crate::{CompiledTable, EnumerableMachine, Link, Population, ProtocolBuilder, StateId};
 
-    /// A 100-state ring table on 300 nodes, three per state: past the
-    /// 32 states of a packed affect row, so [`DenseCore`](super::DenseCore)
-    /// maintains it with the per-pair fallback rescan.
+    /// A 100-state ring table on 300 nodes, three per state: its effect
+    /// rows span four words, so [`DenseCore`](super::DenseCore)'s rescan
+    /// reads states past the first word's 32.
     pub(crate) fn many_states() -> (CompiledTable, Population<StateId>) {
         let mut b = ProtocolBuilder::new("many-states");
         let ids: Vec<_> = (0..100).map(|i| b.state(format!("s{i}"))).collect();

@@ -148,8 +148,7 @@ impl<M: EnumerableMachine> EventSim<M> {
     }
 
     /// Creates an event-driven simulation from an explicit configuration
-    /// (one word-parallel effectiveness pass, `O(n²·|Q|/64)` for machines
-    /// with ≤ 32 states).
+    /// (one word-parallel effectiveness pass, `O(n²·|Q|/64)`).
     ///
     /// # Panics
     ///
@@ -377,7 +376,7 @@ mod tests {
 
     #[test]
     fn many_state_candidates_match_brute_force_recomputation() {
-        // 100 states take the index's per-pair fallback rescan; after
+        // 100 states: the rescan reads four-word effect rows; after
         // every candidate the maintained set must equal a from-scratch
         // `can_affect` pass over all pairs.
         let (p, pop) = index_check::many_states();

@@ -462,7 +462,6 @@ pub struct FaultState {
     alive_count: usize,
     /// Next ghost slot an `Arrive` event will occupy.
     next_arrival: usize,
-    base_n: usize,
     /// Adversary decisions taken so far (indexes the cadence).
     decided: u32,
     /// Adversary damage budget spent so far.
@@ -503,7 +502,6 @@ impl FaultState {
             alive,
             alive_count: base_n,
             next_arrival: base_n,
-            base_n,
             decided: 0,
             adv_spent: 0,
             scratch: DecisionScratch::default(),
@@ -515,12 +513,6 @@ impl FaultState {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.alive.len()
-    }
-
-    /// The initially-present population size.
-    #[must_use]
-    pub fn base_n(&self) -> usize {
-        self.base_n
     }
 
     /// The number of currently alive (present) nodes.

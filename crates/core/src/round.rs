@@ -237,8 +237,8 @@ impl<M: EnumerableMachine> RoundSim<M> {
 
     /// Creates an event-driven ShuffledRounds simulation from an explicit
     /// configuration (one word-parallel effectiveness pass,
-    /// `O(n²·|Q|/64)` for machines with ≤ 32 states; the first round's
-    /// candidate set is a copy of the effective set).
+    /// `O(n²·|Q|/64)`; the first round's candidate set is a copy of the
+    /// effective set).
     ///
     /// # Panics
     ///
@@ -683,8 +683,8 @@ mod tests {
 
     #[test]
     fn many_state_candidates_match_brute_force_recomputation() {
-        // The per-pair fallback rescan of > 32-state tables, shared with
-        // `EventSim`: after every candidate the effective set must equal
+        // 100 states: the rescan shared with `EventSim` reads four-word
+        // effect rows; after every candidate the effective set must equal
         // a from-scratch `can_affect` pass over all pairs.
         let (p, pop) = index_check::many_states();
         let mut sim = RoundSim::from_population(p, pop, 42);

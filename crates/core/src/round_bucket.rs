@@ -108,7 +108,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::bucket::SparsePop;
-use crate::compiled::{EffectTable, EnumerableMachine};
+use crate::compiled::EnumerableMachine;
 use crate::driver::{
     advance_rounds, idle_rounds_to, ExactEngine, Primitives, RoundEngine, RoundPrimitives,
 };
@@ -213,7 +213,6 @@ pub struct RoundBucketSim<M: EnumerableMachine> {
     sp: SparsePop,
     rng: SmallRng,
     book: Bookkeeping,
-    table: EffectTable,
     /// Unordered class pairs `(q1 ≤ q2)` with `can_affect(q1, q2, Off)` —
     /// the bulk strata, fixed at construction.
     sup_pairs: Vec<(u16, u16)>,
@@ -343,7 +342,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     /// already out of their buckets; builds the first round.
     fn from_sparse(machine: M, sp: SparsePop, seed: u64, faults: Option<FaultState>) -> Self {
         let table = machine.effect_table();
-        let nq = table.size();
+        let nq = machine.num_states();
         let mut sup_pairs = Vec::new();
         for q1 in 0..nq {
             for q2 in q1..nq {
@@ -359,7 +358,6 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             sp,
             rng: SmallRng::seed_from_u64(seed),
             book: Bookkeeping::default(),
-            table,
             sup_pairs,
             nq,
             m,
@@ -536,7 +534,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         }
         let rows = |vs: &Vec<Vec<u32>>| vs.iter().map(bytes).sum::<u64>() + bytes(vs);
         self.sp.approx_mem_bytes()
-            + self.table.approx_mem_bytes()
+            + self.machine.effect_table().approx_mem_bytes()
             + bytes(&self.sup_pairs)
             + bytes(&self.alive)
             + bytes(&self.touched)
@@ -681,7 +679,8 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     fn make_urn(&mut self, t: usize, q: usize, k: u64, force_pool: bool) {
         let sup = !force_pool
             && self
-                .table
+                .machine
+                .effect_table()
                 .can_affect(usize::from(self.rs_class[t]), q, Link::Off);
         let (cnt, unc) = if sup {
             (k, k)
@@ -698,7 +697,8 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
             self.pool_unc -= h;
             (k, h)
         };
-        let cand = self.alive[t] && self.table.can_affect(self.sp.state_index(t), q, Link::Off);
+        let cand = self.alive[t]
+            && self.machine.effect_table().can_affect(self.sp.state_index(t), q, Link::Off);
         let mut urn = Urn {
             cnt,
             unc,
@@ -915,9 +915,11 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         let link = Link::from(self.sp.is_active(a, b));
         self.alive[a]
             && self.alive[b]
-            && self
-                .table
-                .can_affect(self.sp.state_index(a), self.sp.state_index(b), link)
+            && self.machine.effect_table().can_affect(
+                self.sp.state_index(a),
+                self.sp.state_index(b),
+                link,
+            )
     }
 
     /// Appends the next cell of the arena at the tail of `u`'s list.
@@ -1009,7 +1011,8 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
         let (base, len) = self.urn_runs[u];
         for i in base as usize..(base + len) as usize {
             let q = usize::from(self.urns[i].class);
-            let new_cand = self.alive[u] && self.table.can_affect(self.sp.state_index(u), q, Link::Off);
+            let new_cand = self.alive[u]
+                && self.machine.effect_table().can_affect(self.sp.state_index(u), q, Link::Off);
             if self.urns[i].cand == new_cand {
                 continue;
             }
@@ -1045,7 +1048,7 @@ impl<M: EnumerableMachine> RoundBucketSim<M> {
     fn tbucket_sup_scan(&mut self, u: usize) {
         let su = self.sp.state_index(u);
         for q2 in 0..self.nq {
-            if !self.table.can_affect(su, q2, Link::Off) {
+            if !self.machine.effect_table().can_affect(su, q2, Link::Off) {
                 continue;
             }
             if self.tbuckets[q2].is_empty() {

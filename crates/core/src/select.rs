@@ -30,7 +30,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::round::RoundSim;
 use crate::round_bucket::RoundBucketSim;
 use crate::sim::RunOutcome;
-use crate::Population;
+use crate::{Population, StateId};
 
 /// The adversary's read of a skip engine's configuration. Neighbour
 /// rows come out sorted whatever the engine's own order: the sparse
@@ -100,7 +100,7 @@ pub enum EngineView<'a, M: EnumerableMachine> {
     Dense {
         /// The full configuration.
         pop: &'a Population<M::State>,
-        /// The machine (for state-index queries).
+        /// The machine (for its crash notifications).
         machine: &'a M,
         /// The fault state of a faulted engine, whose dead and ghost
         /// slots the state counts skip.
@@ -110,7 +110,7 @@ pub enum EngineView<'a, M: EnumerableMachine> {
     Sparse {
         /// The sparse configuration.
         sp: &'a SparsePop,
-        /// The machine (for state materialization).
+        /// The machine (for its crash notifications).
         machine: &'a M,
     },
 }
@@ -156,7 +156,7 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
     #[must_use]
     pub fn state_index(&self, u: usize) -> usize {
         match self {
-            Self::Dense { pop, machine, .. } => machine.state_index(pop.state(u)),
+            Self::Dense { pop, .. } => pop.state(u).index(),
             Self::Sparse { sp, .. } => sp.state_index(u),
         }
     }
@@ -166,11 +166,9 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
     #[must_use]
     pub fn count_index(&self, s: usize) -> usize {
         match self {
-            Self::Dense { pop, machine, faults: None } => {
-                pop.count_where(|st| machine.state_index(st) == s)
-            }
-            Self::Dense { pop, machine, faults: Some(fs) } => (0..pop.n())
-                .filter(|&u| fs.is_alive(u) && machine.state_index(pop.state(u)) == s)
+            Self::Dense { pop, faults: None, .. } => pop.count_where(|st| st.index() == s),
+            Self::Dense { pop, faults: Some(fs), .. } => (0..pop.n())
+                .filter(|&u| fs.is_alive(u) && pop.state(u).index() == s)
                 .count(),
             Self::Sparse { sp, .. } => sp.count_index(s),
         }
@@ -181,11 +179,9 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
     #[must_use]
     pub fn nodes_index(&self, s: usize) -> Vec<usize> {
         match self {
-            Self::Dense { pop, machine, faults: None } => {
-                pop.nodes_where(|st| machine.state_index(st) == s)
-            }
-            Self::Dense { pop, machine, faults: Some(fs) } => (0..pop.n())
-                .filter(|&u| fs.is_alive(u) && machine.state_index(pop.state(u)) == s)
+            Self::Dense { pop, faults: None, .. } => pop.nodes_where(|st| st.index() == s),
+            Self::Dense { pop, faults: Some(fs), .. } => (0..pop.n())
+                .filter(|&u| fs.is_alive(u) && pop.state(u).index() == s)
                 .collect(),
             Self::Sparse { sp, .. } => sp.nodes_index(s).iter().map(|&u| u as usize).collect(),
         }
@@ -226,9 +222,9 @@ impl<M: EnumerableMachine> EngineView<'_, M> {
     pub fn to_population(&self) -> Population<M::State> {
         match self {
             Self::Dense { pop, .. } => (*pop).clone(),
-            Self::Sparse { sp, machine } => {
+            Self::Sparse { sp, .. } => {
                 let states = (0..sp.n())
-                    .map(|u| machine.state_at(sp.state_index(u)))
+                    .map(|u| StateId::new(sp.state_index(u) as u16))
                     .collect();
                 Population::from_parts(states, sp.to_edgeset())
             }

@@ -466,20 +466,6 @@ impl<M: Machine, S: Scheduler> Simulation<M, S> {
         true
     }
 
-    /// The output graph: active edges restricted to nodes in output
-    /// states. When `Q_out = Q` this is just the active-edge set.
-    #[must_use]
-    pub fn output_graph(&self) -> netcon_graph::EdgeSet {
-        let (machine, pop) = (&self.machine, &self.pop);
-        let mut out = netcon_graph::EdgeSet::new(pop.n());
-        for (u, v) in pop.edges().active_edges() {
-            if machine.is_output(pop.state(u)) && machine.is_output(pop.state(v)) {
-                out.activate(u, v);
-            }
-        }
-        out
-    }
-
     /// Bytes of heap memory held by the engine: node states and the
     /// dense edge set (`n²/8` bytes — the naive loop's Θ(n²) floor).
     /// Heap payloads *inside* composite states are not counted.
@@ -747,22 +733,6 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn tiny_population_rejected() {
         let _ = Simulation::new(matching_protocol(), 1, 0);
-    }
-
-    #[test]
-    fn output_graph_respects_output_states() {
-        let mut b = ProtocolBuilder::new("half-out");
-        let a = b.state("a");
-        let m = b.state("b");
-        b.rule((a, a, OFF), (m, m, ON));
-        b.output_states(&[a]);
-        let p = b.build().expect("valid");
-        let mut sim = Simulation::new(p, 10, 11);
-        sim.run_until_edges(|p| is_maximum_matching(p.edges()), 100_000);
-        // Matched nodes are in state b, which is not an output state, so
-        // the output graph is empty even though edges are active.
-        assert_eq!(sim.output_graph().active_count(), 0);
-        assert!(sim.population().edges().active_count() > 0);
     }
 
     #[test]

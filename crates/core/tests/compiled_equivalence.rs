@@ -176,14 +176,52 @@ fn check_engines(
     Ok(())
 }
 
+/// Checks the compiled δ of `p` against the interpreted one on every
+/// triple and coin, and its effect table against the bits the rule
+/// outcomes imply.
+fn check_compiled_table(p: &RuleProtocol, seed: u64) -> Result<(), TestCaseError> {
+    let c = p.compile();
+    let table = c.effect_table();
+    for a in 0..p.size() {
+        for b in 0..p.size() {
+            for link in [Link::Off, Link::On] {
+                let (sa, sb) = (StateId::new(a as u16), StateId::new(b as u16));
+                for round in 0..4u64 {
+                    let mut r1 = SmallRng::seed_from_u64(seed.wrapping_add(round));
+                    let mut r2 = r1.clone();
+                    prop_assert_eq!(
+                        p.interact(&sa, &sb, link, &mut r1),
+                        c.interact(&sa, &sb, link, &mut r2),
+                        "δ disagrees at ({a}, {b}, {link})"
+                    );
+                    prop_assert_eq!(&r1, &r2, "coin consumption diverged at ({a}, {b}, {link})");
+                }
+                let derived = derived_effects(p, sa, sb, link);
+                let bit = b * 2 + usize::from(link.is_on());
+                let row_bit = table.affect_row(a)[bit / 64] >> (bit % 64) & 1 == 1;
+                prop_assert_eq!(row_bit, derived);
+                prop_assert_eq!(
+                    derived,
+                    table.can_affect(a, b, link),
+                    "effect bits disagree at ({}, {}, {})", a, b, link
+                );
+                prop_assert_eq!(derived, p.can_affect(&sa, &sb, link));
+            }
+        }
+    }
+    prop_assert_eq!(p.size(), c.num_states());
+    prop_assert_eq!(p.initial_state(), c.initial_state());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The dense engines' pair sets equal the brute-force effective set,
     /// and the sparse engine's candidate weight its brute-force count,
     /// after every step, on random rule tables from random configurations
-    /// with active edges: small tables (the word-parallel index) and
-    /// tables past 32 states (its per-pair arm).
+    /// with active edges: small tables, whose effect rows fit one word,
+    /// and tables past 32 states, whose rows span two.
     #[test]
     fn dense_pair_sets_match_brute_force_every_step(
         p in arb_protocol(),
@@ -208,40 +246,18 @@ proptest! {
     /// Compiled δ equals interpreted δ on the full domain, coin for coin:
     /// identically-seeded generators must produce identical outcomes AND
     /// end in identical generator states. The one effect table both
-    /// answer from holds the bits the rule outcomes imply.
+    /// answer from holds the bits the rule outcomes imply, on small
+    /// tables and on tables around 32 states, whose rows span two words
+    /// from 33 states on.
     #[test]
-    fn compiled_table_agrees_on_every_triple_and_coin(p in arb_protocol(), seed in any::<u64>()) {
-        let c = p.compile();
-        let table = c.effect_table();
-        for a in 0..p.size() {
-            for b in 0..p.size() {
-                for link in [Link::Off, Link::On] {
-                    let (sa, sb) = (StateId::new(a as u16), StateId::new(b as u16));
-                    for round in 0..4u64 {
-                        let mut r1 = SmallRng::seed_from_u64(seed.wrapping_add(round));
-                        let mut r2 = r1.clone();
-                        prop_assert_eq!(
-                            p.interact(&sa, &sb, link, &mut r1),
-                            c.interact(&sa, &sb, link, &mut r2),
-                            "δ disagrees at ({a}, {b}, {link})"
-                        );
-                        prop_assert_eq!(&r1, &r2, "coin consumption diverged at ({a}, {b}, {link})");
-                    }
-                    let derived = derived_effects(&p, sa, sb, link);
-                    let bit = b * 2 + usize::from(link.is_on());
-                    let row_bit = table.affect_row(a).map(|r| r >> bit & 1 == 1);
-                    prop_assert_eq!(row_bit, Some(derived));
-                    prop_assert_eq!(
-                        derived,
-                        table.can_affect(a, b, link),
-                        "effect bits disagree at ({}, {}, {})", a, b, link
-                    );
-                    prop_assert_eq!(derived, p.can_affect(&sa, &sb, link));
-                }
-            }
+    fn compiled_table_agrees_on_every_triple_and_coin(
+        p in arb_protocol(),
+        wide in arb_protocol_with(30..41, 100..300),
+        seed in any::<u64>(),
+    ) {
+        for p in [&p, &wide] {
+            check_compiled_table(p, seed)?;
         }
-        prop_assert_eq!(p.size(), c.num_states());
-        prop_assert_eq!(p.initial_state(), c.initial_state());
     }
 
     /// `interact_indexed` (the engine's monomorphic entry point) agrees

@@ -14,8 +14,8 @@
 //! max-degree crash strikes (the faulted paths: crashes, crash
 //! notifications, arrivals); Simple-Global-Line, Cycle-Cover at n = 128
 //! and 3-Cliques run to their stability oracles; edge cover at n = 100 (no
-//! interaction ever changes a state); and a table past the 32 states of a
-//! packed affect row, started from a configuration with active edges.
+//! interaction ever changes a state); and a 40-state table, whose effect
+//! rows span two words, started from a configuration with active edges.
 
 use netcon_core::{
     AdversaryPlan, AdversaryPolicy, Cadence, ChurnPlan, CompiledTable, EngineView, EventSim,
@@ -213,10 +213,10 @@ fn edge_cover_n100() {
     );
 }
 
-/// A 40-state table (past the 32 states of a packed affect row, so the
-/// index takes its per-pair arm) with rules on both links, started with a
-/// ring of active edges so the edge-on relation is live from the first
-/// draw.
+/// A 40-state table (its effect rows span two words, so the rescan
+/// reads states past the first word's 32) with rules on both links,
+/// started with a ring of active edges so the edge-on relation is live
+/// from the first draw.
 #[test]
 fn many_states_from_population_with_active_edges() {
     const Q: usize = 40;

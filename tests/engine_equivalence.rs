@@ -1265,11 +1265,9 @@ mod fault_bookkeeping {
         exact
     }
 
-    /// Matching over `s0` in a 40-state table: past the 32 states of a
-    /// packed affect row, so the dense engines repair their effective
-    /// sets with the per-pair fallback rescan, whose only guard against
-    /// a ghost partner is the absent mask — and the initial state pairs
-    /// with itself, so a ghost in it would be a candidate.
+    /// Matching over `s0` in a 40-state table, whose effect rows span two
+    /// words — and the initial state pairs with itself, so a ghost in it
+    /// would be a candidate.
     fn many_state_matching() -> netcon::core::CompiledTable {
         let mut b = ProtocolBuilder::new("many-state-matching");
         let ids: Vec<_> = (0..40).map(|i| b.state(format!("s{i}"))).collect();
@@ -1279,10 +1277,11 @@ mod fault_bookkeeping {
     }
 
     /// An arrival rescans the arriving node's row while the other ghost
-    /// slot is still absent: on the > 32-state fallback path the absent
-    /// mask alone keeps the pair with that ghost out of the set. (Only
-    /// the arrival due at draw 0 is applied: the second arrival's own
-    /// rescan would restore the pair the first one wrongly added.)
+    /// slot is still absent: the ghost is in no state's node bitset, so
+    /// the pair with it stays out of the set on a two-word effect row
+    /// too. (Only the arrival due at draw 0 is applied: the second
+    /// arrival's own rescan would restore the pair the first one wrongly
+    /// added.)
     #[test]
     fn many_state_arrival_leaves_the_other_ghost_out() {
         let plan = FaultPlan::new(1)
@@ -1309,7 +1308,7 @@ mod fault_bookkeeping {
         /// a brute-force recomputation over the alive population — and
         /// RoundSim's lazy pool partition still accounts for every pair
         /// of the current round. On matching, and on a 40-state matching
-        /// that takes the dense engines' per-pair fallback rescan.
+        /// whose effect rows span two words.
         #[test]
         fn candidate_structures_track_faults_exactly(
             n in 4usize..14,
